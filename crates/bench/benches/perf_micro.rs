@@ -223,9 +223,9 @@ fn cache_access_ns() -> f64 {
 
 /// The PR's headline measurement: serial vs sharded trial throughput
 /// plus the allocation-free set-storage access latencies, written as the
-/// `perf_parallel` artifact. With one resolved worker the parallel path
-/// *is* the serial path (inline execution), so the speedup is reported
-/// as exactly 1.0; real scaling needs real cores.
+/// `perf_parallel` artifact. With one resolved worker the parallel run
+/// *is* the serial run (jobs=1), so the speedup is reported as exactly
+/// 1.0; real scaling needs real cores.
 fn write_parallel_artifact() {
     let jobs = pacman_bench::jobs();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);

@@ -65,10 +65,9 @@ options:
   --dir D         verify artifact dir      --help          this text
   --only ID       verify: check a single artifact's claims (skips history)
   --json          emit JSONL on stdout     --metrics-out F write JSONL to file F
-  --jobs N        worker threads (default: PACMAN_JOBS, else all cores)
-  --runner B      execution backend: 'executor' (persistent work-stealing
-                  pool, the default) or 'scoped' (spawn-per-run baseline);
-                  default: PACMAN_RUNNER, else executor
+  --jobs N        max shards of one campaign in flight at once (default:
+                  PACMAN_JOBS, else all cores; the shared worker pool is
+                  sized once per process from PACMAN_JOBS or the cores)
   --fault-rate R  injected fault rate in [0,1] (default: PACMAN_FAULT_RATE
                   when PACMAN_FAULT_SEED is set, else off; 0 disables)
   --trace-out F   record shard/fault lifecycle spans during the run and
@@ -97,9 +96,9 @@ daemon/client options:
   --shutdown          client: ask the daemon to drain and exit
 
 Trial-driving commands (oracle, brute, jump2win, sweep, census,
-conform) shard their work across --jobs worker threads; for a fixed
---seed the merged result is identical at every job count and on either
---runner backend.
+conform) cut their work into fixed shards and run up to --jobs of them
+at once on the process-wide work-stealing pool; for a fixed --seed the
+merged result is identical at every job count.
 
 'conform' runs seeded random programs on the speculative core and on an
 in-order architectural reference machine in lockstep, asserting
@@ -138,44 +137,23 @@ paper claim is out of tolerance.
 fn command_spec(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
     Some(match command {
         "oracle" => (
-            &[
-                "seed",
-                "trials",
-                "channel",
-                "jobs",
-                "runner",
-                "fault-rate",
-                "metrics-out",
-                "trace-out",
-            ],
+            &["seed", "trials", "channel", "jobs", "fault-rate", "metrics-out", "trace-out"],
             &["json", "quiet-noise"],
         ),
         "brute" => (
-            &["seed", "window", "jobs", "runner", "fault-rate", "metrics-out", "trace-out"],
+            &["seed", "window", "jobs", "fault-rate", "metrics-out", "trace-out"],
             &["json", "quiet-noise", "full"],
         ),
         "jump2win" => (
-            &["seed", "window", "jobs", "runner", "fault-rate", "metrics-out"],
+            &["seed", "window", "jobs", "fault-rate", "metrics-out"],
             &["json", "quiet-noise", "full"],
         ),
         // --quiet-noise is a no-op for sweep (its machines already run
         // noise-free) but stays accepted for invocation compatibility.
-        "sweep" => (
-            &["jobs", "runner", "fault-rate", "metrics-out", "trace-out"],
-            &["json", "quiet-noise"],
-        ),
-        "census" => (&["functions", "jobs", "runner", "metrics-out"], &["json", "track-stack"]),
+        "sweep" => (&["jobs", "fault-rate", "metrics-out", "trace-out"], &["json", "quiet-noise"]),
+        "census" => (&["functions", "jobs", "metrics-out"], &["json", "track-stack"]),
         "conform" => (
-            &[
-                "programs",
-                "seed",
-                "steps",
-                "jobs",
-                "runner",
-                "fault-rate",
-                "metrics-out",
-                "trace-out",
-            ],
+            &["programs", "seed", "steps", "jobs", "fault-rate", "metrics-out", "trace-out"],
             &["json", "skip-self-test"],
         ),
         "profile" => (
@@ -185,7 +163,6 @@ fn command_spec(command: &str) -> Option<(&'static [&'static str], &'static [&'s
                 "window",
                 "channel",
                 "jobs",
-                "runner",
                 "fault-rate",
                 "metrics-out",
                 "trace-out",
@@ -256,7 +233,6 @@ pub fn dispatch(args: &Args) -> CliResult {
         return Err("no command given (try --help)".into());
     };
     validate_options(command, args)?;
-    apply_runner(args)?;
     match command {
         "oracle" => cmd_oracle(args),
         "brute" => cmd_brute(args),
@@ -288,22 +264,10 @@ fn boot(args: &Args) -> Result<System, Box<dyn Error>> {
     Ok(System::boot(config(args)?))
 }
 
-/// The resolved `--jobs` worker count (defaults to `PACMAN_JOBS`, else
-/// the machine's available parallelism).
+/// The resolved `--jobs` per-campaign shard cap (defaults to
+/// `PACMAN_JOBS`, else the machine's available parallelism).
 fn jobs(args: &Args) -> Result<usize, Box<dyn Error>> {
     Ok(args.get_num("jobs", pacman_runner::default_jobs())?.max(1))
-}
-
-/// Applies `--runner` by pinning the process-wide execution backend
-/// (overriding `PACMAN_RUNNER`); without the option the environment /
-/// default resolution stands.
-fn apply_runner(args: &Args) -> CliResult {
-    let Some(raw) = args.get("runner") else { return Ok(()) };
-    let Some(backend) = pacman_runner::RunnerBackend::parse(raw) else {
-        return Err(format!("--runner '{raw}' is not 'executor' or 'scoped'").into());
-    };
-    pacman_runner::force_backend(Some(backend));
-    Ok(())
 }
 
 /// The resolved fault-tolerance policy: `PACMAN_FAULT_SEED` /
@@ -1604,23 +1568,26 @@ mod tests {
     }
 
     #[test]
-    fn runner_option_selects_a_backend_and_rejects_junk() {
-        struct Unforce;
-        impl Drop for Unforce {
-            fn drop(&mut self) {
-                pacman_runner::force_backend(None);
-            }
+    fn runner_option_is_rejected_by_every_command() {
+        for command in [
+            "oracle",
+            "brute",
+            "jump2win",
+            "sweep",
+            "census",
+            "conform",
+            "profile",
+            "mitigations",
+            "os",
+            "timeline",
+            "verify",
+            "daemon",
+            "client",
+        ] {
+            let err = dispatch(&parse(&format!("{command} --runner executor")))
+                .expect_err("--runner is not an option");
+            assert!(err.to_string().contains("unknown option --runner"), "{command}: {err}");
         }
-        let _unforce = Unforce;
-        dispatch(&parse("census --functions 50 --jobs 2 --runner executor"))
-            .expect("census --runner executor");
-        dispatch(&parse("census --functions 50 --jobs 2 --runner scoped"))
-            .expect("census --runner scoped");
-        let err = dispatch(&parse("oracle --trials 2 --quiet-noise --runner turbo"))
-            .expect_err("junk backend");
-        assert!(err.to_string().contains("--runner"), "{err}");
-        let err = dispatch(&parse("mitigations --runner executor")).expect_err("foreign option");
-        assert!(err.to_string().contains("--runner"), "{err}");
     }
 
     #[test]

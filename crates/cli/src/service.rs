@@ -54,13 +54,8 @@ impl JobRunner for DispatchRunner {
         if !JOB_COMMANDS.contains(&cmd) {
             return Err(format!("command '{cmd}' is not available as a daemon job"));
         }
-        // Process-global switches would let one tenant reconfigure
-        // every other tenant's execution; refuse them per job.
-        if parsed.get("runner").is_some() {
-            return Err(
-                "--runner pins the process-wide backend; configure the daemon, not a job".into()
-            );
-        }
+        // A process-global switch would let one tenant reconfigure
+        // every other tenant's execution; refuse it per job.
         if parsed.get("trace-out").is_some() {
             return Err(
                 "--trace-out arms the process-wide flight recorder; unavailable in daemon jobs"

@@ -29,10 +29,7 @@
 
 use std::sync::Arc;
 
-use pacman_runner::{
-    run_shards_tolerant, shard_plan, Executor, RunnerBackend, RunnerError, Shard, ShardedOutcome,
-    DEFAULT_SHARDS,
-};
+use pacman_runner::{shard_plan, Executor, RunnerError, Shard, DEFAULT_SHARDS};
 use pacman_telemetry::Registry;
 use pacman_uarch::Trap;
 
@@ -89,7 +86,7 @@ pub enum ExperimentError {
     Trap(Trap),
     /// A Jump2Win phase error.
     Jump2Win(Jump2WinError),
-    /// The execution engine itself failed (poisoned/unfilled slots).
+    /// The execution engine itself failed (a shard never reported).
     Runner(RunnerError),
     /// An injected timing-noise spike corrupted this attempt's
     /// measurements; the attempt is discarded and retried.
@@ -137,12 +134,6 @@ impl From<Trap> for ExperimentError {
 impl From<Jump2WinError> for ExperimentError {
     fn from(e: Jump2WinError) -> Self {
         ExperimentError::Jump2Win(e)
-    }
-}
-
-impl From<RunnerError> for ExperimentError {
-    fn from(e: RunnerError) -> Self {
-        ExperimentError::Runner(e)
     }
 }
 
@@ -238,33 +229,6 @@ fn shard_registry(sys: &System) -> Registry {
     reg
 }
 
-/// Splits a tolerant outcome into values + retry count, or a typed
-/// [`PartialFailure`] if any shard failed permanently.
-pub(crate) fn collect_tolerant<T>(
-    outcome: ShardedOutcome<T>,
-) -> Result<(Vec<T>, u64), ExperimentError> {
-    let retries = outcome.retries;
-    let total = outcome.results.len();
-    let mut values = Vec::with_capacity(total);
-    let mut failures = Vec::new();
-    for r in outcome.results {
-        match r {
-            Ok(v) => values.push(v),
-            Err(e) => failures.push(e),
-        }
-    }
-    if failures.is_empty() {
-        Ok((values, retries))
-    } else {
-        Err(ExperimentError::Shards(PartialFailure {
-            total,
-            completed: values.len(),
-            retries,
-            failures,
-        }))
-    }
-}
-
 /// Records the execution-layer counters every JSONL metrics export
 /// carries: retries spent, permanent shard failures (always 0 on the
 /// success path — a permanent failure aborts with
@@ -279,8 +243,8 @@ pub(crate) fn record_runner_counters(reg: &mut Registry, retries: u64, tol: &Tol
 ///
 /// Observed drivers (e.g. [`oracle_distribution_observed`]) call their
 /// observer once per shard, in shard order, the moment that shard's
-/// output merges into the accumulator — on the executor backend that is
-/// *while later shards still run*, riding the ordered event stream, so
+/// output merges into the accumulator — *while later shards still run*,
+/// riding the executor's ordered event stream, so
 /// a per-session consumer (the `pacmand` daemon) can forward progress
 /// records incrementally instead of waiting for the end-of-run barrier.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -295,19 +259,15 @@ pub struct ShardProgress {
     pub retries: u64,
 }
 
-/// Runs one campaign on the session's [`RunnerBackend`] and folds the
+/// Runs one campaign on the process-wide [`Executor`] and folds the
 /// per-shard outputs **in shard order** into an accumulator.
 ///
-/// On the scoped-pool backend this is exactly the retained baseline:
-/// [`run_shards_tolerant`] + [`collect_tolerant`] + a merge loop. On the
-/// persistent executor the campaign is submitted to the process-wide
-/// worker pool and the fold consumes the **ordered stream** of shard
-/// events — shard `i` merges as soon as shards `0..=i` have reported,
-/// while later shards still run, so no end-of-run barrier holds the
-/// aggregation back. Both paths produce bit-identical accumulators and
-/// the same typed errors: the fold is order-preserving and a permanent
-/// shard failure still surfaces as [`ExperimentError::Shards`] with the
-/// full partial-result report.
+/// The fold consumes the executor's **ordered stream** of shard events:
+/// shard `i` merges as soon as shards `0..=i` have reported, while later
+/// shards still run, so no end-of-run barrier holds the aggregation
+/// back. The fold is order-preserving, so the accumulator is the same
+/// for every `jobs`, and a permanent shard failure surfaces as
+/// [`ExperimentError::Shards`] with the full partial-result report.
 pub(crate) fn fold_campaign<T, A, F, M>(
     plan: &[Shard],
     jobs: usize,
@@ -325,11 +285,8 @@ where
 }
 
 /// [`fold_campaign`] with a per-shard merge observer: `observe` fires
-/// once per merged shard, in shard order. On the executor backend it
-/// fires live from the ordered event stream; on the scoped pool the
-/// whole batch has already completed when the merges run, so the
-/// notifications arrive back to back after the barrier — same sequence,
-/// different timing.
+/// once per merged shard, in shard order, live from the ordered event
+/// stream.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_campaign_observed<T, A, F, M>(
     plan: &[Shard],
@@ -346,53 +303,37 @@ where
     M: FnMut(&mut A, usize, T),
 {
     let shards = plan.len();
-    match RunnerBackend::current() {
-        RunnerBackend::ScopedPool => {
-            let outcome = run_shards_tolerant(plan, jobs, retry, work)?;
-            let (values, retries) = collect_tolerant(outcome)?;
-            let mut acc = init;
-            for (i, v) in values.into_iter().enumerate() {
+    let mut stream = Executor::global().submit(plan.to_vec(), jobs, retry, work).ordered();
+    let mut acc = init;
+    let mut merged = 0usize;
+    let mut failures: Vec<ShardError> = Vec::new();
+    // Not a `for` loop: the observer needs `stream.retries()` between
+    // items, which a held `by_ref` borrow would forbid.
+    #[allow(clippy::while_let_on_iterator)]
+    while let Some((i, r)) = stream.next() {
+        match r {
+            Ok(v) => {
                 merge(&mut acc, i, v);
-                observe(ShardProgress { shard: i, shards, completed: i + 1, retries });
+                merged += 1;
+                let retries = stream.retries();
+                observe(ShardProgress { shard: i, shards, completed: merged, retries });
             }
-            Ok((acc, retries))
+            Err(e) => failures.push(e),
         }
-        RunnerBackend::Executor => {
-            let total = plan.len();
-            let handle = Executor::global().submit(plan.to_vec(), jobs, retry, work);
-            let mut acc = init;
-            let mut merged = 0usize;
-            let mut failures: Vec<ShardError> = Vec::new();
-            let mut stream = handle.ordered();
-            // Not a `for` loop: the observer needs `stream.retries()`
-            // between items, which a held `by_ref` borrow would forbid.
-            #[allow(clippy::while_let_on_iterator)]
-            while let Some((i, r)) = stream.next() {
-                match r {
-                    Ok(v) => {
-                        merge(&mut acc, i, v);
-                        merged += 1;
-                        let retries = stream.retries();
-                        observe(ShardProgress { shard: i, shards, completed: merged, retries });
-                    }
-                    Err(e) => failures.push(e),
-                }
-            }
-            let retries = stream.retries();
-            if let Some(shard) = stream.missing() {
-                return Err(ExperimentError::Runner(RunnerError::MissingResult { shard }));
-            }
-            if failures.is_empty() {
-                Ok((acc, retries))
-            } else {
-                Err(ExperimentError::Shards(PartialFailure {
-                    total,
-                    completed: merged,
-                    retries,
-                    failures,
-                }))
-            }
-        }
+    }
+    let retries = stream.retries();
+    if let Some(shard) = stream.missing() {
+        return Err(ExperimentError::Runner(RunnerError::MissingResult { shard }));
+    }
+    if failures.is_empty() {
+        Ok((acc, retries))
+    } else {
+        Err(ExperimentError::Shards(PartialFailure {
+            total: shards,
+            completed: merged,
+            retries,
+            failures,
+        }))
     }
 }
 
@@ -490,10 +431,9 @@ where
 
 /// [`oracle_distribution`] with a per-shard [`ShardProgress`] observer —
 /// the per-session streaming hook the `pacmand` daemon uses to forward
-/// incremental progress records while the campaign runs. On the
-/// executor backend the observer fires as each ordered shard merges,
-/// before later shards complete; results are bit-identical to the
-/// unobserved driver.
+/// incremental progress records while the campaign runs. The observer
+/// fires as each ordered shard merges, before later shards complete;
+/// results are bit-identical to the unobserved driver.
 ///
 /// # Errors
 ///

@@ -1,24 +1,17 @@
-//! Backend-parity contract of the persistent executor: for every
-//! parallel driver, routing a campaign through the process-lifetime
-//! work-stealing [`Executor`](pacman_runner::Executor) must produce
-//! results bit-identical to the retained scoped-pool baseline
-//! (`run_shards_tolerant`). The shard plan and every per-shard seed are
-//! pure functions of the workload and base seed, so which thread pool
-//! drains the plan — and how many campaigns it drains at once — must
-//! not be observable in any aggregate.
+//! Isolation contract of the shared executor: many campaigns submitted
+//! concurrently to the process-lifetime work-stealing
+//! [`Executor`](pacman_runner::Executor) interleave their shards on the
+//! same workers, yet each must reproduce exactly what it computes when
+//! it runs alone. The shard plan and every per-shard seed are pure
+//! functions of the workload and base seed, so cross-campaign stealing
+//! must not be observable in any aggregate.
 //!
-//! The property tests sweep workload shapes, job counts and injected
-//! fault patterns; the concurrent test pins that parity survives many
-//! interleaved submissions sharing one executor.
+//! Jobs-invariance and faulted ≡ fault-free are pinned by the
+//! `parallel_determinism` tests.
 
-use pacman_core::fault::{FaultPlan, RetryPolicy, Tolerance};
-use pacman_core::parallel::{
-    oracle_distribution, parallel_sweep, Channel, ExperimentError, OracleDistribution, SweepKind,
-};
+use pacman_core::fault::Tolerance;
+use pacman_core::parallel::{oracle_distribution, Channel, OracleDistribution};
 use pacman_core::SystemConfig;
-use pacman_gadget::{parallel_census, ImageSpec, ScanConfig};
-use pacman_runner::{with_backend, RunnerBackend};
-use proptest::prelude::*;
 
 fn quiet_config(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::default();
@@ -27,182 +20,43 @@ fn quiet_config(seed: u64) -> SystemConfig {
     cfg
 }
 
-fn no_faults() -> Tolerance {
-    Tolerance::default()
+fn oracle_run(seed: u64, jobs: usize) -> OracleDistribution {
+    oracle_distribution(
+        &quiet_config(seed),
+        Channel::Data,
+        1,
+        8,
+        jobs,
+        true,
+        &Tolerance::default(),
+        |i, tp| tp ^ (1 + i as u16),
+    )
+    .expect("oracle campaign")
 }
 
-fn oracle_run(
-    cfg: &SystemConfig,
-    trials: usize,
-    jobs: usize,
-    tol: &Tolerance,
-) -> Result<OracleDistribution, ExperimentError> {
-    oracle_distribution(cfg, Channel::Data, 1, trials, jobs, true, tol, |i, tp| tp ^ (1 + i as u16))
-}
-
-/// Full field-by-field oracle comparison, including trial records and
-/// merged telemetry.
-fn assert_oracle_eq(a: &OracleDistribution, b: &OracleDistribution) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.trials, b.trials);
-    prop_assert_eq!(a.correct_detected, b.correct_detected);
-    prop_assert_eq!(a.incorrect_clean, b.incorrect_clean);
-    prop_assert_eq!(&a.correct_misses, &b.correct_misses);
-    prop_assert_eq!(&a.incorrect_misses, &b.incorrect_misses);
-    prop_assert_eq!(a.crashes, b.crashes);
-    prop_assert_eq!(a.target, b.target);
-    prop_assert_eq!(a.true_pac, b.true_pac);
-    prop_assert_eq!(&a.records, &b.records);
-    prop_assert_eq!(a.telemetry.snapshot(), b.telemetry.snapshot());
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Oracle distributions: executor == scoped baseline for any
-    /// machine seed, trial count and job count — verdict histograms,
-    /// trial records and telemetry included.
-    #[test]
-    fn oracle_executor_matches_scoped_baseline(
-        seed in any::<u64>(),
-        trials in 4usize..16,
-        jobs in 1usize..6,
-    ) {
-        let cfg = quiet_config(seed);
-        let exec = with_backend(RunnerBackend::Executor, || {
-            oracle_run(&cfg, trials, jobs, &no_faults())
-        }).expect("executor run");
-        let scoped = with_backend(RunnerBackend::ScopedPool, || {
-            oracle_run(&cfg, trials, jobs, &no_faults())
-        }).expect("scoped run");
-        assert_oracle_eq(&exec, &scoped)?;
-    }
-
-    /// Fault-injection parity: the executor replays the same per-attempt
-    /// fault decisions (`mix64(shard seed, attempt)` streams) as the
-    /// baseline, so a recovered run is bit-identical — retry counters
-    /// included — and an exhausted budget surfaces as the same typed
-    /// partial failure on both backends.
-    #[test]
-    fn faulted_oracle_executor_matches_scoped_baseline(
-        seed in 0u64..(1u64 << 48),
-        rate_milli in 50u64..350,
-    ) {
-        let cfg = quiet_config(7);
-        let tol = Tolerance {
-            retry: RetryPolicy::default(),
-            faults: FaultPlan::new(seed, rate_milli as f64 / 1000.0),
-        };
-        let exec = with_backend(RunnerBackend::Executor, || {
-            oracle_run(&cfg, 6, 4, &tol)
-        });
-        let scoped = with_backend(RunnerBackend::ScopedPool, || {
-            oracle_run(&cfg, 6, 4, &tol)
-        });
-        match (exec, scoped) {
-            (Ok(e), Ok(s)) => {
-                // Same faults, same retries: the full snapshot must
-                // match, `runner.*` counters included.
-                assert_oracle_eq(&e, &s)?;
-            }
-            (Err(ExperimentError::Shards(e)), Err(ExperimentError::Shards(s))) => {
-                prop_assert_eq!(e.total, s.total);
-                prop_assert_eq!(e.completed, s.completed);
-                prop_assert_eq!(e.failures.len(), s.failures.len());
-            }
-            (e, s) => {
-                return Err(TestCaseError::fail(format!(
-                    "backends disagree on outcome class: executor {:?} vs scoped {:?}",
-                    e.map(|_| "ok"),
-                    s.map(|_| "ok"),
-                )));
-            }
-        }
-    }
-
-    /// Census parity: the pure gadget-census fan-out returns the same
-    /// report on either backend for any synthetic image.
-    #[test]
-    fn census_executor_matches_scoped_baseline(
-        functions in 30usize..200,
-        seed in any::<u64>(),
-        jobs in 1usize..6,
-    ) {
-        let spec = ImageSpec { functions, seed, ..ImageSpec::default() };
-        let cfg = ScanConfig::default();
-        let exec = with_backend(RunnerBackend::Executor, || {
-            parallel_census(&spec, &cfg, jobs)
-        });
-        let scoped = with_backend(RunnerBackend::ScopedPool, || {
-            parallel_census(&spec, &cfg, jobs)
-        });
-        prop_assert_eq!(exec, scoped);
-    }
-}
-
-#[test]
-fn sweep_executor_matches_scoped_baseline() {
-    for kind in [SweepKind::DataTlb, SweepKind::CacheTlb, SweepKind::Itlb] {
-        let strides: &[u64] = match kind {
-            SweepKind::DataTlb => &[256, 2048],
-            SweepKind::CacheTlb => &[256 * 128, 2048 * 16384],
-            SweepKind::Itlb => &[32],
-        };
-        let (exec, ereg) = with_backend(RunnerBackend::Executor, || {
-            parallel_sweep(kind, strides, 4, &no_faults())
-        })
-        .expect("executor sweep");
-        let (scoped, sreg) = with_backend(RunnerBackend::ScopedPool, || {
-            parallel_sweep(kind, strides, 4, &no_faults())
-        })
-        .expect("scoped sweep");
-        assert_eq!(exec, scoped, "{kind:?} series differ across backends");
-        assert_eq!(ereg.snapshot(), sreg.snapshot());
-    }
-}
-
-/// Many campaigns interleaved on the shared global executor: each
-/// thread pins the executor backend, runs its own oracle campaign with
-/// a distinct machine seed, and must reproduce exactly what the scoped
-/// baseline computes for that seed in isolation. Cross-campaign
-/// stealing inside the pool must never leak between submissions.
+/// Four oracle campaigns with distinct machine seeds, submitted from
+/// four threads at once at jobs=2, each compared with the same campaign
+/// run alone at jobs=1.
 #[test]
 fn concurrent_interleaved_campaigns_stay_isolated() {
     let seeds: Vec<u64> = (0..4).map(|i| 0xAB5E_ED00 + i).collect();
-    let expected: Vec<OracleDistribution> = seeds
-        .iter()
-        .map(|&seed| {
-            with_backend(RunnerBackend::ScopedPool, || {
-                oracle_run(&quiet_config(seed), 8, 2, &no_faults())
-            })
-            .expect("scoped baseline")
-        })
-        .collect();
+    let expected: Vec<OracleDistribution> = seeds.iter().map(|&seed| oracle_run(seed, 1)).collect();
 
     let concurrent: Vec<OracleDistribution> = std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                scope.spawn(move || {
-                    with_backend(RunnerBackend::Executor, || {
-                        oracle_run(&quiet_config(seed), 8, 2, &no_faults())
-                    })
-                    .expect("executor campaign")
-                })
-            })
-            .collect();
+        let handles: Vec<_> =
+            seeds.iter().map(|&seed| scope.spawn(move || oracle_run(seed, 2))).collect();
         handles.into_iter().map(|h| h.join().expect("campaign thread")).collect()
     });
 
-    for ((seed, exec), scoped) in seeds.iter().zip(&concurrent).zip(&expected) {
+    for ((seed, got), alone) in seeds.iter().zip(&concurrent).zip(&expected) {
         assert_eq!(
-            exec.correct_detected, scoped.correct_detected,
+            got.correct_detected, alone.correct_detected,
             "seed {seed:#x}: verdict histogram drifted under interleaving"
         );
-        assert_eq!(exec.records, scoped.records, "seed {seed:#x}: trial records drifted");
+        assert_eq!(got.records, alone.records, "seed {seed:#x}: trial records drifted");
         assert_eq!(
-            exec.telemetry.snapshot(),
-            scoped.telemetry.snapshot(),
+            got.telemetry.snapshot(),
+            alone.telemetry.snapshot(),
             "seed {seed:#x}: telemetry drifted"
         );
     }

@@ -2,7 +2,7 @@
 //! base seed, every parallel driver produces **identical aggregates** at
 //! `jobs = 1` and `jobs = 4`. The shard plan is a pure function of the
 //! workload and the base seed — the job count only controls how many
-//! worker threads drain it — so results must not depend on parallelism.
+//! shards run at once — so results must not depend on parallelism.
 //!
 //! The property tests at the bottom extend the contract to fault
 //! tolerance: any injected fault pattern that stays within the retry

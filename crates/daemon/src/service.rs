@@ -33,6 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
+use pacman_runner::panic_message;
 use pacman_telemetry::json::Value;
 use pacman_telemetry::Registry;
 
@@ -837,16 +838,6 @@ fn pick_job(g: &mut SchedState, session_parallel: usize) -> Option<Picked> {
     None
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
     let config = inner.config;
     loop {
@@ -883,7 +874,7 @@ fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
             let error = match result {
                 Ok(Ok(())) => break Ok(attempt),
                 Ok(Err(e)) => e,
-                Err(payload) => format!("job panicked: {}", panic_message(payload)),
+                Err(payload) => format!("job panicked: {}", panic_message(payload.as_ref())),
             };
             if attempt >= config.job_attempts.max(1) {
                 break Err(error);

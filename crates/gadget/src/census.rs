@@ -5,61 +5,47 @@
 //! deterministic per `(functions, seed)` and the scanner never looks
 //! across function boundaries further than its branch window. The
 //! parallel census therefore cuts the requested function count into
-//! [`pacman_runner::DEFAULT_SHARDS`] fixed sub-images (seeded
-//! `spec.seed ^ shard_index`), scans them concurrently and folds the
-//! reports with [`ScanReport::merge`] in shard order.
+//! [`pacman_runner::DEFAULT_SHARDS`] fixed sub-images (each seeded with
+//! its shard's seed, `mix64(spec.seed, shard_index)`), scans them
+//! concurrently and folds the reports with [`ScanReport::merge`] in
+//! shard order.
 //!
 //! The shard plan is a pure function of the spec — never of the worker
 //! count — so for a fixed spec the merged report is byte-identical at
 //! any `jobs` value.
 
-use pacman_runner::{
-    run_shards, shard_plan, Executor, RetryPolicy, RunnerBackend, Shard, DEFAULT_SHARDS,
-};
+use pacman_runner::{shard_plan, Executor, RetryPolicy, Shard, DEFAULT_SHARDS};
 
 use crate::scan::{scan_image, ScanConfig, ScanReport};
 use crate::synth::{synthesize, ImageSpec};
 
-/// Runs the §4.3 census sharded across `jobs` workers: `spec.functions`
-/// functions total, generated as [`DEFAULT_SHARDS`] deterministic
-/// sub-images and scanned concurrently. Returns the merged report.
+/// Runs the §4.3 census with at most `jobs` shards in flight:
+/// `spec.functions` functions total, generated as [`DEFAULT_SHARDS`]
+/// deterministic sub-images and scanned concurrently. Returns the merged
+/// report.
 ///
-/// On the persistent-executor backend (the default) the campaign is
-/// submitted to the process-wide worker pool and the sub-reports fold
-/// through [`ScanReport::merge`] as the **ordered stream** delivers
-/// them — shard `i` merges while later shards still scan. The scoped
-/// backend keeps the original spawn-per-campaign [`run_shards`] path.
-/// Both are bit-identical for a fixed spec at any `jobs` value.
+/// The campaign is submitted to the process-wide worker pool and the
+/// sub-reports fold through [`ScanReport::merge`] as the **ordered
+/// stream** delivers them — shard `i` merges while later shards still
+/// scan. The result is bit-identical for a fixed spec at any `jobs`
+/// value.
 pub fn parallel_census(spec: &ImageSpec, config: &ScanConfig, jobs: usize) -> ScanReport {
     let plan = shard_plan(spec.functions, DEFAULT_SHARDS, spec.seed);
+    let (spec, config) = (*spec, *config);
+    let handle = Executor::global().submit(
+        plan,
+        jobs,
+        RetryPolicy::no_retries(),
+        move |shard: &Shard, _attempt| -> Result<ScanReport, std::convert::Infallible> {
+            let sub = ImageSpec { functions: shard.len, seed: shard.seed, ..spec };
+            Ok(scan_image(&synthesize(&sub).bytes, &config))
+        },
+    );
     let mut merged = ScanReport::default();
-    match RunnerBackend::current() {
-        RunnerBackend::Executor => {
-            let (spec, config) = (*spec, *config);
-            let handle = Executor::global().submit(
-                plan,
-                jobs,
-                RetryPolicy::no_retries(),
-                move |shard: &Shard, _attempt| -> Result<ScanReport, std::convert::Infallible> {
-                    let sub = ImageSpec { functions: shard.len, seed: shard.seed, ..spec };
-                    Ok(scan_image(&synthesize(&sub).bytes, &config))
-                },
-            );
-            for (i, r) in handle.ordered() {
-                match r {
-                    Ok(report) => merged.merge(&report),
-                    Err(e) => panic!("census shard {i} failed: {e}"),
-                }
-            }
-        }
-        RunnerBackend::ScopedPool => {
-            let reports = run_shards(&plan, jobs, |shard: &Shard| {
-                let sub = ImageSpec { functions: shard.len, seed: shard.seed, ..*spec };
-                scan_image(&synthesize(&sub).bytes, config)
-            });
-            for r in &reports {
-                merged.merge(r);
-            }
+    for (i, r) in handle.ordered() {
+        match r {
+            Ok(report) => merged.merge(&report),
+            Err(e) => panic!("census shard {i} failed: {e}"),
         }
     }
     merged

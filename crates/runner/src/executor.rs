@@ -1,11 +1,9 @@
 //! Persistent work-stealing executor for sharded campaigns.
 //!
-//! The scoped pool in the crate root spawns a fresh `std::thread::scope`
-//! of OS threads for *every* campaign and holds all results behind an
-//! end-of-run barrier. That is fine for one long experiment, but the
-//! workloads the ROADMAP points at (`pacmand`, thousands of small
-//! campaigns) pay the spawn cost over and over. This module keeps a
-//! process-lifetime pool of workers instead:
+//! Every sharded campaign in the workspace runs on one process-lifetime
+//! pool of workers ([`Executor::global`]), so the thousands of small
+//! campaigns a `pacmand` daemon serves pay no per-campaign thread
+//! spawns:
 //!
 //! - **Whole shards are the steal units.** Each worker owns a deque of
 //!   pending shard tasks; an idle worker first drains its own deque,
@@ -25,15 +23,14 @@
 //!   handle's channel as a [`ShardEvent`] the moment it completes.
 //!   [`CampaignHandle::ordered`] reassembles shard order incrementally
 //!   so consumers can merge results while later shards still run;
-//!   [`CampaignHandle::wait`] reproduces the scoped pool's
-//!   end-of-run [`ShardedOutcome`] shape.
-//! - **Identical fault-tolerance semantics.** Shard attempts run the
-//!   same `catch_unwind` + [`RetryPolicy`] loop as the scoped pool
-//!   (shared code, shared trace spans). On a permanent failure the
-//!   campaign's cancel flag is raised *before* the failure event is
-//!   sent, so once a consumer observes the failure no later-starting
-//!   task of that campaign runs workload code — it reports itself
-//!   cancelled, mirroring the scoped pool's queue drain.
+//!   [`CampaignHandle::wait`] collects the end-of-run
+//!   [`ShardedOutcome`] instead.
+//! - **Fault tolerance.** Shard attempts run under `catch_unwind` with
+//!   a bounded [`RetryPolicy`] and emit trace spans. On a permanent
+//!   failure the campaign's cancel flag is raised *before* the failure
+//!   event is sent, so once a consumer observes the failure no
+//!   later-starting task of that campaign runs workload code — it
+//!   reports itself cancelled.
 //!
 //! Wakeup correctness: every event that makes work runnable (a
 //! submission, tasks pushed into a deque, a completed task freeing
@@ -42,7 +39,6 @@
 //! and only sleep if it is unchanged, so a wakeup between scan and
 //! sleep is never lost.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,10 +52,6 @@ use pacman_telemetry::trace;
 use crate::{
     default_jobs, lock, run_attempts, RetryPolicy, RunnerError, Shard, ShardError, ShardedOutcome,
 };
-
-/// Environment variable selecting the default runner backend
-/// (`executor` or `scoped`).
-pub const RUNNER_ENV: &str = "PACMAN_RUNNER";
 
 /// A queued shard execution: called with the executing worker's id.
 type Task = Box<dyn FnOnce(u64) + Send>;
@@ -123,8 +115,7 @@ struct CampaignCore {
 pub struct ShardEvent<T> {
     /// The shard's index in the plan.
     pub shard: usize,
-    /// The shard's result (cancellations included, like the scoped
-    /// pool's outcome vector).
+    /// The shard's result (cancellations included).
     pub result: Result<T, ShardError>,
 }
 
@@ -177,8 +168,8 @@ impl<T> CampaignHandle<T> {
         OrderedEvents { handle: self, buffer: BTreeMap::new(), next }
     }
 
-    /// Blocks until every shard reports and returns the scoped pool's
-    /// end-of-run shape: results in shard order plus the retry total.
+    /// Blocks until every shard reports and returns the end-of-run
+    /// shape: results in shard order plus the retry total.
     ///
     /// # Errors
     ///
@@ -319,8 +310,7 @@ impl Executor {
     /// Enqueues a campaign and returns its streaming handle
     /// immediately. `jobs` caps the campaign's concurrently running
     /// shards (`<= 1` serialises it — the executor's jobs=1 mode);
-    /// `policy` is the same per-shard retry budget the scoped pool
-    /// takes. Blocks only when `max_pending` campaigns are already
+    /// `policy` is the per-shard retry budget. Blocks only when `max_pending` campaigns are already
     /// waiting for dispatch (backpressure).
     pub fn submit<T, E, F>(
         &self,
@@ -341,7 +331,7 @@ impl Executor {
         let submitted_us = rec.now_us();
         let limit = jobs.max(1).min(total.max(1));
         if total == 0 {
-            // Nothing to schedule; mirror the scoped pool's span.
+            // Nothing to schedule; still emit the campaign span.
             rec.complete(
                 "shards.run",
                 "runner",
@@ -438,9 +428,8 @@ impl Executor {
         (g.submit_next, g.submit_serving)
     }
 
-    /// Submit-and-wait: the drop-in equivalent of
-    /// [`run_shards_tolerant`](crate::run_shards_tolerant) on this
-    /// executor.
+    /// Submit-and-wait: [`Executor::submit`] followed by
+    /// [`CampaignHandle::wait`].
     ///
     /// # Errors
     ///
@@ -631,138 +620,11 @@ fn worker_loop(shared: &Shared, me: usize) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Backend selection
-
-/// Which execution engine sharded drivers route through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunnerBackend {
-    /// The persistent work-stealing pool ([`Executor::global`]) — the
-    /// default.
-    Executor,
-    /// The per-run scoped thread pool
-    /// ([`run_shards_tolerant`](crate::run_shards_tolerant)) — the
-    /// retained baseline.
-    ScopedPool,
-}
-
-/// Process-wide backend override (the CLI's `--runner`).
-static FORCED_BACKEND: Mutex<Option<RunnerBackend>> = Mutex::new(None);
-
-thread_local! {
-    /// Thread-scoped backend override (see [`with_backend`]).
-    static TL_BACKEND: Cell<Option<RunnerBackend>> = const { Cell::new(None) };
-}
-
-impl RunnerBackend {
-    /// Parses a backend name (`executor` / `scoped`, aliases
-    /// included).
-    #[must_use]
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "executor" | "persistent" => Some(Self::Executor),
-            "scoped" | "scoped-pool" | "baseline" => Some(Self::ScopedPool),
-            _ => None,
-        }
-    }
-
-    /// The `PACMAN_RUNNER` resolution, memoized for the process. An
-    /// unrecognised value warns once and falls back to the executor.
-    fn from_env() -> Self {
-        static ENV_BACKEND: OnceLock<RunnerBackend> = OnceLock::new();
-        *ENV_BACKEND.get_or_init(|| match std::env::var(RUNNER_ENV) {
-            Ok(v) => RunnerBackend::parse(&v).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: {RUNNER_ENV}='{v}' is not 'executor' or 'scoped'; \
-                     using the executor"
-                );
-                RunnerBackend::Executor
-            }),
-            Err(_) => RunnerBackend::Executor,
-        })
-    }
-
-    /// The backend the calling thread should use right now:
-    /// [`with_backend`] scope, else [`force_backend`] override, else
-    /// `PACMAN_RUNNER`, else the executor.
-    #[must_use]
-    pub fn current() -> Self {
-        if let Some(b) = TL_BACKEND.with(Cell::get) {
-            return b;
-        }
-        if let Some(b) = *lock(&FORCED_BACKEND) {
-            return b;
-        }
-        Self::from_env()
-    }
-}
-
-/// Sets (or with `None` clears) the process-wide backend override. It
-/// takes precedence over `PACMAN_RUNNER` but not over a
-/// [`with_backend`] scope.
-pub fn force_backend(backend: Option<RunnerBackend>) {
-    *lock(&FORCED_BACKEND) = backend;
-}
-
-/// Runs `f` with the calling thread's backend pinned to `backend`,
-/// restored on exit (panic included) — the A/B lever for parity tests
-/// and benches.
-pub fn with_backend<R>(backend: RunnerBackend, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<RunnerBackend>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TL_BACKEND.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(TL_BACKEND.with(|c| c.replace(Some(backend))));
-    f()
-}
-
-/// Runs a campaign on the backend selected by
-/// [`RunnerBackend::current`] — the single entry point sharded drivers
-/// route through.
-///
-/// # Errors
-///
-/// [`RunnerError`] for engine-level failures; workload failures come
-/// back as `Err(ShardError)` entries in the outcome (same contract as
-/// [`run_shards_tolerant`](crate::run_shards_tolerant)).
-pub fn run_backend_tolerant<T, E, F>(
-    shards: &[Shard],
-    jobs: usize,
-    policy: RetryPolicy,
-    work: F,
-) -> Result<ShardedOutcome<T>, RunnerError>
-where
-    T: Send + 'static,
-    E: fmt::Display,
-    F: Fn(&Shard, u32) -> Result<T, E> + Send + Sync + 'static,
-{
-    match RunnerBackend::current() {
-        RunnerBackend::Executor => Executor::global().run_tolerant(shards, jobs, policy, work),
-        RunnerBackend::ScopedPool => crate::run_shards_tolerant(shards, jobs, policy, work),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_shards_tolerant, shard_plan, DEFAULT_SHARDS};
+    use crate::{shard_plan, DEFAULT_SHARDS};
     use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn executor_matches_the_scoped_pool_in_shard_order() {
-        let exec = Executor::new(4);
-        let plan = shard_plan(1000, DEFAULT_SHARDS, 42);
-        let work = |s: &Shard, _: u32| -> Result<(usize, u64, usize), std::convert::Infallible> {
-            Ok((s.index, s.seed, s.range().sum()))
-        };
-        let baseline =
-            run_shards_tolerant(&plan, 4, RetryPolicy::default(), work).expect("scoped ok").results;
-        let out = exec.run_tolerant(&plan, 4, RetryPolicy::default(), work).expect("executor ok");
-        assert_eq!(out.retries, 0);
-        assert_eq!(out.results, baseline);
-    }
 
     #[test]
     fn jobs_one_and_jobs_n_are_bit_identical() {
@@ -1180,41 +1042,6 @@ mod tests {
             .expect("empty campaign");
         assert!(out.results.is_empty());
         assert_eq!(out.retries, 0);
-    }
-
-    #[test]
-    fn backend_parsing_and_thread_scoped_override() {
-        assert_eq!(RunnerBackend::parse(" Executor "), Some(RunnerBackend::Executor));
-        assert_eq!(RunnerBackend::parse("scoped"), Some(RunnerBackend::ScopedPool));
-        assert_eq!(RunnerBackend::parse("scoped-pool"), Some(RunnerBackend::ScopedPool));
-        assert_eq!(RunnerBackend::parse("bogus"), None);
-        let inner = with_backend(RunnerBackend::ScopedPool, || {
-            assert_eq!(RunnerBackend::current(), RunnerBackend::ScopedPool);
-            with_backend(RunnerBackend::Executor, RunnerBackend::current)
-        });
-        assert_eq!(inner, RunnerBackend::Executor);
-        // The thread-local override is scoped to this thread only.
-        let other = std::thread::spawn(|| {
-            with_backend(RunnerBackend::ScopedPool, || {
-                std::thread::spawn(RunnerBackend::current).join().expect("inner thread")
-            })
-        })
-        .join()
-        .expect("outer thread");
-        assert_ne!(other, RunnerBackend::ScopedPool, "override must not leak across threads");
-    }
-
-    #[test]
-    fn run_backend_tolerant_dispatches_both_backends() {
-        let plan = shard_plan(40, DEFAULT_SHARDS, 13);
-        let work = |s: &Shard, _: u32| -> Result<u64, std::convert::Infallible> { Ok(s.seed) };
-        let scoped = with_backend(RunnerBackend::ScopedPool, || {
-            run_backend_tolerant(&plan, 2, RetryPolicy::default(), work).expect("scoped")
-        });
-        let exec = with_backend(RunnerBackend::Executor, || {
-            run_backend_tolerant(&plan, 2, RetryPolicy::default(), work).expect("executor")
-        });
-        assert_eq!(scoped.results, exec.results);
     }
 
     #[test]

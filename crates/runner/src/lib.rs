@@ -1,4 +1,4 @@
-//! Scoped-thread trial-execution engine for the PACMAN reproduction.
+//! Sharded trial-execution engine for the PACMAN reproduction.
 //!
 //! Every long-running experiment in the workspace — PAC brute-force
 //! sweeps (§8.2), oracle accuracy trials (Fig 8), TLB set sweeps
@@ -11,16 +11,18 @@
 //!   its own derived RNG seed ([`mix64`]`(base_seed, shard_index)`). The
 //!   plan depends only on the work size and base seed — never on the
 //!   worker count — so jobs=1 and jobs=N execute the exact same shards.
-//! - [`run_shards_tolerant`] maps a fallible closure over the shards on
-//!   a hand-rolled [`std::thread::scope`] pool (no external
-//!   dependencies; the crates registry is unreachable in this
-//!   environment, see ROADMAP), isolating panics with `catch_unwind`,
-//!   retrying each shard under a bounded [`RetryPolicy`], and returning
-//!   per-shard `Result<T, ShardError>`s in **shard order** regardless of
-//!   which worker finished first. [`run_shards`] is the legacy
-//!   infallible wrapper.
-//! - [`default_jobs`] resolves the worker count from `PACMAN_JOBS` or
-//!   [`std::thread::available_parallelism`].
+//! - [`Executor`] is the process-lifetime work-stealing pool every
+//!   sharded campaign runs on (no external dependencies; the crates
+//!   registry is unreachable, see ROADMAP). [`Executor::submit`] maps a
+//!   fallible closure over the shards, isolating panics with
+//!   `catch_unwind`, retrying each shard under a bounded
+//!   [`RetryPolicy`], and streaming per-shard `Result<T, ShardError>`s
+//!   that [`CampaignHandle::ordered`] reassembles into **shard order**
+//!   regardless of which worker finished first.
+//! - [`default_jobs`] resolves the size of [`Executor::global`] from
+//!   `PACMAN_JOBS` or [`std::thread::available_parallelism`]. A
+//!   campaign's own `jobs` argument only caps how many of its shards run
+//!   at once.
 //!
 //! Determinism contract: a driver gives each shard its own simulated
 //! `Machine` seeded from [`Shard::seed`] and merges per-shard outputs in
@@ -31,7 +33,6 @@
 //! `(total, base_seed)` and neither the worker count nor transient
 //! (retried-away) failures change it. [`RetryPolicy::reseed`] varies
 //! only the *fault-decision* stream across attempts (see its docs).
-
 //!
 //! Observability: when the process-wide flight recorder
 //! (`pacman_telemetry::trace`) is enabled, the engine emits spans for
@@ -39,25 +40,13 @@
 //! for retries, permanent failures, and cancellations — the raw
 //! material of the `trace.json` fault-drill timelines. Disabled (the
 //! default), each hook is one atomic load.
-//!
-//! Two execution backends share those semantics: the per-run scoped
-//! pool in this module (the retained baseline) and the persistent
-//! work-stealing [`Executor`] in [`executor`], which amortises thread
-//! spawns across campaigns, pipelines concurrent submissions, and
-//! streams per-shard results instead of waiting for an end-of-run
-//! barrier. [`RunnerBackend::current`] selects between them
-//! (`PACMAN_RUNNER`, CLI `--runner`, or a [`with_backend`] scope);
-//! [`run_backend_tolerant`] is the dispatching entry point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod executor;
 
-pub use executor::{
-    force_backend, run_backend_tolerant, with_backend, CampaignHandle, Executor, OrderedEvents,
-    RunnerBackend, ShardEvent, RUNNER_ENV,
-};
+pub use executor::{CampaignHandle, Executor, OrderedEvents, ShardEvent};
 
 use pacman_telemetry::json::Value;
 use pacman_telemetry::trace;
@@ -68,9 +57,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks a mutex, riding through poisoning. Used for engine-internal
 /// state whose critical sections only perform plain field updates, so a
-/// panic mid-section cannot leave it inconsistent. Result *slots* are
-/// deliberately not locked this way — a poisoned slot stays a typed
-/// [`RunnerError::SlotPoisoned`].
+/// panic mid-section cannot leave it inconsistent.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -213,7 +200,7 @@ pub fn reset_default_jobs_cache() {
     *lock(&JOBS_CACHE) = None;
 }
 
-/// Bounded per-shard retry policy for [`run_shards_tolerant`].
+/// Bounded per-shard retry policy for [`Executor::submit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per shard (first try included). Clamped to >= 1.
@@ -254,8 +241,7 @@ pub struct ShardError {
     /// Whether the final attempt panicked (vs. returned an error).
     pub panicked: bool,
     /// Whether the shard was never run because another shard had
-    /// already failed permanently (queue drain, see
-    /// [`run_shards_tolerant`]).
+    /// already failed permanently (see [`Executor::submit`]).
     pub cancelled: bool,
     /// The final attempt's error display or panic message.
     pub message: String,
@@ -294,13 +280,6 @@ impl std::error::Error for ShardError {}
 /// to [`ShardError`]s, which describe the workload failing).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunnerError {
-    /// A worker panicked *outside* the `catch_unwind` bracket while
-    /// holding a result slot's lock — the slot contents cannot be
-    /// trusted.
-    SlotPoisoned {
-        /// Index of the poisoned slot.
-        shard: usize,
-    },
     /// A shard's slot was never filled even though no failure was
     /// recorded — a scheduling bug, not a workload error.
     MissingResult {
@@ -312,9 +291,6 @@ pub enum RunnerError {
 impl fmt::Display for RunnerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunnerError::SlotPoisoned { shard } => {
-                write!(f, "result slot for shard {shard} was poisoned")
-            }
             RunnerError::MissingResult { shard } => {
                 write!(f, "shard {shard} produced no result and no error")
             }
@@ -324,7 +300,7 @@ impl fmt::Display for RunnerError {
 
 impl std::error::Error for RunnerError {}
 
-/// Everything [`run_shards_tolerant`] knows after the pool drains: one
+/// Everything [`CampaignHandle::wait`] knows once a campaign drains: one
 /// `Result` per shard **in shard order**, plus the retry total.
 #[derive(Debug)]
 pub struct ShardedOutcome<T> {
@@ -347,9 +323,12 @@ impl<T> ShardedOutcome<T> {
     }
 }
 
-/// Renders a `catch_unwind` payload (the common `&str` / `String`
-/// payloads of `panic!`) into a message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a `catch_unwind` payload into a message: the `&str` or
+/// `String` a `panic!` carries, or `"non-string panic payload"` for
+/// anything else. Shared by every layer that isolates panics (shard
+/// attempts here, daemon job attempts in `pacman-daemon`).
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -359,13 +338,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The per-shard retry loop shared by the scoped pool and the
-/// persistent [`Executor`]: runs `work` under `catch_unwind` up to
-/// `max_attempts` times, emitting `shard.exec` / `shard.retry` /
-/// `shard.fail` trace events and counting attempts beyond the first
-/// into `retries`. `tid` is the executing worker's id, used only for
-/// span attribution. Callers emit their own `shard.queue_wait` span
-/// (the wait is measured from a backend-specific start point).
+/// The per-shard retry loop of the [`Executor`]: runs `work` under
+/// `catch_unwind` up to `max_attempts` times, emitting `shard.exec` /
+/// `shard.retry` / `shard.fail` trace events and counting attempts
+/// beyond the first into `retries`. `tid` is the executing worker's id,
+/// used only for span attribution.
 pub(crate) fn run_attempts<T, E, F>(
     shard: &Shard,
     tid: u64,
@@ -433,205 +410,6 @@ where
             ],
         );
     }
-}
-
-/// Shared pull cursor of the scoped pool. One lock gates both the next
-/// shard index and the failure flag, so "no shard starts after a
-/// permanent failure is recorded" is structural: the failing worker
-/// cancels every never-pulled shard under the same lock a sibling would
-/// need to pull one.
-struct PullState {
-    next: usize,
-    failed: bool,
-}
-
-/// Maps the fallible `work` closure over every shard on up to `jobs`
-/// scoped threads with panic isolation and bounded retries, returning
-/// per-shard results in **shard order**.
-///
-/// Each attempt runs under `catch_unwind`: a panicking shard is caught,
-/// retried up to [`RetryPolicy::max_attempts`] times, and only then
-/// recorded as a [`ShardError`] — it never aborts sibling shards
-/// mid-flight or unwinds into the caller. `work` receives the shard and
-/// the 0-based attempt number (drivers feed the attempt into their
-/// fault-decision stream; the experiment seed itself must stay
-/// attempt-invariant, see [`RetryPolicy::reseed`]).
-///
-/// On the first *permanent* (budget-exhausted) shard failure the
-/// failing worker — under the same lock that gates shard pulls —
-/// records the failure and cancels every shard nobody has started,
-/// so no new shard can begin once a permanent failure exists. Shards
-/// already in flight still complete, so every result that does come
-/// back is valid.
-///
-/// `jobs <= 1` runs inline on the calling thread (no spawn overhead)
-/// and drains the queue in shard order, which makes the cancellation
-/// boundary deterministic: every shard after the first permanent
-/// failure is cancelled.
-///
-/// # Errors
-///
-/// [`RunnerError`] for engine-level failures (poisoned or unfilled
-/// result slots). Workload failures are *not* errors at this level —
-/// they come back as `Err(ShardError)` entries in the outcome.
-pub fn run_shards_tolerant<T, E, F>(
-    shards: &[Shard],
-    jobs: usize,
-    policy: RetryPolicy,
-    work: F,
-) -> Result<ShardedOutcome<T>, RunnerError>
-where
-    T: Send,
-    E: fmt::Display,
-    F: Fn(&Shard, u32) -> Result<T, E> + Sync,
-{
-    let retries = AtomicU64::new(0);
-    let max_attempts = policy.max_attempts.max(1);
-    let rec = trace::recorder();
-    let run_start = rec.now_us();
-
-    // Queue-wait span (run entry -> this worker picking the shard up)
-    // plus the shared retry loop. `tid` is the worker slot (0 on the
-    // inline path), used only for span attribution.
-    let attempt_shard = |shard: &Shard, tid: u64| -> Result<T, ShardError> {
-        rec.complete(
-            "shard.queue_wait",
-            "runner",
-            tid,
-            Some(shard.index as u64),
-            run_start,
-            Vec::new(),
-        );
-        run_attempts(shard, tid, max_attempts, &retries, &work)
-    };
-
-    let finish = |results: Vec<Result<T, ShardError>>, retries: u64| {
-        rec.complete(
-            "shards.run",
-            "runner",
-            0,
-            None,
-            run_start,
-            vec![
-                ("shards".into(), Value::UInt(shards.len() as u64)),
-                ("jobs".into(), Value::UInt(jobs as u64)),
-                ("retries".into(), Value::UInt(retries)),
-            ],
-        );
-        Ok(ShardedOutcome { results, retries })
-    };
-
-    if jobs <= 1 || shards.len() <= 1 {
-        let mut failed = false;
-        let mut results = Vec::with_capacity(shards.len());
-        for shard in shards {
-            if failed {
-                rec.instant("shard.cancelled", "runner", 0, Some(shard.index as u64), Vec::new());
-                results.push(Err(ShardError::cancelled(shard.index)));
-                continue;
-            }
-            let r = attempt_shard(shard, 0);
-            failed |= r.is_err();
-            results.push(r);
-        }
-        return finish(results, retries.into_inner());
-    }
-
-    let slots: Vec<Mutex<Option<Result<T, ShardError>>>> =
-        shards.iter().map(|_| Mutex::new(None)).collect();
-    let pull = Mutex::new(PullState { next: 0, failed: false });
-    let workers = jobs.min(shards.len());
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tid = worker as u64;
-            let (pull, slots, attempt_shard) = (&pull, &slots, &attempt_shard);
-            scope.spawn(move || loop {
-                let i = {
-                    let mut g = lock(pull);
-                    if g.failed || g.next >= shards.len() {
-                        break;
-                    }
-                    g.next += 1;
-                    g.next - 1
-                };
-                let r = attempt_shard(&shards[i], tid);
-                let failed_now = r.is_err();
-                if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(r);
-                }
-                if failed_now {
-                    let mut g = lock(pull);
-                    if !g.failed {
-                        g.failed = true;
-                        // Cancel every never-pulled shard under the same
-                        // lock a sibling would need to pull one: no shard
-                        // can start after the failure is recorded.
-                        for j in g.next..shards.len() {
-                            let sid = shards[j].index;
-                            rec.instant(
-                                "shard.cancelled",
-                                "runner",
-                                tid,
-                                Some(sid as u64),
-                                Vec::new(),
-                            );
-                            if let Ok(mut slot) = slots[j].lock() {
-                                *slot = Some(Err(ShardError::cancelled(sid)));
-                            }
-                        }
-                        g.next = shards.len();
-                    }
-                }
-            });
-        }
-    });
-    let mut results = Vec::with_capacity(shards.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        let inner = slot.into_inner().map_err(|_| RunnerError::SlotPoisoned { shard: i })?;
-        // Every slot is filled by its worker or by the failure drain;
-        // an empty one means the engine lost a shard.
-        results.push(inner.ok_or(RunnerError::MissingResult { shard: i })?);
-    }
-    finish(results, retries.into_inner())
-}
-
-/// Maps the infallible `work` over every shard and returns the results
-/// in **shard order** (the legacy single-attempt interface, now a
-/// wrapper over [`run_shards_tolerant`]).
-///
-/// # Panics
-///
-/// A panic inside `work` on any worker is re-raised here (with the
-/// original message) after the pool has drained — sibling shards are no
-/// longer aborted mid-flight, but the caller-visible contract is
-/// unchanged.
-pub fn run_shards<T, F>(shards: &[Shard], jobs: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Shard) -> T + Sync,
-{
-    let outcome = run_shards_tolerant::<T, std::convert::Infallible, _>(
-        shards,
-        jobs,
-        RetryPolicy::no_retries(),
-        |shard, _attempt| Ok(work(shard)),
-    )
-    .unwrap_or_else(|e| panic!("sharded execution failed: {e}"));
-    // Re-raise the *originating* failure, not a cancellation record.
-    if let Some(e) = outcome.failures().find(|e| !e.cancelled) {
-        panic!("{e}");
-    }
-    outcome.results.into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).collect()
-}
-
-/// [`shard_plan`] + [`run_shards`] in one call with [`DEFAULT_SHARDS`].
-pub fn run_sharded<T, F>(total: usize, base_seed: u64, jobs: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Shard) -> T + Sync,
-{
-    let plan = shard_plan(total, DEFAULT_SHARDS, base_seed);
-    run_shards(&plan, jobs, work)
 }
 
 #[cfg(test)]
@@ -706,27 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_results_match_in_shard_order() {
-        let plan = shard_plan(1000, DEFAULT_SHARDS, 42);
-        let work = |s: &Shard| -> (usize, u64, usize) {
-            let sum: usize = s.range().sum();
-            (s.index, s.seed, sum)
-        };
-        let serial = run_shards(&plan, 1, work);
-        let parallel = run_shards(&plan, 4, work);
-        assert_eq!(serial, parallel);
-        let oversubscribed = run_shards(&plan, 64, work);
-        assert_eq!(serial, oversubscribed);
-    }
-
-    #[test]
-    fn run_sharded_matches_manual_plan() {
-        let manual = run_shards(&shard_plan(50, DEFAULT_SHARDS, 7), 2, |s| s.seed);
-        let auto = run_sharded(50, 7, 2, |s| s.seed);
-        assert_eq!(manual, auto);
-    }
-
-    #[test]
     fn parse_jobs_accepts_positive_integers_only() {
         assert_eq!(parse_jobs("0"), None);
         assert_eq!(parse_jobs("abc"), None);
@@ -753,67 +510,21 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_returns_values_in_shard_order() {
-        let plan = shard_plan(100, DEFAULT_SHARDS, 3);
-        let out = run_shards_tolerant::<_, std::convert::Infallible, _>(
-            &plan,
-            4,
-            RetryPolicy::default(),
-            |s, _| Ok(s.index),
-        )
-        .expect("engine ok");
-        assert_eq!(out.retries, 0);
-        assert_eq!(out.completed(), plan.len());
-        for (i, r) in out.results.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("ok"), i);
-        }
-    }
-
-    #[test]
-    fn tolerant_retries_transient_panics_deterministically() {
-        use std::sync::atomic::AtomicU32;
-        let plan = shard_plan(8, 8, 11);
-        let attempts_seen: Vec<AtomicU32> = plan.iter().map(|_| AtomicU32::new(0)).collect();
-        let out = run_shards_tolerant::<_, std::convert::Infallible, _>(
-            &plan,
-            2,
-            RetryPolicy::default(),
-            |s, attempt| {
-                attempts_seen[s.index].fetch_add(1, Ordering::Relaxed);
-                // Shards 2 and 5 fail on their first two attempts, then
-                // recover — inside the default budget of 5.
-                if (s.index == 2 || s.index == 5) && attempt < 2 {
-                    panic!("injected transient failure");
-                }
-                Ok(s.seed)
-            },
-        )
-        .expect("engine ok");
-        assert_eq!(out.retries, 4, "two shards x two failed attempts");
-        assert_eq!(out.completed(), 8);
-        for (i, seen) in attempts_seen.iter().enumerate() {
-            let expect = if i == 2 || i == 5 { 3 } else { 1 };
-            assert_eq!(seen.load(Ordering::Relaxed), expect, "shard {i}");
-        }
-        // The recovered values match a failure-free run.
-        for (s, r) in plan.iter().zip(&out.results) {
-            assert_eq!(*r.as_ref().expect("recovered"), s.seed);
-        }
-    }
-
-    #[test]
     fn tolerant_reports_exhausted_budget_as_shard_error() {
         let plan = shard_plan(4, 4, 0);
-        let out = run_shards_tolerant::<u64, _, _>(
-            &plan,
-            1,
-            RetryPolicy { max_attempts: 3, reseed: false },
-            |s, _| if s.index == 1 { Err("deterministic workload error") } else { Ok(s.seed) },
-        )
-        .expect("engine ok");
+        let out = Executor::new(2)
+            .run_tolerant::<u64, _, _>(
+                &plan,
+                1,
+                RetryPolicy { max_attempts: 3, reseed: false },
+                |s, _| if s.index == 1 { Err("deterministic workload error") } else { Ok(s.seed) },
+            )
+            .expect("engine ok");
         assert_eq!(out.retries, 2, "shard 1 burns its whole budget");
         let failures: Vec<&ShardError> = out.failures().collect();
-        // Inline (jobs=1) drain: shard 1 fails, shards 2 and 3 cancel.
+        // jobs=1 serialises the campaign: shard 1 fails and raises the
+        // cancel flag before shard 2 can be dispatched, so shards 2 and
+        // 3 cancel without running.
         assert_eq!(failures.len(), 3);
         assert_eq!(failures[0].shard, 1);
         assert_eq!(failures[0].attempts, 3);
@@ -825,80 +536,6 @@ mod tests {
             assert_eq!(f.attempts, 0);
         }
         assert_eq!(out.completed(), 1);
-    }
-
-    #[test]
-    fn tolerant_cancellation_stops_parallel_workers() {
-        use std::sync::atomic::AtomicU32;
-        use std::sync::{Arc, Condvar};
-
-        // Channel-free condvar handshake replacing the old 20ms sleep:
-        // a sibling shard announces it started, a helper thread then
-        // releases the gate (or, if no sibling ever starts, the main
-        // thread releases the helper after the run). No timing
-        // assumptions anywhere, so the test cannot flake under load;
-        // the engine's drain-under-lock makes "no pull after a
-        // permanent failure" structural rather than a won race.
-        #[derive(Default)]
-        struct Gate {
-            started: bool,
-            go: bool,
-            over: bool,
-        }
-        fn wait_while(
-            pair: &(Mutex<Gate>, Condvar),
-            mut blocked: impl FnMut(&Gate) -> bool,
-        ) -> std::sync::MutexGuard<'_, Gate> {
-            let (state, cv) = pair;
-            let mut g = lock(state);
-            while blocked(&g) {
-                g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-            }
-            g
-        }
-
-        let gate = Arc::new((Mutex::new(Gate::default()), Condvar::new()));
-        let plan = shard_plan(64, 64, 0);
-        let executed = AtomicU32::new(0);
-
-        let helper = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                let mut g = wait_while(&gate, |g| !g.started && !g.over);
-                g.go = true;
-                gate.1.notify_all();
-            })
-        };
-
-        let out = run_shards_tolerant::<u64, _, _>(&plan, 2, RetryPolicy::no_retries(), |s, _| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if s.index == 0 {
-                return Err("permanent failure on the first shard");
-            }
-            {
-                let mut g = lock(&gate.0);
-                g.started = true;
-                gate.1.notify_all();
-            }
-            drop(wait_while(&gate, |g| !g.go));
-            Ok(s.seed)
-        })
-        .expect("engine ok");
-
-        {
-            let mut g = lock(&gate.0);
-            g.over = true;
-            gate.1.notify_all();
-        }
-        helper.join().expect("helper joins");
-
-        assert_eq!(out.results.len(), 64, "every shard is accounted for");
-        assert!(out.failures().any(|f| f.shard == 0 && !f.cancelled));
-        assert!(out.failures().any(|f| f.cancelled), "queue must drain");
-        assert!(
-            executed.load(Ordering::Relaxed) < 64,
-            "workers must stop pulling shards after a permanent failure"
-        );
     }
 
     #[test]
@@ -917,18 +554,19 @@ mod tests {
         let rec = trace::recorder();
         rec.set_enabled(true);
         let plan = shard_plan(20, 5, 0xCAFE);
-        let out = run_shards_tolerant::<_, std::convert::Infallible, _>(
-            &plan,
-            1,
-            RetryPolicy::default(),
-            |s, attempt| {
-                if s.index == 2 && attempt == 0 {
-                    panic!("transient for the trace");
-                }
-                Ok(s.seed)
-            },
-        )
-        .expect("engine ok");
+        let out = Executor::new(2)
+            .run_tolerant::<_, std::convert::Infallible, _>(
+                &plan,
+                1,
+                RetryPolicy::default(),
+                |s, attempt| {
+                    if s.index == 2 && attempt == 0 {
+                        panic!("transient for the trace");
+                    }
+                    Ok(s.seed)
+                },
+            )
+            .expect("engine ok");
         rec.set_enabled(false);
         assert_eq!(out.completed(), 5);
         let events = rec.take();
@@ -950,22 +588,5 @@ mod tests {
             .expect("our retry marker is recorded");
         assert_eq!(retry.shard, Some(2));
         assert!(retry.dur_us.is_none(), "retries are instant markers");
-    }
-
-    #[test]
-    fn legacy_run_shards_propagates_the_original_panic_message() {
-        let plan = shard_plan(8, 8, 0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shards(&plan, 2, |s: &Shard| {
-                if s.index == 3 {
-                    panic!("boom in shard three");
-                }
-                s.seed
-            })
-        }));
-        let payload = result.expect_err("panic must propagate");
-        let message = panic_message(payload.as_ref());
-        assert!(message.contains("boom in shard three"), "{message}");
-        assert!(message.contains("shard 3"), "{message}");
     }
 }
