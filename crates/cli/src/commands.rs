@@ -876,7 +876,7 @@ fn profile_family<'a>(
 ) -> std::collections::BTreeMap<&'a str, std::collections::BTreeMap<&'a str, u64>> {
     let mut out: std::collections::BTreeMap<&str, std::collections::BTreeMap<&str, u64>> =
         std::collections::BTreeMap::new();
-    for (name, &v) in &snap.counters {
+    for (name, v) in snap.counters() {
         let Some(rest) = name.strip_prefix(prefix) else { continue };
         let Some((key, field)) = rest.rsplit_once('.') else { continue };
         out.entry(key).or_default().insert(field, v);

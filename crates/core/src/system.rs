@@ -73,11 +73,7 @@ impl System {
     /// bit-identical to a fresh one.
     fn boot_with_pool(config: SystemConfig, pool: FramePool) -> Self {
         let mut machine = Machine::new_with_pool(config.machine.clone(), pool);
-        machine.set_timing_source(config.timing);
-        let mut kernel = Kernel::boot(&mut machine, config.kernel_seed);
-        let gadget = GadgetKext::install(&mut kernel, &mut machine);
-        let cpp = CppKext::install(&mut kernel, &mut machine);
-        let pmc = PmcKext::install(&mut kernel, &mut machine);
+        let (kernel, gadget, cpp, pmc) = Self::install(&mut machine, &config);
         Self {
             machine,
             kernel,
@@ -90,6 +86,20 @@ impl System {
         }
     }
 
+    /// The boot sequence on a freshly reset `machine`: timing source,
+    /// kernel, kexts.
+    fn install(
+        machine: &mut Machine,
+        config: &SystemConfig,
+    ) -> (Kernel, GadgetKext, CppKext, PmcKext) {
+        machine.set_timing_source(config.timing);
+        let mut kernel = Kernel::boot(machine, config.kernel_seed);
+        let gadget = GadgetKext::install(&mut kernel, machine);
+        let cpp = CppKext::install(&mut kernel, machine);
+        let pmc = PmcKext::install(&mut kernel, machine);
+        (kernel, gadget, cpp, pmc)
+    }
+
     /// Reboots the platform in place with its original configuration,
     /// recycling the machine's physical frames instead of returning them
     /// to the host allocator. The result is bit-identical to a fresh
@@ -98,20 +108,38 @@ impl System {
     /// experiment loops use to get a pristine system without paying a
     /// full allocation cycle per trial.
     pub fn reboot(&mut self) {
-        let pool = self.machine.mem.phys.take_frame_pool();
-        *self = Self::boot_with_pool(self.config.clone(), pool);
+        self.reboot_into(self.config.clone());
     }
 
-    /// [`System::reboot`] into a *different* configuration: tears this
-    /// system down, recycles its physical frames, and boots `config` on
-    /// them. Bit-identical to `System::boot(config)` for the same
-    /// reason `reboot` is — the frame pool only changes where frame
-    /// storage comes from, never its (zeroed) contents or layout. This
-    /// is how the executor's per-worker system pool turns a cached
-    /// machine for one campaign into a machine for the next.
+    /// [`System::reboot`] into a *different* configuration: resets the
+    /// machine in place ([`Machine::reset_with`]: frames recycled,
+    /// caches and TLBs of unchanged geometry flushed rather than
+    /// reallocated) and boots `config` on it. Bit-identical to
+    /// `System::boot(config)` for the same reason `reboot` is — recycling
+    /// only changes where storage comes from, never its contents or
+    /// layout. This is how the executor's per-worker system pool turns a
+    /// cached machine for one campaign into a machine for the next.
     pub fn reboot_into(&mut self, config: SystemConfig) {
-        let pool = self.machine.mem.phys.take_frame_pool();
-        *self = Self::boot_with_pool(config, pool);
+        self.machine.reset_with(config.machine.clone());
+        let (kernel, gadget, cpp, pmc) = Self::install(&mut self.machine, &config);
+        // Exhaustive on purpose: a new field must decide how it resets.
+        let Self {
+            machine: _,
+            kernel: old_kernel,
+            gadget: old_gadget,
+            cpp: old_cpp,
+            pmc: old_pmc,
+            telemetry,
+            next_user_va,
+            config: old_config,
+        } = self;
+        *old_kernel = kernel;
+        *old_gadget = gadget;
+        *old_cpp = cpp;
+        *old_pmc = pmc;
+        *telemetry = Registry::disabled();
+        *next_user_va = ATTACKER_REGION;
+        *old_config = config;
     }
 
     /// A combined metrics snapshot: the attack-level `oracle.*` /
@@ -450,6 +478,28 @@ mod tests {
         assert_eq!(sys.machine.cycles, fresh_cycles, "pooled reboot is cycle-identical");
         assert_eq!(sys.machine.mem.phys.frame_count(), fresh_frames);
         assert_eq!(sys.kernel.crash_count(), 0);
+    }
+
+    #[test]
+    fn reboot_in_place_matches_a_fresh_boot_across_geometries() {
+        // Rebooting flushes caches and TLBs of unchanged geometry in place
+        // and rebuilds the rest: either way every exported series, not
+        // just the cycle count, must match a fresh boot.
+        let run = |sys: &mut System| {
+            sys.kernel.syscall(&mut sys.machine, sys.gadget.data_gadget, &[0, 0, 1]).unwrap();
+            (sys.machine.cycles, sys.telemetry_snapshot())
+        };
+        let pcore = SystemConfig::default();
+        let mut ecore = SystemConfig::default();
+        ecore.machine.core = CoreKind::ECore;
+        for (from, to) in [(&pcore, &pcore), (&pcore, &ecore), (&ecore, &pcore)] {
+            let mut sys = System::boot(from.clone());
+            for _ in 0..3 {
+                run(&mut sys);
+            }
+            sys.reboot_into(to.clone());
+            assert_eq!(run(&mut sys), run(&mut System::boot(to.clone())));
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn no_faults() -> Tolerance {
 /// injected-fault counts) while every experiment series must not.
 fn experiment_only(snap: &Snapshot) -> Snapshot {
     let mut out = snap.clone();
-    out.counters.retain(|name, _| !name.starts_with("runner."));
+    out.retain_counters(|name| !name.starts_with("runner."));
     out
 }
 

@@ -3,30 +3,76 @@
 
 use crate::json::Value;
 use crate::registry::Histogram;
-use std::collections::BTreeMap;
 
 /// An immutable capture of every series in a registry. Two snapshots of
 /// the same registry can be [diffed](Snapshot::diff) to meter exactly one
 /// experiment phase.
+///
+/// Each kind of series is one exact-size slice sorted by name: workloads
+/// keep a snapshot per operation, and a B-tree's spare node slots (eleven
+/// 552-byte [`Histogram`]s for a map of three) were most of one's size.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Monotonic counters by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauges by name (instantaneous, so diff keeps the later value).
-    pub gauges: BTreeMap<String, i64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
+    counters: Box<[(Box<str>, u64)]>,
+    gauges: Box<[(Box<str>, i64)]>,
+    histograms: Box<[(Box<str>, Histogram)]>,
+}
+
+/// The value of series `name` in a name-sorted slice.
+fn find<'a, V>(series: &'a [(Box<str>, V)], name: &str) -> Option<&'a V> {
+    let i = series.binary_search_by(|(k, _)| (**k).cmp(name)).ok()?;
+    Some(&series[i].1)
 }
 
 impl Snapshot {
+    /// Captures series given in ascending name order (as a
+    /// `BTreeMap` iterates them).
+    pub(crate) fn from_sorted<'a>(
+        counters: impl ExactSizeIterator<Item = (&'a String, &'a u64)>,
+        gauges: impl ExactSizeIterator<Item = (&'a String, &'a i64)>,
+        histograms: impl ExactSizeIterator<Item = (&'a String, &'a Histogram)>,
+    ) -> Self {
+        Snapshot {
+            counters: counters.map(|(k, &v)| (k.as_str().into(), v)).collect(),
+            gauges: gauges.map(|(k, &v)| (k.as_str().into(), v)).collect(),
+            histograms: histograms.map(|(k, h)| (k.as_str().into(), h.clone())).collect(),
+        }
+    }
+
     /// Counter value at capture time (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        find(&self.counters, name).copied().unwrap_or(0)
     }
 
     /// Gauge value at capture time (0 when absent).
     pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).copied().unwrap_or(0)
+        find(&self.gauges, name).copied().unwrap_or(0)
+    }
+
+    /// Histogram at capture time, if the series exists.
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+        find(&self.histograms, name)
+    }
+
+    /// Every counter, in ascending name order.
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counters.iter().map(|(k, v)| (&**k, *v))
+    }
+
+    /// Every gauge, in ascending name order.
+    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
+        self.gauges.iter().map(|(k, v)| (&**k, *v))
+    }
+
+    /// Every histogram, in ascending name order.
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+        self.histograms.iter().map(|(k, h)| (&**k, h))
+    }
+
+    /// Keeps only the counters whose name satisfies `keep`.
+    pub fn retain_counters(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        let counters = std::mem::take(&mut self.counters);
+        self.counters = counters.into_vec().into_iter().filter(|(k, _)| keep(k)).collect();
     }
 
     /// The interval between `earlier` and `self`: counters and histograms
@@ -36,13 +82,13 @@ impl Snapshot {
         let counters = self
             .counters
             .iter()
-            .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
+            .map(|(k, v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
             .collect();
         let histograms = self
             .histograms
             .iter()
             .map(|(k, h)| {
-                let d = match earlier.histograms.get(k) {
+                let d = match earlier.histogram(k) {
                     Some(e) => h.diff(e),
                     None => h.clone(),
                 };
@@ -55,15 +101,14 @@ impl Snapshot {
     /// Serializes the snapshot as a JSON object:
     /// `{"counters": {..}, "gauges": {..}, "histograms": {name: summary}}`.
     pub fn to_json(&self) -> Value {
-        let counters = self.counters.iter().map(|(k, &v)| (k.clone(), Value::UInt(v))).collect();
-        let gauges = self.gauges.iter().map(|(k, &v)| (k.clone(), Value::Int(v))).collect();
+        let counters = self.counters().map(|(k, v)| (k.to_string(), Value::UInt(v))).collect();
+        let gauges = self.gauges().map(|(k, v)| (k.to_string(), Value::Int(v))).collect();
         let histograms = self
-            .histograms
-            .iter()
+            .histograms()
             .map(|(k, h)| {
                 let s = h.summary();
                 (
-                    k.clone(),
+                    k.to_string(),
                     Value::Object(vec![
                         ("count".into(), Value::UInt(s.count)),
                         ("sum".into(), Value::UInt(s.sum)),
@@ -111,8 +156,28 @@ mod tests {
         assert_eq!(d.counter("tlb.dtlb.hits"), 5);
         assert_eq!(d.counter("tlb.dtlb.misses"), 0);
         assert_eq!(d.counter("fresh.counter"), 1);
-        assert_eq!(d.histograms["lat"].count(), 1);
-        assert_eq!(d.histograms["lat"].sum(), 400);
+        assert_eq!(d.histogram("lat").map(Histogram::count), Some(1));
+        assert_eq!(d.histogram("lat").map(Histogram::sum), Some(400));
+    }
+
+    #[test]
+    fn json_text_is_pinned() {
+        // The exact text the B-tree-backed snapshot serialised to: the
+        // compact storage must not change a byte of `--metrics-out` output.
+        let mut r = sample_registry();
+        let before = r.snapshot();
+        r.incr_by("tlb.dtlb.hits", 5);
+        r.incr("a.first");
+        r.observe("lat", 400);
+        r.gauge("z.last", -2);
+        assert_eq!(
+            r.snapshot().to_json().to_string(),
+            r#"{"counters":{"a.first":1,"tlb.dtlb.hits":15,"tlb.dtlb.misses":3},"gauges":{"spec.depth":4,"z.last":-2},"histograms":{"lat":{"count":3,"sum":700,"min":100,"max":400,"mean":233.33333333333334,"p50":191,"p95":383,"p99":383}}}"#
+        );
+        assert_eq!(
+            r.snapshot().diff(&before).to_json().to_string(),
+            r#"{"counters":{"a.first":1,"tlb.dtlb.hits":5,"tlb.dtlb.misses":0},"gauges":{"spec.depth":4,"z.last":-2},"histograms":{"lat":{"count":1,"sum":400,"min":256,"max":400,"mean":400,"p50":383,"p95":383,"p99":383}}}"#
+        );
     }
 
     #[test]
@@ -120,8 +185,8 @@ mod tests {
         let r = sample_registry();
         let s = r.snapshot();
         let d = s.diff(&s.clone());
-        assert!(d.counters.values().all(|&v| v == 0));
-        assert!(d.histograms.values().all(|h| h.count() == 0));
+        assert!(d.counters().all(|(_, v)| v == 0));
+        assert!(d.histograms().all(|(_, h)| h.count() == 0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the metrics registry and the JSON layer.
 
 use pacman_telemetry::json::{self, Value};
-use pacman_telemetry::Registry;
+use pacman_telemetry::{Registry, Snapshot};
 use proptest::prelude::*;
 
 /// One recording call against a registry.
@@ -50,9 +50,7 @@ proptest! {
             prop_assert!(reg.histogram(&format!("series.{k}")).is_none());
         }
         let snap = reg.snapshot();
-        prop_assert!(snap.counters.is_empty());
-        prop_assert!(snap.gauges.is_empty());
-        prop_assert!(snap.histograms.is_empty());
+        prop_assert_eq!(snap, Snapshot::default());
     }
 
     #[test]
@@ -75,8 +73,8 @@ proptest! {
         for k in 0..8u8 {
             let name = format!("series.{k}");
             prop_assert_eq!(d.counter(&name), expect.counter(&name));
-            let got = d.histograms.get(&name).map(|h| (h.count(), h.sum()));
-            let want = expect.histograms.get(&name).map(|h| (h.count(), h.sum()));
+            let got = d.histogram(&name).map(|h| (h.count(), h.sum()));
+            let want = expect.histogram(&name).map(|h| (h.count(), h.sum()));
             // A series observed only before the interval diffs to count 0,
             // while the fresh registry never saw it at all.
             prop_assert_eq!(got.unwrap_or((0, 0)), want.unwrap_or((0, 0)));
@@ -104,8 +102,8 @@ proptest! {
         ba.merge(&a);
 
         let (sab, sba) = (ab.snapshot(), ba.snapshot());
-        prop_assert_eq!(&sab.counters, &sba.counters);
-        prop_assert_eq!(&sab.histograms, &sba.histograms);
+        prop_assert!(sab.counters().eq(sba.counters()));
+        prop_assert!(sab.histograms().eq(sba.histograms()));
     }
 
     #[test]
@@ -139,9 +137,7 @@ proptest! {
         right_total.merge(&right);
 
         let (sl, sr) = (left_total.snapshot(), right_total.snapshot());
-        prop_assert_eq!(&sl.counters, &sr.counters);
-        prop_assert_eq!(&sl.gauges, &sr.gauges);
-        prop_assert_eq!(&sl.histograms, &sr.histograms);
+        prop_assert_eq!(sl, sr);
     }
 
     #[test]
@@ -151,14 +147,14 @@ proptest! {
         let snap = reg.snapshot();
         let text = snap.to_json().to_string();
         let parsed = json::parse(&text).expect("serializer emits valid JSON");
-        for (name, &v) in &snap.counters {
+        for (name, v) in snap.counters() {
             let got = parsed
                 .get("counters")
                 .and_then(|c| c.get(name))
                 .and_then(Value::as_u64);
             prop_assert_eq!(got, Some(v));
         }
-        for (name, h) in &snap.histograms {
+        for (name, h) in snap.histograms() {
             let got = parsed
                 .get("histograms")
                 .and_then(|c| c.get(name))

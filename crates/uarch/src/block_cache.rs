@@ -8,12 +8,14 @@
 //!
 //! - **Keying.** Entries are keyed by *physical* address, so aliased
 //!   mappings share decoded code and remaps cannot serve stale virtual
-//!   translations (translation, permissions, and all timing still go
-//!   through `fetch_access` on every step — the cache only replaces the
-//!   `read_u32` + `decode` pair).
+//!   translations (translation, permissions, and all timing are the
+//!   machine's business — the cache only replaces the `read_u32` +
+//!   `decode` pair).
 //! - **Slots.** Each frame that has been decoded from gets a dense
-//!   `PAGE_SIZE / 4` slot table mapping word index → arena index, so the
-//!   dispatch path is one hash lookup plus one array index.
+//!   `PAGE_SIZE / 4` slot table (word index → micro-op) in one shared
+//!   arena, so a dispatch is two array indexes. The machine's fetch
+//!   cursor keeps a frame's arena position and re-hits with one index,
+//!   valid until the next flush starts a new epoch.
 //! - **Runs.** A miss decodes forward from the missing word — up to
 //!   [`MAX_RUN`] instructions, stopping at the frame boundary, at an
 //!   undecodable word, or after an unconditional control transfer — so
@@ -57,23 +59,31 @@ pub struct BlockCacheStats {
     pub bypasses: u64,
 }
 
+/// Table index meaning "this frame was never decoded from".
+const NO_TABLE: u32 = u32::MAX;
+
 /// The predecoded block cache. One per [`crate::Machine`]; purely a
 /// host-side accelerator — it never changes simulated cycles, RNG draws,
 /// or microarchitectural state.
 #[derive(Debug, Default)]
 pub struct BlockCache {
-    /// Per-frame micro-op arenas, indexed `pfn - 1` (frames are
+    /// Slot-table index per frame, indexed `pfn - 1` (frames are
     /// bump-allocated densely from PFN 1, so this mirrors
-    /// [`PhysMemory`]'s own storage): one flat `PAGE_SIZE / 4` slot
-    /// table per decoded-from frame, word index → predecoded micro-op.
-    /// Storing the `Inst` inline makes a dispatch hit exactly one
-    /// indexed load; frames never decoded from stay `None`.
-    frames: Vec<Option<Box<[Option<Inst>]>>>,
-    /// Micro-ops currently live across all frame arenas (capacity
+    /// [`PhysMemory`]'s own storage); [`NO_TABLE`] for frames never
+    /// decoded from.
+    tables: Vec<u32>,
+    /// Every frame's `PAGE_SIZE / 4` slot table back to back (table `t`
+    /// starts at `t * SLOTS`): word index → predecoded micro-op. Storing
+    /// the `Inst` inline makes a dispatch hit exactly one indexed load.
+    slots: Vec<Option<Inst>>,
+    /// Micro-ops currently live across all slot tables (capacity
     /// accounting for the epoch flush).
     live: usize,
     /// The code-write generation the cached entries were decoded at.
     valid_gen: u64,
+    /// Bumped by every flush; a slot position handed out by
+    /// [`BlockCache::slot_base`] is only meaningful within its epoch.
+    epoch: u64,
     /// Dispatch counters.
     pub stats: BlockCacheStats,
 }
@@ -95,19 +105,17 @@ impl BlockCache {
         if gen != self.valid_gen {
             // A store hit a decoded code frame since the last dispatch:
             // drop everything and re-decode on demand.
-            self.frames.clear();
-            self.live = 0;
+            self.clear();
             self.valid_gen = gen;
             self.stats.invalidations += 1;
         }
-        let pfn = pa / PAGE_SIZE;
         let off = (pa % PAGE_SIZE) as usize;
         if !pa.is_multiple_of(4) || off + 4 > SLOTS * 4 {
             self.stats.bypasses += 1;
             return decode(phys.read_u32(pa)).ok();
         }
-        if let Some(Some(slots)) = self.frames.get((pfn.wrapping_sub(1)) as usize) {
-            if let Some(inst) = slots[off / 4] {
+        if let Some(base) = self.slot_base(pa / PAGE_SIZE) {
+            if let Some(inst) = self.slots[base + off / 4] {
                 self.stats.hits += 1;
                 return Some(inst);
             }
@@ -116,10 +124,58 @@ impl BlockCache {
         self.decode_run(pa, phys)
     }
 
+    /// Position in the slot arena of frame `pfn`'s word 0, if the frame
+    /// has a slot table. Valid until the epoch changes.
+    pub(crate) fn slot_base(&self, pfn: u64) -> Option<usize> {
+        match self.tables.get(pfn.wrapping_sub(1) as usize) {
+            Some(&t) if t != NO_TABLE => Some(t as usize * SLOTS),
+            _ => None,
+        }
+    }
+
+    /// The current flush epoch.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The fetch cursor's dispatch: the micro-op at arena position `slot`
+    /// (from [`BlockCache::slot_base`] in `epoch`), counted as a hit, or
+    /// `None` — with no side effects — if the cache was flushed since or
+    /// the slot is not decoded. The caller also checks that the
+    /// code-write generation is still the one `slot` was taken at (else
+    /// [`BlockCache::fetch`] would flush); a `Some` is then exactly the
+    /// hit [`BlockCache::fetch`] would make.
+    #[inline]
+    pub(crate) fn rehit(&mut self, epoch: u64, slot: usize) -> Option<Inst> {
+        if epoch != self.epoch {
+            return None;
+        }
+        let inst = self.slots[slot]?;
+        self.stats.hits += 1;
+        Some(inst)
+    }
+
+    /// Drops every decoded entry (slot storage is kept for reuse) and
+    /// starts a new epoch.
+    fn clear(&mut self) {
+        self.tables.clear();
+        self.slots.clear();
+        self.live = 0;
+        self.epoch += 1;
+    }
+
+    /// Empties the cache for a rebooted machine, keeping the arena's
+    /// allocation: equivalent to [`BlockCache::new`] for every observable
+    /// purpose.
+    pub(crate) fn reset(&mut self) {
+        self.clear();
+        self.valid_gen = 0;
+        self.stats = BlockCacheStats::default();
+    }
+
     fn decode_run(&mut self, pa: u64, phys: &mut PhysMemory) -> Option<Inst> {
         if self.live + MAX_RUN > ARENA_CAP {
-            self.frames.clear();
-            self.live = 0;
+            self.clear();
         }
         let pfn = pa / PAGE_SIZE;
         if !phys.is_backed(pfn) {
@@ -130,16 +186,13 @@ impl BlockCache {
         }
         phys.note_code_frame(pfn);
         let first = decode(phys.read_u32(pa)).ok()?;
-        let fi = (pfn - 1) as usize;
-        if self.frames.len() <= fi {
-            self.frames.resize_with(fi + 1, || None);
-        }
-        let slots = self.frames[fi].get_or_insert_with(|| vec![None; SLOTS].into_boxed_slice());
+        let base = self.table_for(pfn);
         let mut inst = first;
         let mut off = (pa % PAGE_SIZE) as usize;
         for _ in 0..MAX_RUN {
-            self.live += usize::from(slots[off / 4].is_none());
-            slots[off / 4] = Some(inst);
+            let slot = &mut self.slots[base + off / 4];
+            self.live += usize::from(slot.is_none());
+            *slot = Some(inst);
             self.stats.decoded += 1;
             off += 4;
             if off + 4 > SLOTS * 4 || ends_run(inst) {
@@ -151,6 +204,22 @@ impl BlockCache {
             }
         }
         Some(first)
+    }
+
+    /// Frame `pfn`'s slot-table base, appending an empty table first if
+    /// it has none.
+    fn table_for(&mut self, pfn: u64) -> usize {
+        if let Some(base) = self.slot_base(pfn) {
+            return base;
+        }
+        let fi = (pfn - 1) as usize;
+        if self.tables.len() <= fi {
+            self.tables.resize(fi + 1, NO_TABLE);
+        }
+        let base = self.slots.len();
+        self.tables[fi] = u32::try_from(base / SLOTS).expect("slot tables fit in u32");
+        self.slots.resize(base + SLOTS, None);
+        base
     }
 
     /// Serialises which slots are decoded (one bitmap per frame) plus the
@@ -165,14 +234,14 @@ impl BlockCache {
         w.u64(self.stats.decoded);
         w.u64(self.stats.invalidations);
         w.u64(self.stats.bypasses);
-        w.usize(self.frames.len());
-        for frame in &self.frames {
-            match frame {
+        w.usize(self.tables.len());
+        for pfn in 1..=self.tables.len() as u64 {
+            match self.slot_base(pfn) {
                 None => w.bool(false),
-                Some(slots) => {
+                Some(base) => {
                     w.bool(true);
                     let mut bitmap = vec![0u8; SLOTS / 8];
-                    for (i, slot) in slots.iter().enumerate() {
+                    for (i, slot) in self.slots[base..base + SLOTS].iter().enumerate() {
                         if slot.is_some() {
                             bitmap[i / 8] |= 1 << (i % 8);
                         }
@@ -207,11 +276,9 @@ impl BlockCache {
         self.stats.invalidations = r.u64()?;
         self.stats.bypasses = r.u64()?;
         let count = r.usize()?;
-        self.frames.clear();
-        self.live = 0;
+        self.clear();
         for fi in 0..count {
             if !r.bool()? {
-                self.frames.push(None);
                 continue;
             }
             let bitmap = r.bytes()?;
@@ -219,19 +286,19 @@ impl BlockCache {
                 return Err(BinError::Corrupt(format!("slot bitmap of {} bytes", bitmap.len())));
             }
             let pfn = fi as u64 + 1;
-            let mut slots = vec![None; SLOTS].into_boxed_slice();
+            let base = self.table_for(pfn);
             for i in 0..SLOTS {
                 if bitmap[i / 8] & (1 << (i % 8)) != 0 {
                     let pa = pfn * PAGE_SIZE + 4 * i as u64;
                     let inst = decode(phys.read_u32(pa)).map_err(|_| {
                         BinError::Corrupt(format!("cached slot at {pa:#x} no longer decodes"))
                     })?;
-                    slots[i] = Some(inst);
+                    self.slots[base + i] = Some(inst);
                     self.live += 1;
                 }
             }
-            self.frames.push(Some(slots));
         }
+        self.tables.resize(count, NO_TABLE);
         if live != self.live {
             return Err(BinError::Corrupt(format!("live count {live} != {} slots", self.live)));
         }

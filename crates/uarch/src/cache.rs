@@ -164,9 +164,16 @@ pub struct Cache {
     params: CacheParams,
     inner: SetAssoc,
     line_shift: u32,
+    /// Line key of the most recent access — always its set's MRU way —
+    /// or [`NO_LINE`] after a flush or restore.
+    last: u64,
     /// Access counters (public for experiment reporting).
     pub stats: CacheStats,
 }
+
+/// `last` when no access happened since the contents changed wholesale
+/// (line keys are addresses shifted right, so never this value).
+const NO_LINE: u64 = u64::MAX;
 
 /// Outcome of a cache lookup.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
@@ -189,7 +196,20 @@ impl Cache {
             params,
             inner: SetAssoc::new(ways, params.sets),
             line_shift,
+            last: NO_LINE,
             stats: CacheStats::default(),
+        }
+    }
+
+    /// Returns this cache to the state of `Cache::new(params,
+    /// effective_ways)`, flushing in place when the geometry is unchanged
+    /// so a reboot does not reallocate (and re-zero) the tag array.
+    pub(crate) fn reset(&mut self, params: CacheParams, effective_ways: Option<usize>) {
+        if self.params == params && self.inner.ways == effective_ways.unwrap_or(params.ways) {
+            self.flush();
+            self.stats = CacheStats::default();
+        } else {
+            *self = Self::new(params, effective_ways);
         }
     }
 
@@ -210,6 +230,7 @@ impl Cache {
     /// Accesses `pa`: returns hit/miss and fills the line on miss.
     pub fn access(&mut self, pa: u64) -> CacheOutcome {
         let key = self.line_key(pa);
+        self.last = key;
         if self.inner.touch(key) {
             self.stats.hits += 1;
             CacheOutcome::Hit
@@ -223,6 +244,19 @@ impl Cache {
         }
     }
 
+    /// Counts a hit on `pa` if it lies in the most recently accessed
+    /// line, which is still its set's MRU way, so [`Cache::access`] would
+    /// hit it without promotion. Returns false, with no side effects,
+    /// otherwise.
+    #[inline]
+    pub(crate) fn rehit_last(&mut self, pa: u64) -> bool {
+        if self.line_key(pa) != self.last {
+            return false;
+        }
+        self.stats.hits += 1;
+        true
+    }
+
     /// Presence check without LRU update (for assertions in tests).
     pub fn contains(&self, pa: u64) -> bool {
         self.inner.probe(self.line_key(pa))
@@ -231,6 +265,7 @@ impl Cache {
     /// Empties the cache.
     pub fn flush(&mut self) {
         self.inner.flush();
+        self.last = NO_LINE;
     }
 
     /// Serialises resident lines (LRU order included) and counters.
@@ -253,6 +288,7 @@ impl Cache {
         &mut self,
         r: &mut pacman_telemetry::bin::Reader<'_>,
     ) -> Result<(), pacman_telemetry::bin::BinError> {
+        self.last = NO_LINE;
         self.inner.restore_state(r)?;
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;

@@ -136,6 +136,23 @@ impl MemorySystem {
         }
     }
 
+    /// Returns this memory system to the state of a fresh
+    /// `MemorySystem::new_with_pool(config, pool)` built from its own
+    /// frames. Caches and TLBs whose geometry `config` leaves unchanged
+    /// are flushed and their counters zeroed in place instead of being
+    /// reallocated.
+    fn reset(&mut self, config: &MachineConfig) {
+        let caches = config.cache_params();
+        let tlbs = config.tlb_params();
+        self.phys = PhysMemory::new_with_pool(self.phys.take_frame_pool());
+        self.tables = PageTables::new(&mut self.phys);
+        self.l1i.reset(caches.l1i, None);
+        self.l1d.reset(caches.l1d, Some(caches.l1d_effective_ways));
+        self.l2c.reset(caches.l2, None);
+        self.tlbs.reset(tlbs.itlb, tlbs.dtlb, tlbs.l2);
+        self.latency = config.latency;
+    }
+
     fn world(el: El) -> FetchWorld {
         match el {
             El::El0 => FetchWorld::User,
@@ -415,6 +432,38 @@ impl Shadow {
     }
 }
 
+/// The [`ExecEngine::Cached`] fetch cursor: the page of the last
+/// architectural fetch that hit the L1 iTLB, with everything the slow
+/// path derived from it. A word-aligned fetch in the same page at the same
+/// EL is served from here while
+///
+/// - the TLB hierarchy's fetch fast path still carries [`FetchCursor::tag`]
+///   (so the iTLB lookup would hit the same entry in its MRU way — any
+///   iTLB insert, flush or restore, and any fetch lookup of another page,
+///   changes the tag), and
+/// - the block cache is still in [`FetchCursor::epoch`] and memory still
+///   at code-write generation [`FetchCursor::gen`] (so the frame's slot
+///   table is intact and current) and the slot is decoded.
+///
+/// Host-side only: never serialised, cold after a reset or a restore.
+#[derive(Copy, Clone, Debug)]
+struct FetchCursor {
+    /// Page-aligned VA of the page.
+    page: u64,
+    /// The EL the page was fetched at.
+    el: El,
+    /// The fetch fast-path tag the translation was read under.
+    tag: u64,
+    /// Physical address of the page's frame.
+    frame: u64,
+    /// Block-cache arena position of the frame's word 0.
+    slots: usize,
+    /// Block-cache epoch `slots` belongs to.
+    epoch: u64,
+    /// Code-write generation the slots were decoded at.
+    gen: u64,
+}
+
 /// The simulated machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -448,6 +497,9 @@ pub struct Machine {
     /// Predecoded micro-op arena the [`ExecEngine::Cached`] dispatch path
     /// fetches from; unused (and empty) under `Interpreted`.
     block_cache: BlockCache,
+    /// Page-granular fast path ahead of `fetch_access` + the block cache
+    /// (`Cached` only; `None` under `Interpreted`).
+    fetch_cursor: Option<FetchCursor>,
     /// Memoised PAC computations keyed by (key value, canonical pointer,
     /// modifier). Keying on the key *value* makes invalidation on key
     /// writes unnecessary: a changed key never matches old entries. Only
@@ -523,6 +575,7 @@ impl Machine {
             cycles: 0,
             config,
             block_cache: BlockCache::new(),
+            fetch_cursor: None,
             pac_memo: HashMap::default(),
             pac_memo_hits: 0,
             pac_memo_misses: 0,
@@ -544,13 +597,67 @@ impl Machine {
     }
 
     /// [`Machine::reset`] with a (possibly different) configuration.
+    /// Equivalent to `*self = Machine::new_with_pool(config, pool)` with
+    /// this machine's frames as the pool, but caches, TLBs and the block
+    /// cache arena whose geometry is unchanged are emptied in place
+    /// rather than reallocated.
     ///
     /// # Panics
     ///
     /// Panics when `config` fails [`MachineConfig::validate`].
     pub fn reset_with(&mut self, config: MachineConfig) {
-        let pool = self.mem.phys.take_frame_pool();
-        *self = Machine::new_with_pool(config, pool);
+        if let Err(e) = config.validate() {
+            panic!("invalid machine configuration: {e}");
+        }
+        // Exhaustive on purpose: a new field must decide how it resets.
+        let Self {
+            cpu,
+            mem,
+            timers,
+            bimodal,
+            btb,
+            rsb,
+            stats,
+            predict_stats,
+            spec_depth,
+            trace,
+            profiler,
+            cycles,
+            config: old_config,
+            block_cache,
+            fetch_cursor,
+            pac_memo,
+            pac_memo_hits,
+            pac_memo_misses,
+            pac_last,
+            rng,
+            timing_source,
+            vbar,
+            pending_spec_fault,
+        } = self;
+        mem.reset(&config);
+        block_cache.reset();
+        *fetch_cursor = None;
+        *cpu = Cpu::new();
+        *timers = Timers::new(config.clock_hz, config.system_counter_hz);
+        *bimodal = Bimodal::new();
+        *btb = Btb::new();
+        *rsb = Rsb::default();
+        *stats = MachineStats::default();
+        *predict_stats = PredictStats::default();
+        *spec_depth = Histogram::new();
+        *trace = SpecTrace::default();
+        *profiler = Profiler::new(config.profile);
+        *cycles = 0;
+        *pac_memo = HashMap::default();
+        *pac_memo_hits = 0;
+        *pac_memo_misses = 0;
+        *pac_last = None;
+        *rng = SmallRng::seed_from_u64(config.seed);
+        *timing_source = TimingSource::default();
+        *vbar = 0;
+        *pending_spec_fault = None;
+        *old_config = config;
     }
 
     /// The active configuration.
@@ -914,6 +1021,7 @@ impl Machine {
         };
         self.vbar = r.u64()?;
         self.pending_spec_fault = None;
+        self.fetch_cursor = None;
         Ok(())
     }
 
@@ -1094,28 +1202,23 @@ impl Machine {
         }
         let pc = self.cpu.pc;
         let el = self.cpu.el;
-        let profiling = self.profiler.is_enabled();
+        if !self.profiler.is_enabled() {
+            let inst = match self.cursor_fetch(pc, el) {
+                Some(inst) => inst,
+                None => self.fetch(pc, el)?,
+            };
+            self.cycles += self.config.latency.alu;
+            self.stats.retired += 1;
+            return self.exec(pc, el, inst);
+        }
         let step_start = self.cycles;
-        let decode_timer = ProfTimer::start(profiling);
-        let (fetch_outcome, pa) =
-            self.mem.fetch_access(pc, el).map_err(|f| f.into_trap(pc, el, AccessKind::Fetch))?;
-        self.cycles += fetch_outcome.cycles;
-        // The engines are bit-identical: the cached path only skips the
-        // re-read + re-decode of the fetched word, never any simulated
-        // cost (timing was already charged by `fetch_access` above).
-        let inst = match self.config.engine {
-            ExecEngine::Cached => {
-                self.block_cache.fetch(pa, &mut self.mem.phys).ok_or(Trap::Decode { pc })?
-            }
-            ExecEngine::Interpreted => {
-                decode(self.mem.phys.read_u32(pa)).map_err(|_| Trap::Decode { pc })?
-            }
+        let decode_timer = ProfTimer::start(true);
+        let inst = match self.cursor_fetch(pc, el) {
+            Some(inst) => inst,
+            None => self.fetch(pc, el)?,
         };
         self.cycles += self.config.latency.alu;
         self.stats.retired += 1;
-        if !profiling {
-            return self.exec(pc, el, inst);
-        }
         self.profiler.record_decode(self.cycles - step_start, decode_timer.elapsed_ns());
         let exec_start = self.cycles;
         let exec_timer = ProfTimer::start(true);
@@ -1128,6 +1231,82 @@ impl Machine {
             exec_timer.elapsed_ns(),
         );
         out
+    }
+
+    /// Serves the fetch of `pc` at `el` from the fetch cursor, or returns
+    /// `None` — with no side effects — when the cursor does not cover it
+    /// (see [`FetchCursor`]). A served fetch makes exactly the counter
+    /// updates and charges exactly the cycles of [`Machine::fetch`] on
+    /// the same state: a fast-path iTLB hit, the L1i access, and a
+    /// block-cache hit.
+    #[inline]
+    fn cursor_fetch(&mut self, pc: u64, el: El) -> Option<Inst> {
+        let c = self.fetch_cursor?;
+        let off = pc.wrapping_sub(c.page);
+        // One test for "word-aligned and inside the page".
+        if off & !(PAGE_SIZE - 4) != 0
+            || el != c.el
+            || self.mem.tlbs.fetch_fast_tag() != c.tag
+            || self.mem.phys.code_write_gen() != c.gen
+        {
+            return None;
+        }
+        let inst = self.block_cache.rehit(c.epoch, c.slots + (off / 4) as usize)?;
+        self.mem.tlbs.count_itlb_hit(MemorySystem::world(el));
+        let pa = c.frame + off;
+        self.cycles += if self.mem.l1i.rehit_last(pa) {
+            self.mem.latency.l1_hit
+        } else {
+            self.mem.cache_fetch(pa).1
+        };
+        Some(inst)
+    }
+
+    /// The full fetch + decode of `pc` at `el`: translation, permissions
+    /// and L1i timing through `fetch_access`, then the engine's decode.
+    /// Under [`ExecEngine::Cached`] it leaves the fetch cursor on the
+    /// fetched page when the fetch hit the L1 iTLB, and clears it
+    /// otherwise.
+    fn fetch(&mut self, pc: u64, el: El) -> Result<Inst, Trap> {
+        let (fetch_outcome, pa) =
+            self.mem.fetch_access(pc, el).map_err(|f| f.into_trap(pc, el, AccessKind::Fetch))?;
+        self.cycles += fetch_outcome.cycles;
+        // The engines are bit-identical: the cached path only skips the
+        // re-read + re-decode of the fetched word, never any simulated
+        // cost (timing was already charged by `fetch_access` above).
+        match self.config.engine {
+            ExecEngine::Cached => {
+                let inst =
+                    self.block_cache.fetch(pa, &mut self.mem.phys).ok_or(Trap::Decode { pc })?;
+                self.fetch_cursor = self.cursor_for(pc, el, pa);
+                Ok(inst)
+            }
+            ExecEngine::Interpreted => {
+                decode(self.mem.phys.read_u32(pa)).map_err(|_| Trap::Decode { pc })
+            }
+        }
+    }
+
+    /// The cursor for the page a `Cached` fetch of `pc` (at physical
+    /// `pa`) just went through, if it hit the L1 iTLB — the fetch fast
+    /// path then holds its translation — and its frame has a slot table.
+    fn cursor_for(&self, pc: u64, el: El, pa: u64) -> Option<FetchCursor> {
+        let (world, entry, tag) = self.mem.tlbs.fetch_fast()?;
+        let page = pc & !(PAGE_SIZE - 1);
+        if world != MemorySystem::world(el) || entry.vpn != VirtualAddress::new(page).vpn() {
+            return None;
+        }
+        let frame = pa & !(PAGE_SIZE - 1);
+        let slots = self.block_cache.slot_base(frame / PAGE_SIZE)?;
+        Some(FetchCursor {
+            page,
+            el,
+            tag,
+            frame,
+            slots,
+            epoch: self.block_cache.epoch(),
+            gen: self.mem.phys.code_write_gen(),
+        })
     }
 
     fn exec(&mut self, pc: u64, el: El, inst: Inst) -> Result<Option<Stop>, Trap> {
@@ -2090,7 +2269,7 @@ mod tests {
         assert!(off.profiler.is_empty());
         let mut reg_off = Registry::new();
         off.export_telemetry(&mut reg_off);
-        assert!(!reg_off.snapshot().counters.keys().any(|k| k.starts_with("profile.")));
+        assert!(!reg_off.snapshot().counters().any(|(k, _)| k.starts_with("profile.")));
         assert_eq!(off.cycles, m.cycles, "profiling must not change simulated time");
     }
 
@@ -2580,6 +2759,194 @@ mod tests {
         let ibs = interp.block_cache_stats();
         assert_eq!((ibs.hits, ibs.misses, ibs.decoded), (0, 0, 0));
         assert_eq!(interp.pac_memo_hits + interp.pac_memo_misses, 0);
+    }
+
+    /// A `Cached` and an `Interpreted` machine with one configuration.
+    fn engine_pair() -> (Machine, Machine) {
+        let config = MachineConfig { os_noise: 0.0, ..MachineConfig::default() };
+        let interp = Machine::new(MachineConfig { engine: ExecEngine::Interpreted, ..config });
+        (Machine::new(config), interp)
+    }
+
+    /// Maps and loads `program` at [`USER_CODE`] and points EL0 at it.
+    fn load_user(m: &mut Machine, program: &[Inst]) {
+        m.map_region(USER_CODE, 4 * program.len() as u64, Perms::user_rwx());
+        m.load_program(USER_CODE, program);
+        m.cpu.pc = USER_CODE;
+        m.cpu.el = El::El0;
+    }
+
+    /// What the engines must agree on: architectural state, simulated
+    /// time, and every exported series except the host-only `exec.*`
+    /// accelerator counters.
+    fn assert_engines_agree(cached: &Machine, interp: &Machine) {
+        assert_eq!(format!("{:?}", cached.cpu), format!("{:?}", interp.cpu));
+        assert_eq!(cached.cycles, interp.cycles, "engines must agree on simulated time");
+        let export = |m: &Machine| {
+            let mut reg = Registry::new();
+            m.export_telemetry(&mut reg);
+            let mut snap = reg.snapshot();
+            snap.retain_counters(|name| !name.starts_with("exec."));
+            snap
+        };
+        assert_eq!(export(cached), export(interp));
+    }
+
+    #[test]
+    fn cursor_sees_a_store_patching_the_same_l1i_line() {
+        // The store rewrites the instruction two slots ahead — same page,
+        // same 64-byte L1i line — while the cursor is serving this page.
+        // The 64-bit store also rewrites the following HLT, unchanged.
+        let patched = encode(&Inst::MovZ { rd: Reg::X5, imm: 42, shift: 0 }).unwrap();
+        let hlt = encode(&Inst::Hlt).unwrap();
+        let mut a = Asm::new();
+        a.mov_imm64(Reg::X1, USER_CODE);
+        a.mov_imm64(Reg::X2, u64::from(patched) | u64::from(hlt) << 32);
+        let site = a.len() + 2;
+        a.push(Inst::Str { rt: Reg::X2, rn: Reg::X1, offset: 4 * site as i16 });
+        a.push(Inst::Nop);
+        a.push(Inst::MovZ { rd: Reg::X5, imm: 7, shift: 0 });
+        a.push(Inst::Hlt);
+        let program = a.assemble().unwrap();
+        assert!(
+            USER_CODE.is_multiple_of(64) && 4 * site < 64,
+            "the store site shares the first line"
+        );
+        let (mut cached, mut interp) = engine_pair();
+        for m in [&mut cached, &mut interp] {
+            load_user(m, &program);
+            assert_eq!(m.run(100), Ok(Stop::Hlt));
+        }
+        assert_eq!(cached.cpu.get(Reg::X5), 42, "the patched instruction must execute");
+        assert!(cached.block_cache_stats().invalidations >= 1);
+        assert_engines_agree(&cached, &interp);
+    }
+
+    #[test]
+    fn cursor_survives_mid_page_flushes_like_the_kernel_panic_path() {
+        // The kernel's panic path flushes the TLBs and caches directly;
+        // do the same between two halves of a straight-line run, with
+        // the cursor live on the page.
+        let mut a = Asm::new();
+        for i in 0..24 {
+            a.push(Inst::AddImm { rd: Reg::X0, rn: Reg::X0, imm: i });
+        }
+        a.push(Inst::Hlt);
+        let program = a.assemble().unwrap();
+        for flush in [
+            |m: &mut Machine| m.mem.l1i.flush(),
+            |m: &mut Machine| m.mem.tlbs.flush(),
+            |m: &mut Machine| {
+                m.mem.tlbs.flush();
+                m.mem.l1i.flush();
+                m.mem.l1d.flush();
+                m.mem.l2c.flush();
+            },
+        ] {
+            let (mut cached, mut interp) = engine_pair();
+            for m in [&mut cached, &mut interp] {
+                load_user(m, &program);
+                assert_eq!(m.run(8), Ok(Stop::InstLimit));
+            }
+            assert!(cached.fetch_cursor.is_some(), "the cursor must be live mid-page");
+            flush(&mut cached);
+            flush(&mut interp);
+            assert_eq!(cached.run(100), Ok(Stop::Hlt));
+            assert_eq!(interp.run(100), Ok(Stop::Hlt));
+            assert_engines_agree(&cached, &interp);
+        }
+    }
+
+    #[test]
+    fn cursor_is_dropped_when_a_wrong_path_fetches_another_page() {
+        // Page A's `br` at L first goes to page B (training the BTB),
+        // then — back on A — to K on A: the BTB still predicts B, so the
+        // wrong path fetches B (same EL, same iTLB set: B is 32 pages on)
+        // before execution resumes at K. Resuming must promote A back over
+        // B in the iTLB, which three more same-set pages C, D, E then
+        // show: their fills evict by LRU order, and the final fetch on A
+        // hits or misses accordingly. K is predecoded and A runs no other
+        // branch before leaving, so nothing else re-promotes A.
+        let stride = 32 * PAGE_SIZE;
+        let [a, b, c, d, e] = [0u64, 1, 2, 3, 4].map(|i| USER_CODE + i * stride);
+        let trampoline = |to: Reg, regs: &[(Reg, u64)]| {
+            let mut t = Asm::new();
+            // Serialising: a wrong path entering here ends at once
+            // (B's own `br` would otherwise speculatively fetch A).
+            t.push(Inst::Isb);
+            for &(r, v) in regs {
+                t.mov_imm64(r, v);
+            }
+            t.push(Inst::Br { rn: to });
+            t.assemble().unwrap()
+        };
+        let mut pa = Asm::new();
+        let (k, l) = (pa.new_label(), pa.new_label());
+        pa.mov_imm64(Reg::X1, b);
+        pa.mov_imm64(Reg::X3, a + 4 * 8);
+        pa.cbz(Reg::X9, l); // always taken
+        let k_slot = pa.len() as u64;
+        pa.bind(k); // decoded in the run from slot 0
+        pa.mov_imm64(Reg::X5, c);
+        pa.push(Inst::Br { rn: Reg::X5 });
+        assert!(pa.len() <= 8, "L must be slot 8");
+        while pa.len() < 8 {
+            pa.push(Inst::Nop);
+        }
+        pa.bind(l); // slot 8
+        pa.push(Inst::Br { rn: Reg::X1 });
+        let last = a + 4 * pa.len() as u64;
+        pa.push(Inst::AddImm { rd: Reg::X2, rn: Reg::X2, imm: 1 });
+        pa.push(Inst::Hlt);
+        let page_a = pa.assemble().unwrap();
+        let page_b = trampoline(Reg::X3, &[(Reg::X1, a + 4 * k_slot)]);
+        let page_c = trampoline(Reg::X6, &[(Reg::X6, d)]);
+        let page_d = trampoline(Reg::X7, &[(Reg::X7, e)]);
+        let page_e = trampoline(Reg::X8, &[(Reg::X8, last)]);
+        let (mut cached, mut interp) = engine_pair();
+        for m in [&mut cached, &mut interp] {
+            for (va, code) in [(a, &page_a), (b, &page_b), (c, &page_c), (d, &page_d), (e, &page_e)]
+            {
+                m.map_page(va, Perms::user_rwx());
+                m.load_program(va, code);
+            }
+            m.cpu.pc = a;
+            m.cpu.el = El::El0;
+            assert_eq!(m.run(200), Ok(Stop::Hlt));
+        }
+        assert_eq!(cached.cpu.get(Reg::X2), 1);
+        assert!(cached.stats.spec_insts > 0, "the wrong path must run on page B");
+        assert!(cached.mem.tlbs.stats.itlb_user_evictions > 0, "the set must overflow");
+        assert_engines_agree(&cached, &interp);
+    }
+
+    #[test]
+    fn cursor_declines_a_misaligned_branch_target_inside_the_page() {
+        // The `br` lands half-way into slot 4, which the run decoded from
+        // slot 0 holds: a cursor ignoring alignment would serve slot 4.
+        let target = USER_CODE + 4 * 4 + 2;
+        let mut a = Asm::new();
+        let l = a.new_label();
+        a.mov_imm64(Reg::X1, target);
+        assert_eq!(a.len(), 2);
+        a.cbnz(Reg::X1, l);
+        for imm in 1..=4 {
+            a.push(Inst::AddImm { rd: Reg::X0, rn: Reg::X0, imm });
+        }
+        a.bind(l);
+        a.push(Inst::Br { rn: Reg::X1 });
+        a.push(Inst::Hlt);
+        let program = a.assemble().unwrap();
+        let (mut cached, mut interp) = engine_pair();
+        let mut ends = Vec::new();
+        for m in [&mut cached, &mut interp] {
+            load_user(m, &program);
+            ends.push(m.run(100));
+        }
+        assert_eq!(ends[0], ends[1], "both engines must end the same way");
+        assert_eq!(cached.cpu.pc % 4, 2, "execution must have reached the misaligned PC");
+        assert!(cached.block_cache_stats().bypasses >= 1);
+        assert_engines_agree(&cached, &interp);
     }
 
     #[test]

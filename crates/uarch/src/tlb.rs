@@ -74,6 +74,16 @@ impl Tlb {
         }
     }
 
+    /// Returns this TLB to the state of `Tlb::new(params)`, flushing in
+    /// place when the geometry is unchanged.
+    fn reset(&mut self, params: TlbParams) {
+        if self.params == params {
+            self.flush();
+        } else {
+            *self = Self::new(params);
+        }
+    }
+
     /// This TLB's geometry.
     pub fn params(&self) -> TlbParams {
         self.params
@@ -323,8 +333,12 @@ pub struct TlbHierarchy {
     /// iTLB set. A fast-path hit performs exactly the counter updates the
     /// full scan would and promotes nothing (the entry is already MRU),
     /// so it is invisible to the simulation; any iTLB insert or flush
-    /// clears it.
+    /// clears it. Load-bearing: the machine's fetch cursor stays valid
+    /// only while this is unchanged (see `fetch_fast_tag`).
     fetch_fast: Option<(FetchWorld, u64, TlbEntry)>,
+    /// Bumped on every write of `fetch_fast`, so an unchanged tag means
+    /// an unchanged fast path (the fetch cursor's validity token).
+    fetch_fast_tag: u64,
     /// One-entry data-side fast path with the same contract as
     /// `fetch_fast`: valid only while the entry is the dTLB set's MRU
     /// way; any dTLB insert or flush clears it.
@@ -342,9 +356,23 @@ impl TlbHierarchy {
             dtlb: Tlb::new(dtlb),
             l2: Tlb::new(l2),
             fetch_fast: None,
+            fetch_fast_tag: 0,
             data_fast: None,
             stats: TlbStats::default(),
         }
+    }
+
+    /// Returns the hierarchy to the state of `TlbHierarchy::new(itlb,
+    /// dtlb, l2)`, reusing each structure's storage whose geometry is
+    /// unchanged (a reboot then costs a flush, not four reallocations).
+    pub(crate) fn reset(&mut self, itlb: TlbParams, dtlb: TlbParams, l2: TlbParams) {
+        self.itlb_user.reset(itlb);
+        self.itlb_kernel.reset(itlb);
+        self.dtlb.reset(dtlb);
+        self.l2.reset(l2);
+        self.set_fetch_fast(None);
+        self.data_fast = None;
+        self.stats = TlbStats::default();
     }
 
     fn itlb_mut(&mut self, world: FetchWorld) -> &mut Tlb {
@@ -416,7 +444,7 @@ impl TlbHierarchy {
         }
         if let Some(e) = self.itlb_mut(world).lookup(vpn) {
             self.count_itlb_hit(world);
-            self.fetch_fast = Some((world, vpn, e));
+            self.set_fetch_fast(Some((world, vpn, e)));
             return FetchLookup::ItlbHit(e);
         }
         self.stats.itlb_misses += 1;
@@ -433,6 +461,27 @@ impl TlbHierarchy {
         FetchLookup::Miss
     }
 
+    fn set_fetch_fast(&mut self, fast: Option<(FetchWorld, u64, TlbEntry)>) {
+        self.fetch_fast = fast;
+        self.fetch_fast_tag += 1;
+    }
+
+    /// The fetch fast path's translation and its tag. While
+    /// [`TlbHierarchy::fetch_fast_tag`] still returns that tag,
+    /// [`TlbHierarchy::lookup_fetch`] of the entry's vpn in that world
+    /// hits it in the MRU way of its iTLB set with no side effect beyond
+    /// [`TlbHierarchy::count_itlb_hit`] — the fetch cursor in
+    /// [`crate::Machine`] relies on exactly this.
+    pub(crate) fn fetch_fast(&self) -> Option<(FetchWorld, TlbEntry, u64)> {
+        self.fetch_fast.map(|(world, _, entry)| (world, entry, self.fetch_fast_tag))
+    }
+
+    /// Changes whenever the fetch fast path does.
+    #[inline]
+    pub(crate) fn fetch_fast_tag(&self) -> u64 {
+        self.fetch_fast_tag
+    }
+
     /// Installs a walked translation on the fetch side (L2 + iTLB, with
     /// victim migration into the dTLB).
     pub fn fill_fetch(&mut self, world: FetchWorld, entry: TlbEntry) {
@@ -441,8 +490,10 @@ impl TlbHierarchy {
         self.fill_itlb_with_migration(world, entry);
     }
 
+    /// The counter updates of an iTLB hit (also those of a fetch the
+    /// fetch cursor serves).
     #[inline]
-    fn count_itlb_hit(&mut self, world: FetchWorld) {
+    pub(crate) fn count_itlb_hit(&mut self, world: FetchWorld) {
         self.stats.itlb_hits += 1;
         match world {
             FetchWorld::User => self.stats.itlb_user_hits += 1,
@@ -455,7 +506,7 @@ impl TlbHierarchy {
     fn fill_itlb_with_migration(&mut self, world: FetchWorld, entry: TlbEntry) {
         // The insert reorders the set (and may replace the cached entry's
         // pfn/perms under the same vpn), so the fetch fast path dies.
-        self.fetch_fast = None;
+        self.set_fetch_fast(None);
         let victim = self.itlb_mut(world).insert(entry);
         match world {
             FetchWorld::User => {
@@ -492,7 +543,7 @@ impl TlbHierarchy {
 
     /// Full hierarchy invalidate.
     pub fn flush(&mut self) {
-        self.fetch_fast = None;
+        self.set_fetch_fast(None);
         self.data_fast = None;
         self.itlb_user.flush();
         self.itlb_kernel.flush();
@@ -546,7 +597,7 @@ impl TlbHierarchy {
         &mut self,
         r: &mut pacman_telemetry::bin::Reader<'_>,
     ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.fetch_fast = None;
+        self.set_fetch_fast(None);
         self.data_fast = None;
         self.itlb_user.restore_state(r)?;
         self.itlb_kernel.restore_state(r)?;
