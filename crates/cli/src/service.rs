@@ -78,20 +78,15 @@ fn daemon_config(args: &Args) -> Result<DaemonConfig, Box<dyn Error>> {
 }
 
 /// Builds the durable-mode [`CheckpointPolicy`] from `--state-dir` /
-/// `--checkpoint-every`, wired to the machine pool: checkpoints carry
-/// donated warm-machine snapshots, and a resumed daemon seeds its pool
-/// from them so the first post-restart leases skip the cold boot.
+/// `--checkpoint-every`.
 fn checkpoint_policy(args: &Args, state_dir: &str) -> Result<CheckpointPolicy, Box<dyn Error>> {
     let dir = std::path::PathBuf::from(state_dir);
     std::fs::create_dir_all(&dir)
         .map_err(|e| format!("cannot create state dir '{state_dir}': {e}"))?;
-    let mut policy = CheckpointPolicy::new(dir.join("pacmand.snapshot"), {
-        args.get_num("checkpoint-every", 256u64)?.max(1)
-    });
-    pacman_core::pool::arm_donation(true);
-    policy.collect_machines = Some(Arc::new(pacman_core::pool::take_donations));
-    policy.seed_machines = Some(Arc::new(pacman_core::pool::seed));
-    Ok(policy)
+    Ok(CheckpointPolicy::new(
+        dir.join("pacmand.snapshot"),
+        args.get_num("checkpoint-every", 256u64)?.max(1),
+    ))
 }
 
 /// `pacman-cli daemon`: serve sessions until a client sends `shutdown`

@@ -6,8 +6,7 @@ use pacman_kernel::{layout, Kernel};
 use pacman_telemetry::bin::{BinError, Reader, Writer};
 use pacman_telemetry::{Registry, Snapshot};
 use pacman_uarch::{
-    CoreKind, ExecEngine, FramePool, Machine, MachineConfig, Mitigation, Perms, SquashPolicy,
-    TimingSource,
+    CoreKind, ExecEngine, Machine, MachineConfig, Mitigation, Perms, SquashPolicy, TimingSource,
 };
 
 /// Configuration for [`System::boot`].
@@ -65,14 +64,7 @@ pub const ATTACKER_REGION: u64 = 0x0000_2000_0000_0000;
 impl System {
     /// Boots the platform: machine, kernel, kexts.
     pub fn boot(config: SystemConfig) -> Self {
-        Self::boot_with_pool(config, FramePool::default())
-    }
-
-    /// [`System::boot`] recycling physical frames from `pool`. The boot
-    /// sequence and machine seed are identical, so a pooled boot is
-    /// bit-identical to a fresh one.
-    fn boot_with_pool(config: SystemConfig, pool: FramePool) -> Self {
-        let mut machine = Machine::new_with_pool(config.machine.clone(), pool);
+        let mut machine = Machine::new(config.machine.clone());
         let (kernel, gadget, cpp, pmc) = Self::install(&mut machine, &config);
         Self {
             machine,
@@ -267,12 +259,6 @@ impl System {
     /// mutable state is laid over it. Any truncation, version mismatch
     /// or geometry disagreement is a typed [`BinError`] — never a panic.
     pub fn restore(bytes: &[u8]) -> Result<Self, BinError> {
-        Self::restore_with_pool(bytes, FramePool::default())
-    }
-
-    /// [`System::restore`] recycling physical frames from `pool`, for
-    /// restore paths that already hold a retired machine's frames.
-    pub fn restore_with_pool(bytes: &[u8], pool: FramePool) -> Result<Self, BinError> {
         let mut r = Reader::new(bytes);
         let version = r.u16()?;
         if version != SYSTEM_SNAPSHOT_VERSION {
@@ -287,7 +273,7 @@ impl System {
             .map_err(|e| BinError::Corrupt(format!("snapshot config invalid: {e}")))?;
         let next_user_va = r.u64()?;
         let telemetry = Registry::load_bin(&mut r)?;
-        let mut sys = Self::boot_with_pool(config, pool);
+        let mut sys = Self::boot(config);
         sys.machine.restore_state(&mut r)?;
         sys.kernel.restore_state(&mut r)?;
         if !r.is_done() {

@@ -4,11 +4,11 @@
 //! A snapshot captures everything a restarted daemon needs to pick a
 //! campaign back up mid-stream: per-session queue contents (including
 //! jobs that were *running* at checkpoint time, re-enqueued with their
-//! emitted-record watermark), per-session counters and telemetry, the
-//! daemon-wide totals and merged registry, and any warm `System`
-//! machine snapshots donated by the worker pools (opaque blobs — the
-//! daemon never interprets them; the CLI wires them to
-//! `pacman_core::pool`).
+//! emitted-record watermark), per-session counters and telemetry, and
+//! the daemon-wide totals and merged registry. It holds no machine
+//! state: resumed jobs re-run from their command lines on freshly
+//! booted (then pooled) systems, so a checkpoint stays a few hundred
+//! bytes plus the telemetry.
 //!
 //! The file layout is a fixed header followed by a checksummed body:
 //!
@@ -22,10 +22,14 @@
 //!
 //! Loading is total: any truncation, bit-flip, or version skew yields a
 //! typed [`SnapshotError`], never a panic — mirroring the tolerance of
-//! `parse_jsonl_lossy` for torn JSONL files. Writes are atomic
+//! `parse_jsonl_lossy` for torn JSONL files. A body that decodes but
+//! could not have been written by a daemon (a session name twice, a job
+//! id twice in one session, or a job id the session has not handed out
+//! yet) is [`SnapshotError::Corrupt`] too. Writes are atomic
 //! (write-to-temp then rename), so a crash mid-checkpoint leaves the
 //! previous snapshot intact; a torn temp file is never loaded.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -38,7 +42,7 @@ use pacman_telemetry::Registry;
 pub const MAGIC: [u8; 8] = *b"PACMANDS";
 
 /// Current snapshot format version. Bump on any body layout change.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Bytes before the checksummed body begins.
 const HEADER_LEN: usize = 8 + 2 + 8;
@@ -62,8 +66,9 @@ pub enum SnapshotError {
         computed: u64,
     },
     /// The body decoded but violated the schema (bad field, trailing
-    /// bytes, or an inner truncation the checksum could not catch
-    /// because the whole file was substituted).
+    /// bytes, an inner truncation the checksum could not catch because
+    /// the whole file was substituted, a repeated session name or job
+    /// id, or a job id the session has not assigned yet).
     Corrupt(String),
     /// Filesystem failure reading or writing the snapshot.
     Io(String),
@@ -142,9 +147,6 @@ pub struct DaemonSnapshot {
     pub telemetry: Registry,
     /// Open sessions, sorted by name for deterministic encoding.
     pub sessions: Vec<SessionSnapshot>,
-    /// Opaque warm-machine snapshots (`System::snapshot` blobs) donated
-    /// by the worker pools; seeded back into the pools on resume.
-    pub machines: Vec<Vec<u8>>,
 }
 
 impl DaemonSnapshot {
@@ -170,10 +172,6 @@ impl DaemonSnapshot {
                 body.str(&j.command);
                 body.u64(j.emitted);
             }
-        }
-        body.usize(self.machines.len());
-        for m in &self.machines {
-            body.bytes(m);
         }
         let body = body.into_bytes();
         let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -235,24 +233,19 @@ impl DaemonSnapshot {
                 jobs,
             });
         }
-        let machine_count = r.usize()?;
-        let mut machines = Vec::with_capacity(machine_count.min(64));
-        for _ in 0..machine_count {
-            machines.push(r.bytes()?.to_vec());
-        }
         if !r.is_done() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after snapshot body",
                 r.remaining()
             )));
         }
+        check_ids(&sessions)?;
         Ok(DaemonSnapshot {
             sessions_served,
             jobs_done_total,
             jobs_failed_total,
             telemetry,
             sessions,
-            machines,
         })
     }
 
@@ -283,6 +276,36 @@ impl DaemonSnapshot {
     }
 }
 
+/// Rejects what a daemon never writes but a resume would silently
+/// mangle: a repeated session name (the second would replace the first
+/// and drop its queue), a repeated job id in one session, or a job id
+/// at or past the session's `next_job` (the next submit would reuse it
+/// and clobber the replayed job's watermark).
+fn check_ids(sessions: &[SessionSnapshot]) -> Result<(), SnapshotError> {
+    let mut names = HashSet::new();
+    for s in sessions {
+        if !names.insert(s.name.as_str()) {
+            return Err(SnapshotError::Corrupt(format!("session '{}' appears twice", s.name)));
+        }
+        let mut ids = HashSet::new();
+        for j in &s.jobs {
+            if j.id >= s.next_job {
+                return Err(SnapshotError::Corrupt(format!(
+                    "session '{}': job {} not below next_job {}",
+                    s.name, j.id, s.next_job
+                )));
+            }
+            if !ids.insert(j.id) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "session '{}': job {} appears twice",
+                    s.name, j.id
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,7 +332,6 @@ mod tests {
                     JobSnapshot { id: 4, command: "brute --ptr 7".into(), emitted: 0 },
                 ],
             }],
-            machines: vec![vec![1, 2, 3], vec![0xFF; 9]],
         }
     }
 
@@ -327,7 +349,6 @@ mod tests {
         assert_eq!(a.records, b.records);
         assert_eq!(a.telemetry.snapshot(), b.telemetry.snapshot());
         assert_eq!(a.jobs, b.jobs);
-        assert_eq!(loaded.machines, snap.machines);
     }
 
     #[test]
@@ -368,12 +389,45 @@ mod tests {
 
     #[test]
     fn version_skew_is_reported_with_the_found_version() {
-        let mut bytes = sample().save();
-        bytes[8] = 99;
-        match DaemonSnapshot::load(&bytes) {
-            Err(SnapshotError::BadVersion(99)) => {}
-            other => panic!("expected BadVersion(99), got {other:?}"),
+        // 1: a checkpoint from a build before the current format.
+        for found in [99u16, 1] {
+            let mut bytes = sample().save();
+            bytes[8..10].copy_from_slice(&found.to_le_bytes());
+            match DaemonSnapshot::load(&bytes) {
+                Err(SnapshotError::BadVersion(v)) if v == found => {}
+                other => panic!("expected BadVersion({found}), got {other:?}"),
+            }
         }
+    }
+
+    fn assert_corrupt(snap: &DaemonSnapshot, needle: &str) {
+        match DaemonSnapshot::load(&snap.save()) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected Corrupt({needle}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_duplicate_session_name_is_corrupt() {
+        let mut snap = sample();
+        let mut twin = snap.sessions[0].clone();
+        twin.jobs.clear();
+        snap.sessions.push(twin);
+        assert_corrupt(&snap, "session 'alpha' appears twice");
+    }
+
+    #[test]
+    fn a_duplicate_job_id_in_one_session_is_corrupt() {
+        let mut snap = sample();
+        snap.sessions[0].jobs[1].id = 3;
+        assert_corrupt(&snap, "job 3 appears twice");
+    }
+
+    #[test]
+    fn a_job_id_not_below_next_job_is_corrupt() {
+        let mut snap = sample();
+        snap.sessions[0].jobs[1].id = snap.sessions[0].next_job;
+        assert_corrupt(&snap, "job 5 not below next_job 5");
     }
 
     #[test]
@@ -385,7 +439,7 @@ mod tests {
         let snap = sample();
         snap.write_atomic(&path).unwrap();
         let loaded = DaemonSnapshot::read_file(&path).unwrap().expect("file present");
-        assert_eq!(loaded.machines, snap.machines);
+        assert_eq!(loaded.sessions[0].jobs, snap.sessions[0].jobs);
         assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
         std::fs::remove_dir_all(&dir).ok();
     }

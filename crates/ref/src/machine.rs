@@ -21,7 +21,7 @@
 use pacman_isa::ptr::{self, VirtualAddress, PAGE_SIZE};
 use pacman_isa::{decode, encode, Inst, PacModifier, Reg, SysReg};
 use pacman_qarma::{PacComputer, QarmaKey};
-use pacman_uarch::mem::{FramePool, PhysMemory};
+use pacman_uarch::mem::PhysMemory;
 use pacman_uarch::{AccessKind, Cpu, El, PageTables, Perms, Stop, Trap};
 
 /// The reference machine: architectural state plus flat paged memory.
@@ -54,15 +54,12 @@ impl RefMachine {
     /// frequency, and the CPU reset state.
     #[must_use]
     pub fn new() -> Self {
-        Self::new_with_pool(FramePool::default())
+        Self::with_memory(PhysMemory::new())
     }
 
-    /// A fresh machine that recycles physical frames from `pool` instead
-    /// of allocating. The bump allocator restarts at the same PFN, so a
-    /// pooled machine is bit-identical to [`RefMachine::new`].
-    #[must_use]
-    pub fn new_with_pool(pool: FramePool) -> Self {
-        let mut phys = PhysMemory::new_with_pool(pool);
+    /// The reset state of [`RefMachine::new`] on top of `phys`, which must
+    /// be empty.
+    fn with_memory(mut phys: PhysMemory) -> Self {
         let tables = PageTables::new(&mut phys);
         Self {
             cpu: Cpu::new(),
@@ -77,11 +74,14 @@ impl RefMachine {
     }
 
     /// Returns this machine to the reset state of [`RefMachine::new`],
-    /// recycling its physical frames through the pool so a conformance
-    /// shard can run thousands of scenarios without per-scenario heap
-    /// allocation.
+    /// recycling its physical frames ([`PhysMemory::reset`]) so a
+    /// conformance shard can run thousands of scenarios without
+    /// per-scenario heap allocation. The bump allocator restarts at the
+    /// same PFN, so a reset machine is bit-identical to a fresh one.
     pub fn reset(&mut self) {
-        *self = Self::new_with_pool(self.phys.take_frame_pool());
+        let mut phys = std::mem::take(&mut self.phys);
+        phys.reset();
+        *self = Self::with_memory(phys);
     }
 
     /// Installs the syscall entry point (the kernel's exception vector).

@@ -14,8 +14,11 @@
 //!   bit-identical by construction.
 //! - **Batched submission.** [`Executor::submit`] enqueues a campaign
 //!   and returns a [`CampaignHandle`] immediately; many campaigns can
-//!   be in flight at once. The injector hands out chunks round-robin
-//!   across campaigns (fair share), each campaign's in-flight shard
+//!   be in flight at once. The injector hands each free worker a chunk
+//!   of the campaign with the fewest shards in flight, round-robin among
+//!   ties (fair share: a small campaign that arrives behind a long one
+//!   gets the next free worker rather than waiting out another of the
+//!   long one's shards), each campaign's in-flight shard
 //!   count is capped by its `jobs` argument, and submission blocks once
 //!   the injector holds `max_pending` undispatched campaigns
 //!   (backpressure).
@@ -524,22 +527,24 @@ fn run_task(shared: &Shared, task: Task, me: usize) {
     shared.work_ready.notify_all();
 }
 
-/// Pulls a chunk from the round-robin injector: the first campaign
-/// with both undispatched shards and in-flight headroom donates
-/// `min(ceil(remaining / workers), headroom)` tasks. The first runs
-/// immediately, the rest land in our deque for siblings to steal.
+/// Pulls a chunk from the injector: of the campaigns with in-flight
+/// headroom, the one with the fewest shards in flight (the first in
+/// round-robin order on a tie) donates
+/// `min(ceil(remaining / workers), headroom)` tasks and moves to the
+/// back of the order. The first runs immediately, the rest land in our
+/// deque for siblings to steal.
 fn refill(shared: &Shared, me: usize) -> bool {
     let mut taken: VecDeque<Task> = VecDeque::new();
     {
         let mut g = lock(&shared.sched);
-        for _ in 0..g.queue.len() {
-            let Some(mut c) = g.queue.pop_front() else { break };
-            let headroom = c.limit.saturating_sub(c.in_flight.load(Ordering::Acquire));
-            if headroom == 0 {
-                g.queue.push_back(c);
-                continue;
-            }
+        let pick = (0..g.queue.len())
+            .map(|i| (i, g.queue[i].in_flight.load(Ordering::Acquire)))
+            .filter(|&(i, running)| running < g.queue[i].limit)
+            .min_by_key(|&(_, running)| running);
+        if let Some((i, running)) = pick {
+            let mut c = g.queue.remove(i).expect("index from the scan");
             let remaining = c.tasks.len();
+            let headroom = c.limit - running;
             let chunk = remaining.div_ceil(shared.deques.len()).clamp(1, headroom.min(remaining));
             c.in_flight.fetch_add(chunk, Ordering::AcqRel);
             taken.extend(c.tasks.drain(..chunk));
@@ -550,7 +555,6 @@ fn refill(shared: &Shared, me: usize) -> bool {
             } else {
                 g.queue.push_back(c);
             }
-            break;
         }
     }
     let Some(first) = taken.pop_front() else { return false };
@@ -957,6 +961,64 @@ mod tests {
             vec!["filler", "first", "second", "third"],
             "blocked submits must be admitted in submission order"
         );
+    }
+
+    #[test]
+    fn a_free_worker_serves_the_campaign_with_the_fewest_shards_in_flight() {
+        // Both workers hold a shard of a long campaign (its jobs cap),
+        // and a one-shard campaign arrives behind it in round-robin
+        // order. When one long shard finishes, the freed worker must
+        // start the newcomer (nothing in flight) before the long
+        // campaign's next shard (one still in flight).
+        let exec = Executor::new(2);
+        let open = Arc::new((Mutex::new([false; 2]), Condvar::new()));
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let release = |i: usize| {
+            let (flags, cv) = &*open;
+            lock(flags)[i] = true;
+            cv.notify_all();
+        };
+        let long = {
+            let (open, started) = (Arc::clone(&open), Arc::clone(&started));
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(4, 4, 0),
+                2,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    lock(&started).push(format!("long{}", s.index));
+                    if s.index < 2 {
+                        let (flags, cv) = &*open;
+                        let mut g = lock(flags);
+                        while !g[s.index] {
+                            g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+                        }
+                    }
+                    Ok(s.seed)
+                },
+            )
+        };
+        while lock(&started).len() < 2 {
+            std::thread::yield_now();
+        }
+        let short = {
+            let started = Arc::clone(&started);
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(1, 1, 1),
+                1,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    lock(&started).push("short".to_string());
+                    Ok(s.seed)
+                },
+            )
+        };
+        release(0);
+        short.wait().expect("short campaign completes");
+        release(1);
+        long.wait().expect("long campaign completes");
+        let order = lock(&started).clone();
+        assert_eq!(order.len(), 5);
+        assert_eq!(order[2], "short", "start order {order:?}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use config::{
 };
 pub use cpu::{AccessKind, Cpu, El, Trap};
 pub use machine::{AccessOutcome, CacheHit, Machine, MachineStats, MemorySystem, Stop, TlbHit};
-pub use mem::{FramePool, PhysMemory};
+pub use mem::PhysMemory;
 pub use paging::{PageTables, Perms};
 pub use predict::{Bimodal, Btb, PredictStats, Rsb};
 pub use profiler::{Phase, Profiler};

@@ -27,7 +27,7 @@ use crate::cache::{Cache, CacheOutcome};
 use crate::config::{ConfigError, ExecEngine, MachineConfig, Mitigation, SquashPolicy};
 use crate::cpu::{AccessKind, Cpu, El, SavedContext, Trap};
 use crate::fasthash::FxBuild;
-use crate::mem::{FramePool, PhysMemory};
+use crate::mem::PhysMemory;
 use crate::paging::{PageTables, Perms};
 use crate::predict::{Bimodal, Btb, PredictStats, Rsb};
 use crate::profiler::{ProfTimer, Profiler};
@@ -120,10 +120,10 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    fn new_with_pool(config: &MachineConfig, pool: FramePool) -> Self {
+    fn new(config: &MachineConfig) -> Self {
         let caches = config.cache_params();
         let tlbs = config.tlb_params();
-        let mut phys = PhysMemory::new_with_pool(pool);
+        let mut phys = PhysMemory::new();
         let tables = PageTables::new(&mut phys);
         Self {
             phys,
@@ -137,14 +137,14 @@ impl MemorySystem {
     }
 
     /// Returns this memory system to the state of a fresh
-    /// `MemorySystem::new_with_pool(config, pool)` built from its own
-    /// frames. Caches and TLBs whose geometry `config` leaves unchanged
-    /// are flushed and their counters zeroed in place instead of being
-    /// reallocated.
+    /// `MemorySystem::new(config)`, recycling its own frames
+    /// ([`PhysMemory::reset`]). Caches and TLBs whose geometry `config`
+    /// leaves unchanged are flushed and their counters zeroed in place
+    /// instead of being reallocated.
     fn reset(&mut self, config: &MachineConfig) {
         let caches = config.cache_params();
         let tlbs = config.tlb_params();
-        self.phys = PhysMemory::new_with_pool(self.phys.take_frame_pool());
+        self.phys.reset();
         self.tables = PageTables::new(&mut self.phys);
         self.l1i.reset(caches.l1i, None);
         self.l1d.reset(caches.l1d, Some(caches.l1d_effective_ways));
@@ -529,35 +529,10 @@ impl Machine {
     /// Panics when the configuration fails [`MachineConfig::validate`]
     /// (use [`Machine::try_new`] for a typed error instead).
     pub fn new(config: MachineConfig) -> Self {
-        Self::new_with_pool(config, FramePool::default())
-    }
-
-    /// Boots a machine, reporting an invalid configuration as a typed
-    /// [`ConfigError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] found by
-    /// [`MachineConfig::validate`].
-    pub fn try_new(config: MachineConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Self::new_with_pool(config, FramePool::default()))
-    }
-
-    /// Boots a machine whose physical memory recycles frames from `pool`
-    /// instead of allocating fresh ones. Recycled frames are zeroed and
-    /// the frame allocator restarts from the same PFN, so the machine is
-    /// bit-identical to one built by [`Machine::new`] — the pool only
-    /// avoids host allocator traffic in trial loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration fails [`MachineConfig::validate`].
-    pub fn new_with_pool(config: MachineConfig, pool: FramePool) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid machine configuration: {e}");
         }
-        let mem = MemorySystem::new_with_pool(&config, pool);
+        let mem = MemorySystem::new(&config);
         let timers = Timers::new(config.clock_hz, config.system_counter_hz);
         let rng = SmallRng::seed_from_u64(config.seed);
         Self {
@@ -587,6 +562,18 @@ impl Machine {
         }
     }
 
+    /// Boots a machine, reporting an invalid configuration as a typed
+    /// [`ConfigError`] instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ConfigError`] found by
+    /// [`MachineConfig::validate`].
+    pub fn try_new(config: MachineConfig) -> Result<Self, ConfigError> {
+        config.validate()?;
+        Ok(Self::new(config))
+    }
+
     /// Rebuilds this machine from scratch with its current configuration,
     /// recycling the physical frames already allocated. Equivalent to
     /// `*self = Machine::new(self.config().clone())` but without
@@ -597,10 +584,10 @@ impl Machine {
     }
 
     /// [`Machine::reset`] with a (possibly different) configuration.
-    /// Equivalent to `*self = Machine::new_with_pool(config, pool)` with
-    /// this machine's frames as the pool, but caches, TLBs and the block
-    /// cache arena whose geometry is unchanged are emptied in place
-    /// rather than reallocated.
+    /// Equivalent to `*self = Machine::new(config)`, but physical frames
+    /// are recycled and caches, TLBs and the block cache arena whose
+    /// geometry is unchanged are emptied in place rather than
+    /// reallocated.
     ///
     /// # Panics
     ///

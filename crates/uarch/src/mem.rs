@@ -5,26 +5,6 @@ use pacman_isa::ptr::PAGE_SIZE;
 /// Physical frame number.
 pub type Pfn = u64;
 
-/// Recycled frame storage handed between machine generations so a shard
-/// can run thousands of trials without returning to the host allocator.
-/// Obtained from [`PhysMemory::take_frame_pool`] and consumed by
-/// [`PhysMemory::new_with_pool`]; frames are re-zeroed on reuse, so a
-/// pooled machine is bit-identical to a freshly allocated one.
-#[derive(Debug, Default)]
-pub struct FramePool(Vec<Box<[u8]>>);
-
-impl FramePool {
-    /// Number of recycled frames available.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the pool holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 /// Byte-addressable physical memory organised in 16 KB frames, with a
 /// bump allocator for fresh frames.
 ///
@@ -49,12 +29,13 @@ pub struct PhysMemory {
     /// check entirely until the block cache first decodes something.
     any_code: bool,
     code_write_gen: u64,
-    /// Recycled frame storage for `alloc_frame`.
+    /// Recycled frame storage for `alloc_frame`, refilled by
+    /// [`PhysMemory::reset`].
     pool: Vec<Box<[u8]>>,
     /// Frames this memory had to request from the host allocator (pool
     /// misses) — the counter behind the executor pool's allocator-free
-    /// steady-state claim. Per generation: starts at zero after
-    /// `new_with_pool`, so a fully recycled reboot keeps it at zero.
+    /// steady-state claim. Per generation: zeroed by
+    /// [`PhysMemory::reset`], so a fully recycled reboot keeps it at zero.
     /// `u32` on purpose: it packs into the padding after `any_code`, so
     /// the struct stays the same size as before the counter existed and
     /// no hot field downstream in `Machine` shifts cache lines.
@@ -67,23 +48,17 @@ impl PhysMemory {
         Self::default()
     }
 
-    /// Creates empty physical memory that recycles frames from `pool`
-    /// before touching the host allocator. Recycled frames are zeroed on
-    /// allocation and the bump allocator restarts at PFN 1, so the frame
-    /// layout is identical to [`PhysMemory::new`].
-    pub fn new_with_pool(pool: FramePool) -> Self {
-        Self { pool: pool.0, ..Self::default() }
-    }
-
-    /// Tears down this memory, returning every frame (allocated or already
-    /// pooled) as recycled storage for the next machine generation.
-    pub fn take_frame_pool(&mut self) -> FramePool {
-        let mut pool = std::mem::take(&mut self.pool);
-        pool.append(&mut self.frames);
+    /// Empties this memory for the next machine generation. Every
+    /// allocated frame moves to the internal pool, the bump allocator
+    /// restarts at PFN 1 and the fresh-allocation count returns to zero.
+    /// Recycled frames are zeroed when handed out again, so the frame
+    /// layout and contents match [`PhysMemory::new`].
+    pub fn reset(&mut self) {
+        self.pool.append(&mut self.frames);
         self.code_flags.clear();
         self.any_code = false;
         self.code_write_gen = 0;
-        FramePool(pool)
+        self.fresh_allocs = 0;
     }
 
     /// Allocates a zeroed frame and returns its frame number.
@@ -409,21 +384,22 @@ mod tests {
         let b = m.alloc_frame();
         m.write_u64(a * PAGE_SIZE, 0xDEAD);
         m.write_u64(b * PAGE_SIZE + 16, 0xBEEF);
+        assert_eq!(m.fresh_alloc_count(), 2);
 
-        let pool = m.take_frame_pool();
-        assert_eq!(pool.len(), 2);
-        assert!(!pool.is_empty());
+        m.reset();
         assert_eq!(m.frame_count(), 0);
+        assert_eq!(m.fresh_alloc_count(), 0);
 
-        let mut m2 = PhysMemory::new_with_pool(pool);
-        let a2 = m2.alloc_frame();
-        let b2 = m2.alloc_frame();
+        let a2 = m.alloc_frame();
+        let b2 = m.alloc_frame();
         assert_eq!((a2, b2), (a, b), "bump layout must repeat across generations");
-        assert_eq!(m2.read_u64(a2 * PAGE_SIZE), 0, "recycled frames are zeroed");
-        assert_eq!(m2.read_u64(b2 * PAGE_SIZE + 16), 0);
+        assert_eq!(m.read_u64(a2 * PAGE_SIZE), 0, "recycled frames are zeroed");
+        assert_eq!(m.read_u64(b2 * PAGE_SIZE + 16), 0);
+        assert_eq!(m.fresh_alloc_count(), 0, "both frames came from the pool");
         // Pool exhausted: the third frame falls back to fresh allocation.
-        let c = m2.alloc_frame();
+        let c = m.alloc_frame();
         assert_eq!(c, b2 + 1);
-        assert_eq!(m2.read_u64(c * PAGE_SIZE), 0);
+        assert_eq!(m.read_u64(c * PAGE_SIZE), 0);
+        assert_eq!(m.fresh_alloc_count(), 1);
     }
 }

@@ -6,10 +6,13 @@
 //! instruction boundary, snapshotted, and continued on the *restored*
 //! system must be bit-identical to the uninterrupted control run —
 //! same stop/trap outcome at the same step, same architectural
-//! registers, same cycle count, same full telemetry export. This is
-//! the platform-level guarantee the durable daemon's machine-pool
-//! donation/seeding (DESIGN.md §13) leans on: a seed blob may be
-//! adopted by any future lease without perturbing its experiments.
+//! registers, same cycle count, same full telemetry export. It pins
+//! the public `System::snapshot`/`System::restore` contract itself and
+//! is one of the determinism contracts listed in ROADMAP.md. The
+//! durable daemon's `--resume` stores no machines (DESIGN.md §13): it
+//! re-runs interrupted jobs from their command lines, which is sound
+//! for the same reason this test passes — a run's outcome depends only
+//! on its configuration and inputs, never on how its storage was made.
 
 use pacman::attack::{System, SystemConfig};
 use pacman::reference::diff::quiet_config;
