@@ -125,7 +125,7 @@ fn main() {
     let trials = scale("SERVICE_TRIALS", 2);
     let workers = pacman_runner::default_jobs().clamp(4, 16);
     let daemon = Arc::new(Daemon::start(
-        DaemonConfig { workers, session_queue: 8, session_parallel: 1, job_attempts: 1 },
+        DaemonConfig { workers, session_queue: 8, job_attempts: 1 },
         Arc::new(LoadRunner),
     ));
 

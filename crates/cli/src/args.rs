@@ -3,6 +3,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::commands;
+
 /// Parsed command line: a subcommand plus `--key value` / `--flag` options.
 #[derive(Clone, Eq, PartialEq, Debug, Default)]
 pub struct Args {
@@ -47,21 +49,10 @@ impl fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
-/// Options that never take a value.
-const FLAG_NAMES: &[&str] = &[
-    "quiet-noise",
-    "full",
-    "track-stack",
-    "json",
-    "help",
-    "stdio",
-    "shutdown",
-    "resume",
-    "attach",
-];
-
 impl Args {
-    /// Parses a token stream (without the program name).
+    /// Parses a token stream (without the program name). A `--name`
+    /// that some command declares as a flag (or `--help`) takes no
+    /// value; every other `--name` takes the next token.
     ///
     /// # Errors
     ///
@@ -71,7 +62,7 @@ impl Args {
         let mut iter = tokens.into_iter().peekable();
         while let Some(tok) = iter.next() {
             if let Some(name) = tok.strip_prefix("--") {
-                if FLAG_NAMES.contains(&name) {
+                if commands::is_flag(name) {
                     out.flags.push(name.to_string());
                 } else {
                     let value = iter

@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use std::error::Error;
+use std::fmt::Write as _;
 
 use pacman_bench::claims;
 use pacman_core::conformance::{run_conformance, ConformConfig};
@@ -27,34 +28,131 @@ use crate::args::Args;
 use crate::jobctx;
 use crate::service;
 
-/// The usage text (also shown for `--help`).
-pub const USAGE: &str = "\
-pacman-cli - drive the PACMAN (ISCA 2022) reproduction
+/// One CLI command, declared once. `Args::parse`, option validation,
+/// [`dispatch`], the daemon's job allowlist and `--help` all read it
+/// from [`COMMANDS`].
+pub struct Command {
+    /// The command word.
+    pub name: &'static str,
+    /// The `--help` summary; further lines are indented under the first.
+    pub summary: &'static str,
+    /// The `--key value` options it accepts.
+    pub options: &'static [&'static str],
+    /// The bare flags it accepts (`--help` is accepted by every command).
+    pub flags: &'static [&'static str],
+    /// The positional subjects it accepts after the command word (empty:
+    /// none).
+    pub subjects: &'static [&'static str],
+    /// Whether `pacmand` may run it as a job.
+    pub daemon_job: bool,
+    /// The implementation.
+    pub run: fn(&Args) -> CliResult,
+}
 
-usage: pacman-cli <command> [options]
+/// Every command, in `--help` order. Anything a command does not
+/// declare is a usage error: a misspelled option must fail loudly, not
+/// parse as an ignored key.
+///
+/// Daemon jobs are the trial-driving and reporting commands. `profile`
+/// is not one (it arms the process-wide profiler and flight recorder,
+/// which cannot be scoped to one tenant), nor are the `daemon`/`client`
+/// entry points themselves.
+// Laid out as a table, one block per command; rustfmt would give every
+// field its own line.
+#[rustfmt::skip]
+pub static COMMANDS: &[Command] = &[
+    Command { name: "oracle", subjects: &[], daemon_job: true, run: cmd_oracle,
+        summary: "run the section-8.1 PAC oracle and print verdicts",
+        options: &["seed", "trials", "channel", "jobs", "fault-rate", "metrics-out", "trace-out"],
+        flags: &["json", "quiet-noise"] },
+    Command { name: "brute", subjects: &[], daemon_job: true, run: cmd_brute,
+        summary: "brute-force a PAC over a candidate window (section 8.2)",
+        options: &["seed", "window", "jobs", "fault-rate", "metrics-out", "trace-out"],
+        flags: &["json", "quiet-noise", "full"] },
+    Command { name: "jump2win", subjects: &[], daemon_job: true, run: cmd_jump2win,
+        summary: "the section-8.3 end-to-end control-flow hijack",
+        options: &["seed", "window", "jobs", "fault-rate", "metrics-out"],
+        flags: &["json", "quiet-noise", "full"] },
+    // --quiet-noise is a no-op for sweep (its machines already run
+    // noise-free) but stays accepted for invocation compatibility.
+    Command { name: "sweep", subjects: &[], daemon_job: true, run: cmd_sweep,
+        summary: "the section-7 reverse-engineering sweeps (Figures 5-6)",
+        options: &["jobs", "fault-rate", "metrics-out", "trace-out"],
+        flags: &["json", "quiet-noise"] },
+    Command { name: "census", subjects: &[], daemon_job: true, run: cmd_census,
+        summary: "the section-4.3 gadget census over a synthetic image",
+        options: &["functions", "jobs", "metrics-out"],
+        flags: &["json", "track-stack"] },
+    Command { name: "conform", subjects: &[], daemon_job: true, run: cmd_conform,
+        summary: "differential conformance fuzzing of the speculative core\n\
+                  against the architectural reference machine",
+        options: &["programs", "seed", "steps", "jobs", "fault-rate", "metrics-out", "trace-out"],
+        flags: &["json", "skip-self-test"] },
+    // The System-driven attacks only: sweep and census build their
+    // machines outside the config path the profile flag rides on.
+    Command { name: "profile", subjects: &["oracle", "brute"], daemon_job: false, run: cmd_profile,
+        summary: "run an experiment (oracle|brute) with the simulator\n\
+                  self-profiler and flight recorder armed, write a Chrome\n\
+                  trace and print hot-opcode/hot-block reports",
+        options: &["seed", "trials", "window", "channel", "jobs", "fault-rate", "metrics-out",
+                   "trace-out", "top"],
+        flags: &["json", "quiet-noise"] },
+    Command { name: "mitigations", subjects: &[], daemon_job: true, run: cmd_mitigations,
+        summary: "the section-9 countermeasure matrix",
+        options: &["metrics-out"],
+        flags: &["json"] },
+    Command { name: "os", subjects: &[], daemon_job: true, run: cmd_os,
+        summary: "PacmanOS (section 6.2) bare-metal experiments",
+        options: &["metrics-out"],
+        flags: &["json"] },
+    Command { name: "timeline", subjects: &[], daemon_job: true, run: cmd_timeline,
+        summary: "print the Figure 3 speculation-event timelines",
+        options: &["seed", "metrics-out"],
+        flags: &["json", "quiet-noise"] },
+    Command { name: "verify", subjects: &[], daemon_job: true, run: cmd_verify,
+        summary: "diff BENCH_<id>.json artifacts against the paper claims",
+        options: &["dir", "only", "metrics-out"],
+        flags: &["json"] },
+    Command { name: "daemon", subjects: &[], daemon_job: false, run: service::cmd_daemon,
+        summary: "run pacmand, the multi-tenant experiment daemon: serve\n\
+                  sessions over a Unix socket (or --stdio), schedule\n\
+                  submitted command lines fair-share across tenants, and\n\
+                  stream results back incrementally (DESIGN.md section 12)",
+        options: &["socket", "workers", "session-queue", "job-attempts", "state-dir",
+                   "checkpoint-every"],
+        flags: &["stdio", "resume"] },
+    Command { name: "client", subjects: &[], daemon_job: false, run: service::cmd_client,
+        summary: "drive a running pacmand: submit one job and stream its\n\
+                  session records, ping/status, or request shutdown",
+        options: &["socket", "session", "submit"],
+        flags: &["shutdown", "attach"] },
+];
 
-commands:
-  oracle       run the section-8.1 PAC oracle and print verdicts
-  brute        brute-force a PAC over a candidate window (section 8.2)
-  jump2win     the section-8.3 end-to-end control-flow hijack
-  sweep        the section-7 reverse-engineering sweeps (Figures 5-6)
-  census       the section-4.3 gadget census over a synthetic image
-  conform      differential conformance fuzzing of the speculative core
-               against the architectural reference machine
-  profile      run an experiment (oracle|brute) with the simulator
-               self-profiler and flight recorder armed, write a Chrome
-               trace and print hot-opcode/hot-block reports
-  mitigations  the section-9 countermeasure matrix
-  os           PacmanOS (section 6.2) bare-metal experiments
-  timeline     print the Figure 3 speculation-event timelines
-  verify       diff BENCH_<id>.json artifacts against the paper claims
-  daemon       run pacmand, the multi-tenant experiment daemon: serve
-               sessions over a Unix socket (or --stdio), schedule
-               submitted command lines fair-share across tenants, and
-               stream results back incrementally (DESIGN.md section 12)
-  client       drive a running pacmand: submit one job and stream its
-               session records, ping/status, or request shutdown
+/// Whether `--name` is a bare flag of any command; `--help` is the one
+/// global flag.
+pub fn is_flag(name: &str) -> bool {
+    name == "help" || COMMANDS.iter().any(|c| c.flags.contains(&name))
+}
 
+/// The `--help` text: a header, the command list rendered from
+/// [`COMMANDS`], then the option prose.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "pacman-cli - drive the PACMAN (ISCA 2022) reproduction\n\n\
+         usage: pacman-cli <command> [options]\n\ncommands:\n",
+    );
+    for c in COMMANDS {
+        let mut lines = c.summary.lines();
+        let _ = writeln!(out, "  {:<12} {}", c.name, lines.next().unwrap_or_default());
+        for line in lines {
+            let _ = writeln!(out, "{:15}{line}", "");
+        }
+    }
+    out + USAGE_OPTIONS
+}
+
+/// The option prose of `--help`, after the command list.
+const USAGE_OPTIONS: &str = "
 options:
   --seed N        kernel key seed          --quiet-noise   disable OS noise
   --channel C     data|instr|cache         --trials N      oracle trials
@@ -81,7 +179,6 @@ daemon/client options:
   --workers N         daemon: job worker threads (default: --jobs rules)
   --session-queue N   daemon: queued jobs per session before
                       backpressure (default 16)
-  --session-parallel N  daemon: in-flight jobs per session (default 1)
   --job-attempts N    daemon: attempts per job before job_failed (def. 1)
   --state-dir D       daemon: durable mode — write checksummed snapshots
                       of in-flight state to D/pacmand.snapshot
@@ -131,93 +228,33 @@ runner.shard_failures / runner.faults_injected execution counters).
 paper claim is out of tolerance.
 ";
 
-/// The `--key value` options and bare flags each command accepts.
-/// Anything else is a usage error: a misspelled option must fail
-/// loudly, not parse as an ignored key.
-fn command_spec(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
-    Some(match command {
-        "oracle" => (
-            &["seed", "trials", "channel", "jobs", "fault-rate", "metrics-out", "trace-out"],
-            &["json", "quiet-noise"],
-        ),
-        "brute" => (
-            &["seed", "window", "jobs", "fault-rate", "metrics-out", "trace-out"],
-            &["json", "quiet-noise", "full"],
-        ),
-        "jump2win" => (
-            &["seed", "window", "jobs", "fault-rate", "metrics-out"],
-            &["json", "quiet-noise", "full"],
-        ),
-        // --quiet-noise is a no-op for sweep (its machines already run
-        // noise-free) but stays accepted for invocation compatibility.
-        "sweep" => (&["jobs", "fault-rate", "metrics-out", "trace-out"], &["json", "quiet-noise"]),
-        "census" => (&["functions", "jobs", "metrics-out"], &["json", "track-stack"]),
-        "conform" => (
-            &["programs", "seed", "steps", "jobs", "fault-rate", "metrics-out", "trace-out"],
-            &["json", "skip-self-test"],
-        ),
-        "profile" => (
-            &[
-                "seed",
-                "trials",
-                "window",
-                "channel",
-                "jobs",
-                "fault-rate",
-                "metrics-out",
-                "trace-out",
-                "top",
-            ],
-            &["json", "quiet-noise"],
-        ),
-        "mitigations" => (&["metrics-out"], &["json"]),
-        "os" => (&["metrics-out"], &["json"]),
-        "timeline" => (&["seed", "metrics-out"], &["json", "quiet-noise"]),
-        "verify" => (&["dir", "only", "metrics-out"], &["json"]),
-        "daemon" => (
-            &[
-                "socket",
-                "workers",
-                "session-queue",
-                "session-parallel",
-                "job-attempts",
-                "state-dir",
-                "checkpoint-every",
-            ],
-            &["stdio", "resume"],
-        ),
-        "client" => (&["socket", "session", "submit"], &["shutdown", "attach"]),
-        _ => return None,
-    })
-}
+pub type CliResult = Result<(), Box<dyn Error>>;
 
-/// Commands that take a positional subject after the command word.
-const SUBJECT_COMMANDS: &[&str] = &["profile"];
-
-/// Rejects options/flags the command does not define.
-fn validate_options(command: &str, args: &Args) -> CliResult {
-    let Some((options, flags)) = command_spec(command) else {
-        return Err(format!("unknown command '{command}' (try --help)").into());
-    };
+/// Rejects subjects, options and flags the command does not declare.
+fn validate_options(cmd: &Command, args: &Args) -> CliResult {
     if let Some(subject) = &args.subject {
-        if !SUBJECT_COMMANDS.contains(&command) {
-            return Err(format!("unexpected argument '{subject}' for '{command}'").into());
+        if cmd.subjects.is_empty() {
+            return Err(format!("unexpected argument '{subject}' for '{}'", cmd.name).into());
         }
     }
     for name in args.option_names() {
-        if !options.contains(&name) {
-            return Err(format!("unknown option --{name} for '{command}' (try --help)").into());
+        if !cmd.options.contains(&name) {
+            return Err(format!("unknown option --{name} for '{}' (try --help)", cmd.name).into());
         }
     }
     for name in args.flag_names() {
-        if name != "help" && !flags.contains(&name) {
-            return Err(format!("unknown flag --{name} for '{command}' (try --help)").into());
+        if name != "help" && !cmd.flags.contains(&name) {
+            return Err(format!("unknown flag --{name} for '{}' (try --help)", cmd.name).into());
+        }
+    }
+    if let Some(subject) = &args.subject {
+        if !cmd.subjects.contains(&subject.as_str()) {
+            let choices = cmd.subjects.join("|");
+            return Err(format!("{} cannot run '{subject}' ({choices})", cmd.name).into());
         }
     }
     Ok(())
 }
-
-type CliResult = Result<(), Box<dyn Error>>;
 
 /// Routes a parsed command line to its implementation.
 ///
@@ -229,26 +266,14 @@ pub fn dispatch(args: &Args) -> CliResult {
     // but the daemon feeds client-submitted command lines straight in,
     // and an empty one must come back as a job failure — never abort
     // the process.
-    let Some(command) = args.command.as_deref() else {
+    let Some(name) = args.command.as_deref() else {
         return Err("no command given (try --help)".into());
     };
-    validate_options(command, args)?;
-    match command {
-        "oracle" => cmd_oracle(args),
-        "brute" => cmd_brute(args),
-        "jump2win" => cmd_jump2win(args),
-        "sweep" => cmd_sweep(args),
-        "census" => cmd_census(args),
-        "conform" => cmd_conform(args),
-        "profile" => cmd_profile(args),
-        "mitigations" => cmd_mitigations(args),
-        "os" => cmd_os(args),
-        "timeline" => cmd_timeline(args),
-        "verify" => cmd_verify(args),
-        "daemon" => service::cmd_daemon(args),
-        "client" => service::cmd_client(args),
-        other => unreachable!("validate_options rejected '{other}'"),
-    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(format!("unknown command '{name}' (try --help)").into());
+    };
+    validate_options(cmd, args)?;
+    (cmd.run)(args)
 }
 
 fn config(args: &Args) -> Result<SystemConfig, Box<dyn Error>> {
@@ -456,31 +481,20 @@ fn trace_write(path: Option<&String>) -> CliResult {
         .map_err(|e| format!("cannot write --trace-out file '{path}': {e}").into())
 }
 
-/// The values `--channel` accepts.
-const CHANNELS: &[&str] = &["data", "instr", "cache"];
-
-/// Rejects an unknown `--channel` up front, before the system boots and
-/// trials run.
-fn validate_channel(args: &Args) -> CliResult {
-    let channel = args.get("channel").unwrap_or("data");
-    if CHANNELS.contains(&channel) {
-        Ok(())
-    } else {
-        Err(format!("unknown channel '{channel}' (data|instr|cache)").into())
-    }
-}
-
-/// Maps a validated `--channel` value onto the parallel-driver selector.
-fn channel_of(args: &Args) -> Channel {
+/// Parses `--channel` (default `data`). Commands call it before the
+/// `--metrics-out` file is created and the system boots, so a bad value
+/// fails up front.
+fn parse_channel(args: &Args) -> Result<Channel, Box<dyn Error>> {
     match args.get("channel").unwrap_or("data") {
-        "instr" => Channel::Instr,
-        "cache" => Channel::Cache,
-        _ => Channel::Data,
+        "data" => Ok(Channel::Data),
+        "instr" => Ok(Channel::Instr),
+        "cache" => Ok(Channel::Cache),
+        other => Err(format!("unknown channel '{other}' (data|instr|cache)").into()),
     }
 }
 
 fn cmd_oracle(args: &Args) -> CliResult {
-    validate_channel(args)?;
+    let channel = parse_channel(args)?;
     let trials: usize = args.get_num("trials", 50)?;
     let jobs = jobs(args)?;
     let tol = tolerance(args)?;
@@ -489,7 +503,7 @@ fn cmd_oracle(args: &Args) -> CliResult {
     let cfg = config(args)?;
     let out = match oracle_distribution_observed(
         &cfg,
-        channel_of(args),
+        channel,
         1,
         trials,
         jobs,
@@ -863,11 +877,6 @@ fn cmd_conform(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Experiments `profile` can rerun with the self-profiler armed (the
-/// System-driven attacks; sweep and census build their machines outside
-/// the config path the profile flag rides on).
-const PROFILE_EXPERIMENTS: &[&str] = &["oracle", "brute"];
-
 /// Groups `profile.<kind>.<key>.<field>` counters from a snapshot by
 /// their middle component (mnemonic, block PC, or phase name).
 fn profile_family<'a>(
@@ -886,10 +895,7 @@ fn profile_family<'a>(
 
 fn cmd_profile(args: &Args) -> CliResult {
     let experiment = args.subject.as_deref().unwrap_or("oracle");
-    if !PROFILE_EXPERIMENTS.contains(&experiment) {
-        return Err(format!("profile cannot run '{experiment}' (oracle|brute)").into());
-    }
-    validate_channel(args)?;
+    let channel = parse_channel(args)?;
     let top = args.get_num("top", 10usize)?.max(1);
     let jobs = jobs(args)?;
     let tol = tolerance(args)?;
@@ -907,12 +913,10 @@ fn cmd_profile(args: &Args) -> CliResult {
         println!("profiling '{experiment}' ({jobs} jobs) ...");
     }
     let run = match experiment {
-        "oracle" => {
-            oracle_distribution(&cfg, channel_of(args), 1, trials, jobs, true, &tol, |i, tp| {
-                tp ^ (1 + i as u16)
-            })
-            .map(|out| out.telemetry)
-        }
+        "oracle" => oracle_distribution(&cfg, channel, 1, trials, jobs, true, &tol, |i, tp| {
+            tp ^ (1 + i as u16)
+        })
+        .map(|out| out.telemetry),
         _ => {
             // Same probe-boot window placement as cmd_brute.
             let mut probe = System::boot(cfg.clone());
@@ -1569,25 +1573,46 @@ mod tests {
 
     #[test]
     fn runner_option_is_rejected_by_every_command() {
-        for command in [
-            "oracle",
-            "brute",
-            "jump2win",
-            "sweep",
-            "census",
-            "conform",
-            "profile",
-            "mitigations",
-            "os",
-            "timeline",
-            "verify",
-            "daemon",
-            "client",
-        ] {
+        for Command { name: command, .. } in COMMANDS {
             let err = dispatch(&parse(&format!("{command} --runner executor")))
                 .expect_err("--runner is not an option");
             assert!(err.to_string().contains("unknown option --runner"), "{command}: {err}");
         }
+    }
+
+    #[test]
+    fn every_declared_flag_and_option_parses_as_declared() {
+        for cmd in COMMANDS {
+            for flag in cmd.flags {
+                let a = parse(&format!("{} --{flag} --json", cmd.name));
+                assert!(a.flag(flag), "{}: --{flag} did not parse as a flag", cmd.name);
+                assert_eq!(a.option_names().count(), 0, "{}: --{flag} took a value", cmd.name);
+            }
+            for option in cmd.options {
+                let a = parse(&format!("{} --{option} v", cmd.name));
+                assert_eq!(a.get(option), Some("v"), "{}: --{option} is not key/value", cmd.name);
+                assert_eq!(a.flag_names().count(), 0, "{}: --{option} parsed as a flag", cmd.name);
+            }
+        }
+    }
+
+    #[test]
+    fn conform_accepts_skip_self_test() {
+        let dir = temp_dir("conform_skip_self_test");
+        let path = dir.join("conform.jsonl");
+        dispatch(&parse(&format!(
+            "conform --programs 2 --seed 7 --skip-self-test --metrics-out {}",
+            path.display()
+        )))
+        .expect("conform --skip-self-test runs");
+        let records = read_jsonl(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        let summary = records
+            .iter()
+            .find(|r| r.get("record").and_then(Value::as_str) == Some("conform_summary"))
+            .expect("conform_summary record");
+        assert_eq!(summary.get("self_test_expected").and_then(Value::as_u64), Some(0));
+        assert_eq!(summary.get("ok").and_then(Value::as_bool), Some(true));
     }
 
     #[test]

@@ -1,36 +1,7 @@
 //! `pacman-cli` — drive the PACMAN reproduction from the command line.
 //!
-//! ```text
-//! pacman-cli <command> [options]
-//!
-//! commands:
-//!   oracle       run the §8.1 PAC oracle and print verdicts
-//!   brute        brute-force a PAC over a candidate window (§8.2)
-//!   jump2win     the §8.3 end-to-end control-flow hijack
-//!   sweep        the §7 reverse-engineering sweeps (Figures 5–6)
-//!   census       the §4.3 gadget census over a synthetic image
-//!   conform      differential conformance fuzzing of the speculative
-//!                core against the architectural reference machine
-//!   mitigations  the §9 countermeasure matrix
-//!   os           PacmanOS (§6.2) bare-metal experiments
-//!   timeline     print the Figure 3 speculation-event timelines
-//!   verify       diff `BENCH_<id>.json` artefacts against the paper claims
-//!
-//! common options:
-//!   --seed N          kernel key seed (default 0xA11CE)
-//!   --quiet-noise     disable the OS-noise model
-//!   --channel C       oracle channel: data | instr | cache (default data)
-//!   --trials N        oracle trials per class (default 50)
-//!   --window N        brute/jump2win candidate-window width (default 512;
-//!                     --full sweeps all 65536)
-//!   --functions N     census image size (default 2000)
-//!   --track-stack     census: enable stack-slot dataflow
-//!   --dir D           verify: artefact directory (default `$PACMAN_BENCH_DIR`,
-//!                     then the current directory)
-//!   --json            emit JSONL records on stdout (one per trial/event,
-//!                     final metrics snapshot last)
-//!   --metrics-out F   write the same JSONL stream to file F
-//! ```
+//! Run `pacman-cli --help` for the commands and their options; each
+//! command is declared once, in `commands::COMMANDS`.
 //!
 //! Every command speaks JSONL when `--json` or `--metrics-out` is given.
 //! `verify` loads the `BENCH_<id>.json` artefacts a `cargo bench` run
@@ -55,7 +26,7 @@ fn main() {
         }
     };
     if parsed.flag("help") || parsed.command.is_none() {
-        print!("{}", commands::USAGE);
+        print!("{}", commands::usage());
         return;
     }
     let code = match commands::dispatch(&parsed) {

@@ -16,27 +16,8 @@ use pacman_daemon::{CheckpointPolicy, Daemon, DaemonConfig, JobRunner, JobSink};
 use pacman_telemetry::json::{to_jsonl_line, Value};
 
 use crate::args::Args;
-use crate::commands;
+use crate::commands::{self, CliResult};
 use crate::jobctx;
-
-type CliResult = Result<(), Box<dyn Error>>;
-
-/// Commands a daemon job may run: the trial-driving and reporting
-/// commands. Excluded: `profile` (arms the process-wide profiler and
-/// flight recorder, which cannot be scoped to one tenant) and the
-/// `daemon`/`client` entry points themselves.
-const JOB_COMMANDS: &[&str] = &[
-    "oracle",
-    "brute",
-    "jump2win",
-    "sweep",
-    "census",
-    "conform",
-    "mitigations",
-    "os",
-    "timeline",
-    "verify",
-];
 
 /// Runs client-submitted command lines through the CLI's `dispatch`
 /// with the session's [`JobSink`] installed, so every `Emitter` record
@@ -51,7 +32,7 @@ impl JobRunner for DispatchRunner {
         let Some(cmd) = parsed.command.as_deref() else {
             return Err("no command given".to_string());
         };
-        if !JOB_COMMANDS.contains(&cmd) {
+        if !commands::COMMANDS.iter().any(|c| c.name == cmd && c.daemon_job) {
             return Err(format!("command '{cmd}' is not available as a daemon job"));
         }
         // A process-global switch would let one tenant reconfigure
@@ -72,7 +53,6 @@ fn daemon_config(args: &Args) -> Result<DaemonConfig, Box<dyn Error>> {
     Ok(DaemonConfig {
         workers: args.get_num("workers", defaults.workers)?.max(1),
         session_queue: args.get_num("session-queue", defaults.session_queue)?.max(1),
-        session_parallel: args.get_num("session-parallel", defaults.session_parallel)?.max(1),
         job_attempts: args.get_num("job-attempts", defaults.job_attempts)?.max(1),
     })
 }
@@ -161,12 +141,8 @@ fn request(kind: &str, fields: &[(&str, &str)]) -> String {
 /// stream its session records to stdout, and/or request shutdown.
 /// Without `--submit` or `--shutdown` it pings the daemon and prints
 /// the status record.
-pub fn cmd_client(args: &Args) -> CliResult {
-    client_impl(args)
-}
-
 #[cfg(unix)]
-fn client_impl(args: &Args) -> CliResult {
+pub fn cmd_client(args: &Args) -> CliResult {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
 
@@ -251,7 +227,7 @@ fn client_impl(args: &Args) -> CliResult {
 }
 
 #[cfg(not(unix))]
-fn client_impl(_args: &Args) -> CliResult {
+pub fn cmd_client(_args: &Args) -> CliResult {
     Err("unix sockets are unavailable on this platform".into())
 }
 

@@ -4,8 +4,7 @@
 //! The daemon owns a small pool of persistent worker threads. Each
 //! tenant opens a named *session*; jobs submitted to a session queue
 //! behind a bounded per-session queue ([`DaemonConfig::session_queue`])
-//! and run under a per-session in-flight cap
-//! ([`DaemonConfig::session_parallel`]). Workers pick jobs by rotating
+//! and run one at a time per session. Workers pick jobs by rotating
 //! round-robin over sessions, so a tenant that floods its queue delays
 //! only itself — the fair-share guarantee a shared
 //! [`Executor::global`](pacman_runner::Executor::global) backend needs.
@@ -15,9 +14,8 @@
 //! charged against the *job's* retry budget
 //! ([`DaemonConfig::job_attempts`]), and reported as a `job_failed`
 //! record on the *owning session's* stream. The daemon, its workers,
-//! and every other session carry on. Retries re-run on the same
-//! persistent executor, whose thread-local machine pools reboot warm
-//! systems in place instead of cold-booting.
+//! and every other session carry on. A retry re-runs the whole command
+//! line; its shards go to the shared executor like the first attempt's.
 //!
 //! Shutdown is a graceful *drain*: stop admitting, run every queued job
 //! to completion, close every session (emitting its final telemetry
@@ -51,8 +49,6 @@ pub struct DaemonConfig {
     /// Queued-job capacity per session; a submit beyond it blocks
     /// after emitting one `backpressure` record.
     pub session_queue: usize,
-    /// In-flight job cap per session — the fair-share throttle.
-    pub session_parallel: usize,
     /// Attempts per job (first run included). Exhausting the budget
     /// yields `job_failed` on the session stream, nothing more.
     pub job_attempts: u32,
@@ -60,12 +56,7 @@ pub struct DaemonConfig {
 
 impl Default for DaemonConfig {
     fn default() -> Self {
-        DaemonConfig {
-            workers: pacman_runner::default_jobs(),
-            session_queue: 16,
-            session_parallel: 1,
-            job_attempts: 1,
-        }
+        DaemonConfig { workers: pacman_runner::default_jobs(), session_queue: 16, job_attempts: 1 }
     }
 }
 
@@ -234,6 +225,7 @@ struct Job {
 /// Bookkeeping for a job currently on a worker, kept so checkpoints can
 /// persist in-flight work as re-runnable.
 struct RunningJob {
+    id: u64,
     command: String,
     skip: u64,
     emitted: Arc<AtomicU64>,
@@ -250,7 +242,6 @@ impl RunningJob {
 
 struct SessionState {
     queue: VecDeque<Job>,
-    in_flight: usize,
     next_job: u64,
     jobs_done: u64,
     jobs_failed: u64,
@@ -258,8 +249,8 @@ struct SessionState {
     records: Arc<AtomicU64>,
     telemetry: Registry,
     tx: Sender<Value>,
-    /// Jobs currently on workers, by id.
-    running: HashMap<u64, RunningJob>,
+    /// The job on a worker, if any; a session runs one job at a time.
+    running: Option<RunningJob>,
     /// A resumed session keeps its record receiver parked here until
     /// the tenant re-opens the session by name and claims it; records
     /// replayed meanwhile queue up in the channel.
@@ -282,7 +273,7 @@ struct SchedState {
 
 struct Inner {
     state: Mutex<SchedState>,
-    /// A job was queued, or an in-flight slot freed.
+    /// A job was queued, or a session's running job finished.
     work_ready: Condvar,
     /// A session queue gained capacity.
     space_ready: Condvar,
@@ -431,7 +422,6 @@ impl Daemon {
             name.to_string(),
             SessionState {
                 queue: VecDeque::new(),
-                in_flight: 0,
                 next_job: 0,
                 jobs_done: 0,
                 jobs_failed: 0,
@@ -439,7 +429,7 @@ impl Daemon {
                 records: Arc::new(AtomicU64::new(0)),
                 telemetry: Registry::new(),
                 tx,
-                running: HashMap::new(),
+                running: None,
                 parked_rx: None,
             },
         );
@@ -464,7 +454,7 @@ impl Daemon {
     pub fn status(&self) -> Value {
         let g = self.inner.lock();
         let queued: usize = g.sessions.values().map(|s| s.queue.len()).sum();
-        let in_flight: usize = g.sessions.values().map(|s| s.in_flight).sum();
+        let in_flight = g.sessions.values().filter(|s| s.running.is_some()).count();
         let exec = pacman_runner::Executor::global();
         Value::Object(vec![
             ("type".into(), Value::str("status")),
@@ -550,7 +540,6 @@ fn state_from_snapshot(snap: DaemonSnapshot) -> SchedState {
             s.name,
             SessionState {
                 queue,
-                in_flight: 0,
                 next_job: s.next_job,
                 jobs_done: s.jobs_done,
                 jobs_failed: s.jobs_failed,
@@ -558,7 +547,7 @@ fn state_from_snapshot(snap: DaemonSnapshot) -> SchedState {
                 records: Arc::new(AtomicU64::new(s.records)),
                 telemetry: s.telemetry,
                 tx,
-                running: HashMap::new(),
+                running: None,
                 parked_rx: Some(rx),
             },
         );
@@ -585,19 +574,17 @@ fn write_checkpoint(inner: &Inner) -> Result<(), SnapshotError> {
             .sessions
             .iter()
             .map(|(name, s)| {
-                // Running jobs replay first (ordered by id), then the
-                // still-queued ones in queue order.
-                let mut by_id: Vec<(&u64, &RunningJob)> = s.running.iter().collect();
-                by_id.sort_by_key(|(id, _)| **id);
-                let mut jobs: Vec<JobSnapshot> =
-                    Vec::with_capacity(s.running.len() + s.queue.len());
-                for (id, r) in by_id {
-                    jobs.push(JobSnapshot {
-                        id: *id,
+                // The running job replays first, then the still-queued
+                // ones in queue order.
+                let mut jobs: Vec<JobSnapshot> = s
+                    .running
+                    .iter()
+                    .map(|r| JobSnapshot {
+                        id: r.id,
                         command: r.command.clone(),
                         emitted: r.watermark(),
-                    });
-                }
+                    })
+                    .collect();
                 jobs.extend(s.queue.iter().map(|j| JobSnapshot {
                     id: j.id,
                     command: j.command.clone(),
@@ -719,7 +706,7 @@ fn close_named(inner: &Arc<Inner>, name: &str) -> Option<Value> {
             None => return None,
             Some(s) => {
                 s.closing = true;
-                if s.queue.is_empty() && s.in_flight == 0 {
+                if s.queue.is_empty() && s.running.is_none() {
                     break;
                 }
             }
@@ -759,29 +746,26 @@ struct Picked {
     emitted: Arc<AtomicU64>,
 }
 
-/// Picks the next runnable job round-robin across sessions, bumping
-/// the chosen session's in-flight count. `None` when nothing is
-/// eligible (empty queues or per-session caps reached).
-fn pick_job(g: &mut SchedState, session_parallel: usize) -> Option<Picked> {
+/// Picks the next runnable job round-robin across sessions and marks
+/// it as its session's running job. `None` when nothing is eligible
+/// (empty queues, or every session with work already running a job).
+fn pick_job(g: &mut SchedState) -> Option<Picked> {
     for _ in 0..g.rotation.len() {
         let name = g.rotation.pop_front().expect("rotation non-empty inside loop");
         let Some(sess) = g.sessions.get_mut(&name) else {
             continue; // stale entry for a closed session: drop it
         };
-        if sess.in_flight < session_parallel {
+        if sess.running.is_none() {
             if let Some(job) = sess.queue.pop_front() {
-                sess.in_flight += 1;
                 let tx = sess.tx.clone();
                 let records = Arc::clone(&sess.records);
                 let emitted = Arc::new(AtomicU64::new(0));
-                sess.running.insert(
-                    job.id,
-                    RunningJob {
-                        command: job.command.clone(),
-                        skip: job.skip,
-                        emitted: Arc::clone(&emitted),
-                    },
-                );
+                sess.running = Some(RunningJob {
+                    id: job.id,
+                    command: job.command.clone(),
+                    skip: job.skip,
+                    emitted: Arc::clone(&emitted),
+                });
                 g.rotation.push_back(name.clone());
                 return Some(Picked { name, job, tx, records, emitted });
             }
@@ -797,11 +781,11 @@ fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
         let Picked { name, job, tx, records, emitted } = {
             let mut g = inner.lock();
             loop {
-                if let Some(pick) = pick_job(&mut g, config.session_parallel) {
+                if let Some(pick) = pick_job(&mut g) {
                     break pick;
                 }
                 // Exit only when draining *and* every queue is empty;
-                // jobs still queued behind a per-session cap must
+                // jobs queued behind their session's running job must
                 // outlive this worker's patience, not be abandoned.
                 if g.draining && g.sessions.values().all(|s| s.queue.is_empty()) {
                     return;
@@ -832,9 +816,9 @@ fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
             if attempt >= config.job_attempts.max(1) {
                 break Err(error);
             }
-            // Retry in place on this same worker thread: its
-            // thread-local machine pool warm-reboots the System
-            // (`reboot_into`) instead of cold-booting a fresh one.
+            // Retry the whole command line. This thread holds no
+            // machines: the job's shards run on executor workers, whose
+            // thread-local pools reboot warm systems in place.
             attempt += 1;
         };
         let elapsed_us = started.elapsed().as_micros() as u64;
@@ -845,8 +829,7 @@ fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
         let _ = tx.send(record);
         let mut g = inner.lock();
         if let Some(sess) = g.sessions.get_mut(&name) {
-            sess.in_flight -= 1;
-            sess.running.remove(&job.id);
+            sess.running = None;
             sess.telemetry.observe("daemon.job_us", elapsed_us);
             sess.telemetry.incr_by("daemon.job_retries", u64::from(attempt - 1));
             match outcome {
@@ -859,7 +842,7 @@ fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
             }
         }
         drop(g);
-        // Queue space freed and an in-flight slot opened; close/drain
+        // Queue space freed and the session may run its next job; close/drain
         // waiters also need a look.
         inner.space_ready.notify_all();
         inner.work_ready.notify_all();
