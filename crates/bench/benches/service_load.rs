@@ -1,6 +1,7 @@
 //! `pacmand` service-load generator: hundreds of concurrent tenant
-//! sessions driving real experiment jobs through the daemon's
-//! fair-share scheduler onto the shared executor.
+//! sessions taking turns for the daemon's job slots (one per executor
+//! worker) with real experiment jobs, every job's shards sharing one
+//! executor.
 //!
 //! The `service_load` artefact pins the daemon's production claims:
 //!
@@ -123,9 +124,9 @@ fn main() {
     let sessions = scale("SESSIONS", 200);
     let session_jobs = scale("SESSION_JOBS", 2);
     let trials = scale("SERVICE_TRIALS", 2);
-    let workers = pacman_runner::default_jobs().clamp(4, 16);
+    let workers = pacman_runner::Executor::global().workers();
     let daemon = Arc::new(Daemon::start(
-        DaemonConfig { workers, session_queue: 8, job_attempts: 1 },
+        DaemonConfig { session_queue: 8, job_attempts: 1 },
         Arc::new(LoadRunner),
     ));
 

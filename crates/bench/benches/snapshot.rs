@@ -89,7 +89,7 @@ fn main() {
     let trials = scale("SNAP_TRIALS", 96);
     let every = scale("SNAP_EVERY", 64) as u64;
     let reps = scale("SNAP_REPS", 10).max(1) as u32;
-    let config = DaemonConfig { workers: 4, ..DaemonConfig::default() };
+    let config = DaemonConfig::default();
     let runner = || Arc::new(SnapRunner { trials });
     let state = std::env::temp_dir().join(format!("pacman-bench-snapshot-{}", std::process::id()));
     std::fs::create_dir_all(&state).expect("create bench state dir");

@@ -190,4 +190,33 @@ mod tests {
         let a = parse("").unwrap();
         assert_eq!(a.command, None);
     }
+
+    /// Words that steer the parser into its option, flag and positional
+    /// branches; generated suffixes garble them.
+    const WORDS: &[&str] =
+        &["--", "---", "--help", "--json", "--workers", "--trials", "-x", "oracle", "profile", "7"];
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics_on_hostile_words(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
+            words in proptest::collection::vec(
+                (0..WORDS.len(), proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..4)),
+                0..12,
+            ),
+        ) {
+            let steered: String = words
+                .iter()
+                .map(|(i, tail)| format!("{}{} ", WORDS[*i], String::from_utf8_lossy(tail)))
+                .collect();
+            for text in [String::from_utf8_lossy(&bytes).into_owned(), steered] {
+                if let Ok(args) = parse(&text) {
+                    for name in args.option_names() {
+                        let value = args.get(name).unwrap_or_default();
+                        proptest::prop_assert!(!value.starts_with("--"), "{name} took {value:?}");
+                    }
+                }
+            }
+        }
+    }
 }

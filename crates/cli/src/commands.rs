@@ -165,7 +165,8 @@ options:
   --json          emit JSONL on stdout     --metrics-out F write JSONL to file F
   --jobs N        max shards of one campaign in flight at once (default:
                   PACMAN_JOBS, else all cores; the shared worker pool is
-                  sized once per process from PACMAN_JOBS or the cores)
+                  sized once per process from PACMAN_JOBS or the cores,
+                  or by daemon --workers)
   --fault-rate R  injected fault rate in [0,1] (default: PACMAN_FAULT_RATE
                   when PACMAN_FAULT_SEED is set, else off; 0 disables)
   --trace-out F   record shard/fault lifecycle spans during the run and
@@ -176,7 +177,9 @@ options:
 daemon/client options:
   --socket P          socket path (default pacmand.sock)
   --stdio             daemon: serve one session stream on stdin/stdout
-  --workers N         daemon: job worker threads (default: --jobs rules)
+  --workers N         daemon: executor threads shared by all sessions,
+                      and jobs run at once (default: PACMAN_JOBS, else
+                      all cores)
   --session-queue N   daemon: queued jobs per session before
                       backpressure (default 16)
   --job-attempts N    daemon: attempts per job before job_failed (def. 1)

@@ -10,9 +10,10 @@
 //! context installed (the ordinary CLI process), every hook here is a
 //! no-op costing one thread-local read.
 //!
-//! The context is thread-local on purpose: daemon workers run jobs
-//! from different sessions concurrently in one process, and a sink
-//! installed per worker thread cannot leak records across tenants.
+//! The context is thread-local on purpose: each job runs on a daemon job
+//! thread, concurrently with other sessions' jobs in one process, and a
+//! sink installed for the length of one job on its thread cannot leak
+//! records across tenants.
 
 use std::cell::RefCell;
 

@@ -51,7 +51,6 @@ impl JobRunner for DispatchRunner {
 fn daemon_config(args: &Args) -> Result<DaemonConfig, Box<dyn Error>> {
     let defaults = DaemonConfig::default();
     Ok(DaemonConfig {
-        workers: args.get_num("workers", defaults.workers)?.max(1),
         session_queue: args.get_num("session-queue", defaults.session_queue)?.max(1),
         job_attempts: args.get_num("job-attempts", defaults.job_attempts)?.max(1),
     })
@@ -74,6 +73,9 @@ fn checkpoint_policy(args: &Args, state_dir: &str) -> Result<CheckpointPolicy, B
 /// print the `daemon_drained` record. With `--state-dir` the daemon is
 /// durable (periodic snapshots, `--resume` continues a killed run).
 pub fn cmd_daemon(args: &Args) -> CliResult {
+    // `--workers` sizes the one executor every session's shards share,
+    // and with it how many jobs the daemon runs at once.
+    pacman_runner::Executor::init_global(args.get_num("workers", pacman_runner::default_jobs())?)?;
     let daemon = match args.get("state-dir") {
         Some(dir) => {
             let policy = checkpoint_policy(args, dir)?;
@@ -278,10 +280,7 @@ mod tests {
         let file_lines: Vec<&str> = file.lines().collect();
 
         // The same command as a daemon job, records teed by jobctx.
-        let daemon = Daemon::start(
-            DaemonConfig { workers: 1, ..DaemonConfig::default() },
-            Arc::new(DispatchRunner),
-        );
+        let daemon = Daemon::start(DaemonConfig::default(), Arc::new(DispatchRunner));
         let (records, failed) = submit_and_collect(&daemon, "parity", cmd);
         assert!(!failed);
         let streamed = output_lines(&records);
@@ -301,10 +300,7 @@ mod tests {
 
     #[test]
     fn forbidden_job_commands_fail_the_job_not_the_daemon() {
-        let daemon = Daemon::start(
-            DaemonConfig { workers: 1, ..DaemonConfig::default() },
-            Arc::new(DispatchRunner),
-        );
+        let daemon = Daemon::start(DaemonConfig::default(), Arc::new(DispatchRunner));
         for cmd in [
             "profile oracle",
             "daemon",

@@ -4,12 +4,13 @@
 //! Every campaign in the paper — §6 oracle characterization, §8.2 PAC
 //! brute-force, §4.3 gadget census — is a long, many-trial workload,
 //! but a one-shot CLI run tears the warm executor and machine pools
-//! down with the process. This crate keeps them alive: a daemon
-//! ([`Daemon`]) owns persistent workers, tenants open named *sessions*
-//! over a JSONL line protocol ([`protocol`]) carried on stdio or a
-//! Unix socket ([`net`]), and submitted experiment commands are
-//! scheduled fair-share across sessions onto the shared process-wide
-//! executor. Results stream back incrementally — `job_output` records
+//! down with the process. This crate keeps them alive: tenants open
+//! named *sessions* on a daemon ([`Daemon`]) over a JSONL line protocol
+//! ([`protocol`]) carried on stdio or a Unix socket ([`net`]), each
+//! session runs its submitted experiment commands one at a time,
+//! sessions take turns for as many job slots as the process-wide
+//! executor has workers, and every job's shards share those persistent
+//! workers. Results stream back incrementally — `job_output` records
 //! wrap the job's own JSONL verbatim, `job_progress` records ride the
 //! executor's ordered shard-event stream — rather than arriving in one
 //! end-of-run burst.

@@ -34,9 +34,10 @@ fn spawn_forwarder<W: Write + Send + 'static>(
     writer: Arc<Mutex<W>>,
 ) -> Option<thread::JoinHandle<()>> {
     let rx = handle.take_records()?;
-    let name = format!("pacmand-fwd-{}", handle.name());
+    // Not named after the session: a name with a NUL byte would panic
+    // the spawn.
     thread::Builder::new()
-        .name(name)
+        .name("pacmand-fwd".into())
         .spawn(move || {
             for record in rx {
                 write_record(&writer, &record);
@@ -190,7 +191,7 @@ mod tests {
             sink.record(&format!("{{\"record\":\"echo\",\"command\":\"{command}\"}}"));
             Ok(())
         });
-        Daemon::start(DaemonConfig { workers: 2, ..DaemonConfig::default() }, runner)
+        Daemon::start(DaemonConfig::default(), runner)
     }
 
     fn run_script(daemon: &Daemon, script: &str) -> (bool, Vec<Value>) {
@@ -250,6 +251,20 @@ mod tests {
         let types: Vec<_> =
             records.iter().filter_map(|r| r.get("type").and_then(Value::as_str)).collect();
         assert_eq!(types, ["error", "error", "pong"]);
+        daemon.drain();
+    }
+
+    #[test]
+    fn any_session_name_serves_end_to_end() {
+        let daemon = echo_daemon();
+        let script = concat!(
+            r#"{"type":"open_session","session":"nul\u0000name"}"#,
+            "\n",
+            r#"{"type":"submit","session":"nul\u0000name","command":"x"}"#,
+            "\n",
+        );
+        let (_, records) = run_script(&daemon, script);
+        assert!(types_of(&records, "nul\0name").contains(&"job_done"));
         daemon.drain();
     }
 

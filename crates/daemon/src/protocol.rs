@@ -314,4 +314,25 @@ mod tests {
         let reparsed = parse(to_jsonl_line(&wrapped).trim_end()).unwrap();
         assert_eq!(reparsed.get("line").and_then(Value::as_str), Some(inner));
     }
+
+    /// Space-separated pieces of request lines, so generated input also
+    /// reaches past the JSON parser into field validation.
+    const FRAGMENTS: &str = r#"{ } [ ] : , " \ null -1 1e999 "type" "session" "command" "submit" "open_session" "status" "\u0000" "\ud800""#;
+
+    proptest::proptest! {
+        #[test]
+        fn parse_request_never_panics_on_hostile_lines(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..96),
+            pieces in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..24),
+        ) {
+            let fragments: Vec<&str> = FRAGMENTS.split(' ').collect();
+            let spliced: String =
+                pieces.iter().map(|&i| fragments[usize::from(i) % fragments.len()]).collect();
+            for line in [String::from_utf8_lossy(&bytes).into_owned(), spliced] {
+                if let Err(e) = parse_request(&line) {
+                    proptest::prop_assert!(!e.is_empty(), "an empty error for {line:?}");
+                }
+            }
+        }
+    }
 }

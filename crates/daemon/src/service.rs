@@ -1,25 +1,28 @@
-//! `pacmand` scheduling core: multi-tenant sessions, fair-share job
+//! `pacmand` scheduling core: multi-tenant sessions, per-session job
 //! queues, and per-session fault isolation.
 //!
-//! The daemon owns a small pool of persistent worker threads. Each
-//! tenant opens a named *session*; jobs submitted to a session queue
-//! behind a bounded per-session queue ([`DaemonConfig::session_queue`])
-//! and run one at a time per session. Workers pick jobs by rotating
-//! round-robin over sessions, so a tenant that floods its queue delays
-//! only itself — the fair-share guarantee a shared
-//! [`Executor::global`](pacman_runner::Executor::global) backend needs.
+//! Each tenant opens a named *session*; jobs submitted to it wait in a
+//! bounded per-session queue ([`DaemonConfig::session_queue`]) and a
+//! session runs one job at a time. At most as many jobs run at once as
+//! [`Executor::global`](pacman_runner::Executor::global) has workers:
+//! a free job slot goes to the session that has waited longest, and a
+//! session whose job finishes with more queued goes to the back of that
+//! line, so a tenant that floods its queue delays only itself. Job
+//! threads are started on demand and exit when no session waits. The
+//! jobs' shards share the executor, which hands each free worker to the
+//! campaign with the fewest shards in flight.
 //!
 //! Fault isolation is the daemon's core contract: a job that panics or
-//! returns an error is caught on the worker ([`std::panic::catch_unwind`]),
+//! returns an error is caught on its job thread ([`std::panic::catch_unwind`]),
 //! charged against the *job's* retry budget
 //! ([`DaemonConfig::job_attempts`]), and reported as a `job_failed`
-//! record on the *owning session's* stream. The daemon, its workers,
-//! and every other session carry on. A retry re-runs the whole command
-//! line; its shards go to the shared executor like the first attempt's.
+//! record on the *owning session's* stream. The daemon and every other
+//! session carry on. A retry re-runs the whole command line; its shards
+//! go to the shared executor like the first attempt's.
 //!
 //! Shutdown is a graceful *drain*: stop admitting, run every queued job
 //! to completion, close every session (emitting its final telemetry
-//! snapshot), join the workers, and emit one `daemon_drained` record.
+//! snapshot), and emit one `daemon_drained` record.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -39,13 +42,9 @@ use crate::clock::unix_seconds_now;
 use crate::protocol;
 use crate::snapshot::{DaemonSnapshot, JobSnapshot, SessionSnapshot, SnapshotError};
 
-/// Sizing and fault-budget knobs for a [`Daemon`].
+/// Admission and fault-budget knobs for a [`Daemon`].
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
-    /// Worker threads executing jobs (not the executor's own workers —
-    /// these run whole commands, which internally shard onto
-    /// `Executor::global`).
-    pub workers: usize,
     /// Queued-job capacity per session; a submit beyond it blocks
     /// after emitting one `backpressure` record.
     pub session_queue: usize,
@@ -56,7 +55,7 @@ pub struct DaemonConfig {
 
 impl Default for DaemonConfig {
     fn default() -> Self {
-        DaemonConfig { workers: pacman_runner::default_jobs(), session_queue: 16, job_attempts: 1 }
+        DaemonConfig { session_queue: 16, job_attempts: 1 }
     }
 }
 
@@ -91,13 +90,17 @@ struct Durable {
     /// Startup record describing how resume went (`daemon_resumed` or
     /// `resume_warning`), for the embedder to log.
     resume_report: Mutex<Option<Value>>,
+    /// Held across a checkpoint's capture *and* write: concurrent
+    /// writers would share the temp file, and an older capture could
+    /// land after a newer, already announced one.
+    writing: Mutex<()>,
 }
 
 /// Executes one submitted command line. The CLI supplies the real
 /// implementation (its `dispatch` path); tests and the load bench
 /// supply synthetic ones.
 ///
-/// Implementations run on daemon worker threads and must confine
+/// Implementations run on a daemon job thread and must confine
 /// failures to their return value or a panic — both are caught and
 /// scoped to the submitting session.
 pub trait JobRunner: Send + Sync {
@@ -134,9 +137,9 @@ pub struct JobSink {
     /// Replay suppression: the first `skip` records are dropped because
     /// the pre-restart daemon already delivered them.
     skip: u64,
-    /// Back-reference for checkpoint triggering (None on non-durable
-    /// daemons: the plain path pays one branch).
-    inner: Option<Arc<Inner>>,
+    /// Back-reference for checkpoint triggering (non-durable daemons
+    /// pay one branch).
+    inner: Arc<Inner>,
 }
 
 impl JobSink {
@@ -166,14 +169,12 @@ impl JobSink {
         }
         self.records.fetch_add(1, Ordering::Relaxed);
         let _ = self.tx.send(protocol::job_output(&self.session, self.job, line));
-        if let Some(inner) = &self.inner {
-            if let Some(durable) = &inner.durable {
-                let seen = durable.records_seen.fetch_add(1, Ordering::Relaxed) + 1;
-                if seen % durable.policy.every_records.max(1) == 0
-                    && write_checkpoint(inner).is_ok()
-                {
-                    let _ = self.tx.send(protocol::checkpoint_written(&self.session, seen));
-                }
+        if let Some(durable) = &self.inner.durable {
+            let seen = durable.records_seen.fetch_add(1, Ordering::Relaxed) + 1;
+            if seen % durable.policy.every_records.max(1) == 0
+                && write_checkpoint(&self.inner).is_ok()
+            {
+                let _ = self.tx.send(protocol::checkpoint_written(&self.session, seen));
             }
         }
     }
@@ -214,24 +215,26 @@ impl fmt::Display for DaemonError {
 
 impl std::error::Error for DaemonError {}
 
+/// A queued or running job. The running one stays in its session's
+/// state (a clone runs on a job thread) so checkpoints can persist
+/// in-flight work as re-runnable.
+#[derive(Clone)]
 struct Job {
     id: u64,
     command: String,
     /// Replay suppression carried from a resumed checkpoint; 0 for
     /// freshly submitted jobs.
     skip: u64,
-}
-
-/// Bookkeeping for a job currently on a worker, kept so checkpoints can
-/// persist in-flight work as re-runnable.
-struct RunningJob {
-    id: u64,
-    command: String,
-    skip: u64,
+    /// Output records this job has produced, shared with its
+    /// [`JobSink`].
     emitted: Arc<AtomicU64>,
 }
 
-impl RunningJob {
+impl Job {
+    fn new(id: u64, command: String, skip: u64) -> Job {
+        Job { id, command, skip, emitted: Arc::default() }
+    }
+
     /// Total output records ever delivered for this job — the replay
     /// watermark a checkpoint stores. While the job is still inside its
     /// suppressed replay prefix, the pre-restart watermark stands.
@@ -249,8 +252,9 @@ struct SessionState {
     records: Arc<AtomicU64>,
     telemetry: Registry,
     tx: Sender<Value>,
-    /// The job on a worker, if any; a session runs one job at a time.
-    running: Option<RunningJob>,
+    /// The job running on a job thread, if any: a session runs one job
+    /// at a time.
+    running: Option<Job>,
     /// A resumed session keeps its record receiver parked here until
     /// the tenant re-opens the session by name and claims it; records
     /// replayed meanwhile queue up in the channel.
@@ -259,9 +263,6 @@ struct SessionState {
 
 struct SchedState {
     sessions: HashMap<String, SessionState>,
-    /// Round-robin pick order; the session a worker just served moves
-    /// to the back. Stale names (closed sessions) are dropped lazily.
-    rotation: VecDeque<String>,
     draining: bool,
     sessions_served: u64,
     jobs_done_total: u64,
@@ -269,17 +270,25 @@ struct SchedState {
     /// Telemetry folded in from closed sessions; live sessions merge
     /// on top in [`Daemon::metrics`].
     telemetry: Registry,
+    /// Sessions with queued jobs and none running, longest-waiting
+    /// first; a free job slot goes to the front one.
+    ready: VecDeque<String>,
+    /// Sessions with a running job, at most [`Inner::slots`].
+    in_flight: usize,
 }
 
 struct Inner {
     state: Mutex<SchedState>,
-    /// A job was queued, or a session's running job finished.
-    work_ready: Condvar,
     /// A session queue gained capacity.
     space_ready: Condvar,
     /// A job finished — close/drain waiters re-check here.
     idle: Condvar,
     config: DaemonConfig,
+    /// Jobs allowed to run at once: the shared executor's worker
+    /// count. More would only interleave more campaigns on the same
+    /// workers, each evicting the others' warm machines.
+    slots: usize,
+    runner: Arc<dyn JobRunner>,
     /// Present iff the daemon was started with a [`CheckpointPolicy`].
     durable: Option<Durable>,
 }
@@ -290,17 +299,16 @@ impl Inner {
     }
 }
 
-/// The daemon: worker pool plus session table. See the module docs for
-/// the scheduling and isolation contract.
+/// The daemon: the session table and its job runner. See the module
+/// docs for the scheduling and isolation contract.
 pub struct Daemon {
     inner: Arc<Inner>,
-    workers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl Daemon {
-    /// Boots the worker pool and returns the daemon.
+    /// Starts a daemon with no sessions.
     pub fn start(config: DaemonConfig, runner: Arc<dyn JobRunner>) -> Daemon {
-        Self::start_inner(config, runner, None, fresh_state())
+        Self::start_inner(config, runner, None, fresh_state(), global_workers())
     }
 
     /// Boots a *durable* daemon: checkpoints are cut per `policy`, and
@@ -343,8 +351,9 @@ impl Daemon {
                 state.sessions.values().map(|s| s.records.load(Ordering::Relaxed)).sum(),
             ),
             resume_report: Mutex::new(report),
+            writing: Mutex::new(()),
         };
-        Self::start_inner(config, runner, Some(durable), state)
+        Self::start_inner(config, runner, Some(durable), state, global_workers())
     }
 
     fn start_inner(
@@ -352,27 +361,26 @@ impl Daemon {
         runner: Arc<dyn JobRunner>,
         durable: Option<Durable>,
         state: SchedState,
+        slots: usize,
     ) -> Daemon {
-        let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
             state: Mutex::new(state),
-            work_ready: Condvar::new(),
             space_ready: Condvar::new(),
             idle: Condvar::new(),
-            config: DaemonConfig { workers, ..config },
+            config,
+            slots: slots.max(1),
+            runner,
             durable,
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let runner = Arc::clone(&runner);
-                thread::Builder::new()
-                    .name(format!("pacmand-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, runner.as_ref()))
-                    .expect("spawn pacmand worker")
-            })
-            .collect();
-        Daemon { inner, workers: Mutex::new(handles) }
+        // Resumed sessions with re-enqueued jobs start running now.
+        let claimed: Vec<_> = {
+            let mut g = inner.lock();
+            std::iter::from_fn(|| claim_next(&inner, &mut g)).collect()
+        };
+        for (name, job) in claimed {
+            spawn_job_thread(&inner, name, job);
+        }
+        Daemon { inner }
     }
 
     /// The startup record a durable daemon produced while resuming —
@@ -387,11 +395,7 @@ impl Daemon {
     /// The periodic cadence still applies — this is for embedders that
     /// want one at a known boundary, e.g. right before exiting.
     pub fn checkpoint_now(&self) -> Result<(), SnapshotError> {
-        if self.inner.durable.is_some() {
-            write_checkpoint(&self.inner)
-        } else {
-            Ok(())
-        }
+        write_checkpoint(&self.inner)
     }
 
     /// Opens a named session. The handle is the tenant's side of the
@@ -433,7 +437,6 @@ impl Daemon {
                 parked_rx: None,
             },
         );
-        g.rotation.push_back(name.to_string());
         g.sessions_served += 1;
         Ok(SessionHandle { name: name.to_string(), inner: Arc::clone(&self.inner), rx: Some(rx) })
     }
@@ -450,45 +453,34 @@ impl Daemon {
     }
 
     /// A `status` record: session/queue occupancy plus the shared
-    /// executor's queue depth.
+    /// executor's size and queue depth.
     pub fn status(&self) -> Value {
         let g = self.inner.lock();
         let queued: usize = g.sessions.values().map(|s| s.queue.len()).sum();
-        let in_flight = g.sessions.values().filter(|s| s.running.is_some()).count();
         let exec = pacman_runner::Executor::global();
         Value::Object(vec![
             ("type".into(), Value::str("status")),
             ("sessions".into(), Value::UInt(g.sessions.len() as u64)),
             ("queued_jobs".into(), Value::UInt(queued as u64)),
-            ("in_flight_jobs".into(), Value::UInt(in_flight as u64)),
+            ("in_flight_jobs".into(), Value::UInt(g.in_flight as u64)),
             ("draining".into(), Value::Bool(g.draining)),
-            ("workers".into(), Value::UInt(self.inner.config.workers as u64)),
+            ("workers".into(), Value::UInt(exec.workers() as u64)),
             ("executor_queue_depth".into(), Value::UInt(exec.queue_depth() as u64)),
-            ("executor_max_pending".into(), Value::UInt(exec.max_pending() as u64)),
         ])
     }
 
     /// Gracefully drains: stops admitting, runs every queued job to
-    /// completion, closes every open session, joins the workers, and
-    /// returns the `daemon_drained` record. Idempotent — later calls
-    /// just re-report the totals.
+    /// completion, closes every open session, and returns the
+    /// `daemon_drained` record. Idempotent — later calls just re-report
+    /// the totals.
     pub fn drain(&self) -> Value {
-        {
-            let mut g = self.inner.lock();
-            g.draining = true;
-        }
-        // Unblock submits waiting for queue space (they now fail with
-        // `Draining`) and idle workers (they may exit once queues dry).
+        self.inner.lock().draining = true;
+        // Unblock submits waiting for queue space: they now fail with
+        // `Draining`.
         self.inner.space_ready.notify_all();
-        self.inner.work_ready.notify_all();
         let names: Vec<String> = self.inner.lock().sessions.keys().cloned().collect();
         for name in &names {
             close_named(&self.inner, name);
-        }
-        let handles =
-            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
-        for h in handles {
-            let _ = h.join();
         }
         // On-drain checkpoint: every session is closed and every job
         // done, so the snapshot records the final totals — a resume
@@ -507,13 +499,18 @@ impl Daemon {
 fn fresh_state() -> SchedState {
     SchedState {
         sessions: HashMap::new(),
-        rotation: VecDeque::new(),
         draining: false,
         sessions_served: 0,
         jobs_done_total: 0,
         jobs_failed_total: 0,
         telemetry: Registry::new(),
+        ready: VecDeque::new(),
+        in_flight: 0,
     }
+}
+
+fn global_workers() -> usize {
+    pacman_runner::Executor::global().workers()
 }
 
 /// Rebuilds the scheduler state from a loaded snapshot. Every session
@@ -523,19 +520,17 @@ fn fresh_state() -> SchedState {
 /// reattaching client knows exactly which replay prefix to drop.
 fn state_from_snapshot(snap: DaemonSnapshot) -> SchedState {
     let mut sessions = HashMap::new();
-    let mut rotation = VecDeque::new();
+    let mut ready = VecDeque::new();
     for s in snap.sessions {
+        if !s.jobs.is_empty() {
+            ready.push_back(s.name.clone());
+        }
         let (tx, rx) = channel();
         let _ = tx.send(protocol::session_opened(&s.name, unix_seconds_now()));
         for j in &s.jobs {
             let _ = tx.send(protocol::resumed(&s.name, j.id, j.emitted));
         }
-        let queue = s
-            .jobs
-            .into_iter()
-            .map(|j| Job { id: j.id, command: j.command, skip: j.emitted })
-            .collect();
-        rotation.push_back(s.name.clone());
+        let queue = s.jobs.into_iter().map(|j| Job::new(j.id, j.command, j.emitted)).collect();
         sessions.insert(
             s.name,
             SessionState {
@@ -554,20 +549,24 @@ fn state_from_snapshot(snap: DaemonSnapshot) -> SchedState {
     }
     SchedState {
         sessions,
-        rotation,
         draining: false,
         sessions_served: snap.sessions_served,
         jobs_done_total: snap.jobs_done_total,
         jobs_failed_total: snap.jobs_failed_total,
         telemetry: snap.telemetry,
+        ready,
+        in_flight: 0,
     }
 }
 
 /// Captures the scheduler state and writes it to the policy path
-/// atomically. Runs synchronously on the calling (worker) thread; the
-/// scheduler lock is held only while *capturing*, not while writing.
+/// atomically. Runs synchronously on the calling (job) thread; the
+/// scheduler lock is held only while *capturing*, the write lock across
+/// capture and write, so checkpoints land one at a time and in capture
+/// order.
 fn write_checkpoint(inner: &Inner) -> Result<(), SnapshotError> {
     let Some(durable) = &inner.durable else { return Ok(()) };
+    let _writing = durable.writing.lock().unwrap_or_else(PoisonError::into_inner);
     let snap = {
         let g = inner.lock();
         let mut sessions: Vec<SessionSnapshot> = g
@@ -576,20 +575,16 @@ fn write_checkpoint(inner: &Inner) -> Result<(), SnapshotError> {
             .map(|(name, s)| {
                 // The running job replays first, then the still-queued
                 // ones in queue order.
-                let mut jobs: Vec<JobSnapshot> = s
+                let jobs = s
                     .running
                     .iter()
-                    .map(|r| JobSnapshot {
-                        id: r.id,
-                        command: r.command.clone(),
-                        emitted: r.watermark(),
+                    .chain(&s.queue)
+                    .map(|j| JobSnapshot {
+                        id: j.id,
+                        command: j.command.clone(),
+                        emitted: j.watermark(),
                     })
                     .collect();
-                jobs.extend(s.queue.iter().map(|j| JobSnapshot {
-                    id: j.id,
-                    command: j.command.clone(),
-                    emitted: j.skip,
-                }));
                 SessionSnapshot {
                     name: name.clone(),
                     next_job: s.next_job,
@@ -627,9 +622,10 @@ impl SessionHandle {
         &self.name
     }
 
-    /// Queues one command line; returns the job id. Blocks while the
-    /// session queue is at capacity, after streaming one
-    /// `backpressure` record so the tenant knows why.
+    /// Queues one command line, starting it at once if the session has
+    /// no job running and a job slot is free; returns the job id.
+    /// Blocks while the session queue is at capacity, after streaming
+    /// one `backpressure` record so the tenant knows why.
     pub fn submit(&self, command: &str) -> Result<u64, DaemonError> {
         let capacity = self.inner.config.session_queue;
         let mut g = self.inner.lock();
@@ -658,11 +654,18 @@ impl SessionHandle {
         let sess = g.sessions.get_mut(&self.name).expect("session checked above");
         let id = sess.next_job;
         sess.next_job += 1;
-        sess.queue.push_back(Job { id, command: command.to_string(), skip: 0 });
+        let became_ready = sess.running.is_none() && sess.queue.is_empty();
+        sess.queue.push_back(Job::new(id, command.to_string(), 0));
         sess.telemetry.incr("daemon.jobs_submitted");
         let _ = sess.tx.send(protocol::job_accepted(&self.name, id));
+        if became_ready {
+            g.ready.push_back(self.name.clone());
+        }
+        let start = claim_next(&self.inner, &mut g);
         drop(g);
-        self.inner.work_ready.notify_all();
+        if let Some((name, job)) = start {
+            spawn_job_thread(&self.inner, name, job);
+        }
         Ok(id)
     }
 
@@ -714,7 +717,6 @@ fn close_named(inner: &Arc<Inner>, name: &str) -> Option<Value> {
         g = inner.idle.wait(g).unwrap_or_else(PoisonError::into_inner);
     }
     let s = g.sessions.remove(name).expect("session present in close loop");
-    g.rotation.retain(|n| n != name);
     let mut telemetry = s.telemetry;
     telemetry.incr_by("daemon.records", s.records.load(Ordering::Relaxed));
     let record = protocol::session_closed(
@@ -734,64 +736,52 @@ fn close_named(inner: &Arc<Inner>, name: &str) -> Option<Value> {
     Some(record)
 }
 
-/// A job claimed by a worker, with everything needed to run it without
-/// holding the scheduler lock.
-struct Picked {
-    name: String,
-    job: Job,
-    tx: Sender<Value>,
-    records: Arc<AtomicU64>,
-    /// Shared with the session's `running` entry so checkpoints read a
-    /// live watermark.
-    emitted: Arc<AtomicU64>,
-}
-
-/// Picks the next runnable job round-robin across sessions and marks
-/// it as its session's running job. `None` when nothing is eligible
-/// (empty queues, or every session with work already running a job).
-fn pick_job(g: &mut SchedState) -> Option<Picked> {
-    for _ in 0..g.rotation.len() {
-        let name = g.rotation.pop_front().expect("rotation non-empty inside loop");
-        let Some(sess) = g.sessions.get_mut(&name) else {
-            continue; // stale entry for a closed session: drop it
-        };
-        if sess.running.is_none() {
-            if let Some(job) = sess.queue.pop_front() {
-                let tx = sess.tx.clone();
-                let records = Arc::clone(&sess.records);
-                let emitted = Arc::new(AtomicU64::new(0));
-                sess.running = Some(RunningJob {
-                    id: job.id,
-                    command: job.command.clone(),
-                    skip: job.skip,
-                    emitted: Arc::clone(&emitted),
-                });
-                g.rotation.push_back(name.clone());
-                return Some(Picked { name, job, tx, records, emitted });
-            }
-        }
-        g.rotation.push_back(name);
+/// Claims a free job slot for the longest-waiting ready session: pops
+/// its next job and marks it running. `None` if every slot is taken or
+/// no session waits. The caller hands the claim to [`spawn_job_thread`] or
+/// runs it.
+fn claim_next(inner: &Inner, g: &mut SchedState) -> Option<(String, Job)> {
+    if g.in_flight >= inner.slots {
+        return None;
     }
-    None
+    let name = g.ready.pop_front()?;
+    let sess = g.sessions.get_mut(&name).expect("a ready session is open");
+    let job = sess.queue.pop_front().expect("a ready session has a queued job");
+    sess.running = Some(job.clone());
+    g.in_flight += 1;
+    Some((name, job))
 }
 
-fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
-    let config = inner.config;
-    loop {
-        let Picked { name, job, tx, records, emitted } = {
-            let mut g = inner.lock();
-            loop {
-                if let Some(pick) = pick_job(&mut g) {
-                    break pick;
-                }
-                // Exit only when draining *and* every queue is empty;
-                // jobs queued behind their session's running job must
-                // outlive this worker's patience, not be abandoned.
-                if g.draining && g.sessions.values().all(|s| s.queue.is_empty()) {
-                    return;
-                }
-                g = inner.work_ready.wait(g).unwrap_or_else(PoisonError::into_inner);
-            }
+/// Starts a job thread on a claimed job. A thread that cannot be
+/// spawned fails that job (`job_failed`) and retries with the next
+/// claim, so no slot is lost and no ready session is left without a
+/// thread. Job threads are detached: close and drain wait for a
+/// thread's last act, releasing its job under the lock, and after that
+/// the thread only returns.
+fn spawn_job_thread(inner: &Arc<Inner>, name: String, job: Job) {
+    let mut next = Some((name, job));
+    while let Some((name, job)) = next.take() {
+        let id = job.id;
+        let (thread_inner, thread_name) = (Arc::clone(inner), name.clone());
+        let spawned = thread::Builder::new()
+            .name("pacmand-job".into())
+            .spawn(move || run_jobs(&thread_inner, thread_name, job));
+        if let Err(e) = spawned {
+            let error = format!("cannot start a job thread: {e}");
+            next = finish_job(inner, &name, id, Err(error), 1, 0);
+        }
+    }
+}
+
+/// A job thread: runs the claimed job, then whichever job the next free
+/// slot claims, and exits once no session waits.
+fn run_jobs(inner: &Arc<Inner>, name: String, job: Job) {
+    let mut next = Some((name, job));
+    while let Some((name, job)) = next.take() {
+        let (tx, records) = {
+            let g = inner.lock();
+            let sess = &g.sessions[&name];
+            (sess.tx.clone(), Arc::clone(&sess.records))
         };
         let started = Instant::now();
         let mut attempt: u32 = 1;
@@ -801,19 +791,19 @@ fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
                 job: job.id,
                 tx: tx.clone(),
                 records: Arc::clone(&records),
-                emitted: Arc::clone(&emitted),
+                emitted: Arc::clone(&job.emitted),
                 skip: job.skip,
-                inner: Some(Arc::clone(inner)),
+                inner: Arc::clone(inner),
             };
             // The job's entire execution — campaign shards included —
             // is fenced here; a panic is the session's problem alone.
-            let result = catch_unwind(AssertUnwindSafe(|| runner.run(&job.command, &sink)));
+            let result = catch_unwind(AssertUnwindSafe(|| inner.runner.run(&job.command, &sink)));
             let error = match result {
-                Ok(Ok(())) => break Ok(attempt),
+                Ok(Ok(())) => break Ok(()),
                 Ok(Err(e)) => e,
                 Err(payload) => format!("job panicked: {}", panic_message(payload.as_ref())),
             };
-            if attempt >= config.job_attempts.max(1) {
+            if attempt >= inner.config.job_attempts.max(1) {
                 break Err(error);
             }
             // Retry the whole command line. This thread holds no
@@ -822,32 +812,48 @@ fn worker_loop(inner: &Arc<Inner>, runner: &dyn JobRunner) {
             attempt += 1;
         };
         let elapsed_us = started.elapsed().as_micros() as u64;
-        let record = match &outcome {
-            Ok(attempts) => protocol::job_done(&name, job.id, *attempts),
-            Err(error) => protocol::job_failed(&name, job.id, error, attempt),
-        };
-        let _ = tx.send(record);
-        let mut g = inner.lock();
-        if let Some(sess) = g.sessions.get_mut(&name) {
-            sess.running = None;
-            sess.telemetry.observe("daemon.job_us", elapsed_us);
-            sess.telemetry.incr_by("daemon.job_retries", u64::from(attempt - 1));
-            match outcome {
-                Ok(_) => sess.telemetry.incr("daemon.jobs_done"),
-                Err(_) => sess.telemetry.incr("daemon.jobs_failed"),
-            }
-            match outcome {
-                Ok(_) => sess.jobs_done += 1,
-                Err(_) => sess.jobs_failed += 1,
-            }
-        }
-        drop(g);
-        // Queue space freed and the session may run its next job; close/drain
-        // waiters also need a look.
-        inner.space_ready.notify_all();
-        inner.work_ready.notify_all();
-        inner.idle.notify_all();
+        next = finish_job(inner, &name, job.id, outcome, attempt, elapsed_us);
     }
+}
+
+/// Reports a finished job (`job_done` or `job_failed`) and its
+/// telemetry, puts its session back in line if it has more queued, and
+/// claims the freed slot's next job for the same thread.
+fn finish_job(
+    inner: &Inner,
+    name: &str,
+    id: u64,
+    outcome: Result<(), String>,
+    attempts: u32,
+    elapsed_us: u64,
+) -> Option<(String, Job)> {
+    let mut g = inner.lock();
+    let sess = g.sessions.get_mut(name).expect("a session outlives its running job");
+    let record = match &outcome {
+        Ok(()) => protocol::job_done(name, id, attempts),
+        Err(error) => protocol::job_failed(name, id, error, attempts),
+    };
+    let _ = sess.tx.send(record);
+    sess.running = None;
+    sess.telemetry.observe("daemon.job_us", elapsed_us);
+    sess.telemetry.incr_by("daemon.job_retries", u64::from(attempts - 1));
+    if outcome.is_ok() {
+        sess.telemetry.incr("daemon.jobs_done");
+        sess.jobs_done += 1;
+    } else {
+        sess.telemetry.incr("daemon.jobs_failed");
+        sess.jobs_failed += 1;
+    }
+    if !sess.queue.is_empty() {
+        g.ready.push_back(name.to_string());
+    }
+    g.in_flight -= 1;
+    let next = claim_next(inner, &mut g);
+    drop(g);
+    // Queue space freed; close/drain waiters also need a look.
+    inner.space_ready.notify_all();
+    inner.idle.notify_all();
+    next
 }
 
 #[cfg(test)]
@@ -876,10 +882,33 @@ mod tests {
         types
     }
 
+    /// A gate every caller of [`wait_gate`] blocks on until
+    /// [`open_gate`].
+    fn gate() -> Arc<(Mutex<bool>, Condvar)> {
+        Arc::new((Mutex::new(false), Condvar::new()))
+    }
+
+    fn wait_gate(gate: &(Mutex<bool>, Condvar)) {
+        let (lock, cv) = gate;
+        let mut open = lock.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+    }
+
+    fn open_gate(gate: &(Mutex<bool>, Condvar)) {
+        let (lock, cv) = gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+
+    fn in_flight_jobs(daemon: &Daemon) -> u64 {
+        daemon.status().get("in_flight_jobs").and_then(Value::as_u64).unwrap_or(0)
+    }
+
     #[test]
     fn a_job_streams_output_then_done_in_order() {
-        let daemon =
-            Daemon::start(DaemonConfig { workers: 2, ..DaemonConfig::default() }, echo_runner());
+        let daemon = Daemon::start(DaemonConfig::default(), echo_runner());
         let session = daemon.open_session("t").unwrap();
         session.submit("oracle --trials 4").unwrap();
         let types = drain_types(&session, "job_done");
@@ -899,7 +928,7 @@ mod tests {
             sink.record("{\"record\":\"ok\"}");
             Ok(())
         });
-        let daemon = Daemon::start(DaemonConfig { workers: 2, ..DaemonConfig::default() }, runner);
+        let daemon = Daemon::start(DaemonConfig::default(), runner);
         let victim = daemon.open_session("victim").unwrap();
         let bystander = daemon.open_session("bystander").unwrap();
         victim.submit("boom").unwrap();
@@ -934,10 +963,8 @@ mod tests {
                 Ok(())
             }
         });
-        let daemon = Daemon::start(
-            DaemonConfig { workers: 1, job_attempts: 3, ..DaemonConfig::default() },
-            runner,
-        );
+        let daemon =
+            Daemon::start(DaemonConfig { job_attempts: 3, ..DaemonConfig::default() }, runner);
         let session = daemon.open_session("retry").unwrap();
         session.submit("flaky").unwrap();
         let types = drain_types(&session, "job_done");
@@ -955,30 +982,24 @@ mod tests {
 
     #[test]
     fn submit_beyond_session_capacity_backpressures_then_completes() {
-        // One worker held busy by a slow job; the queue (capacity 1)
-        // fills, so the third submit must block, emit `backpressure`,
-        // and still land once space frees.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        // The session's job is held busy by a slow one; the queue
+        // (capacity 1) fills, so the third submit must block, emit
+        // `backpressure`, and still land once space frees.
+        let gate = gate();
         let gate_for_runner = Arc::clone(&gate);
         let runner: Arc<dyn JobRunner> = Arc::new(move |command: &str, _: &JobSink| {
             if command == "slow" {
-                let (lock, cv) = &*gate_for_runner;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
+                wait_gate(&gate_for_runner);
             }
             Ok(())
         });
-        let daemon = Daemon::start(
-            DaemonConfig { workers: 1, session_queue: 1, ..DaemonConfig::default() },
-            runner,
-        );
+        let daemon =
+            Daemon::start(DaemonConfig { session_queue: 1, ..DaemonConfig::default() }, runner);
         let session = daemon.open_session("t").unwrap();
         session.submit("slow").unwrap();
         // Wait until the slow job is in flight so the next submit
         // occupies the single queue slot.
-        while daemon.status().get("in_flight_jobs").and_then(Value::as_u64) != Some(1) {
+        while in_flight_jobs(&daemon) != 1 {
             thread::sleep(Duration::from_millis(1));
         }
         session.submit("queued").unwrap();
@@ -993,11 +1014,7 @@ mod tests {
         while daemon.metrics().counter_value("daemon.backpressure") == 0 {
             thread::sleep(Duration::from_millis(1));
         }
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
+        open_gate(&gate);
         assert_eq!(blocked.join().unwrap(), Ok(2));
         let mut saw_backpressure = false;
         while let Some(r) = session.next_record() {
@@ -1017,8 +1034,7 @@ mod tests {
 
     #[test]
     fn drain_runs_queued_work_to_completion_and_reports_totals() {
-        let daemon =
-            Daemon::start(DaemonConfig { workers: 2, ..DaemonConfig::default() }, echo_runner());
+        let daemon = Daemon::start(DaemonConfig::default(), echo_runner());
         let a = daemon.open_session("a").unwrap();
         let b = daemon.open_session("b").unwrap();
         for _ in 0..3 {
@@ -1038,10 +1054,55 @@ mod tests {
         assert!(drain_types(&b, "session_closed").contains(&"session_closed".to_string()));
     }
 
+    /// A daemon allowed `slots` jobs at once, whatever the shared
+    /// executor's size.
+    fn start_with_slots(config: DaemonConfig, runner: Arc<dyn JobRunner>, slots: usize) -> Daemon {
+        Daemon::start_inner(config, runner, None, fresh_state(), slots)
+    }
+
+    #[test]
+    fn session_jobs_run_at_once_up_to_the_executor_workers() {
+        // Two more sessions than the executor has workers each submit a
+        // job that blocks until the gate opens: as many run at once as
+        // there are workers, the other two wait their turn.
+        let workers = pacman_runner::Executor::global().workers();
+        let gate = gate();
+        let gate_for_runner = Arc::clone(&gate);
+        let runner: Arc<dyn JobRunner> = Arc::new(move |_: &str, _: &JobSink| {
+            wait_gate(&gate_for_runner);
+            Ok(())
+        });
+        let daemon = Daemon::start(DaemonConfig::default(), runner);
+        let handles: Vec<_> = (0..workers + 2)
+            .map(|i| {
+                let handle = daemon.open_session(&format!("s{i}")).unwrap();
+                handle.submit("gated").unwrap();
+                handle
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while in_flight_jobs(&daemon) < workers as u64 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        thread::sleep(Duration::from_millis(20));
+        let status = daemon.status();
+        open_gate(&gate);
+        assert_eq!(status.get("in_flight_jobs").and_then(Value::as_u64), Some(workers as u64));
+        assert_eq!(status.get("queued_jobs").and_then(Value::as_u64), Some(2));
+        for handle in handles {
+            assert_eq!(
+                drain_types(&handle, "job_done").last().map(String::as_str),
+                Some("job_done")
+            );
+            let _ = handle.close();
+        }
+        daemon.drain();
+    }
+
     #[test]
     fn fair_share_interleaves_a_flooded_session_with_a_light_one() {
-        // One worker, one greedy session with many jobs, one light
-        // session submitting after: round-robin must run the light
+        // One job slot, one greedy session with many jobs, one light
+        // session submitting after: the slot must go to the light
         // session's job before the greedy backlog finishes.
         let order = Arc::new(Mutex::new(Vec::<String>::new()));
         let order_ref = Arc::clone(&order);
@@ -1050,9 +1111,10 @@ mod tests {
             thread::sleep(Duration::from_millis(2));
             Ok(())
         });
-        let daemon = Daemon::start(
-            DaemonConfig { workers: 1, session_queue: 32, ..DaemonConfig::default() },
+        let daemon = start_with_slots(
+            DaemonConfig { session_queue: 32, ..DaemonConfig::default() },
             runner,
+            1,
         );
         let greedy = daemon.open_session("greedy").unwrap();
         let light = daemon.open_session("light").unwrap();
@@ -1071,6 +1133,89 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_light_campaign_finishes_inside_a_flooded_one_on_shared_workers() {
+        // Two executor workers, two job slots. The flooded session's
+        // running campaign may use both workers (jobs = 2) and has
+        // another queued behind it; the light session's campaign,
+        // submitted once the flood is running, must finish while most
+        // of the flood's shards are still to run: only the executor's
+        // least-in-flight refill hands it a worker that early.
+        const FLOOD_SHARDS: usize = 100;
+        let exec = Arc::new(pacman_runner::Executor::new(2));
+        let flood_done = Arc::new(AtomicUsize::new(0));
+        let seen_by_light = Arc::new(AtomicUsize::new(usize::MAX));
+        let (flood_ref, seen_ref) = (Arc::clone(&flood_done), Arc::clone(&seen_by_light));
+        let runner: Arc<dyn JobRunner> = Arc::new(move |command: &str, _: &JobSink| {
+            let flood = command == "flood";
+            let shards = if flood { FLOOD_SHARDS } else { 8 };
+            let done = Arc::clone(&flood_ref);
+            exec.run_tolerant::<u64, std::convert::Infallible, _>(
+                &pacman_runner::shard_plan(shards, shards, 1),
+                2,
+                pacman_runner::RetryPolicy::no_retries(),
+                move |s, _| {
+                    if flood {
+                        thread::sleep(Duration::from_millis(4));
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Ok(s.seed)
+                },
+            )
+            .map_err(|e| e.to_string())?;
+            if !flood {
+                seen_ref.store(flood_ref.load(Ordering::SeqCst), Ordering::SeqCst);
+            }
+            Ok(())
+        });
+        let daemon = start_with_slots(DaemonConfig::default(), runner, 2);
+        let flooded = daemon.open_session("flooded").unwrap();
+        for _ in 0..2 {
+            flooded.submit("flood").unwrap();
+        }
+        while flood_done.load(Ordering::SeqCst) == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let light = daemon.open_session("light").unwrap();
+        light.submit("light").unwrap();
+        let _ = light.close();
+        let closed = flooded.close().unwrap();
+        assert_eq!(closed.get("jobs_done").and_then(Value::as_u64), Some(2));
+        daemon.drain();
+        let seen = seen_by_light.load(Ordering::SeqCst);
+        assert!(
+            seen < FLOOD_SHARDS / 2,
+            "the light campaign waited: {seen} of {FLOOD_SHARDS} flood shards ran first"
+        );
+    }
+
+    #[test]
+    fn concurrent_checkpoints_neither_fail_nor_tear() {
+        let path = temp_snapshot_path("concurrent");
+        let daemon = Arc::new(Daemon::start_durable(
+            DaemonConfig::default(),
+            echo_runner(),
+            CheckpointPolicy::new(path.clone(), 1_000),
+            false,
+        ));
+        let session = daemon.open_session("s").unwrap();
+        session.submit("job").unwrap();
+        drain_types(&session, "job_done");
+        let writers: Vec<_> = (0..8)
+            .map(|_| {
+                let daemon = Arc::clone(&daemon);
+                thread::spawn(move || (0..50).filter(|_| daemon.checkpoint_now().is_err()).count())
+            })
+            .collect();
+        let failed: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert_eq!(failed, 0, "concurrent checkpoint writes failed");
+        let snap = DaemonSnapshot::read_file(&path).unwrap().expect("a checkpoint exists");
+        assert_eq!(snap.sessions.len(), 1);
+        let _ = session.close();
+        daemon.drain();
+        let _ = std::fs::remove_file(&path);
+    }
+
     fn temp_snapshot_path(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("pacmand-svc-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1087,11 +1232,7 @@ mod tests {
         Arc::new(move |command: &str, sink: &JobSink| {
             for i in 0..10u32 {
                 if i == 5 && armed.swap(false, Ordering::SeqCst) {
-                    let (lock, cv) = &*gate;
-                    let mut open = lock.lock().unwrap();
-                    while !*open {
-                        open = cv.wait(open).unwrap();
-                    }
+                    wait_gate(&gate);
                 }
                 sink.record(&format!("{{\"record\":\"trial\",\"cmd\":\"{command}\",\"i\":{i}}}"));
             }
@@ -1104,13 +1245,13 @@ mod tests {
         let path = temp_snapshot_path("resume");
         let _ = std::fs::remove_file(&path);
         let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let gate = gate();
         let runner = stalling_runner(Arc::clone(&armed), Arc::clone(&gate));
 
         // "Pre-crash" daemon: checkpoint every 5 records, job stalls
         // right after the fifth, so the checkpoint sees it running.
         let daemon = Daemon::start_durable(
-            DaemonConfig { workers: 1, ..DaemonConfig::default() },
+            DaemonConfig::default(),
             Arc::clone(&runner),
             CheckpointPolicy::new(path.clone(), 5),
             false,
@@ -1143,11 +1284,7 @@ mod tests {
         // Let the stalled job finish and tear the first daemon down,
         // then put the mid-stream snapshot back — as if the process had
         // been SIGKILLed at the checkpoint instead of draining.
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
+        open_gate(&gate);
         drain_types(&session, "job_done");
         let _ = session.close();
         daemon.drain();
@@ -1156,7 +1293,7 @@ mod tests {
         // Restarted daemon: resumes, re-runs job 0 with the first 5
         // records suppressed, and the stream picks up mid-job.
         let restarted = Daemon::start_durable(
-            DaemonConfig { workers: 1, ..DaemonConfig::default() },
+            DaemonConfig::default(),
             runner,
             CheckpointPolicy::new(path.clone(), 5),
             true,
@@ -1201,7 +1338,7 @@ mod tests {
         let path = temp_snapshot_path("corrupt");
         std::fs::write(&path, b"PACMANDS\x63\x00garbage-checksum-and-body").unwrap();
         let daemon = Daemon::start_durable(
-            DaemonConfig { workers: 1, ..DaemonConfig::default() },
+            DaemonConfig::default(),
             echo_runner(),
             CheckpointPolicy::new(path.clone(), 100),
             true,
@@ -1238,7 +1375,7 @@ mod tests {
         };
         snap.write_atomic(&path).unwrap();
         let daemon = Daemon::start_durable(
-            DaemonConfig { workers: 1, ..DaemonConfig::default() },
+            DaemonConfig::default(),
             echo_runner(),
             CheckpointPolicy::new(path.clone(), 100),
             true,
@@ -1259,8 +1396,7 @@ mod tests {
 
     #[test]
     fn metrics_merge_live_and_closed_sessions() {
-        let daemon =
-            Daemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() }, echo_runner());
+        let daemon = Daemon::start(DaemonConfig::default(), echo_runner());
         let a = daemon.open_session("a").unwrap();
         a.submit("one").unwrap();
         drain_types(&a, "job_done");

@@ -251,7 +251,8 @@ impl DaemonSnapshot {
 
     /// Writes the snapshot to `path` atomically: the bytes land in a
     /// sibling temp file which is then renamed over `path`, so readers
-    /// only ever see the previous complete snapshot or this one.
+    /// only ever see the previous complete snapshot or this one. One
+    /// writer at a time: concurrent calls would share the temp file.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
         let io = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
         let tmp = path.with_extension("tmp");
@@ -260,7 +261,14 @@ impl DaemonSnapshot {
             f.write_all(&self.save()).map_err(io)?;
             f.sync_all().map_err(io)?;
         }
-        fs::rename(&tmp, path).map_err(io)
+        fs::rename(&tmp, path).map_err(io)?;
+        // Sync the directory too, or a power cut can undo the rename.
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+            fs::File::open(dir).and_then(|d| d.sync_all()).map_err(io)?;
+        }
+        Ok(())
     }
 
     /// Reads and parses `path`. `Ok(None)` when the file does not exist

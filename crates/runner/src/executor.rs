@@ -18,10 +18,13 @@
 //!   of the campaign with the fewest shards in flight, round-robin among
 //!   ties (fair share: a small campaign that arrives behind a long one
 //!   gets the next free worker rather than waiting out another of the
-//!   long one's shards), each campaign's in-flight shard
-//!   count is capped by its `jobs` argument, and submission blocks once
-//!   the injector holds `max_pending` undispatched campaigns
-//!   (backpressure).
+//!   long one's shards), and each campaign's in-flight shard
+//!   count is capped by its `jobs` argument. Submission never blocks:
+//!   each driver waits out its campaign before submitting the next, so
+//!   the injector holds at most one campaign per submitting thread —
+//!   for `pacmand`, one per running job, with at most one job per
+//!   executor worker — and the daemon's per-session queue is the only
+//!   admission bound.
 //! - **Streaming results.** Every finished shard is sent to the
 //!   handle's channel as a [`ShardEvent`] the moment it completes.
 //!   [`CampaignHandle::ordered`] reassembles shard order incrementally
@@ -59,6 +62,9 @@ use crate::{
 /// A queued shard execution: called with the executing worker's id.
 type Task = Box<dyn FnOnce(u64) + Send>;
 
+/// The process-wide pool behind [`Executor::global`].
+static GLOBAL: OnceLock<Executor> = OnceLock::new();
+
 /// One campaign's undispatched tail in the injector.
 struct CampaignQueue {
     tasks: VecDeque<Task>,
@@ -74,25 +80,15 @@ struct Sched {
     queue: VecDeque<CampaignQueue>,
     /// Bumped (after the work is visible) by every runnable-work event.
     epoch: u64,
-    /// Next backpressure ticket to hand out (see [`Executor::submit`]).
-    submit_next: u64,
-    /// Lowest ticket allowed to enqueue. Blocked submitters resume
-    /// strictly in ticket order, so backpressure is FIFO — a session
-    /// that submitted first is admitted first, regardless of condvar
-    /// wakeup order.
-    submit_serving: u64,
 }
 
 struct Shared {
     sched: Mutex<Sched>,
     work_ready: Condvar,
-    space_ready: Condvar,
     /// Per-worker task deques: owners pop the front, thieves take the
     /// back half.
     deques: Vec<Mutex<VecDeque<Task>>>,
     shutdown: AtomicBool,
-    /// Undispatched-campaign cap before [`Executor::submit`] blocks.
-    max_pending: usize,
 }
 
 /// Per-campaign coordination shared by all its tasks.
@@ -257,31 +253,15 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Spawns a pool of `workers` threads (clamped to >= 1) with the
-    /// default submission queue depth.
+    /// Spawns a pool of `workers` threads (clamped to >= 1).
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        Self::with_queue(workers, 0)
-    }
-
-    /// Spawns a pool with an explicit `max_pending` undispatched-
-    /// campaign cap (`0` selects the default, `max(workers * 4, 8)`).
-    #[must_use]
-    pub fn with_queue(workers: usize, max_pending: usize) -> Self {
         let workers = workers.max(1);
-        let max_pending = if max_pending == 0 { (workers * 4).max(8) } else { max_pending };
         let shared = Arc::new(Shared {
-            sched: Mutex::new(Sched {
-                queue: VecDeque::new(),
-                epoch: 0,
-                submit_next: 0,
-                submit_serving: 0,
-            }),
+            sched: Mutex::new(Sched { queue: VecDeque::new(), epoch: 0 }),
             work_ready: Condvar::new(),
-            space_ready: Condvar::new(),
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             shutdown: AtomicBool::new(false),
-            max_pending,
         });
         let workers = (0..workers)
             .map(|me| {
@@ -296,12 +276,32 @@ impl Executor {
     }
 
     /// The process-wide executor, created on first use with
-    /// [`default_jobs`] workers. Campaign parallelism is governed by
-    /// each submission's `jobs` cap, not the pool size, so a shared
-    /// pool never changes results.
+    /// [`default_jobs`] workers unless [`Executor::init_global`] sized
+    /// it first. Campaign parallelism is governed by each submission's
+    /// `jobs` cap, not the pool size, so a shared pool never changes
+    /// results.
     pub fn global() -> &'static Executor {
-        static GLOBAL: OnceLock<Executor> = OnceLock::new();
         GLOBAL.get_or_init(|| Executor::new(default_jobs()))
+    }
+
+    /// Creates the process-wide executor with `workers` threads
+    /// (clamped to >= 1), or returns it if it already has that many.
+    ///
+    /// # Errors
+    ///
+    /// The pool already exists at another size: it lives for the
+    /// process and is never resized.
+    pub fn init_global(workers: usize) -> Result<&'static Executor, String> {
+        let workers = workers.max(1);
+        let exec = GLOBAL.get_or_init(|| Executor::new(workers));
+        if exec.workers() == workers {
+            Ok(exec)
+        } else {
+            Err(format!(
+                "the shared executor already runs {} workers; cannot resize it to {workers}",
+                exec.workers()
+            ))
+        }
     }
 
     /// Worker-thread count.
@@ -313,8 +313,7 @@ impl Executor {
     /// Enqueues a campaign and returns its streaming handle
     /// immediately. `jobs` caps the campaign's concurrently running
     /// shards (`<= 1` serialises it — the executor's jobs=1 mode);
-    /// `policy` is the per-shard retry budget. Blocks only when `max_pending` campaigns are already
-    /// waiting for dispatch (backpressure).
+    /// `policy` is the per-shard retry budget. Never blocks.
     pub fn submit<T, E, F>(
         &self,
         shards: Vec<Shard>,
@@ -372,63 +371,20 @@ impl Executor {
             }));
         }
         drop(tx);
-        let mut g = lock(&self.shared.sched);
-        // Backpressure is ticketed: every submission takes the next
-        // ticket under the lock (so tickets are issued in arrival
-        // order) and may enqueue only when it is the lowest waiting
-        // ticket AND the queue has space. `notify_all` wakes every
-        // blocked submitter, but all except the ticket holder go
-        // straight back to sleep — blocked submits therefore resume in
-        // strict FIFO order, which the daemon's per-session fairness
-        // depends on.
-        let ticket = g.submit_next;
-        g.submit_next += 1;
-        while g.submit_serving != ticket || g.queue.len() >= self.shared.max_pending {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                // Shutting down: drop the tasks so the handle's channel
-                // closes and `wait` reports MissingResult instead of
-                // hanging. Every other waiter exits the same way, so
-                // the unserved ticket stalls nobody.
-                return CampaignHandle { rx, retries, total };
-            }
-            g = self.shared.space_ready.wait(g).unwrap_or_else(PoisonError::into_inner);
+        {
+            let mut g = lock(&self.shared.sched);
+            g.queue.push_back(CampaignQueue { tasks, limit, in_flight });
+            g.epoch += 1;
         }
-        g.submit_serving += 1;
-        g.queue.push_back(CampaignQueue { tasks, limit, in_flight });
-        g.epoch += 1;
-        drop(g);
-        // The next ticket holder may find space immediately (the queue
-        // cap can exceed one): let it re-check rather than wait for the
-        // next campaign retirement.
-        self.shared.space_ready.notify_all();
         self.shared.work_ready.notify_all();
         CampaignHandle { rx, retries, total }
     }
 
     /// Campaigns currently queued in the injector with undispatched
-    /// shards (admission-control visibility for services layered on the
-    /// executor; the daemon reports it in status records).
+    /// shards (the daemon reports it in status records).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         lock(&self.shared.sched).queue.len()
-    }
-
-    /// The undispatched-campaign cap beyond which [`Executor::submit`]
-    /// blocks.
-    #[must_use]
-    pub fn max_pending(&self) -> usize {
-        self.shared.max_pending
-    }
-
-    /// Backpressure ticket counters `(issued, admitted)`: submissions
-    /// that took a ticket, and tickets already served. `issued -
-    /// admitted` is the number of submitters currently blocked. Test
-    /// and introspection hook.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn submit_tickets(&self) -> (u64, u64) {
-        let g = lock(&self.shared.sched);
-        (g.submit_next, g.submit_serving)
     }
 
     /// Submit-and-wait: [`Executor::submit`] followed by
@@ -458,7 +414,6 @@ impl Drop for Executor {
         self.shared.shutdown.store(true, Ordering::Release);
         lock(&self.shared.sched).epoch += 1;
         self.shared.work_ready.notify_all();
-        self.shared.space_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -548,11 +503,8 @@ fn refill(shared: &Shared, me: usize) -> bool {
             let chunk = remaining.div_ceil(shared.deques.len()).clamp(1, headroom.min(remaining));
             c.in_flight.fetch_add(chunk, Ordering::AcqRel);
             taken.extend(c.tasks.drain(..chunk));
-            if c.tasks.is_empty() {
-                // Fully dispatched: retire the campaign from the
-                // injector and open a submission slot.
-                shared.space_ready.notify_all();
-            } else {
+            // A fully dispatched campaign retires from the injector.
+            if !c.tasks.is_empty() {
                 g.queue.push_back(c);
             }
         }
@@ -840,14 +792,14 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_bounds_pending_campaigns_without_deadlock() {
-        let exec = Executor::with_queue(1, 1);
+    fn many_outstanding_campaigns_on_one_worker_all_complete() {
+        let exec = Executor::new(1);
         let plans: Vec<_> = (0..6u64).map(|i| shard_plan(16, 8, i)).collect();
         let handles: Vec<_> = plans
             .iter()
             .map(|plan| {
-                // With max_pending=1 the later submits block until the
-                // single worker drains earlier campaigns.
+                // Every submit returns at once; the single worker
+                // drains all six campaigns behind it.
                 exec.submit::<u64, std::convert::Infallible, _>(
                     plan.clone(),
                     2,
@@ -860,107 +812,6 @@ mod tests {
             let out = handle.wait().expect("campaign completes");
             assert_eq!(out.completed(), plan.len());
         }
-    }
-
-    /// Blocks the single worker behind a gate so queued campaigns pile
-    /// up. Returns the gate and the gated campaign's handle.
-    #[allow(clippy::type_complexity)]
-    fn gate_the_worker(exec: &Executor) -> (Arc<(Mutex<bool>, Condvar)>, CampaignHandle<u64>) {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let handle = {
-            let gate = Arc::clone(&gate);
-            exec.submit::<u64, std::convert::Infallible, _>(
-                shard_plan(1, 1, 0),
-                1,
-                RetryPolicy::no_retries(),
-                move |s, _| {
-                    let (open, cv) = &*gate;
-                    let mut g = lock(open);
-                    while !*g {
-                        g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-                    }
-                    Ok(s.seed)
-                },
-            )
-        };
-        (gate, handle)
-    }
-
-    fn open_gate(gate: &(Mutex<bool>, Condvar)) {
-        let (open, cv) = gate;
-        *lock(open) = true;
-        cv.notify_all();
-    }
-
-    /// Polls until `issued` backpressure tickets exist (i.e. the
-    /// expected number of submitters have at least reached the ticket
-    /// counter), so the test can order its submitter threads.
-    fn await_tickets(exec: &Executor, issued: u64) {
-        while exec.submit_tickets().0 < issued {
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn blocked_submits_resume_in_fifo_order() {
-        // One worker, queue cap 1: a gated campaign occupies the
-        // worker, a filler campaign occupies the queue, then three
-        // submitters block in a known order. When the gate opens the
-        // single worker drains campaigns in admission order, so the
-        // recorded execution order proves the blocked submits were
-        // admitted FIFO — notify_all wakes all three at once, and only
-        // the ticket order keeps them straight.
-        let exec = Arc::new(Executor::with_queue(1, 1));
-        let (gate, gated) = gate_the_worker(&exec);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let filler = {
-            let order = Arc::clone(&order);
-            exec.submit::<u64, std::convert::Infallible, _>(
-                shard_plan(1, 1, 1),
-                1,
-                RetryPolicy::no_retries(),
-                move |s, _| {
-                    lock(&order).push("filler");
-                    Ok(s.seed)
-                },
-            )
-        };
-        let (base, _) = exec.submit_tickets();
-        let labels = ["first", "second", "third"];
-        let mut submitters = Vec::new();
-        for (i, &label) in labels.iter().enumerate() {
-            let submit_on = Arc::clone(&exec);
-            let order = Arc::clone(&order);
-            submitters.push(std::thread::spawn(move || {
-                submit_on
-                    .submit::<u64, std::convert::Infallible, _>(
-                        shard_plan(1, 1, 100 + i as u64),
-                        1,
-                        RetryPolicy::no_retries(),
-                        move |s, _| {
-                            lock(&order).push(label);
-                            Ok(s.seed)
-                        },
-                    )
-                    .wait()
-                    .expect("queued campaign completes")
-            }));
-            // The next submitter may not take its ticket before this
-            // one has: tickets are issued under the scheduler lock, so
-            // waiting for the counter pins the arrival order.
-            await_tickets(&exec, base + i as u64 + 1);
-        }
-        open_gate(&gate);
-        gated.wait().expect("gated campaign completes");
-        filler.wait().expect("filler campaign completes");
-        for s in submitters {
-            s.join().expect("submitter thread");
-        }
-        assert_eq!(
-            *lock(&order),
-            vec!["filler", "first", "second", "third"],
-            "blocked submits must be admitted in submission order"
-        );
     }
 
     #[test]
@@ -1022,53 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_shard_campaigns_complete_while_the_queue_is_saturated() {
-        // A waiting session is blocked behind a full queue; a
-        // zero-shard campaign submitted meanwhile must complete
-        // immediately — it takes no ticket and no queue slot, so it can
-        // never deadlock against the backpressure the session is
-        // waiting out.
-        let exec = Arc::new(Executor::with_queue(1, 1));
-        let (gate, gated) = gate_the_worker(&exec);
-        let filler = exec.submit::<u64, std::convert::Infallible, _>(
-            shard_plan(1, 1, 1),
-            1,
-            RetryPolicy::no_retries(),
-            |s, _| Ok(s.seed),
-        );
-        let (base, _) = exec.submit_tickets();
-        let blocked = {
-            let exec = Arc::clone(&exec);
-            std::thread::spawn(move || {
-                exec.submit::<u64, std::convert::Infallible, _>(
-                    shard_plan(1, 1, 2),
-                    1,
-                    RetryPolicy::no_retries(),
-                    |s, _| Ok(s.seed),
-                )
-                .wait()
-                .expect("blocked session completes after the drain")
-            })
-        };
-        await_tickets(&exec, base + 1);
-        let out = exec
-            .submit::<u64, std::convert::Infallible, _>(
-                Vec::new(),
-                4,
-                RetryPolicy::no_retries(),
-                |s, _| Ok(s.seed),
-            )
-            .wait()
-            .expect("zero-shard campaign returns despite the saturated queue");
-        assert!(out.results.is_empty());
-        assert_eq!(out.retries, 0);
-        open_gate(&gate);
-        gated.wait().expect("gated campaign completes");
-        filler.wait().expect("filler campaign completes");
-        blocked.join().expect("blocked submitter thread");
-    }
-
-    #[test]
     fn ordered_streaming_reassembles_shard_order() {
         let exec = Executor::new(4);
         let plan = shard_plan(64, DEFAULT_SHARDS, 5);
@@ -1104,6 +908,13 @@ mod tests {
             .expect("empty campaign");
         assert!(out.results.is_empty());
         assert_eq!(out.retries, 0);
+    }
+
+    #[test]
+    fn init_global_never_resizes_the_shared_pool() {
+        let n = Executor::global().workers();
+        assert_eq!(Executor::init_global(n).expect("same size").workers(), n);
+        assert!(Executor::init_global(n + 1).is_err(), "a second size must be refused");
     }
 
     #[test]
