@@ -235,8 +235,7 @@ impl Artifact {
         let index = self.fault_index();
         let mut last: Option<io::Error> = None;
         for attempt in 0..retry.max_attempts.max(1) {
-            let fault_attempt = if retry.reseed { attempt } else { 0 };
-            if faults.fires(FaultSite::ArtifactWrite, index, fault_attempt) {
+            if faults.fires(FaultSite::ArtifactWrite, index, retry.fault_attempt(attempt)) {
                 last = Some(io::Error::other(format!(
                     "injected fault: artifact write for BENCH_{} (attempt {attempt})",
                     self.id

@@ -548,9 +548,7 @@ fn cmd_brute(args: &Args) -> CliResult {
     // A probe boot positions the demo window around the true PAC (the
     // kernel seed pins the layout, so every shard sees the same target).
     let mut probe = System::boot(cfg.clone());
-    let set = probe.pick_quiet_dtlb_set();
-    let target = probe.alloc_target(set);
-    let true_pac = probe.true_pac(target);
+    let (target, true_pac) = Channel::Data.target(&mut probe);
     let clock = probe.machine.config().clock_hz;
     let start = true_pac.wrapping_sub((window / 2) as u16);
     let candidates: Vec<u16> = (0..window).map(|i| start.wrapping_add(i as u16)).collect();
@@ -922,10 +920,8 @@ fn cmd_profile(args: &Args) -> CliResult {
         .map(|out| out.telemetry),
         _ => {
             // Same probe-boot window placement as cmd_brute.
-            let mut probe = System::boot(cfg.clone());
-            let set = probe.pick_quiet_dtlb_set();
-            let target = probe.alloc_target(set);
-            let start = probe.true_pac(target).wrapping_sub((window / 2) as u16);
+            let (_, true_pac) = Channel::Data.target(&mut System::boot(cfg.clone()));
+            let start = true_pac.wrapping_sub((window / 2) as u16);
             let candidates: Vec<u16> = (0..window).map(|i| start.wrapping_add(i as u16)).collect();
             parallel_brute(&cfg, Channel::Data, 5, &candidates, jobs, true, &tol)
                 .map(|out| out.telemetry)

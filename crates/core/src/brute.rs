@@ -13,7 +13,7 @@ use crate::oracle::{OracleError, PacOracle};
 use crate::system::System;
 
 /// Outcome of one brute-force run.
-#[derive(Clone, Eq, PartialEq, Debug)]
+#[derive(Clone, Default, Eq, PartialEq, Debug)]
 pub struct BruteOutcome {
     /// The PAC the oracle reported, if any.
     pub found: Option<u16>,

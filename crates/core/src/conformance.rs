@@ -3,12 +3,13 @@
 //!
 //! The `pacman-ref` crate supplies the oracle ([`ScenarioArena`]) and the
 //! generator ([`pacman_ref::generate`]); this module turns them into a
-//! workspace experiment that follows the exact [`crate::parallel`]
-//! recipe: the program space is cut into [`DEFAULT_SHARDS`] contiguous
-//! shards as a pure function of the program count and the base seed,
-//! each shard runs its programs independently under the caller's
-//! [`Tolerance`] (injected shard panics retry within the budget), and
-//! divergences merge **in shard order**. For a fixed base seed the
+//! workspace experiment on the one shard harness of [`crate::parallel`]:
+//! the program space is cut into [`DEFAULT_SHARDS`] contiguous shards as
+//! a pure function of the program count and the base seed, each shard
+//! runs its programs independently under the caller's [`Tolerance`]
+//! (injected shard panics retry within the budget; no machine is
+//! leased, so no timing spike is rolled), and divergences merge **in
+//! shard order**. For a fixed base seed the
 //! report — including the divergence list — is identical at `jobs = 1`
 //! and `jobs = N`, and identical to the fault-free run when injected
 //! faults forced retries.
@@ -16,15 +17,13 @@
 //! Any diverging program is shrunk with [`pacman_ref::minimize`] before
 //! it is reported, so the JSONL repro dump carries minimal programs.
 
-use std::sync::Arc;
-
 use pacman_ref::{generate, minimize, quiet_config, scenario_seed, Divergence, ScenarioArena};
-use pacman_runner::{shard_plan, Shard, DEFAULT_SHARDS};
+use pacman_runner::{shard_plan, DEFAULT_SHARDS};
 use pacman_telemetry::Registry;
 use pacman_uarch::MachineConfig;
 
 use crate::fault::Tolerance;
-use crate::parallel::{fold_campaign, record_runner_counters, ExperimentError};
+use crate::parallel::{fold_campaign, Absorb, Attempt, ExperimentError};
 
 /// Workload for one conformance run.
 #[derive(Clone, Debug)]
@@ -87,45 +86,50 @@ pub fn run_conformance(
     jobs: usize,
     tol: &Tolerance,
 ) -> Result<ConformReport, ExperimentError> {
-    let tol = Arc::new(tol.clone());
     let plan = shard_plan(cfg.programs, DEFAULT_SHARDS, cfg.seed);
-    let work = {
-        let cfg = cfg.clone();
-        let tol = Arc::clone(&tol);
-        move |shard: &Shard, attempt: u32| -> Result<Vec<Divergence>, ExperimentError> {
-            tol.faults.maybe_panic(shard.index, tol.fault_attempt(attempt));
-            // One lockstep pair per shard, reset between scenarios:
-            // frames, page tables and the block-cache arena are recycled
-            // instead of reallocated for each of the shard's programs.
-            let mut arena = ScenarioArena::new(&cfg.machine);
-            let mut divergences = Vec::new();
-            for i in shard.range() {
-                let scenario = generate(scenario_seed(cfg.seed, i as u64));
-                if let Some(found) = arena.run(&scenario, cfg.max_steps) {
-                    if cfg.minimize {
-                        let (_, witness) = minimize(&scenario, &cfg.machine, cfg.max_steps);
-                        divergences.push(witness);
-                    } else {
-                        divergences.push(found);
-                    }
+    let init = ConformReport {
+        programs: cfg.programs as u64,
+        divergences: Vec::new(),
+        retries: 0,
+        telemetry: Registry::new(),
+    };
+    let cfg = cfg.clone();
+    let work = move |at: &Attempt<'_>| -> Result<Vec<Divergence>, ExperimentError> {
+        // One lockstep pair per shard, reset between scenarios:
+        // frames, page tables and the block-cache arena are recycled
+        // instead of reallocated for each of the shard's programs.
+        let mut arena = ScenarioArena::new(&cfg.machine);
+        let mut divergences = Vec::new();
+        for i in at.shard.range() {
+            let scenario = generate(scenario_seed(cfg.seed, i as u64));
+            if let Some(found) = arena.run(&scenario, cfg.max_steps) {
+                if cfg.minimize {
+                    let (_, witness) = minimize(&scenario, &cfg.machine, cfg.max_steps);
+                    divergences.push(witness);
+                } else {
+                    divergences.push(found);
                 }
             }
-            Ok(divergences)
         }
+        Ok(divergences)
     };
-    let (divergences, retries) = fold_campaign(
-        &plan,
-        jobs,
-        tol.retry,
-        work,
-        Vec::new(),
-        |all: &mut Vec<Divergence>, _, found: Vec<Divergence>| all.extend(found),
-    )?;
-    let mut telemetry = Registry::new();
-    telemetry.incr_by("conform.programs", cfg.programs as u64);
-    telemetry.incr_by("conform.divergences", divergences.len() as u64);
-    record_runner_counters(&mut telemetry, retries, &tol);
-    Ok(ConformReport { programs: cfg.programs as u64, divergences, retries, telemetry })
+    let mut report = fold_campaign(plan, jobs, tol, work, init, &mut |_| {})?;
+    report.retries = report.telemetry.counter_value("runner.retries");
+    report.telemetry.incr_by("conform.programs", report.programs);
+    report.telemetry.incr_by("conform.divergences", report.divergences.len() as u64);
+    Ok(report)
+}
+
+impl Absorb for ConformReport {
+    type Shard = Vec<Divergence>;
+
+    fn absorb(&mut self, shard: Vec<Divergence>) {
+        self.divergences.extend(shard);
+    }
+
+    fn telemetry(&mut self) -> &mut Registry {
+        &mut self.telemetry
+    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pacman_telemetry::Registry;
+
 pub use pacman_runner::{mix64, RetryPolicy};
 
 /// Environment variable holding the fault-plan seed (u64, decimal).
@@ -216,17 +218,14 @@ impl Tolerance {
         Self { retry: RetryPolicy::default(), faults: FaultPlan::from_env() }
     }
 
-    /// The attempt key fed into the fault-decision stream: the real
-    /// attempt number when the policy reseeds (transient faults clear on
-    /// retry), attempt 0 forever otherwise (faults replay, budgets
-    /// exhaust deterministically).
-    #[must_use]
-    pub fn fault_attempt(&self, attempt: u32) -> u32 {
-        if self.retry.reseed {
-            attempt
-        } else {
-            0
-        }
+    /// Records the execution-layer counters every JSONL metrics export
+    /// carries: retries spent, permanent shard failures (always 0 on the
+    /// success path — a permanent failure aborts the experiment) and the
+    /// faults this plan injected.
+    pub(crate) fn record_runner_counters(&self, reg: &mut Registry, retries: u64) {
+        reg.incr_by("runner.retries", retries);
+        reg.incr_by("runner.shard_failures", 0);
+        reg.incr_by("runner.faults_injected", self.faults.injected());
     }
 }
 
@@ -323,17 +322,5 @@ mod tests {
             }));
             assert_eq!(result.is_err(), fires, "shard {shard}");
         }
-    }
-
-    #[test]
-    fn fault_attempt_respects_the_reseed_policy() {
-        let reseeding = Tolerance::default();
-        assert_eq!(reseeding.fault_attempt(0), 0);
-        assert_eq!(reseeding.fault_attempt(3), 3);
-        let frozen = Tolerance {
-            retry: RetryPolicy { max_attempts: 4, reseed: false },
-            faults: FaultPlan::disabled(),
-        };
-        assert_eq!(frozen.fault_attempt(3), 0, "non-reseeding replays attempt 0");
     }
 }

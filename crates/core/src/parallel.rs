@@ -1,25 +1,30 @@
 //! Parallel experiment drivers over the `pacman-runner` execution layer.
 //!
-//! Every driver here follows the same recipe:
+//! Every driver runs its campaign through one shard harness,
+//! `fold_campaign`:
 //!
-//! 1. cut the trial space into [`pacman_runner::DEFAULT_SHARDS`]
+//! 1. the trial space is cut into [`pacman_runner::DEFAULT_SHARDS`]
 //!    contiguous shards (a pure function of the workload and the base
 //!    seed — never of the worker count);
-//! 2. boot one fresh [`System`] per shard whose *machine* seed is the
-//!    shard seed (`mix64(base, shard_index)`) while the *kernel* seed is
+//! 2. each shard attempt runs under the caller's [`Tolerance`]: the
+//!    harness first rolls the injected shard-panic fault, then the
+//!    driver's per-shard work runs. Drivers that need a machine lease
+//!    one fresh [`System`] per attempt whose *machine* seed is the shard
+//!    seed (`mix64(base, shard_index)`) while the *kernel* seed is
 //!    untouched, so PAC keys, target addresses and ground truth are
-//!    identical on every shard and only the noise/jitter streams differ;
-//! 3. run the shard's trials independently under the caller's
-//!    [`Tolerance`]: panics are isolated per attempt, transient failures
-//!    (including deterministically injected ones) retry within the
-//!    [`RetryPolicy`](crate::fault::RetryPolicy) budget, and a shard
-//!    that exhausts its budget surfaces as a typed
+//!    identical on every shard and only the noise/jitter streams differ.
+//!    The lease also rolls the injected timing-noise spike and discards
+//!    a spiked attempt. Panics are isolated per attempt, transient
+//!    failures retry within the [`RetryPolicy`](crate::fault::RetryPolicy)
+//!    budget, and a shard that exhausts its budget surfaces as a typed
 //!    [`ExperimentError::Shards`] partial-result report instead of a
 //!    process abort;
-//! 4. merge the per-shard outputs **in shard order** with
-//!    order-insensitive operations: counters add, histograms fold
+//! 3. each result type absorbs the per-shard outputs **in shard order**
+//!    with order-insensitive operations: counters add, histograms fold
 //!    bucket-wise ([`Registry::merge`]), trial logs concatenate and
-//!    reindex.
+//!    reindex;
+//! 4. the harness records the `runner.*` counters (retries, shard
+//!    failures, injected faults) into the merged telemetry.
 //!
 //! Consequence: for a fixed base seed the merged aggregate is identical
 //! for `jobs = 1` and `jobs = N` — and, because a retried attempt reruns
@@ -35,10 +40,10 @@ use pacman_uarch::Trap;
 
 use crate::brute::{BruteForcer, BruteOutcome, BruteVerdict};
 use crate::cache_probe::{quiet_target_offset, CacheDataPacOracle};
-use crate::fault::{FaultSite, Tolerance, SPIKE_CYCLES};
+use crate::fault::{FaultPlan, FaultSite, Tolerance, SPIKE_CYCLES};
 use crate::jump2win::{Jump2Win, Jump2WinError, Jump2WinReport};
 use crate::oracle::{DataPacOracle, InstrPacOracle, OracleError, PacOracle};
-use crate::pool::{self, PooledSystem};
+use crate::pool;
 use crate::sweep::{
     cache_tlb_series, data_tlb_series, experiment_machine, itlb_series, SweepSeries,
 };
@@ -166,24 +171,18 @@ impl Channel {
         })
     }
 
-    /// The target-page offset this channel monitors (the cache channel
-    /// needs a quiet L1D set inside the page).
-    fn target_offset(self) -> u64 {
-        match self {
-            Channel::Cache => quiet_target_offset(),
-            _ => 0,
-        }
+    /// Allocates this channel's attack target on a booted system and
+    /// returns it with its ground-truth PAC. The target page sits in a
+    /// dTLB set no per-syscall service page touches; the cache channel
+    /// also needs a quiet L1D set inside that page. Both depend only on
+    /// the kernel seed, so every shard of a campaign (and a probe boot
+    /// of the same config) gets the same pair.
+    pub fn target(self, sys: &mut System) -> (u64, u16) {
+        let set = sys.pick_quiet_dtlb_set();
+        let offset = if self == Channel::Cache { quiet_target_offset() } else { 0 };
+        let target = sys.alloc_target(set) + offset;
+        (target, sys.true_pac(target))
     }
-}
-
-/// Leases one shard's [`System`]: the machine seed becomes the shard
-/// seed (decorrelating noise streams), the kernel seed stays the
-/// caller's (so keys, layout and ground truth match across shards). The
-/// system comes from the calling worker's [`pool`] — a warm reboot when
-/// a compatible machine is parked, a fresh boot otherwise; either way
-/// the state is bit-identical to [`System::boot`].
-pub fn shard_system(base: &SystemConfig, shard_seed: u64, record: bool) -> PooledSystem {
-    shard_system_faulted(base, shard_seed, record, false)
 }
 
 /// Marks an armed timing-spike fault on the global flight recorder so a
@@ -199,25 +198,59 @@ fn note_spike(shard: usize, attempt: u32) {
     );
 }
 
-/// [`shard_system`], optionally arming the injected timing-noise spike
-/// on the shard machine (the attempt will run — exercising the uarch
-/// path — and then be discarded).
-fn shard_system_faulted(
-    base: &SystemConfig,
-    shard_seed: u64,
-    record: bool,
-    spiked: bool,
-) -> PooledSystem {
-    let mut cfg = base.clone();
-    cfg.machine.seed = shard_seed;
-    if spiked {
-        cfg.machine.latency.fault_spike = SPIKE_CYCLES;
+/// One shard attempt, handed to a driver's per-shard work by
+/// [`fold_campaign`] once the attempt survived its shard-panic decision.
+pub(crate) struct Attempt<'a> {
+    /// The shard being attempted.
+    pub(crate) shard: &'a Shard,
+    faults: &'a FaultPlan,
+    /// The attempt's key in the fault-decision stream.
+    key: u32,
+}
+
+impl Attempt<'_> {
+    /// Leases the attempt's shard [`System`] and runs `body` on it.
+    ///
+    /// The machine seed becomes the shard seed (decorrelating noise
+    /// streams), the kernel seed stays the caller's (so keys, layout and
+    /// ground truth match across shards). The system comes from the
+    /// calling worker's [`pool`] — a warm reboot when a compatible
+    /// machine is parked, a fresh boot otherwise; either way the state
+    /// is bit-identical to [`System::boot`].
+    ///
+    /// The injected timing-noise spike is decided here, so only drivers
+    /// that lease a system roll it. A spiked attempt runs `body` to
+    /// completion (exercising the spiked timing path), but its
+    /// measurements are corrupted: it fails with
+    /// [`ExperimentError::InjectedSpike`] so the whole shard — telemetry
+    /// included — is discarded and retried.
+    fn lease<T>(
+        &self,
+        base: &SystemConfig,
+        record: bool,
+        body: impl FnOnce(&mut System) -> Result<T, ExperimentError>,
+    ) -> Result<T, ExperimentError> {
+        let shard = self.shard.index;
+        let spiked = self.faults.fires(FaultSite::TimingSpike, shard as u64, self.key);
+        let mut cfg = base.clone();
+        cfg.machine.seed = self.shard.seed;
+        if spiked {
+            note_spike(shard, self.key);
+            cfg.machine.latency.fault_spike = SPIKE_CYCLES;
+        }
+        let mut sys = pool::lease(cfg);
+        if record {
+            sys.telemetry.set_enabled(true);
+        }
+        let out = body(&mut sys)?;
+        if spiked {
+            return Err(ExperimentError::InjectedSpike {
+                shard,
+                spikes: sys.machine.stats.fault_spikes,
+            });
+        }
+        Ok(out)
     }
-    let mut sys = pool::lease(cfg);
-    if record {
-        sys.telemetry.set_enabled(true);
-    }
-    sys
 }
 
 /// Captures a shard's full registry (attack-level series + the machine's
@@ -227,16 +260,6 @@ fn shard_registry(sys: &System) -> Registry {
     reg.set_enabled(true);
     sys.machine.export_telemetry(&mut reg);
     reg
-}
-
-/// Records the execution-layer counters every JSONL metrics export
-/// carries: retries spent, permanent shard failures (always 0 on the
-/// success path — a permanent failure aborts with
-/// [`ExperimentError::Shards`]) and injected faults.
-pub(crate) fn record_runner_counters(reg: &mut Registry, retries: u64, tol: &Tolerance) {
-    reg.incr_by("runner.retries", retries);
-    reg.incr_by("runner.shard_failures", 0);
-    reg.incr_by("runner.faults_injected", tol.faults.injected());
 }
 
 /// Per-shard completion notice streamed to campaign observers.
@@ -259,52 +282,70 @@ pub struct ShardProgress {
     pub retries: u64,
 }
 
-/// Runs one campaign on the process-wide [`Executor`] and folds the
-/// per-shard outputs **in shard order** into an accumulator.
-///
-/// The fold consumes the executor's **ordered stream** of shard events:
-/// shard `i` merges as soon as shards `0..=i` have reported, while later
-/// shards still run, so no end-of-run barrier holds the aggregation
-/// back. The fold is order-preserving, so the accumulator is the same
-/// for every `jobs`, and a permanent shard failure surfaces as
-/// [`ExperimentError::Shards`] with the full partial-result report.
-pub(crate) fn fold_campaign<T, A, F, M>(
-    plan: &[Shard],
-    jobs: usize,
-    retry: crate::fault::RetryPolicy,
-    work: F,
-    init: A,
-    merge: M,
-) -> Result<(A, u64), ExperimentError>
-where
-    T: Send + 'static,
-    F: Fn(&Shard, u32) -> Result<T, ExperimentError> + Send + Sync + 'static,
-    M: FnMut(&mut A, usize, T),
-{
-    fold_campaign_observed(plan, jobs, retry, work, init, merge, &mut |_| {})
+/// A merged campaign result: absorbs each shard's output in shard order
+/// and carries the registry [`fold_campaign`] records the runner
+/// counters into.
+pub(crate) trait Absorb {
+    /// One shard's output.
+    type Shard: Send + 'static;
+    /// Folds the next shard's output (in shard order) into the aggregate.
+    fn absorb(&mut self, shard: Self::Shard);
+    /// The aggregate's merged telemetry.
+    fn telemetry(&mut self) -> &mut Registry;
 }
 
-/// [`fold_campaign`] with a per-shard merge observer: `observe` fires
-/// once per merged shard, in shard order, live from the ordered event
-/// stream.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fold_campaign_observed<T, A, F, M>(
-    plan: &[Shard],
+/// Per-shard items collected in shard order beside their merged
+/// registries (the sweep and Jump2Win shape).
+impl<T: Send + 'static> Absorb for (Vec<T>, Registry) {
+    type Shard = (T, Registry);
+
+    fn absorb(&mut self, (item, reg): (T, Registry)) {
+        self.0.push(item);
+        self.1.merge(&reg);
+    }
+
+    fn telemetry(&mut self) -> &mut Registry {
+        &mut self.1
+    }
+}
+
+/// The one shard harness: runs `plan` on the process-wide [`Executor`]
+/// and folds the per-shard outputs **in shard order** into `acc`.
+///
+/// Every attempt first rolls the injected shard-panic fault, then runs
+/// `work`; work that needs a machine leases it through
+/// [`Attempt::lease`], which rolls the timing-spike fault. The fold
+/// consumes the executor's ordered stream: shard `i` merges — and
+/// `observe` fires — as soon as shards `0..=i` have reported, while
+/// later shards still run, so no end-of-run barrier holds the
+/// aggregation back. The fold is order-preserving, so the accumulator
+/// is the same for every `jobs`. On success the `runner.*` counters are
+/// recorded into the aggregate's telemetry; a permanent shard failure
+/// surfaces as [`ExperimentError::Shards`] with the full partial-result
+/// report.
+pub(crate) fn fold_campaign<A, F>(
+    plan: Vec<Shard>,
     jobs: usize,
-    retry: crate::fault::RetryPolicy,
+    tol: &Tolerance,
     work: F,
-    init: A,
-    mut merge: M,
+    mut acc: A,
     observe: &mut dyn FnMut(ShardProgress),
-) -> Result<(A, u64), ExperimentError>
+) -> Result<A, ExperimentError>
 where
-    T: Send + 'static,
-    F: Fn(&Shard, u32) -> Result<T, ExperimentError> + Send + Sync + 'static,
-    M: FnMut(&mut A, usize, T),
+    A: Absorb,
+    F: Fn(&Attempt<'_>) -> Result<A::Shard, ExperimentError> + Send + Sync + 'static,
 {
+    let tol = Arc::new(tol.clone());
+    let attempt = {
+        let tol = Arc::clone(&tol);
+        move |shard: &Shard, attempt: u32| {
+            let key = tol.retry.fault_attempt(attempt);
+            tol.faults.maybe_panic(shard.index, key);
+            work(&Attempt { shard, faults: &tol.faults, key })
+        }
+    };
     let shards = plan.len();
-    let mut stream = Executor::global().submit(plan.to_vec(), jobs, retry, work).ordered();
-    let mut acc = init;
+    let mut stream = Executor::global().submit(plan, jobs, tol.retry, attempt).ordered();
     let mut merged = 0usize;
     let mut failures: Vec<ShardError> = Vec::new();
     // Not a `for` loop: the observer needs `stream.retries()` between
@@ -313,7 +354,7 @@ where
     while let Some((i, r)) = stream.next() {
         match r {
             Ok(v) => {
-                merge(&mut acc, i, v);
+                acc.absorb(v);
                 merged += 1;
                 let retries = stream.retries();
                 observe(ShardProgress { shard: i, shards, completed: merged, retries });
@@ -325,26 +366,16 @@ where
     if let Some(shard) = stream.missing() {
         return Err(ExperimentError::Runner(RunnerError::MissingResult { shard }));
     }
-    if failures.is_empty() {
-        Ok((acc, retries))
-    } else {
-        Err(ExperimentError::Shards(PartialFailure {
+    if !failures.is_empty() {
+        return Err(ExperimentError::Shards(PartialFailure {
             total: shards,
             completed: merged,
             retries,
             failures,
-        }))
+        }));
     }
-}
-
-/// Concatenates shard trial logs in shard order and reindexes them into
-/// one global sequence.
-fn merge_logs(logs: impl IntoIterator<Item = Vec<TrialRecord>>) -> Vec<TrialRecord> {
-    let mut out: Vec<TrialRecord> = logs.into_iter().flatten().collect();
-    for (i, r) in out.iter_mut().enumerate() {
-        r.index = i as u64;
-    }
-    out
+    tol.record_runner_counters(acc.telemetry(), retries);
+    Ok(acc)
 }
 
 /// Number of miss-count buckets in the Figure 8 distributions (0..=12,
@@ -377,16 +408,51 @@ pub struct OracleDistribution {
     pub true_pac: u16,
 }
 
-struct OracleShardOut {
-    correct_detected: u64,
-    incorrect_clean: u64,
-    correct_misses: [u64; MISS_BUCKETS],
-    incorrect_misses: [u64; MISS_BUCKETS],
-    crashes: u64,
-    records: Vec<TrialRecord>,
-    telemetry: Registry,
-    target: u64,
-    true_pac: u16,
+impl OracleDistribution {
+    /// The distribution of zero trials; its telemetry records iff
+    /// `record`.
+    fn empty(record: bool) -> Self {
+        Self {
+            trials: 0,
+            correct_detected: 0,
+            incorrect_clean: 0,
+            correct_misses: vec![0; MISS_BUCKETS],
+            incorrect_misses: vec![0; MISS_BUCKETS],
+            crashes: 0,
+            records: Vec::new(),
+            telemetry: if record { Registry::new() } else { Registry::disabled() },
+            target: 0,
+            true_pac: 0,
+        }
+    }
+}
+
+impl Absorb for OracleDistribution {
+    type Shard = Self;
+
+    fn absorb(&mut self, shard: Self) {
+        self.trials += shard.trials;
+        self.correct_detected += shard.correct_detected;
+        self.incorrect_clean += shard.incorrect_clean;
+        for b in 0..MISS_BUCKETS {
+            self.correct_misses[b] += shard.correct_misses[b];
+            self.incorrect_misses[b] += shard.incorrect_misses[b];
+        }
+        self.crashes += shard.crashes;
+        // Shard logs concatenate into one global trial sequence.
+        let next = self.records.len() as u64;
+        self.records.extend(shard.records.into_iter().zip(next..).map(|(mut r, index)| {
+            r.index = index;
+            r
+        }));
+        self.telemetry.merge(&shard.telemetry);
+        self.target = shard.target;
+        self.true_pac = shard.true_pac;
+    }
+
+    fn telemetry(&mut self) -> &mut Registry {
+        &mut self.telemetry
+    }
 }
 
 /// Runs `trials` correct/wrong oracle test pairs sharded across `jobs`
@@ -454,123 +520,55 @@ where
     F: Fn(usize, u16) -> u16 + Send + Sync + 'static,
     O: FnMut(ShardProgress),
 {
-    let tol = Arc::new(tol.clone());
     let plan = shard_plan(trials, DEFAULT_SHARDS, base.machine.seed);
-    let work = {
-        let base = base.clone();
-        let tol = Arc::clone(&tol);
-        move |shard: &Shard, attempt: u32| -> Result<OracleShardOut, ExperimentError> {
-            let fa = tol.fault_attempt(attempt);
-            tol.faults.maybe_panic(shard.index, fa);
-            let spiked = tol.faults.fires(FaultSite::TimingSpike, shard.index as u64, fa);
-            if spiked {
-                note_spike(shard.index, fa);
-            }
-            let mut sys = shard_system_faulted(&base, shard.seed, record, spiked);
-            let set = sys.pick_quiet_dtlb_set();
-            let target = sys.alloc_target(set) + channel.target_offset();
-            let true_pac = sys.true_pac(target);
-            let mut oracle = channel.oracle(&mut sys, samples)?;
+    let base = base.clone();
+    let work = move |at: &Attempt<'_>| {
+        at.lease(&base, record, |sys| {
+            let (target, true_pac) = channel.target(sys);
+            let mut oracle = channel.oracle(sys, samples)?;
             let mut log = if record { TrialLog::new() } else { TrialLog::disabled() };
-            let mut out = OracleShardOut {
-                correct_detected: 0,
-                incorrect_clean: 0,
-                correct_misses: [0; MISS_BUCKETS],
-                incorrect_misses: [0; MISS_BUCKETS],
-                crashes: 0,
-                records: Vec::new(),
-                telemetry: Registry::disabled(),
+            let mut out = OracleDistribution {
+                trials: at.shard.len as u64,
                 target,
                 true_pac,
+                ..OracleDistribution::empty(false)
             };
-            for i in shard.range() {
+            for i in at.shard.range() {
                 let v = recorded_test_pac(
                     oracle.as_mut(),
-                    &mut sys,
+                    sys,
                     &mut log,
                     target,
                     true_pac,
                     Some(true_pac),
                 )?;
-                if v.is_correct() {
-                    out.correct_detected += 1;
-                }
+                out.correct_detected += u64::from(v.is_correct());
                 out.correct_misses[v.median_misses.min(MISS_BUCKETS - 1)] += 1;
                 let wrong = wrong_for(i, true_pac);
                 let v = recorded_test_pac(
                     oracle.as_mut(),
-                    &mut sys,
+                    sys,
                     &mut log,
                     target,
                     wrong,
                     Some(true_pac),
                 )?;
-                if !v.is_correct() {
-                    out.incorrect_clean += 1;
-                }
+                out.incorrect_clean += u64::from(!v.is_correct());
                 out.incorrect_misses[v.median_misses.min(MISS_BUCKETS - 1)] += 1;
             }
             out.crashes = sys.kernel.crash_count();
             out.records = log.take();
             if record {
-                out.telemetry = shard_registry(&sys);
-            }
-            if spiked {
-                // The attempt ran to completion (exercising the spiked
-                // timing path) but its measurements are corrupted: fail
-                // the attempt so the whole shard — telemetry included —
-                // is discarded and retried.
-                return Err(ExperimentError::InjectedSpike {
-                    shard: shard.index,
-                    spikes: sys.machine.stats.fault_spikes,
-                });
+                out.telemetry = shard_registry(sys);
             }
             Ok(out)
-        }
+        })
     };
-    let init = OracleDistribution {
-        trials: trials as u64,
-        correct_detected: 0,
-        incorrect_clean: 0,
-        correct_misses: vec![0; MISS_BUCKETS],
-        incorrect_misses: vec![0; MISS_BUCKETS],
-        crashes: 0,
-        records: Vec::new(),
-        telemetry: if record { Registry::new() } else { Registry::disabled() },
-        target: 0,
-        true_pac: 0,
-    };
-    let ((mut merged, logs), retries) = fold_campaign_observed(
-        &plan,
-        jobs,
-        tol.retry,
-        work,
-        (init, Vec::new()),
-        |acc: &mut (OracleDistribution, Vec<Vec<TrialRecord>>), si, s: OracleShardOut| {
-            let (merged, logs) = acc;
-            if si == 0 {
-                merged.target = s.target;
-                merged.true_pac = s.true_pac;
-            }
-            merged.correct_detected += s.correct_detected;
-            merged.incorrect_clean += s.incorrect_clean;
-            for b in 0..MISS_BUCKETS {
-                merged.correct_misses[b] += s.correct_misses[b];
-                merged.incorrect_misses[b] += s.incorrect_misses[b];
-            }
-            merged.crashes += s.crashes;
-            merged.telemetry.merge(&s.telemetry);
-            logs.push(s.records);
-        },
-        &mut observe,
-    )?;
-    merged.records = merge_logs(logs);
-    record_runner_counters(&mut merged.telemetry, retries, &tol);
-    Ok(merged)
+    fold_campaign(plan, jobs, tol, work, OracleDistribution::empty(record), &mut observe)
 }
 
 /// Merged result of a parallel brute-force sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ParallelBrute {
     /// Aggregate outcome: costs summed over every shard; `found` is the
     /// hit from the lowest candidate range (shards never early-exit each
@@ -582,6 +580,26 @@ pub struct ParallelBrute {
     pub true_pac: u16,
     /// Merged attack + machine telemetry of every shard.
     pub telemetry: Registry,
+}
+
+impl Absorb for ParallelBrute {
+    type Shard = Self;
+
+    fn absorb(&mut self, shard: Self) {
+        let (sum, s) = (&mut self.outcome, shard.outcome);
+        sum.found = sum.found.or(s.found);
+        sum.guesses_tested += s.guesses_tested;
+        sum.syscalls += s.syscalls;
+        sum.cycles += s.cycles;
+        sum.crashes += s.crashes;
+        self.telemetry.merge(&shard.telemetry);
+        self.target = shard.target;
+        self.true_pac = shard.true_pac;
+    }
+
+    fn telemetry(&mut self) -> &mut Registry {
+        &mut self.telemetry
+    }
 }
 
 /// Shards `candidates` contiguously and sweeps every shard to completion
@@ -606,76 +624,26 @@ pub fn parallel_brute(
     record: bool,
     tol: &Tolerance,
 ) -> Result<ParallelBrute, ExperimentError> {
-    struct ShardOut {
-        outcome: BruteOutcome,
-        target: u64,
-        true_pac: u16,
-        telemetry: Registry,
-    }
-    let tol = Arc::new(tol.clone());
-    let candidates: Arc<[u16]> = candidates.into();
     let plan = shard_plan(candidates.len(), DEFAULT_SHARDS, base.machine.seed);
-    let work = {
-        let base = base.clone();
-        let tol = Arc::clone(&tol);
-        let candidates = Arc::clone(&candidates);
-        move |shard: &Shard, attempt: u32| -> Result<ShardOut, ExperimentError> {
-            let fa = tol.fault_attempt(attempt);
-            tol.faults.maybe_panic(shard.index, fa);
-            let spiked = tol.faults.fires(FaultSite::TimingSpike, shard.index as u64, fa);
-            if spiked {
-                note_spike(shard.index, fa);
-            }
-            let mut sys = shard_system_faulted(&base, shard.seed, record, spiked);
-            let set = sys.pick_quiet_dtlb_set();
-            let target = sys.alloc_target(set) + channel.target_offset();
-            let true_pac = sys.true_pac(target);
-            let oracle = channel.oracle(&mut sys, samples)?;
-            let mut bf = BruteForcer::new(oracle);
-            let outcome = bf.brute(&mut sys, target, candidates[shard.range()].iter().copied())?;
-            let telemetry = if record { shard_registry(&sys) } else { Registry::disabled() };
-            if spiked {
-                return Err(ExperimentError::InjectedSpike {
-                    shard: shard.index,
-                    spikes: sys.machine.stats.fault_spikes,
-                });
-            }
-            Ok(ShardOut { outcome, target, true_pac, telemetry })
-        }
+    let (base, candidates) = (base.clone(), candidates.to_vec());
+    let work = move |at: &Attempt<'_>| {
+        at.lease(&base, record, |sys| {
+            let (target, true_pac) = channel.target(sys);
+            let mut bf = BruteForcer::new(channel.oracle(sys, samples)?);
+            let outcome = bf.brute(sys, target, candidates[at.shard.range()].iter().copied())?;
+            let telemetry = if record { shard_registry(sys) } else { Registry::disabled() };
+            Ok(ParallelBrute { outcome, target, true_pac, telemetry })
+        })
     };
     let init = ParallelBrute {
-        outcome: BruteOutcome {
-            found: None,
-            guesses_tested: 0,
-            syscalls: 0,
-            cycles: 0,
-            crashes: 0,
-        },
-        target: 0,
-        true_pac: 0,
         telemetry: if record { Registry::new() } else { Registry::disabled() },
+        ..ParallelBrute::default()
     };
-    let (mut merged, retries) =
-        fold_campaign(&plan, jobs, tol.retry, work, init, |merged: &mut ParallelBrute, si, s| {
-            if si == 0 {
-                merged.target = s.target;
-                merged.true_pac = s.true_pac;
-            }
-            if merged.outcome.found.is_none() {
-                merged.outcome.found = s.outcome.found;
-            }
-            merged.outcome.guesses_tested += s.outcome.guesses_tested;
-            merged.outcome.syscalls += s.outcome.syscalls;
-            merged.outcome.cycles += s.outcome.cycles;
-            merged.outcome.crashes += s.outcome.crashes;
-            merged.telemetry.merge(&s.telemetry);
-        })?;
-    record_runner_counters(&mut merged.telemetry, retries, &tol);
-    Ok(merged)
+    fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
 }
 
 /// Merged result of a parallel accuracy evaluation (§8.2).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AccuracyOutcome {
     /// Brute-force runs executed.
     pub runs: u64,
@@ -689,6 +657,23 @@ pub struct AccuracyOutcome {
     pub crashes: u64,
     /// Merged attack + machine telemetry of every shard.
     pub telemetry: Registry,
+}
+
+impl Absorb for AccuracyOutcome {
+    type Shard = Self;
+
+    fn absorb(&mut self, shard: Self) {
+        self.runs += shard.runs;
+        self.true_positives += shard.true_positives;
+        self.false_positives += shard.false_positives;
+        self.false_negatives += shard.false_negatives;
+        self.crashes += shard.crashes;
+        self.telemetry.merge(&shard.telemetry);
+    }
+
+    fn telemetry(&mut self) -> &mut Registry {
+        &mut self.telemetry
+    }
 }
 
 /// Runs `runs` independent brute-force windows sharded across `jobs`
@@ -713,70 +698,29 @@ pub fn parallel_accuracy<F>(
 where
     F: Fn(usize, u16) -> Vec<u16> + Send + Sync + 'static,
 {
-    struct ShardOut {
-        tp: u64,
-        fp: u64,
-        fneg: u64,
-        crashes: u64,
-        telemetry: Registry,
-    }
-    let tol = Arc::new(tol.clone());
     let plan = shard_plan(runs, DEFAULT_SHARDS, base.machine.seed);
-    let work = {
-        let base = base.clone();
-        let tol = Arc::clone(&tol);
-        move |shard: &Shard, attempt: u32| -> Result<ShardOut, ExperimentError> {
-            let fa = tol.fault_attempt(attempt);
-            tol.faults.maybe_panic(shard.index, fa);
-            let spiked = tol.faults.fires(FaultSite::TimingSpike, shard.index as u64, fa);
-            if spiked {
-                note_spike(shard.index, fa);
-            }
-            let mut sys = shard_system_faulted(&base, shard.seed, true, spiked);
-            let set = sys.pick_quiet_dtlb_set();
-            let target = sys.alloc_target(set) + channel.target_offset();
-            let true_pac = sys.true_pac(target);
-            let oracle = channel.oracle(&mut sys, samples)?;
-            let mut bf = BruteForcer::new(oracle);
-            let (mut tp, mut fp, mut fneg) = (0u64, 0u64, 0u64);
-            for run in shard.range() {
-                let window = window_for(run, true_pac);
-                let outcome = bf.brute(&mut sys, target, window)?;
+    let base = base.clone();
+    let work = move |at: &Attempt<'_>| {
+        at.lease(&base, true, |sys| {
+            let (target, true_pac) = channel.target(sys);
+            let mut bf = BruteForcer::new(channel.oracle(sys, samples)?);
+            let mut out =
+                AccuracyOutcome { runs: at.shard.len as u64, ..AccuracyOutcome::default() };
+            for run in at.shard.range() {
+                let outcome = bf.brute(sys, target, window_for(run, true_pac))?;
                 match BruteForcer::<Box<dyn PacOracle>>::classify(&outcome, true_pac) {
-                    BruteVerdict::TruePositive => tp += 1,
-                    BruteVerdict::FalsePositive => fp += 1,
-                    BruteVerdict::FalseNegative => fneg += 1,
+                    BruteVerdict::TruePositive => out.true_positives += 1,
+                    BruteVerdict::FalsePositive => out.false_positives += 1,
+                    BruteVerdict::FalseNegative => out.false_negatives += 1,
                 }
             }
-            let crashes = sys.kernel.crash_count();
-            let telemetry = shard_registry(&sys);
-            if spiked {
-                return Err(ExperimentError::InjectedSpike {
-                    shard: shard.index,
-                    spikes: sys.machine.stats.fault_spikes,
-                });
-            }
-            Ok(ShardOut { tp, fp, fneg, crashes, telemetry })
-        }
+            out.crashes = sys.kernel.crash_count();
+            out.telemetry = shard_registry(sys);
+            Ok(out)
+        })
     };
-    let init = AccuracyOutcome {
-        runs: runs as u64,
-        true_positives: 0,
-        false_positives: 0,
-        false_negatives: 0,
-        crashes: 0,
-        telemetry: Registry::new(),
-    };
-    let (mut merged, retries) =
-        fold_campaign(&plan, jobs, tol.retry, work, init, |merged: &mut AccuracyOutcome, _, s| {
-            merged.true_positives += s.tp;
-            merged.false_positives += s.fp;
-            merged.false_negatives += s.fneg;
-            merged.crashes += s.crashes;
-            merged.telemetry.merge(&s.telemetry);
-        })?;
-    record_runner_counters(&mut merged.telemetry, retries, &tol);
-    Ok(merged)
+    let init = AccuracyOutcome { telemetry: Registry::new(), ..AccuracyOutcome::default() };
+    fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
 }
 
 /// Which §7 sweep to run in parallel.
@@ -813,40 +757,22 @@ pub fn parallel_sweep(
 ) -> Result<(Vec<SweepSeries>, Registry), ExperimentError> {
     // One work unit per stride: stride counts are tiny (3-4), and each
     // stride is the natural isolation boundary (disjoint VA region).
-    let tol = Arc::new(tol.clone());
-    let strides: Arc<[u64]> = strides.into();
     let plan = shard_plan(strides.len(), strides.len(), 0);
-    let work = {
-        let tol = Arc::clone(&tol);
-        let strides = Arc::clone(&strides);
-        move |shard: &Shard, attempt: u32| -> Result<(SweepSeries, Registry), ExperimentError> {
-            tol.faults.maybe_panic(shard.index, tol.fault_attempt(attempt));
-            let mut m = experiment_machine();
-            let si = shard.index;
-            let series = match kind {
-                SweepKind::DataTlb => data_tlb_series(&mut m, si, strides[si])?,
-                SweepKind::CacheTlb => cache_tlb_series(&mut m, si, strides[si])?,
-                SweepKind::Itlb => itlb_series(&mut m, si, strides[si])?,
-            };
-            let mut reg = Registry::new();
-            m.export_telemetry(&mut reg);
-            Ok((series, reg))
-        }
-    };
     let init = (Vec::with_capacity(strides.len()), Registry::new());
-    let ((series, mut telemetry), retries) = fold_campaign(
-        &plan,
-        jobs,
-        tol.retry,
-        work,
-        init,
-        |acc: &mut (Vec<SweepSeries>, Registry), _, (s, reg): (SweepSeries, Registry)| {
-            acc.0.push(s);
-            acc.1.merge(&reg);
-        },
-    )?;
-    record_runner_counters(&mut telemetry, retries, &tol);
-    Ok((series, telemetry))
+    let strides = strides.to_vec();
+    let work = move |at: &Attempt<'_>| -> Result<(SweepSeries, Registry), ExperimentError> {
+        let mut m = experiment_machine();
+        let si = at.shard.index;
+        let series = match kind {
+            SweepKind::DataTlb => data_tlb_series(&mut m, si, strides[si])?,
+            SweepKind::CacheTlb => cache_tlb_series(&mut m, si, strides[si])?,
+            SweepKind::Itlb => itlb_series(&mut m, si, strides[si])?,
+        };
+        let mut reg = Registry::new();
+        m.export_telemetry(&mut reg);
+        Ok((series, reg))
+    };
+    fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
 }
 
 /// Runs the §8.3 Jump2Win attack with its two independent brute-force
@@ -873,24 +799,13 @@ pub fn parallel_jump2win(
         syscalls: u64,
         cycles: u64,
         crashes: u64,
-        telemetry: Registry,
     }
     // Two work units: the two brute-force phases.
-    let tol = Arc::new(tol.clone());
     let plan = shard_plan(2, 2, base.machine.seed);
-    let work = {
-        let base = base.clone();
-        let tol = Arc::clone(&tol);
-        let driver = driver.clone();
-        move |shard: &Shard, attempt: u32| -> Result<PhaseOut, ExperimentError> {
-            let fa = tol.fault_attempt(attempt);
-            tol.faults.maybe_panic(shard.index, fa);
-            let spiked = tol.faults.fires(FaultSite::TimingSpike, shard.index as u64, fa);
-            if spiked {
-                note_spike(shard.index, fa);
-            }
-            let mut sys = shard_system_faulted(&base, shard.seed, record, spiked);
-            let phase = shard.index;
+    let (shard_base, driver) = (base.clone(), driver.clone());
+    let work = move |at: &Attempt<'_>| {
+        at.lease(&shard_base, record, |sys| {
+            let phase = at.shard.index;
             let (sc, target, key) = if phase == 0 {
                 (sys.cpp.gadget_ia, sys.cpp.win_fn, PacKey::Ia)
             } else {
@@ -900,49 +815,35 @@ pub fn parallel_jump2win(
             let cycles0 = sys.machine.cycles;
             let crashes0 = sys.kernel.crash_count();
             let mut guesses = 0u64;
-            let pac = driver.brute_phase(&mut sys, sc, target, key, phase, &mut guesses)?;
-            if spiked {
-                return Err(ExperimentError::InjectedSpike {
-                    shard: shard.index,
-                    spikes: sys.machine.stats.fault_spikes,
-                });
-            }
-            Ok(PhaseOut {
+            let pac = driver.brute_phase(sys, sc, target, key, phase, &mut guesses)?;
+            let out = PhaseOut {
                 pac,
                 guesses,
                 syscalls: sys.machine.stats.syscalls - syscalls0,
                 cycles: sys.machine.cycles - cycles0,
                 crashes: sys.kernel.crash_count() - crashes0,
-                telemetry: if record { shard_registry(&sys) } else { Registry::disabled() },
-            })
-        }
+            };
+            Ok((out, if record { shard_registry(sys) } else { Registry::disabled() }))
+        })
     };
-    let (mut outs, retries) = fold_campaign(
-        &plan,
-        jobs,
-        tol.retry,
-        work,
-        Vec::with_capacity(2),
-        |outs: &mut Vec<PhaseOut>, _, s| outs.push(s),
-    )?;
+    let init = (Vec::with_capacity(2), if record { Registry::new() } else { Registry::disabled() });
+    let (mut outs, mut telemetry) = fold_campaign(plan, jobs, tol, work, init, &mut |_| {})?;
     let da = outs.pop().ok_or(ExperimentError::Runner(RunnerError::MissingResult { shard: 1 }))?;
     let ia = outs.pop().ok_or(ExperimentError::Runner(RunnerError::MissingResult { shard: 0 }))?;
 
     // Phases 3-4 on a fresh system with the caller's exact config (the
     // planted pointers only depend on the kernel seed, shared by all).
-    let mut sys = shard_system(base, base.machine.seed, record);
+    let mut sys = pool::lease(base.clone());
+    if record {
+        sys.telemetry.set_enabled(true);
+    }
     let syscalls0 = sys.machine.stats.syscalls;
     let cycles0 = sys.machine.cycles;
     let crashes0 = sys.kernel.crash_count();
     let hijacked = Jump2Win::plant_and_dispatch(&mut sys, ia.pac, da.pac)?;
-
-    let mut telemetry = if record { Registry::new() } else { Registry::disabled() };
-    telemetry.merge(&ia.telemetry);
-    telemetry.merge(&da.telemetry);
     if record {
         telemetry.merge(&shard_registry(&sys));
     }
-    record_runner_counters(&mut telemetry, retries, &tol);
     let report = Jump2WinReport {
         pac_win: ia.pac,
         pac_vtable: da.pac,

@@ -5,7 +5,8 @@
 //! shards run at once — so results must not depend on parallelism.
 //!
 //! The property tests at the bottom extend the contract to fault
-//! tolerance: any injected fault pattern that stays within the retry
+//! tolerance: for every driver (oracle, brute, accuracy, sweep,
+//! Jump2Win), any injected fault pattern that stays within the retry
 //! budget must leave the merged aggregate bit-identical to the
 //! fault-free serial run.
 
@@ -308,6 +309,80 @@ mod fault_tolerance_properties {
                     prop_assert_eq!(
                         experiment_only(&baseline.telemetry.snapshot()),
                         experiment_only(&faulted.telemetry.snapshot())
+                    );
+                }
+                Err(ExperimentError::Shards(partial)) => {
+                    prop_assert!(partial.completed < partial.total);
+                    prop_assert!(!partial.failures.is_empty());
+                }
+                Err(other) => return Err(TestCaseError::fail(format!(
+                    "unexpected error class: {other}"
+                ))),
+            }
+        }
+
+        /// Same property for the accuracy driver: the TP/FP/FN tallies
+        /// and the experiment telemetry survive any fault pattern that
+        /// stays within the retry budget.
+        #[test]
+        fn faulted_accuracy_matches_fault_free_serial(
+            seed in 0u64..(1u64 << 48),
+            rate_milli in 50u64..350,
+        ) {
+            let cfg = quiet_config();
+            let window = |run: usize, tp: u16| -> Vec<u16> {
+                let start = tp.wrapping_sub(2).wrapping_add((run % 3) as u16);
+                (0..4u16).map(|i| start.wrapping_add(i)).collect()
+            };
+            let baseline = parallel_accuracy(&cfg, Channel::Data, 1, 6, 1, &no_faults(), window)
+                .expect("fault-free serial run");
+            let tol = Tolerance {
+                retry: RetryPolicy::default(),
+                faults: FaultPlan::new(seed, rate_milli as f64 / 1000.0),
+            };
+            match parallel_accuracy(&cfg, Channel::Data, 1, 6, 4, &tol, window) {
+                Ok(faulted) => {
+                    prop_assert_eq!(baseline.runs, faulted.runs);
+                    prop_assert_eq!(baseline.true_positives, faulted.true_positives);
+                    prop_assert_eq!(baseline.false_positives, faulted.false_positives);
+                    prop_assert_eq!(baseline.false_negatives, faulted.false_negatives);
+                    prop_assert_eq!(baseline.crashes, faulted.crashes);
+                    prop_assert_eq!(
+                        experiment_only(&baseline.telemetry.snapshot()),
+                        experiment_only(&faulted.telemetry.snapshot())
+                    );
+                }
+                Err(ExperimentError::Shards(partial)) => {
+                    prop_assert!(partial.completed < partial.total);
+                    prop_assert!(!partial.failures.is_empty());
+                }
+                Err(other) => return Err(TestCaseError::fail(format!(
+                    "unexpected error class: {other}"
+                ))),
+            }
+        }
+
+        /// Same property for the §7 sweep driver, whose only fault site
+        /// is the shard panic: the series and the machine telemetry
+        /// survive any fault pattern within the retry budget.
+        #[test]
+        fn faulted_sweep_matches_fault_free_serial(
+            seed in 0u64..(1u64 << 48),
+            rate_milli in 50u64..350,
+        ) {
+            let strides: &[u64] = &[256, 2048];
+            let (baseline, breg) = parallel_sweep(SweepKind::DataTlb, strides, 1, &no_faults())
+                .expect("fault-free serial run");
+            let tol = Tolerance {
+                retry: RetryPolicy::default(),
+                faults: FaultPlan::new(seed, rate_milli as f64 / 1000.0),
+            };
+            match parallel_sweep(SweepKind::DataTlb, strides, 4, &tol) {
+                Ok((faulted, freg)) => {
+                    prop_assert_eq!(baseline, faulted);
+                    prop_assert_eq!(
+                        experiment_only(&breg.snapshot()),
+                        experiment_only(&freg.snapshot())
                     );
                 }
                 Err(ExperimentError::Shards(partial)) => {

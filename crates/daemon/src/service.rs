@@ -1150,8 +1150,8 @@ mod tests {
             let flood = command == "flood";
             let shards = if flood { FLOOD_SHARDS } else { 8 };
             let done = Arc::clone(&flood_ref);
-            exec.run_tolerant::<u64, std::convert::Infallible, _>(
-                &pacman_runner::shard_plan(shards, shards, 1),
+            exec.submit::<u64, std::convert::Infallible, _>(
+                pacman_runner::shard_plan(shards, shards, 1),
                 2,
                 pacman_runner::RetryPolicy::no_retries(),
                 move |s, _| {
@@ -1162,6 +1162,7 @@ mod tests {
                     Ok(s.seed)
                 },
             )
+            .wait()
             .map_err(|e| e.to_string())?;
             if !flood {
                 seen_ref.store(flood_ref.load(Ordering::SeqCst), Ordering::SeqCst);

@@ -26,11 +26,11 @@
 //!   executor worker — and the daemon's per-session queue is the only
 //!   admission bound.
 //! - **Streaming results.** Every finished shard is sent to the
-//!   handle's channel as a [`ShardEvent`] the moment it completes.
+//!   handle's channel the moment it completes.
 //!   [`CampaignHandle::ordered`] reassembles shard order incrementally
 //!   so consumers can merge results while later shards still run;
-//!   [`CampaignHandle::wait`] collects the end-of-run
-//!   [`ShardedOutcome`] instead.
+//!   [`CampaignHandle::wait`] collects that stream into the end-of-run
+//!   [`ShardedOutcome`].
 //! - **Fault tolerance.** Shard attempts run under `catch_unwind` with
 //!   a bounded [`RetryPolicy`] and emit trace spans. On a permanent
 //!   failure the campaign's cancel flag is raised *before* the failure
@@ -111,11 +111,11 @@ struct CampaignCore {
 
 /// One shard's terminal result, streamed to the consumer the moment
 /// the shard finishes.
-pub struct ShardEvent<T> {
+struct ShardEvent<T> {
     /// The shard's index in the plan.
-    pub shard: usize,
+    shard: usize,
     /// The shard's result (cancellations included).
-    pub result: Result<T, ShardError>,
+    result: Result<T, ShardError>,
 }
 
 /// A submitted campaign: a streaming receiver plus live retry counter.
@@ -144,7 +144,7 @@ impl<T> CampaignHandle<T> {
 
     /// Blocks for the next completion event, in completion order.
     /// `None` once every shard has reported.
-    pub fn next_event(&self) -> Option<ShardEvent<T>> {
+    fn next_event(&self) -> Option<ShardEvent<T>> {
         self.rx.recv().ok()
     }
 
@@ -153,43 +153,26 @@ impl<T> CampaignHandle<T> {
     /// while later shards still run.
     #[must_use]
     pub fn ordered(self) -> OrderedEvents<T> {
-        self.ordered_from(0)
-    }
-
-    /// [`CampaignHandle::ordered`] resuming at shard `next`: shards
-    /// below it were already merged by a previous incarnation of the
-    /// consumer (e.g. before a daemon checkpoint), so their completions
-    /// are discarded instead of buffered or re-emitted. The stream
-    /// yields each of `next..total` exactly once, in order, regardless
-    /// of how out-of-order the underlying completions arrive.
-    #[must_use]
-    pub fn ordered_from(self, next: usize) -> OrderedEvents<T> {
-        OrderedEvents { handle: self, buffer: BTreeMap::new(), next }
+        OrderedEvents { handle: self, buffer: BTreeMap::new(), next: 0 }
     }
 
     /// Blocks until every shard reports and returns the end-of-run
-    /// shape: results in shard order plus the retry total.
+    /// shape: the [`CampaignHandle::ordered`] stream collected, plus
+    /// the retry total.
     ///
     /// # Errors
     ///
     /// [`RunnerError::MissingResult`] if a shard never reported (a
     /// scheduling bug or an executor shut down mid-campaign).
     pub fn wait(self) -> Result<ShardedOutcome<T>, RunnerError> {
-        let total = self.total;
-        let retries = Arc::clone(&self.retries);
-        let mut slots: Vec<Option<Result<T, ShardError>>> = (0..total).map(|_| None).collect();
-        while let Some(ev) = self.next_event() {
-            if let Some(slot) = slots.get_mut(ev.shard) {
-                *slot = Some(ev.result);
-            }
-        }
-        let mut results = Vec::with_capacity(total);
-        for (i, slot) in slots.into_iter().enumerate() {
-            results.push(slot.ok_or(RunnerError::MissingResult { shard: i })?);
+        let mut stream = self.ordered();
+        let results = stream.by_ref().map(|(_, r)| r).collect();
+        if let Some(shard) = stream.missing() {
+            return Err(RunnerError::MissingResult { shard });
         }
         // The channel closed, so every task finished: the counter is
         // final.
-        Ok(ShardedOutcome { results, retries: retries.load(Ordering::Relaxed) })
+        Ok(ShardedOutcome { results, retries: stream.retries() })
     }
 }
 
@@ -207,15 +190,6 @@ impl<T> OrderedEvents<T> {
     #[must_use]
     pub fn retries(&self) -> u64 {
         self.handle.retries()
-    }
-
-    /// The next shard index the stream will yield — the checkpoint
-    /// watermark a resumable consumer persists. Feeding it back into
-    /// [`CampaignHandle::ordered_from`] continues the merge without
-    /// emitting any shard twice.
-    #[must_use]
-    pub fn next_index(&self) -> usize {
-        self.next
     }
 
     /// After the stream ends: the first shard index that never
@@ -236,11 +210,7 @@ impl<T> Iterator for OrderedEvents<T> {
                 return Some((self.next - 1, r));
             }
             let ev = self.handle.next_event()?;
-            // Completions below the resume point were merged by a
-            // previous incarnation of the consumer: drop, don't buffer.
-            if ev.shard >= self.next {
-                self.buffer.insert(ev.shard, ev.result);
-            }
+            self.buffer.insert(ev.shard, ev.result);
         }
     }
 }
@@ -385,27 +355,6 @@ impl Executor {
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         lock(&self.shared.sched).queue.len()
-    }
-
-    /// Submit-and-wait: [`Executor::submit`] followed by
-    /// [`CampaignHandle::wait`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CampaignHandle::wait`].
-    pub fn run_tolerant<T, E, F>(
-        &self,
-        shards: &[Shard],
-        jobs: usize,
-        policy: RetryPolicy,
-        work: F,
-    ) -> Result<ShardedOutcome<T>, RunnerError>
-    where
-        T: Send + 'static,
-        E: fmt::Display,
-        F: Fn(&Shard, u32) -> Result<T, E> + Send + Sync + 'static,
-    {
-        self.submit(shards.to_vec(), jobs, policy, work).wait()
     }
 }
 
@@ -589,8 +538,9 @@ mod tests {
         let work = |s: &Shard, _: u32| -> Result<u64, std::convert::Infallible> {
             Ok(s.seed ^ s.start as u64)
         };
-        let one = exec.run_tolerant(&plan, 1, RetryPolicy::default(), work).expect("jobs=1");
-        let many = exec.run_tolerant(&plan, 4, RetryPolicy::default(), work).expect("jobs=4");
+        let one =
+            exec.submit(plan.clone(), 1, RetryPolicy::default(), work).wait().expect("jobs=1");
+        let many = exec.submit(plan, 4, RetryPolicy::default(), work).wait().expect("jobs=4");
         assert_eq!(one.results, many.results);
     }
 
@@ -602,8 +552,8 @@ mod tests {
         let peak = Arc::new(AtomicU32::new(0));
         let out = {
             let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
-            exec.run_tolerant::<u64, std::convert::Infallible, _>(
-                &plan,
+            exec.submit::<u64, std::convert::Infallible, _>(
+                plan,
                 1,
                 RetryPolicy::default(),
                 move |s, _| {
@@ -614,6 +564,7 @@ mod tests {
                     Ok(s.seed)
                 },
             )
+            .wait()
             .expect("executor ok")
         };
         assert_eq!(out.completed(), 16);
@@ -625,8 +576,8 @@ mod tests {
         let exec = Executor::new(2);
         let plan = shard_plan(8, 8, 11);
         let out = exec
-            .run_tolerant::<u64, std::convert::Infallible, _>(
-                &plan,
+            .submit::<u64, std::convert::Infallible, _>(
+                plan.clone(),
                 2,
                 RetryPolicy::default(),
                 |s, attempt| {
@@ -636,6 +587,7 @@ mod tests {
                     Ok(s.seed)
                 },
             )
+            .wait()
             .expect("executor ok");
         assert_eq!(out.retries, 4, "two shards x two failed attempts");
         assert_eq!(out.completed(), 8);
@@ -701,68 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_from_resumes_without_duplicating_or_skipping_shards() {
-        // Simulates a daemon restart mid-campaign: the first consumer
-        // merged shards 0..3 and checkpointed `next_index() == 3`; the
-        // resumed consumer re-submits the campaign and continues from
-        // there. Shards complete wildly out of order (workers race),
-        // yet the resumed stream must yield exactly 3..16, in order.
-        let exec = Executor::new(4);
-        let work = |s: &Shard, _: u32| -> Result<u64, std::convert::Infallible> {
-            // Uneven spinning scrambles completion order across runs.
-            for _ in 0..(s.index % 5) * 50 {
-                std::hint::spin_loop();
-            }
-            Ok(s.seed.wrapping_mul(7))
-        };
-        let plan = shard_plan(640, 16, 77);
-
-        // First incarnation: merge three shards, note the watermark.
-        let mut first =
-            exec.submit::<u64, _, _>(plan.clone(), 4, RetryPolicy::default(), work).ordered();
-        let mut merged: Vec<(usize, u64)> = Vec::new();
-        for _ in 0..3 {
-            let (i, r) = first.next().expect("shard available");
-            merged.push((i, r.expect("ok")));
-        }
-        let watermark = first.next_index();
-        assert_eq!(watermark, 3);
-        drop(first); // the "crash": remaining completions unobserved
-
-        // Second incarnation resumes at the watermark.
-        let resumed = exec
-            .submit::<u64, _, _>(plan.clone(), 4, RetryPolicy::default(), work)
-            .ordered_from(watermark);
-        for (i, r) in resumed {
-            merged.push((i, r.expect("ok")));
-        }
-
-        let indices: Vec<usize> = merged.iter().map(|(i, _)| *i).collect();
-        assert_eq!(indices, (0..16).collect::<Vec<_>>(), "no shard doubled or skipped");
-        for ((_, got), s) in merged.iter().zip(plan.iter()) {
-            assert_eq!(*got, s.seed.wrapping_mul(7), "shard payloads merge in plan order");
-        }
-    }
-
-    #[test]
-    fn ordered_from_discards_stale_completions_below_the_resume_point() {
-        let exec = Executor::new(2);
-        let plan = shard_plan(64, 8, 5);
-        let work = |s: &Shard, _: u32| -> Result<usize, std::convert::Infallible> { Ok(s.index) };
-        let mut stream =
-            exec.submit::<usize, _, _>(plan, 2, RetryPolicy::default(), work).ordered_from(5);
-        let yielded: Vec<usize> = stream
-            .by_ref()
-            .map(|(i, r)| {
-                assert_eq!(r.expect("ok"), i);
-                i
-            })
-            .collect();
-        assert_eq!(yielded, vec![5, 6, 7], "shards 0..5 discarded, never re-emitted");
-        assert_eq!(stream.missing(), None, "a complete resumed campaign reports nothing missing");
-    }
-
-    #[test]
     fn concurrent_campaigns_from_many_threads_stay_isolated() {
         let exec = Arc::new(Executor::new(3));
         let handles: Vec<_> = (0..4u64)
@@ -771,12 +661,13 @@ mod tests {
                 std::thread::spawn(move || {
                     let plan = shard_plan(100, DEFAULT_SHARDS, t);
                     let out = exec
-                        .run_tolerant::<u64, std::convert::Infallible, _>(
-                            &plan,
+                        .submit::<u64, std::convert::Infallible, _>(
+                            plan,
                             2,
                             RetryPolicy::default(),
                             |s, _| Ok(s.seed.wrapping_mul(3)),
                         )
+                        .wait()
                         .expect("executor ok");
                     (t, out)
                 })
@@ -899,12 +790,13 @@ mod tests {
     fn empty_plans_complete_immediately() {
         let exec = Executor::new(2);
         let out = exec
-            .run_tolerant::<u64, std::convert::Infallible, _>(
-                &[],
+            .submit::<u64, std::convert::Infallible, _>(
+                Vec::new(),
                 4,
                 RetryPolicy::default(),
                 |s, _| Ok(s.seed),
             )
+            .wait()
             .expect("empty campaign");
         assert!(out.results.is_empty());
         assert_eq!(out.retries, 0);
@@ -922,12 +814,13 @@ mod tests {
         let exec = Executor::new(3);
         let plan = shard_plan(24, 8, 1);
         let out = exec
-            .run_tolerant::<u64, std::convert::Infallible, _>(
-                &plan,
+            .submit::<u64, std::convert::Infallible, _>(
+                plan,
                 4,
                 RetryPolicy::default(),
                 |s, _| Ok(s.seed),
             )
+            .wait()
             .expect("campaign");
         assert_eq!(out.completed(), 8);
         drop(exec); // must not hang

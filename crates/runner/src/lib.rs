@@ -18,7 +18,9 @@
 //!   `catch_unwind`, retrying each shard under a bounded
 //!   [`RetryPolicy`], and streaming per-shard `Result<T, ShardError>`s
 //!   that [`CampaignHandle::ordered`] reassembles into **shard order**
-//!   regardless of which worker finished first.
+//!   regardless of which worker finished first. That ordered stream is
+//!   the one way to read a campaign; [`CampaignHandle::wait`] collects
+//!   it.
 //! - [`default_jobs`] resolves the size of [`Executor::global`] from
 //!   `PACMAN_JOBS` or [`std::thread::available_parallelism`]. A
 //!   campaign's own `jobs` argument only caps how many of its shards run
@@ -32,7 +34,8 @@
 //! under that contract the merged aggregate is a pure function of
 //! `(total, base_seed)` and neither the worker count nor transient
 //! (retried-away) failures change it. [`RetryPolicy::reseed`] varies
-//! only the *fault-decision* stream across attempts (see its docs).
+//! only the *fault-decision* stream across attempts, through
+//! [`RetryPolicy::fault_attempt`].
 //!
 //! Observability: when the process-wide flight recorder
 //! (`pacman_telemetry::trace`) is enabled, the engine emits spans for
@@ -46,7 +49,7 @@
 
 pub mod executor;
 
-pub use executor::{CampaignHandle, Executor, OrderedEvents, ShardEvent};
+pub use executor::{CampaignHandle, Executor, OrderedEvents};
 
 use pacman_telemetry::json::Value;
 use pacman_telemetry::trace;
@@ -228,6 +231,19 @@ impl RetryPolicy {
     #[must_use]
     pub fn no_retries() -> Self {
         Self { max_attempts: 1, reseed: true }
+    }
+
+    /// The attempt key fed into the fault-decision stream: the real
+    /// attempt number when the policy reseeds (transient faults clear on
+    /// retry), attempt 0 forever otherwise (faults replay, budgets
+    /// exhaust deterministically).
+    #[must_use]
+    pub fn fault_attempt(&self, attempt: u32) -> u32 {
+        if self.reseed {
+            attempt
+        } else {
+            0
+        }
     }
 }
 
@@ -513,12 +529,13 @@ mod tests {
     fn tolerant_reports_exhausted_budget_as_shard_error() {
         let plan = shard_plan(4, 4, 0);
         let out = Executor::new(2)
-            .run_tolerant::<u64, _, _>(
-                &plan,
+            .submit::<u64, _, _>(
+                plan,
                 1,
                 RetryPolicy { max_attempts: 3, reseed: false },
                 |s, _| if s.index == 1 { Err("deterministic workload error") } else { Ok(s.seed) },
             )
+            .wait()
             .expect("engine ok");
         assert_eq!(out.retries, 2, "shard 1 burns its whole budget");
         let failures: Vec<&ShardError> = out.failures().collect();
@@ -539,6 +556,15 @@ mod tests {
     }
 
     #[test]
+    fn fault_attempt_respects_the_reseed_policy() {
+        let reseeding = RetryPolicy::default();
+        assert_eq!(reseeding.fault_attempt(0), 0);
+        assert_eq!(reseeding.fault_attempt(3), 3);
+        let frozen = RetryPolicy { max_attempts: 4, reseed: false };
+        assert_eq!(frozen.fault_attempt(3), 0, "non-reseeding replays attempt 0");
+    }
+
+    #[test]
     fn default_jobs_is_memoized_until_reset() {
         let first = default_jobs();
         assert!(first >= 1);
@@ -555,8 +581,8 @@ mod tests {
         rec.set_enabled(true);
         let plan = shard_plan(20, 5, 0xCAFE);
         let out = Executor::new(2)
-            .run_tolerant::<_, std::convert::Infallible, _>(
-                &plan,
+            .submit::<_, std::convert::Infallible, _>(
+                plan,
                 1,
                 RetryPolicy::default(),
                 |s, attempt| {
@@ -566,6 +592,7 @@ mod tests {
                     Ok(s.seed)
                 },
             )
+            .wait()
             .expect("engine ok");
         rec.set_enabled(false);
         assert_eq!(out.completed(), 5);
