@@ -814,12 +814,9 @@ mod tests {
         let exec = Executor::new(3);
         let plan = shard_plan(24, 8, 1);
         let out = exec
-            .submit::<u64, std::convert::Infallible, _>(
-                plan,
-                4,
-                RetryPolicy::default(),
-                |s, _| Ok(s.seed),
-            )
+            .submit::<u64, std::convert::Infallible, _>(plan, 4, RetryPolicy::default(), |s, _| {
+                Ok(s.seed)
+            })
             .wait()
             .expect("campaign");
         assert_eq!(out.completed(), 8);

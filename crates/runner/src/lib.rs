@@ -529,12 +529,13 @@ mod tests {
     fn tolerant_reports_exhausted_budget_as_shard_error() {
         let plan = shard_plan(4, 4, 0);
         let out = Executor::new(2)
-            .submit::<u64, _, _>(
-                plan,
-                1,
-                RetryPolicy { max_attempts: 3, reseed: false },
-                |s, _| if s.index == 1 { Err("deterministic workload error") } else { Ok(s.seed) },
-            )
+            .submit::<u64, _, _>(plan, 1, RetryPolicy { max_attempts: 3, reseed: false }, |s, _| {
+                if s.index == 1 {
+                    Err("deterministic workload error")
+                } else {
+                    Ok(s.seed)
+                }
+            })
             .wait()
             .expect("engine ok");
         assert_eq!(out.retries, 2, "shard 1 burns its whole budget");

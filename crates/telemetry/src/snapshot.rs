@@ -1,6 +1,8 @@
 //! Point-in-time captures of a [`Registry`](crate::Registry) with
 //! interval (diff) semantics.
 
+use std::fmt;
+
 use crate::json::Value;
 use crate::registry::Histogram;
 
@@ -8,71 +10,101 @@ use crate::registry::Histogram;
 /// the same registry can be [diffed](Snapshot::diff) to meter exactly one
 /// experiment phase.
 ///
-/// Each kind of series is one exact-size slice sorted by name: workloads
-/// keep a snapshot per operation, and a B-tree's spare node slots (eleven
-/// 552-byte [`Histogram`]s for a map of three) were most of one's size.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Workloads keep a snapshot per operation, so it is stored compactly:
+/// each kind of series is one exact-size slice sorted by name (a B-tree's
+/// spare node slots — eleven 552-byte [`Histogram`]s for a map of three —
+/// were once most of a snapshot's size), and every series name lives in
+/// one shared buffer that each series indexes by range. A snapshot is
+/// thus four heap allocations however many series it holds. Equality
+/// compares the series, not the buffer.
+#[derive(Clone, Default)]
 pub struct Snapshot {
-    counters: Box<[(Box<str>, u64)]>,
-    gauges: Box<[(Box<str>, i64)]>,
-    histograms: Box<[(Box<str>, Histogram)]>,
+    /// Every series name back to back.
+    names: Box<str>,
+    counters: Box<[(Name, u64)]>,
+    gauges: Box<[(Name, i64)]>,
+    histograms: Box<[(Name, Histogram)]>,
 }
 
-/// The value of series `name` in a name-sorted slice.
-fn find<'a, V>(series: &'a [(Box<str>, V)], name: &str) -> Option<&'a V> {
-    let i = series.binary_search_by(|(k, _)| (**k).cmp(name)).ok()?;
-    Some(&series[i].1)
+/// A series name: its byte range in [`Snapshot::names`].
+#[derive(Copy, Clone, Debug, Default)]
+struct Name {
+    start: u32,
+    end: u32,
 }
 
 impl Snapshot {
     /// Captures series given in ascending name order (as a
     /// `BTreeMap` iterates them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the names add up to 4 GiB or more.
     pub(crate) fn from_sorted<'a>(
         counters: impl ExactSizeIterator<Item = (&'a String, &'a u64)>,
         gauges: impl ExactSizeIterator<Item = (&'a String, &'a i64)>,
         histograms: impl ExactSizeIterator<Item = (&'a String, &'a Histogram)>,
     ) -> Self {
-        Snapshot {
-            counters: counters.map(|(k, &v)| (k.as_str().into(), v)).collect(),
-            gauges: gauges.map(|(k, &v)| (k.as_str().into(), v)).collect(),
-            histograms: histograms.map(|(k, h)| (k.as_str().into(), h.clone())).collect(),
-        }
+        let mut names = String::new();
+        let mut name = |k: &str| {
+            let offset = |len: usize| u32::try_from(len).expect("snapshot names fit in 4 GiB");
+            let start = offset(names.len());
+            names.push_str(k);
+            Name { start, end: offset(names.len()) }
+        };
+        let counters = counters.map(|(k, &v)| (name(k), v)).collect();
+        let gauges = gauges.map(|(k, &v)| (name(k), v)).collect();
+        let histograms = histograms.map(|(k, h)| (name(k), h.clone())).collect();
+        Snapshot { names: names.into_boxed_str(), counters, gauges, histograms }
+    }
+
+    fn name(&self, n: Name) -> &str {
+        &self.names[n.start as usize..n.end as usize]
+    }
+
+    /// The value of series `name` in one of this snapshot's name-sorted
+    /// slices.
+    fn find<'a, V>(&self, series: &'a [(Name, V)], name: &str) -> Option<&'a V> {
+        let i = series.binary_search_by(|&(k, _)| self.name(k).cmp(name)).ok()?;
+        Some(&series[i].1)
     }
 
     /// Counter value at capture time (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        find(&self.counters, name).copied().unwrap_or(0)
+        self.find(&self.counters, name).copied().unwrap_or(0)
     }
 
     /// Gauge value at capture time (0 when absent).
     pub fn gauge(&self, name: &str) -> i64 {
-        find(&self.gauges, name).copied().unwrap_or(0)
+        self.find(&self.gauges, name).copied().unwrap_or(0)
     }
 
     /// Histogram at capture time, if the series exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        find(&self.histograms, name)
+        self.find(&self.histograms, name)
     }
 
     /// Every counter, in ascending name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (&**k, *v))
+        self.counters.iter().map(|&(k, v)| (self.name(k), v))
     }
 
     /// Every gauge, in ascending name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (&**k, *v))
+        self.gauges.iter().map(|&(k, v)| (self.name(k), v))
     }
 
     /// Every histogram, in ascending name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (&**k, h))
+        self.histograms.iter().map(|(k, h)| (self.name(*k), h))
     }
 
-    /// Keeps only the counters whose name satisfies `keep`.
+    /// Keeps only the counters whose name satisfies `keep`. The dropped
+    /// names stay in the name buffer.
     pub fn retain_counters(&mut self, mut keep: impl FnMut(&str) -> bool) {
         let counters = std::mem::take(&mut self.counters);
-        self.counters = counters.into_vec().into_iter().filter(|(k, _)| keep(k)).collect();
+        self.counters =
+            counters.into_vec().into_iter().filter(|&(k, _)| keep(self.name(k))).collect();
     }
 
     /// The interval between `earlier` and `self`: counters and histograms
@@ -82,20 +114,20 @@ impl Snapshot {
         let counters = self
             .counters
             .iter()
-            .map(|(k, v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
+            .map(|&(k, v)| (k, v.saturating_sub(earlier.counter(self.name(k)))))
             .collect();
         let histograms = self
             .histograms
             .iter()
             .map(|(k, h)| {
-                let d = match earlier.histogram(k) {
+                let d = match earlier.histogram(self.name(*k)) {
                     Some(e) => h.diff(e),
                     None => h.clone(),
                 };
-                (k.clone(), d)
+                (*k, d)
             })
             .collect();
-        Snapshot { counters, gauges: self.gauges.clone(), histograms }
+        Snapshot { names: self.names.clone(), counters, gauges: self.gauges.clone(), histograms }
     }
 
     /// Serializes the snapshot as a JSON object:
@@ -127,6 +159,26 @@ impl Snapshot {
             ("gauges".into(), Value::Object(gauges)),
             ("histograms".into(), Value::Object(histograms)),
         ])
+    }
+}
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters().eq(other.counters())
+            && self.gauges().eq(other.gauges())
+            && self.histograms().eq(other.histograms())
+    }
+}
+
+impl Eq for Snapshot {}
+
+impl fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Snapshot")
+            .field("counters", &self.counters().collect::<Vec<_>>())
+            .field("gauges", &self.gauges().collect::<Vec<_>>())
+            .field("histograms", &self.histograms().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -178,6 +230,28 @@ mod tests {
             r.snapshot().diff(&before).to_json().to_string(),
             r#"{"counters":{"a.first":1,"tlb.dtlb.hits":5,"tlb.dtlb.misses":0},"gauges":{"spec.depth":4,"z.last":-2},"histograms":{"lat":{"count":1,"sum":400,"min":256,"max":400,"mean":400,"p50":383,"p95":383,"p99":383}}}"#
         );
+    }
+
+    #[test]
+    fn equality_compares_series_not_the_name_buffer() {
+        let mut r = sample_registry();
+        r.incr("exec.block.hits");
+        let mut filtered = r.snapshot();
+        filtered.retain_counters(|name| !name.starts_with("exec."));
+        // `filtered` still carries the dropped name in its buffer.
+        assert_eq!(filtered, sample_registry().snapshot());
+        assert_ne!(r.snapshot(), sample_registry().snapshot());
+        let mut other = sample_registry();
+        other.incr("tlb.dtlb.misses");
+        assert_ne!(other.snapshot(), sample_registry().snapshot(), "values count too");
+        // Same values under other names differ.
+        let mut renamed = Registry::new();
+        renamed.incr_by("tlb.dtlb.hitz", 10);
+        renamed.incr_by("tlb.dtlb.misses", 3);
+        renamed.gauge("spec.depth", 4);
+        renamed.observe("lat", 100);
+        renamed.observe("lat", 200);
+        assert_ne!(renamed.snapshot(), sample_registry().snapshot());
     }
 
     #[test]

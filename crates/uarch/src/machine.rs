@@ -432,28 +432,40 @@ impl Shadow {
     }
 }
 
-/// The [`ExecEngine::Cached`] fetch cursor: the page of the last
-/// architectural fetch that hit the L1 iTLB, with everything the slow
-/// path derived from it. A word-aligned fetch in the same page at the same
-/// EL is served from here while
+/// Number of [`ExecEngine::Cached`] fetch cursors (a power of two): a
+/// direct-mapped table indexed by the low page-number bits of the PC, so
+/// a syscall's user page, vector page and handler page each keep theirs.
+const CURSORS: usize = 4;
+
+/// The fetch cursor slot for `pc`.
+#[inline(always)]
+fn cursor_index(pc: u64) -> usize {
+    (pc / PAGE_SIZE) as usize & (CURSORS - 1)
+}
+
+/// One [`ExecEngine::Cached`] fetch cursor: a page an architectural fetch
+/// went through, with everything the slow path derived from it. After any
+/// successful `Cached` fetch the page's translation is the MRU way of its
+/// set in its EL's iTLB, whether the lookup hit, refilled from the L2 TLB
+/// or walked. A word-aligned fetch in the same page at the same EL is
+/// served from here while
 ///
-/// - the TLB hierarchy's fetch fast path still carries [`FetchCursor::tag`]
-///   (so the iTLB lookup would hit the same entry in its MRU way — any
-///   iTLB insert, flush or restore, and any fetch lookup of another page,
-///   changes the tag), and
+/// - that iTLB is still at [`FetchCursor::version`] (so the translation is
+///   still its set's MRU way, and the lookup would hit it unchanged and
+///   promote nothing — see [`crate::tlb::Tlb::version`]), and
 /// - the block cache is still in [`FetchCursor::epoch`] and memory still
 ///   at code-write generation [`FetchCursor::gen`] (so the frame's slot
 ///   table is intact and current) and the slot is decoded.
 ///
 /// Host-side only: never serialised, cold after a reset or a restore.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
 struct FetchCursor {
     /// Page-aligned VA of the page.
     page: u64,
     /// The EL the page was fetched at.
     el: El,
-    /// The fetch fast-path tag the translation was read under.
-    tag: u64,
+    /// The version of that EL's iTLB the translation was read under.
+    version: u64,
     /// Physical address of the page's frame.
     frame: u64,
     /// Block-cache arena position of the frame's word 0.
@@ -462,6 +474,13 @@ struct FetchCursor {
     epoch: u64,
     /// Code-write generation the slots were decoded at.
     gen: u64,
+}
+
+impl FetchCursor {
+    /// A cursor that serves nothing: no iTLB version, block-cache epoch
+    /// or code-write generation ever reaches `u64::MAX`.
+    const COLD: Self =
+        Self { page: 0, el: El::El0, version: u64::MAX, frame: 0, slots: 0, epoch: 0, gen: 0 };
 }
 
 /// The simulated machine.
@@ -497,9 +516,9 @@ pub struct Machine {
     /// Predecoded micro-op arena the [`ExecEngine::Cached`] dispatch path
     /// fetches from; unused (and empty) under `Interpreted`.
     block_cache: BlockCache,
-    /// Page-granular fast path ahead of `fetch_access` + the block cache
-    /// (`Cached` only; `None` under `Interpreted`).
-    fetch_cursor: Option<FetchCursor>,
+    /// Page-granular fast paths ahead of `fetch_access` + the block cache
+    /// (`Cached` only; all cold under `Interpreted`).
+    fetch_cursors: [FetchCursor; CURSORS],
     /// Memoised PAC computations keyed by (key value, canonical pointer,
     /// modifier). Keying on the key *value* makes invalidation on key
     /// writes unnecessary: a changed key never matches old entries. Only
@@ -550,7 +569,7 @@ impl Machine {
             cycles: 0,
             config,
             block_cache: BlockCache::new(),
-            fetch_cursor: None,
+            fetch_cursors: [FetchCursor::COLD; CURSORS],
             pac_memo: HashMap::default(),
             pac_memo_hits: 0,
             pac_memo_misses: 0,
@@ -612,7 +631,7 @@ impl Machine {
             cycles,
             config: old_config,
             block_cache,
-            fetch_cursor,
+            fetch_cursors,
             pac_memo,
             pac_memo_hits,
             pac_memo_misses,
@@ -624,7 +643,7 @@ impl Machine {
         } = self;
         mem.reset(&config);
         block_cache.reset();
-        *fetch_cursor = None;
+        *fetch_cursors = [FetchCursor::COLD; CURSORS];
         *cpu = Cpu::new();
         *timers = Timers::new(config.clock_hz, config.system_counter_hz);
         *bimodal = Bimodal::new();
@@ -784,8 +803,8 @@ impl Machine {
     ///
     /// Not captured, by design: the speculation trace and profiler
     /// (diagnostic recorders, off by default and simulation-invisible)
-    /// and the TLB/fetch fast paths (restored cold; their contract makes
-    /// them invisible too).
+    /// and the dTLB front cache and fetch cursors (restored cold; their
+    /// contracts make them invisible too).
     ///
     /// # Panics
     ///
@@ -1008,7 +1027,7 @@ impl Machine {
         };
         self.vbar = r.u64()?;
         self.pending_spec_fault = None;
-        self.fetch_cursor = None;
+        self.fetch_cursors = [FetchCursor::COLD; CURSORS];
         Ok(())
     }
 
@@ -1166,7 +1185,7 @@ impl Machine {
     /// kernel panic; the kernel crate turns it into a reboot.
     pub fn run(&mut self, max_insts: u64) -> Result<Stop, Trap> {
         for _ in 0..max_insts {
-            if let Some(stop) = self.step()? {
+            if let Some(stop) = self.retire()? {
                 return Ok(stop);
             }
         }
@@ -1181,30 +1200,37 @@ impl Machine {
     ///
     /// Returns the architectural [`Trap`] raised by this instruction.
     pub fn step(&mut self) -> Result<Option<Stop>, Trap> {
-        if let Some(trap) = self.pending_spec_fault.take() {
+        self.retire()
+    }
+
+    /// The one retire body behind [`Machine::step`] and [`Machine::run`].
+    #[inline(always)]
+    fn retire(&mut self) -> Result<Option<Stop>, Trap> {
+        if let Some(trap) = self.pending_spec_fault {
             // Only reachable under the `commit_suppressed_faults`
             // injected bug: the wrong-path fault the squash should have
             // discarded is delivered architecturally instead.
+            self.pending_spec_fault = None;
             return Err(trap);
+        }
+        if self.profiler.is_enabled() {
+            return self.retire_profiled();
         }
         let pc = self.cpu.pc;
         let el = self.cpu.el;
-        if !self.profiler.is_enabled() {
-            let inst = match self.cursor_fetch(pc, el) {
-                Some(inst) => inst,
-                None => self.fetch(pc, el)?,
-            };
-            self.cycles += self.config.latency.alu;
-            self.stats.retired += 1;
-            return self.exec(pc, el, inst);
-        }
+        let inst = self.fetch_decode(pc, el)?;
+        self.stats.retired += 1;
+        self.exec(pc, el, inst)
+    }
+
+    /// [`Machine::retire`] with the profiler's decode and execute timing.
+    #[inline(never)]
+    fn retire_profiled(&mut self) -> Result<Option<Stop>, Trap> {
+        let pc = self.cpu.pc;
+        let el = self.cpu.el;
         let step_start = self.cycles;
         let decode_timer = ProfTimer::start(true);
-        let inst = match self.cursor_fetch(pc, el) {
-            Some(inst) => inst,
-            None => self.fetch(pc, el)?,
-        };
-        self.cycles += self.config.latency.alu;
+        let inst = self.fetch_decode(pc, el)?;
         self.stats.retired += 1;
         self.profiler.record_decode(self.cycles - step_start, decode_timer.elapsed_ns());
         let exec_start = self.cycles;
@@ -1220,40 +1246,59 @@ impl Machine {
         out
     }
 
-    /// Serves the fetch of `pc` at `el` from the fetch cursor, or returns
-    /// `None` — with no side effects — when the cursor does not cover it
-    /// (see [`FetchCursor`]). A served fetch makes exactly the counter
-    /// updates and charges exactly the cycles of [`Machine::fetch`] on
-    /// the same state: a fast-path iTLB hit, the L1i access, and a
-    /// block-cache hit.
-    #[inline]
-    fn cursor_fetch(&mut self, pc: u64, el: El) -> Option<Inst> {
-        let c = self.fetch_cursor?;
+    /// Fetches and decodes `pc` at `el`, charging the fetch and the
+    /// `alu` issue cost: from a fetch cursor when one covers it, else
+    /// through [`Machine::fetch`].
+    #[inline(always)]
+    fn fetch_decode(&mut self, pc: u64, el: El) -> Result<Inst, Trap> {
+        if let Some(inst) = self.cursor_fetch(pc, el) {
+            return Ok(inst);
+        }
+        let inst = self.fetch(pc, el)?;
+        self.cycles += self.config.latency.alu;
+        Ok(inst)
+    }
+
+    /// The cursor for `pc`'s slot, if it covers a fetch of `pc` at `el`:
+    /// word-aligned, inside its page, at its EL, under its iTLB version
+    /// and code-write generation (see [`FetchCursor`]).
+    #[inline(always)]
+    fn covering_cursor(&self, pc: u64, el: El) -> Option<FetchCursor> {
+        let c = self.fetch_cursors[cursor_index(pc)];
         let off = pc.wrapping_sub(c.page);
         // One test for "word-aligned and inside the page".
-        if off & !(PAGE_SIZE - 4) != 0
-            || el != c.el
-            || self.mem.tlbs.fetch_fast_tag() != c.tag
-            || self.mem.phys.code_write_gen() != c.gen
-        {
-            return None;
-        }
+        let covers = off & !(PAGE_SIZE - 4) == 0
+            && el == c.el
+            && self.mem.tlbs.itlb(MemorySystem::world(el)).version() == c.version
+            && self.mem.phys.code_write_gen() == c.gen;
+        covers.then_some(c)
+    }
+
+    /// Serves the fetch of `pc` at `el` from a fetch cursor, or returns
+    /// `None` — with no side effects — when none covers it. A served
+    /// fetch makes exactly the counter updates and charges exactly the
+    /// cycles of [`Machine::fetch`] plus the `alu` issue cost on the same
+    /// state: an MRU iTLB hit, the L1i access, and a block-cache hit.
+    #[inline(always)]
+    fn cursor_fetch(&mut self, pc: u64, el: El) -> Option<Inst> {
+        let c = self.covering_cursor(pc, el)?;
+        let off = pc - c.page;
         let inst = self.block_cache.rehit(c.epoch, c.slots + (off / 4) as usize)?;
         self.mem.tlbs.count_itlb_hit(MemorySystem::world(el));
         let pa = c.frame + off;
-        self.cycles += if self.mem.l1i.rehit_last(pa) {
+        let fetch_cycles = if self.mem.l1i.rehit_last(pa) {
             self.mem.latency.l1_hit
         } else {
             self.mem.cache_fetch(pa).1
         };
+        self.cycles += fetch_cycles + self.config.latency.alu;
         Some(inst)
     }
 
     /// The full fetch + decode of `pc` at `el`: translation, permissions
     /// and L1i timing through `fetch_access`, then the engine's decode.
-    /// Under [`ExecEngine::Cached`] it leaves the fetch cursor on the
-    /// fetched page when the fetch hit the L1 iTLB, and clears it
-    /// otherwise.
+    /// Under [`ExecEngine::Cached`] it then aims `pc`'s fetch cursor at
+    /// the fetched page.
     fn fetch(&mut self, pc: u64, el: El) -> Result<Inst, Trap> {
         let (fetch_outcome, pa) =
             self.mem.fetch_access(pc, el).map_err(|f| f.into_trap(pc, el, AccessKind::Fetch))?;
@@ -1265,7 +1310,7 @@ impl Machine {
             ExecEngine::Cached => {
                 let inst =
                     self.block_cache.fetch(pa, &mut self.mem.phys).ok_or(Trap::Decode { pc })?;
-                self.fetch_cursor = self.cursor_for(pc, el, pa);
+                self.aim_cursor(pc, el, pa);
                 Ok(inst)
             }
             ExecEngine::Interpreted => {
@@ -1274,26 +1319,23 @@ impl Machine {
         }
     }
 
-    /// The cursor for the page a `Cached` fetch of `pc` (at physical
-    /// `pa`) just went through, if it hit the L1 iTLB — the fetch fast
-    /// path then holds its translation — and its frame has a slot table.
-    fn cursor_for(&self, pc: u64, el: El, pa: u64) -> Option<FetchCursor> {
-        let (world, entry, tag) = self.mem.tlbs.fetch_fast()?;
-        let page = pc & !(PAGE_SIZE - 1);
-        if world != MemorySystem::world(el) || entry.vpn != VirtualAddress::new(page).vpn() {
-            return None;
-        }
+    /// Points `pc`'s fetch cursor at the page a `Cached` fetch of `pc`
+    /// (at physical `pa`) just went through — now its iTLB set's MRU way
+    /// — if the frame has a slot table; else leaves the slot as it is.
+    fn aim_cursor(&mut self, pc: u64, el: El, pa: u64) {
         let frame = pa & !(PAGE_SIZE - 1);
-        let slots = self.block_cache.slot_base(frame / PAGE_SIZE)?;
-        Some(FetchCursor {
-            page,
+        let Some(slots) = self.block_cache.slot_base(frame / PAGE_SIZE) else {
+            return;
+        };
+        self.fetch_cursors[cursor_index(pc)] = FetchCursor {
+            page: pc & !(PAGE_SIZE - 1),
             el,
-            tag,
+            version: self.mem.tlbs.itlb(MemorySystem::world(el)).version(),
             frame,
             slots,
             epoch: self.block_cache.epoch(),
             gen: self.mem.phys.code_write_gen(),
-        })
+        };
     }
 
     fn exec(&mut self, pc: u64, el: El, inst: Inst) -> Result<Option<Stop>, Trap> {
@@ -2835,13 +2877,67 @@ mod tests {
                 load_user(m, &program);
                 assert_eq!(m.run(8), Ok(Stop::InstLimit));
             }
-            assert!(cached.fetch_cursor.is_some(), "the cursor must be live mid-page");
+            let pc = cached.cpu.pc;
+            assert!(cursor_live(&cached, pc, El::El0), "the cursor must be live mid-page");
             flush(&mut cached);
             flush(&mut interp);
             assert_eq!(cached.run(100), Ok(Stop::Hlt));
             assert_eq!(interp.run(100), Ok(Stop::Hlt));
             assert_engines_agree(&cached, &interp);
         }
+    }
+
+    /// Whether a fetch cursor covers a fetch of `pc` at `el` in the
+    /// current block-cache epoch.
+    fn cursor_live(m: &Machine, pc: u64, el: El) -> bool {
+        m.covering_cursor(pc, el).is_some_and(|c| c.epoch == m.block_cache.epoch())
+    }
+
+    #[test]
+    fn cursor_survives_a_syscall_round_trip() {
+        // A syscall crosses three pages in three cursor slots and three
+        // iTLB sets: the user page, the vector page, and a handler on the
+        // next kernel page. The first round trip fills the kernel iTLB,
+        // which moves its version past the vector page's first cursor; the
+        // second re-aims that cursor; the third must neither invalidate nor
+        // re-aim any of them.
+        let user = USER_CODE + 2 * PAGE_SIZE;
+        let vector = 0xFFFF_FFF0_0000_0000;
+        let handler = vector + PAGE_SIZE;
+        assert_eq!([user, vector, handler].map(cursor_index), [2, 0, 1]);
+        let u = [Inst::Svc { imm: 0 }, Inst::Svc { imm: 0 }, Inst::Svc { imm: 0 }, Inst::Hlt];
+        let mut v = Asm::new();
+        v.mov_imm64(Reg::X9, handler);
+        v.push(Inst::Br { rn: Reg::X9 });
+        let v = v.assemble().unwrap();
+        let h = [Inst::AddImm { rd: Reg::X0, rn: Reg::X0, imm: 1 }, Inst::Eret];
+        let (mut cached, mut interp) = engine_pair();
+        for m in [&mut cached, &mut interp] {
+            m.map_page(user, Perms::user_rx());
+            m.load_program(user, &u);
+            for (va, code) in [(vector, &v[..]), (handler, &h[..])] {
+                m.map_page(va, Perms::kernel_rx());
+                m.load_program(va, code);
+            }
+            m.set_vbar(vector);
+            m.cpu.pc = user;
+            m.cpu.el = El::El0;
+            while m.cpu.pc != user + 8 {
+                assert_eq!(m.step(), Ok(None));
+            }
+        }
+        let warm = cached.fetch_cursors;
+        for (pc, el) in [(user + 8, El::El0), (vector, El::El1), (handler, El::El1)] {
+            assert!(cursor_live(&cached, pc, el), "{pc:#x}'s cursor must be live");
+        }
+        assert_eq!(cached.run(100), Ok(Stop::Hlt));
+        assert_eq!(interp.run(100), Ok(Stop::Hlt));
+        assert_eq!(cached.cpu.get(Reg::X0), 3);
+        assert_eq!(cached.fetch_cursors, warm, "the round trip must keep every cursor");
+        for (pc, el) in [(user + 12, El::El0), (vector, El::El1), (handler + 4, El::El1)] {
+            assert!(cursor_live(&cached, pc, el), "{pc:#x}'s cursor must still be live");
+        }
+        assert_engines_agree(&cached, &interp);
     }
 
     #[test]
@@ -2904,6 +3000,58 @@ mod tests {
         assert_eq!(cached.cpu.get(Reg::X2), 1);
         assert!(cached.stats.spec_insts > 0, "the wrong path must run on page B");
         assert!(cached.mem.tlbs.stats.itlb_user_evictions > 0, "the set must overflow");
+        assert_engines_agree(&cached, &interp);
+    }
+
+    #[test]
+    fn cursor_dies_when_a_wrong_path_fills_its_itlb_set() {
+        // Mid-run on page A, a wrong-path fetch (as the instruction
+        // gadget's transmit makes) fills page B, never fetched before and
+        // in A's iTLB set: B becomes the set's MRU way without touching
+        // A's cursor slot. A's next fetch must take the full path and
+        // promote A over B, which three more same-set pages C, D, E then
+        // show: their fills evict by LRU order, so the final fetch on A
+        // hits only if A was promoted.
+        let stride = 32 * PAGE_SIZE;
+        let [a, b, c, d, e] = [0u64, 1, 2, 3, 4].map(|i| USER_CODE + i * stride);
+        let trampoline = |to: u64| {
+            let mut t = Asm::new();
+            t.mov_imm64(Reg::X6, to);
+            t.push(Inst::Br { rn: Reg::X6 });
+            t.assemble().unwrap()
+        };
+        let mut pa = Asm::new();
+        pa.mov_imm64(Reg::X5, c);
+        let split = pa.len() as u64;
+        for imm in 1..=4 {
+            pa.push(Inst::AddImm { rd: Reg::X0, rn: Reg::X0, imm });
+        }
+        pa.push(Inst::Br { rn: Reg::X5 });
+        let last = a + 4 * pa.len() as u64;
+        pa.push(Inst::AddImm { rd: Reg::X2, rn: Reg::X2, imm: 1 });
+        pa.push(Inst::Hlt);
+        let page_a = pa.assemble().unwrap();
+        let (mut cached, mut interp) = engine_pair();
+        for m in [&mut cached, &mut interp] {
+            m.map_page(a, Perms::user_rwx());
+            m.load_program(a, &page_a);
+            for (va, to) in [(b, a), (c, d), (d, e), (e, last)] {
+                m.map_page(va, Perms::user_rwx());
+                m.load_program(va, &trampoline(to));
+            }
+            m.cpu.pc = a;
+            m.cpu.el = El::El0;
+            assert_eq!(m.run(split + 1), Ok(Stop::InstLimit));
+        }
+        assert!(cursor_live(&cached, cached.cpu.pc, El::El0), "A's cursor must be live");
+        for m in [&mut cached, &mut interp] {
+            assert!(matches!(m.mem.spec_fetch(b, El::El0, Mitigation::None), SpecAccess::Ok(..)));
+            assert_eq!(m.run(100), Ok(Stop::Hlt));
+        }
+        assert_eq!(cached.cpu.get(Reg::X2), 1);
+        let itlb = cached.mem.tlbs.itlb(FetchWorld::User);
+        assert!(itlb.contains(VirtualAddress::new(a).vpn()), "A must survive");
+        assert!(!itlb.contains(VirtualAddress::new(b).vpn()), "B must be evicted");
         assert_engines_agree(&cached, &interp);
     }
 

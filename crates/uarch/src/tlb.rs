@@ -53,6 +53,9 @@ pub struct Tlb {
     entries: Vec<TlbEntry>,
     /// Live-way count per set.
     occ: Vec<u16>,
+    /// Bumped by everything that can change a set's contents or LRU
+    /// order (see [`Tlb::version`]).
+    version: u64,
 }
 
 /// Placeholder filling dead slots (never observable through the API).
@@ -71,17 +74,32 @@ impl Tlb {
             set_mask: params.sets - 1,
             entries: vec![DEAD; params.ways * params.sets],
             occ: vec![0; params.sets],
+            version: 0,
         }
     }
 
     /// Returns this TLB to the state of `Tlb::new(params)`, flushing in
-    /// place when the geometry is unchanged.
+    /// place when the geometry is unchanged. The version moves on either
+    /// way, so it never repeats over the TLB's lifetime.
     fn reset(&mut self, params: TlbParams) {
         if self.params == params {
             self.flush();
         } else {
+            let version = self.version + 1;
             *self = Self::new(params);
+            self.version = version;
         }
+    }
+
+    /// Changes whenever any set's contents or LRU order may have: on a
+    /// promoting [`Tlb::lookup`], an insert, an invalidate, a flush, a
+    /// restore or a reset. A lookup that re-touches its set's MRU way
+    /// leaves it alone, so while the version holds, every entry that was
+    /// its set's MRU way still is — the machine's fetch cursors rely on
+    /// exactly this.
+    #[inline]
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
     /// This TLB's geometry.
@@ -110,6 +128,7 @@ impl Tlb {
                 let hit = live[pos];
                 live.copy_within(..pos, 1);
                 live[0] = hit;
+                self.version += 1;
                 Some(hit)
             }
         }
@@ -125,6 +144,7 @@ impl Tlb {
     /// Inserts an entry as MRU, returning the evicted LRU victim if the
     /// set overflowed. Re-inserting an existing vpn replaces it.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
+        self.version += 1;
         let set = self.set_of(entry.vpn);
         let base = set * self.params.ways;
         let mut n = self.occ[set] as usize;
@@ -157,6 +177,7 @@ impl Tlb {
         if let Some(pos) = live.iter().position(|e| e.vpn == vpn) {
             live[pos..].rotate_left(1);
             self.occ[set] -= 1;
+            self.version += 1;
             true
         } else {
             false
@@ -166,6 +187,7 @@ impl Tlb {
     /// Drops everything (a `tlbi`-style full invalidate).
     pub fn flush(&mut self) {
         self.occ.fill(0);
+        self.version += 1;
     }
 
     /// Number of valid entries currently in `set`.
@@ -203,6 +225,7 @@ impl Tlb {
         r: &mut pacman_telemetry::bin::Reader<'_>,
     ) -> Result<(), pacman_telemetry::bin::BinError> {
         use pacman_telemetry::bin::BinError;
+        self.version += 1;
         let sets = r.usize()?;
         if sets != self.occ.len() {
             return Err(BinError::Corrupt(format!("set count {sets} != {}", self.occ.len())));
@@ -328,20 +351,11 @@ pub struct TlbHierarchy {
     itlb_kernel: Tlb,
     dtlb: Tlb,
     l2: Tlb,
-    /// One-entry fetch fast path: the last fetch lookup's world, vpn and
-    /// entry, valid only while that entry is still the MRU way of its
-    /// iTLB set. A fast-path hit performs exactly the counter updates the
-    /// full scan would and promotes nothing (the entry is already MRU),
-    /// so it is invisible to the simulation; any iTLB insert or flush
-    /// clears it. Load-bearing: the machine's fetch cursor stays valid
-    /// only while this is unchanged (see `fetch_fast_tag`).
-    fetch_fast: Option<(FetchWorld, u64, TlbEntry)>,
-    /// Bumped on every write of `fetch_fast`, so an unchanged tag means
-    /// an unchanged fast path (the fetch cursor's validity token).
-    fetch_fast_tag: u64,
-    /// One-entry data-side fast path with the same contract as
-    /// `fetch_fast`: valid only while the entry is the dTLB set's MRU
-    /// way; any dTLB insert or flush clears it.
+    /// One-entry data-side fast path: the last dTLB hit's vpn and entry,
+    /// valid only while that entry is still the MRU way of its dTLB set.
+    /// A fast-path hit performs exactly the counter update the full scan
+    /// would and promotes nothing (the entry is already MRU), so it is
+    /// invisible to the simulation; any dTLB insert or flush clears it.
     data_fast: Option<(u64, TlbEntry)>,
     /// Counters (public for experiment reporting).
     pub stats: TlbStats,
@@ -355,8 +369,6 @@ impl TlbHierarchy {
             itlb_kernel: Tlb::new(itlb),
             dtlb: Tlb::new(dtlb),
             l2: Tlb::new(l2),
-            fetch_fast: None,
-            fetch_fast_tag: 0,
             data_fast: None,
             stats: TlbStats::default(),
         }
@@ -370,7 +382,6 @@ impl TlbHierarchy {
         self.itlb_kernel.reset(itlb);
         self.dtlb.reset(dtlb);
         self.l2.reset(l2);
-        self.set_fetch_fast(None);
         self.data_fast = None;
         self.stats = TlbStats::default();
     }
@@ -433,18 +444,8 @@ impl TlbHierarchy {
 
     /// Instruction-side lookup for a fetch at the given privilege.
     pub fn lookup_fetch(&mut self, world: FetchWorld, vpn: u64) -> FetchLookup {
-        if let Some((w, v, e)) = self.fetch_fast {
-            // Consecutive fetches overwhelmingly re-touch the same page;
-            // the cached entry is still its set's MRU way, so the full
-            // scan below would hit it without promotion.
-            if w == world && v == vpn {
-                self.count_itlb_hit(world);
-                return FetchLookup::ItlbHit(e);
-            }
-        }
         if let Some(e) = self.itlb_mut(world).lookup(vpn) {
             self.count_itlb_hit(world);
-            self.set_fetch_fast(Some((world, vpn, e)));
             return FetchLookup::ItlbHit(e);
         }
         self.stats.itlb_misses += 1;
@@ -459,27 +460,6 @@ impl TlbHierarchy {
         }
         self.stats.l2_misses += 1;
         FetchLookup::Miss
-    }
-
-    fn set_fetch_fast(&mut self, fast: Option<(FetchWorld, u64, TlbEntry)>) {
-        self.fetch_fast = fast;
-        self.fetch_fast_tag += 1;
-    }
-
-    /// The fetch fast path's translation and its tag. While
-    /// [`TlbHierarchy::fetch_fast_tag`] still returns that tag,
-    /// [`TlbHierarchy::lookup_fetch`] of the entry's vpn in that world
-    /// hits it in the MRU way of its iTLB set with no side effect beyond
-    /// [`TlbHierarchy::count_itlb_hit`] — the fetch cursor in
-    /// [`crate::Machine`] relies on exactly this.
-    pub(crate) fn fetch_fast(&self) -> Option<(FetchWorld, TlbEntry, u64)> {
-        self.fetch_fast.map(|(world, _, entry)| (world, entry, self.fetch_fast_tag))
-    }
-
-    /// Changes whenever the fetch fast path does.
-    #[inline]
-    pub(crate) fn fetch_fast_tag(&self) -> u64 {
-        self.fetch_fast_tag
     }
 
     /// Installs a walked translation on the fetch side (L2 + iTLB, with
@@ -504,9 +484,6 @@ impl TlbHierarchy {
     /// The §7.3 behaviour: an iTLB fill whose victim is re-homed into the
     /// shared dTLB, where userspace Prime+Probe can see it.
     fn fill_itlb_with_migration(&mut self, world: FetchWorld, entry: TlbEntry) {
-        // The insert reorders the set (and may replace the cached entry's
-        // pfn/perms under the same vpn), so the fetch fast path dies.
-        self.set_fetch_fast(None);
         let victim = self.itlb_mut(world).insert(entry);
         match world {
             FetchWorld::User => {
@@ -543,7 +520,6 @@ impl TlbHierarchy {
 
     /// Full hierarchy invalidate.
     pub fn flush(&mut self) {
-        self.set_fetch_fast(None);
         self.data_fast = None;
         self.itlb_user.flush();
         self.itlb_kernel.flush();
@@ -552,8 +528,8 @@ impl TlbHierarchy {
     }
 
     /// Serialises all four structures plus the counters. The one-entry
-    /// fast paths are not captured: their contract makes them invisible
-    /// to the simulation, so a restore simply starts with them cold.
+    /// data fast path is not captured: its contract makes it invisible
+    /// to the simulation, so a restore simply starts with it cold.
     pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
         self.itlb_user.save_state(w);
         self.itlb_kernel.save_state(w);
@@ -597,7 +573,6 @@ impl TlbHierarchy {
         &mut self,
         r: &mut pacman_telemetry::bin::Reader<'_>,
     ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.set_fetch_fast(None);
         self.data_fast = None;
         self.itlb_user.restore_state(r)?;
         self.itlb_kernel.restore_state(r)?;
@@ -667,6 +642,41 @@ mod tests {
         assert!(t.lookup(0).is_some());
         let victim = t.insert(entry(8)).unwrap();
         assert_eq!(victim.vpn, 4, "entry 0 was refreshed, 4 is LRU");
+    }
+
+    #[test]
+    fn version_moves_with_set_contents_and_lru_order_only() {
+        let mut t = Tlb::new(TlbParams { ways: 2, sets: 4 });
+        let mut seen = vec![t.version()];
+        let mut moved = |t: &Tlb, expect: bool, what: &str| {
+            let v = t.version();
+            assert_eq!(!seen.contains(&v), expect, "{what}: version {v} after {seen:?}");
+            seen.push(v);
+        };
+        t.insert(entry(0));
+        moved(&t, true, "insert");
+        t.insert(entry(4)); // set 0 is now [4, 0]
+        moved(&t, true, "second insert");
+        assert!(t.lookup(4).is_some());
+        moved(&t, false, "MRU re-touch");
+        assert!(t.lookup(1).is_none());
+        moved(&t, false, "miss");
+        assert!(t.lookup(0).is_some());
+        moved(&t, true, "promotion");
+        assert!(!t.invalidate(9));
+        moved(&t, false, "invalidate of an absent vpn");
+        assert!(t.invalidate(4));
+        moved(&t, true, "invalidate");
+        t.flush();
+        moved(&t, true, "flush");
+        let mut w = pacman_telemetry::bin::Writer::new();
+        t.save_state(&mut w);
+        t.restore_state(&mut pacman_telemetry::bin::Reader::new(&w.into_bytes())).unwrap();
+        moved(&t, true, "restore");
+        t.reset(TlbParams { ways: 2, sets: 4 });
+        moved(&t, true, "reset");
+        t.reset(TlbParams { ways: 4, sets: 8 });
+        moved(&t, true, "reset to a new geometry");
     }
 
     #[test]

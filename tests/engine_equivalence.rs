@@ -4,14 +4,21 @@
 //! `ExecEngine::Interpreted` translates, permission-checks and decodes
 //! every fetch the slow way and is the timing oracle. `ExecEngine::Cached`
 //! adds the host-side accelerators: the predecoded block cache, the PAC
-//! memo and the page-granular fetch cursor. Over seeded generated programs
+//! memo and the page-granular fetch cursors. Over seeded generated programs
 //! (the conformance harness's generator, `pacman::reference::gen`) run
 //! side by side, the engines must agree at every retire boundary on the
 //! outcome and the cycle count, and at the end on the architectural state
 //! and every exported series — TLB, cache, predictor, speculation and CPU
 //! counters — except the host-only `exec.block.*` / `exec.pac.*`
-//! accelerator counters.
+//! accelerator counters and the profiler's `profile.*` counters.
+//!
+//! Generated programs run from one EL0 code page, so the oracle campaigns
+//! of §8.1 are compared too: 65 syscall round trips per PAC test, each
+//! crossing the user page, the kernel's vector page and a handler page,
+//! with the instruction channel's jump pads evicting kernel iTLB sets.
 
+use pacman::attack::oracle::PacOracle;
+use pacman::attack::parallel::Channel;
 use pacman::attack::{System, SystemConfig};
 use pacman::reference::diff::quiet_config;
 use pacman::reference::gen::{generate, scenario_seed};
@@ -44,12 +51,17 @@ fn drive(m: &mut Machine, budget: u64) -> (u64, String) {
     (budget, "budget exhausted".to_string())
 }
 
-/// Every exported series except the host-side accelerator counters.
+/// Every exported series except the host-side accelerator and profiler
+/// counters.
 fn simulated_series(m: &Machine) -> Snapshot {
     let mut reg = Registry::new();
     m.export_telemetry(&mut reg);
     let mut snap = reg.snapshot();
-    snap.retain_counters(|name| !name.starts_with("exec.block.") && !name.starts_with("exec.pac."));
+    snap.retain_counters(|name| {
+        !name.starts_with("exec.block.")
+            && !name.starts_with("exec.pac.")
+            && !name.starts_with("profile.")
+    });
     snap
 }
 
@@ -122,5 +134,48 @@ fn snapshot_taken_mid_page_continues_like_the_interpreter() {
             assert_eq!((split + end.0, end.1), interp_end, "scenario {index}: run diverged");
         }
         assert_same(&format!("scenario {index}"), &restored.machine, &interp.machine);
+    }
+}
+
+#[test]
+fn oracle_trials_across_syscalls_match_the_interpreter() {
+    // The fetch cursors must survive (or correctly die across) every EL
+    // switch, kernel page change and iTLB eviction of a real campaign:
+    // `Cached` — also with the profiler's out-of-line retire path — must
+    // stay on `Interpreted`'s timeline trial by trial.
+    let engines =
+        [(ExecEngine::Interpreted, false), (ExecEngine::Cached, false), (ExecEngine::Cached, true)];
+    for channel in [Channel::Data, Channel::Instr, Channel::Cache] {
+        let mut runs: Vec<(System, Box<dyn PacOracle>, u64, u16)> = engines
+            .iter()
+            .map(|&(engine, profile)| {
+                let mut sys = System::boot(SystemConfig {
+                    machine: MachineConfig { profile, ..machine_config(engine, true, 0x5C5) },
+                    kernel_seed: 0x5C5,
+                    ..SystemConfig::default()
+                });
+                let (target, true_pac) = channel.target(&mut sys);
+                let oracle = channel.oracle(&mut sys, 3).expect("oracle setup");
+                (sys, oracle, target, true_pac)
+            })
+            .collect();
+        let mut outcomes = [false; 2];
+        for trial in 0..6u16 {
+            let verdicts: Vec<_> = runs
+                .iter_mut()
+                .map(|(sys, oracle, target, true_pac)| {
+                    let guess = if trial % 2 == 0 { *true_pac } else { *true_pac ^ (trial + 1) };
+                    oracle.test_pac(sys, *target, guess).expect("trial runs")
+                })
+                .collect();
+            outcomes[usize::from(verdicts[0].is_correct())] = true;
+            let (interp, rest) = runs.split_first().expect("three engines");
+            for ((sys, ..), verdict) in rest.iter().zip(&verdicts[1..]) {
+                let label = format!("{channel:?} trial {trial}");
+                assert_eq!(verdict, &verdicts[0], "{label}: verdicts diverged");
+                assert_same(&label, &sys.machine, &interp.0.machine);
+            }
+        }
+        assert_eq!(outcomes, [true; 2], "{channel:?}: the trials must see both verdicts");
     }
 }
