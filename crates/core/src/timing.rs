@@ -111,15 +111,17 @@ pub fn evaluate_timer(sys: &mut System, samples: usize) -> Result<TimerEvaluatio
     let mut dtlb_hits = LatencyHistogram::default();
     let mut dtlb_misses = LatencyHistogram::default();
     let mut walks = LatencyHistogram::default();
+    // Built on first use, after the first hit sample, and reused.
+    let mut dtlb_evict = None;
 
-    for i in 0..samples {
+    for _ in 0..samples {
         // Hit: touch, then measure.
         sys.machine.user_load(page)?;
         dtlb_hits.record(sys.machine.timed_user_load(page)?);
 
         // dTLB miss, L2 TLB hit: evict from the dTLB only by filling the
         // dTLB set with same-set addresses (stride 256 pages).
-        let dtlb_evict = EvictionSet::dtlb_for_target_cached(sys, page, i == 0);
+        let dtlb_evict = dtlb_evict.get_or_insert_with(|| EvictionSet::dtlb_for_target(sys, page));
         for &a in dtlb_evict.addrs() {
             sys.machine.user_load(a)?;
         }
@@ -134,28 +136,6 @@ pub fn evaluate_timer(sys: &mut System, samples: usize) -> Result<TimerEvaluatio
 
     let threshold = derive_threshold(&dtlb_hits, &dtlb_misses);
     Ok(TimerEvaluation { source, dtlb_hits, dtlb_misses, walks, threshold })
-}
-
-impl EvictionSet {
-    /// Test-support constructor that re-derives (or reuses) the dTLB set
-    /// for a page; avoids re-allocating address space every iteration.
-    fn dtlb_for_target_cached(sys: &mut System, target: u64, first: bool) -> EvictionSet {
-        use std::cell::RefCell;
-        thread_local! {
-            static CACHE: RefCell<Option<(u64, EvictionSet)>> = const { RefCell::new(None) };
-        }
-        CACHE.with(|c| {
-            let mut c = c.borrow_mut();
-            match &*c {
-                Some((t, ev)) if *t == target && !first => ev.clone(),
-                _ => {
-                    let ev = EvictionSet::dtlb_for_target(sys, target);
-                    *c = Some((target, ev.clone()));
-                    ev
-                }
-            }
-        })
-    }
 }
 
 /// Derives a midpoint threshold if the populations are disjoint.

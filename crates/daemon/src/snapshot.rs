@@ -408,6 +408,63 @@ mod tests {
         }
     }
 
+    /// `body` behind a valid magic, version and checksum.
+    fn with_valid_header(body: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(body).to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        #[test]
+        fn loading_arbitrary_bytes_never_panics(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..256),
+            keep_magic: bool,
+        ) {
+            let mut bytes = bytes;
+            if keep_magic && bytes.len() >= 8 {
+                bytes[..8].copy_from_slice(&MAGIC);
+            }
+            let _ = DaemonSnapshot::load(&bytes);
+        }
+
+        #[test]
+        fn loading_any_checksummed_body_never_panics(
+            mode in 0..3u8,
+            noise in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..512),
+            edits in proptest::collection::vec(
+                (0..4096usize, proptest::arbitrary::any::<u8>()),
+                0..12,
+            ),
+            cut in 0..4096usize,
+        ) {
+            // Bodies that pass the checksum: random bytes, a real body
+            // with bytes overwritten (counts and lengths turn huge), or a
+            // real body cut short with random bytes after the cut.
+            let valid = sample().save()[HEADER_LEN..].to_vec();
+            let body = match mode {
+                0 => noise,
+                1 => {
+                    let mut body = valid;
+                    for (at, byte) in edits {
+                        let i = at % body.len();
+                        body[i] = byte;
+                    }
+                    body
+                }
+                _ => {
+                    let mut body = valid[..cut % valid.len()].to_vec();
+                    body.extend_from_slice(&noise);
+                    body
+                }
+            };
+            let _ = DaemonSnapshot::load(&with_valid_header(&body));
+        }
+    }
+
     fn assert_corrupt(snap: &DaemonSnapshot, needle: &str) {
         match DaemonSnapshot::load(&snap.save()) {
             Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),

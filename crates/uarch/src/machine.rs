@@ -13,6 +13,15 @@
 //!   target, then — under [`SquashPolicy::Eager`] — are eagerly squashed
 //!   and redirected to the resolved target (Figure 3(d));
 //! - the §9 mitigations hook into exactly these paths.
+//!
+//! The retire path (`Machine::exec`) and the wrong path
+//! (`Machine::spec_exec`) share one copy of the instruction semantics:
+//! `alu` evaluates the register-only instructions and `MemOp` computes
+//! every load/store address. They differ only in policy. The retire path
+//! raises traps, trains the predictors and writes memory; the wrong path
+//! suppresses faults, follows the predictor untrained, never writes
+//! memory, and applies the mitigations, with every access outcome going
+//! through `Machine::spec_outcome`.
 
 use std::collections::HashMap;
 
@@ -181,21 +190,12 @@ impl MemorySystem {
         }
     }
 
-    fn cache_data(&mut self, pa: u64) -> (CacheHit, u64) {
-        match self.l1d.access(pa) {
-            CacheOutcome::Hit => (CacheHit::L1, self.latency.l1_hit),
-            CacheOutcome::Miss => match self.l2c.access(pa) {
-                CacheOutcome::Hit => (CacheHit::L2, self.latency.l1_hit + self.latency.l2_hit),
-                CacheOutcome::Miss => (
-                    CacheHit::Memory,
-                    self.latency.l1_hit + self.latency.l2_hit + self.latency.dram,
-                ),
-            },
-        }
-    }
-
-    fn cache_fetch(&mut self, pa: u64) -> (CacheHit, u64) {
-        match self.l1i.access(pa) {
+    /// One access of `pa` through the L1 that `access` uses (the L1i for
+    /// fetches, else the L1d) and on a miss the unified L2: where it hit
+    /// and what it cost.
+    fn cache_access(&mut self, access: AccessKind, pa: u64) -> (CacheHit, u64) {
+        let l1 = if access == AccessKind::Fetch { &mut self.l1i } else { &mut self.l1d };
+        match l1.access(pa) {
             CacheOutcome::Hit => (CacheHit::L1, self.latency.l1_hit),
             CacheOutcome::Miss => match self.l2c.access(pa) {
                 CacheOutcome::Hit => (CacheHit::L2, self.latency.l1_hit + self.latency.l2_hit),
@@ -231,7 +231,7 @@ impl MemorySystem {
         };
         Self::check_perms(&entry, el, access)?;
         let pa = entry.pfn * PAGE_SIZE + v.page_offset();
-        let (cache, cache_cycles) = self.cache_data(pa);
+        let (cache, cache_cycles) = self.cache_access(access, pa);
         Ok((AccessOutcome { cycles: tlb_cycles + cache_cycles, tlb, cache }, pa))
     }
 
@@ -254,7 +254,7 @@ impl MemorySystem {
         };
         Self::check_perms(&entry, el, AccessKind::Fetch)?;
         let pa = entry.pfn * PAGE_SIZE + v.page_offset();
-        let (cache, cache_cycles) = self.cache_fetch(pa);
+        let (cache, cache_cycles) = self.cache_access(AccessKind::Fetch, pa);
         Ok((AccessOutcome { cycles: tlb_cycles + cache_cycles, tlb, cache }, pa))
     }
 
@@ -289,7 +289,7 @@ impl MemorySystem {
             if !self.l1d.contains(pa) {
                 return SpecAccess::Blocked;
             }
-            let (cache, cycles) = self.cache_data(pa);
+            let (cache, cycles) = self.cache_access(access, pa);
             return SpecAccess::Ok(AccessOutcome { cycles, tlb: TlbHit::L1, cache }, pa);
         }
         match self.data_access(va, el, access) {
@@ -432,6 +432,144 @@ impl Shadow {
     }
 }
 
+/// The pattern of the register-only instructions [`alu`] evaluates, so
+/// the retire path and the wrong path each dispatch them with one arm.
+macro_rules! alu_insts {
+    () => {
+        Inst::MovZ { .. }
+            | Inst::MovK { .. }
+            | Inst::MovN { .. }
+            | Inst::MovReg { .. }
+            | Inst::Csel { .. }
+            | Inst::AddImm { .. }
+            | Inst::SubImm { .. }
+            | Inst::AddReg { .. }
+            | Inst::SubReg { .. }
+            | Inst::AndReg { .. }
+            | Inst::OrrReg { .. }
+            | Inst::EorReg { .. }
+            | Inst::Mul { .. }
+            | Inst::LslImm { .. }
+            | Inst::LsrImm { .. }
+            | Inst::CmpImm { .. }
+            | Inst::CmpReg { .. }
+            | Inst::Xpac { .. }
+    };
+}
+
+/// The pattern of the loads and stores [`MemOp::of`] decodes.
+macro_rules! mem_insts {
+    () => {
+        Inst::Ldr { .. }
+            | Inst::Ldrb { .. }
+            | Inst::Str { .. }
+            | Inst::Strb { .. }
+            | Inst::Ldp { .. }
+            | Inst::Stp { .. }
+    };
+}
+
+/// What a register-only instruction does, as [`alu`] evaluates it.
+#[derive(Copy, Clone, Debug)]
+enum AluOut {
+    /// Write `value` to `rd`. On the wrong path `rd` is then tainted iff
+    /// one of the registers the value was read from, `srcs`, is (unused
+    /// entries are `XZR`, which is never tainted).
+    Write { rd: Reg, value: u64, srcs: [Reg; 2] },
+    /// Set the comparison operands.
+    Cmp(i64, i64),
+}
+
+/// Evaluates an [`alu_insts!`] instruction against a register file read
+/// through `get` and the comparison operands `cmp`: the one copy of these
+/// semantics behind both [`Machine::exec`] and [`Machine::spec_exec`].
+#[inline(always)]
+fn alu(inst: Inst, get: impl Fn(Reg) -> u64, cmp: (i64, i64)) -> AluOut {
+    const NONE: Reg = Reg::XZR;
+    let write = |rd, value, srcs| AluOut::Write { rd, value, srcs };
+    match inst {
+        Inst::MovZ { rd, imm, shift } => {
+            write(rd, u64::from(imm) << (16 * u32::from(shift)), [NONE; 2])
+        }
+        Inst::MovK { rd, imm, shift } => {
+            let sh = 16 * u32::from(shift);
+            write(rd, (get(rd) & !(0xFFFFu64 << sh)) | (u64::from(imm) << sh), [rd, NONE])
+        }
+        Inst::MovN { rd, imm, shift } => {
+            write(rd, !(u64::from(imm) << (16 * u32::from(shift))), [NONE; 2])
+        }
+        Inst::MovReg { rd, rn } => write(rd, get(rn), [rn, NONE]),
+        Inst::Csel { rd, rn, rm, cond } => {
+            let src = if cond.holds(cmp.0, cmp.1) { rn } else { rm };
+            write(rd, get(src), [src, NONE])
+        }
+        Inst::AddImm { rd, rn, imm } => write(rd, get(rn).wrapping_add(u64::from(imm)), [rn, NONE]),
+        Inst::SubImm { rd, rn, imm } => write(rd, get(rn).wrapping_sub(u64::from(imm)), [rn, NONE]),
+        Inst::AddReg { rd, rn, rm } => write(rd, get(rn).wrapping_add(get(rm)), [rn, rm]),
+        Inst::SubReg { rd, rn, rm } => write(rd, get(rn).wrapping_sub(get(rm)), [rn, rm]),
+        Inst::AndReg { rd, rn, rm } => write(rd, get(rn) & get(rm), [rn, rm]),
+        Inst::OrrReg { rd, rn, rm } => write(rd, get(rn) | get(rm), [rn, rm]),
+        Inst::EorReg { rd, rn, rm } => write(rd, get(rn) ^ get(rm), [rn, rm]),
+        Inst::Mul { rd, rn, rm } => write(rd, get(rn).wrapping_mul(get(rm)), [rn, rm]),
+        Inst::LslImm { rd, rn, shift } => write(rd, get(rn) << shift, [rn, NONE]),
+        Inst::LsrImm { rd, rn, shift } => write(rd, get(rn) >> shift, [rn, NONE]),
+        Inst::CmpImm { rn, imm } => AluOut::Cmp(get(rn) as i64, i64::from(imm)),
+        Inst::CmpReg { rn, rm } => AluOut::Cmp(get(rn) as i64, get(rm) as i64),
+        Inst::Xpac { rd, .. } => write(rd, ptr::canonicalize(get(rd)), [rd, NONE]),
+        _ => unreachable!("alu_insts! lists exactly the instructions alu evaluates"),
+    }
+}
+
+/// A load or store as both paths issue it: the access kind, whether it
+/// moves one byte, its base register, and the (data register, effective
+/// address) words it moves — one, or two consecutive doublewords for a
+/// pair.
+#[derive(Copy, Clone, Debug)]
+struct MemOp {
+    kind: AccessKind,
+    byte: bool,
+    rn: Reg,
+    words: [(Reg, u64); 2],
+    len: usize,
+}
+
+impl MemOp {
+    /// Decodes a [`mem_insts!`] instruction, reading its base register
+    /// through `get`. The effective address is `rn + offset` (wrapping);
+    /// a pair's second word is the doubleword after it.
+    #[inline(always)]
+    fn of(inst: Inst, get: impl Fn(Reg) -> u64) -> Self {
+        use AccessKind::{Load, Store};
+        let (kind, byte, rt, rt2, rn, offset) = match inst {
+            Inst::Ldr { rt, rn, offset } => (Load, false, rt, None, rn, offset),
+            Inst::Ldrb { rt, rn, offset } => (Load, true, rt, None, rn, offset),
+            Inst::Str { rt, rn, offset } => (Store, false, rt, None, rn, offset),
+            Inst::Strb { rt, rn, offset } => (Store, true, rt, None, rn, offset),
+            Inst::Ldp { rt, rt2, rn, offset } => (Load, false, rt, Some(rt2), rn, offset),
+            Inst::Stp { rt, rt2, rn, offset } => (Store, false, rt, Some(rt2), rn, offset),
+            _ => unreachable!("mem_insts! lists exactly the instructions MemOp decodes"),
+        };
+        let va = get(rn).wrapping_add_signed(offset.into());
+        let second = (rt2.unwrap_or(Reg::XZR), va.wrapping_add(8));
+        Self { kind, byte, rn, words: [(rt, va), second], len: 1 + usize::from(rt2.is_some()) }
+    }
+
+    /// The words to move, in order.
+    fn words(&self) -> &[(Reg, u64)] {
+        &self.words[..self.len]
+    }
+}
+
+/// The value of a `PAC*`/`AUT*` modifier operand, reading a register
+/// modifier through `get`.
+#[inline(always)]
+fn modifier_value(modifier: PacModifier, get: impl Fn(Reg) -> u64) -> u64 {
+    match modifier {
+        PacModifier::Reg(m) => get(m),
+        PacModifier::Zero => 0,
+    }
+}
+
 /// Number of [`ExecEngine::Cached`] fetch cursors (a power of two): a
 /// direct-mapped table indexed by the low page-number bits of the PC, so
 /// a syscall's user page, vector page and handler page each keep theirs.
@@ -526,10 +664,6 @@ pub struct Machine {
     pac_memo: HashMap<(u128, u64, u64), u16, FxBuild>,
     pac_memo_hits: u64,
     pac_memo_misses: u64,
-    /// One-entry front cache over the memo: PAC-heavy loops authenticate
-    /// the same triple back to back, and this skips even the hash on
-    /// those. Value-keyed like the memo, so it never needs flushing.
-    pac_last: Option<((u128, u64, u64), u16)>,
     rng: SmallRng,
     timing_source: TimingSource,
     vbar: u64,
@@ -573,7 +707,6 @@ impl Machine {
             pac_memo: HashMap::default(),
             pac_memo_hits: 0,
             pac_memo_misses: 0,
-            pac_last: None,
             rng,
             timing_source: TimingSource::default(),
             vbar: 0,
@@ -635,7 +768,6 @@ impl Machine {
             pac_memo,
             pac_memo_hits,
             pac_memo_misses,
-            pac_last,
             rng,
             timing_source,
             vbar,
@@ -658,7 +790,6 @@ impl Machine {
         *pac_memo = HashMap::default();
         *pac_memo_hits = 0;
         *pac_memo_misses = 0;
-        *pac_last = None;
         *rng = SmallRng::seed_from_u64(config.seed);
         *timing_source = TimingSource::default();
         *vbar = 0;
@@ -803,8 +934,8 @@ impl Machine {
     ///
     /// Not captured, by design: the speculation trace and profiler
     /// (diagnostic recorders, off by default and simulation-invisible)
-    /// and the dTLB front cache and fetch cursors (restored cold; their
-    /// contracts make them invisible too).
+    /// and the fetch cursors (restored cold; their contract makes them
+    /// invisible too).
     ///
     /// # Panics
     ///
@@ -901,16 +1032,6 @@ impl Machine {
         }
         w.u64(self.pac_memo_hits);
         w.u64(self.pac_memo_misses);
-        match self.pac_last {
-            None => w.bool(false),
-            Some(((key, pointer, modifier), pac)) => {
-                w.bool(true);
-                w.u128(key);
-                w.u64(pointer);
-                w.u64(modifier);
-                w.u16(pac);
-            }
-        }
         // Remaining machine-level state.
         for word in self.rng.state() {
             w.u64(word);
@@ -1012,8 +1133,6 @@ impl Machine {
         }
         self.pac_memo_hits = r.u64()?;
         self.pac_memo_misses = r.u64()?;
-        self.pac_last =
-            if r.bool()? { Some(((r.u128()?, r.u64()?, r.u64()?), r.u16()?)) } else { None };
         let mut rng_state = [0u64; 4];
         for word in &mut rng_state {
             *word = r.u64()?;
@@ -1289,7 +1408,7 @@ impl Machine {
         let fetch_cycles = if self.mem.l1i.rehit_last(pa) {
             self.mem.latency.l1_hit
         } else {
-            self.mem.cache_fetch(pa).1
+            self.mem.cache_access(AccessKind::Fetch, pa).1
         };
         self.cycles += fetch_cycles + self.config.latency.alu;
         Some(inst)
@@ -1303,19 +1422,21 @@ impl Machine {
         let (fetch_outcome, pa) =
             self.mem.fetch_access(pc, el).map_err(|f| f.into_trap(pc, el, AccessKind::Fetch))?;
         self.cycles += fetch_outcome.cycles;
-        // The engines are bit-identical: the cached path only skips the
-        // re-read + re-decode of the fetched word, never any simulated
-        // cost (timing was already charged by `fetch_access` above).
+        let inst = self.decode_at(pa).ok_or(Trap::Decode { pc })?;
+        if self.config.engine == ExecEngine::Cached {
+            self.aim_cursor(pc, el, pa);
+        }
+        Ok(inst)
+    }
+
+    /// Decodes the word at physical `pa` with the configured engine. The
+    /// engines are bit-identical: the cached path only skips the re-read
+    /// and re-decode of the word, never any simulated cost (the fetch
+    /// was already charged).
+    fn decode_at(&mut self, pa: u64) -> Option<Inst> {
         match self.config.engine {
-            ExecEngine::Cached => {
-                let inst =
-                    self.block_cache.fetch(pa, &mut self.mem.phys).ok_or(Trap::Decode { pc })?;
-                self.aim_cursor(pc, el, pa);
-                Ok(inst)
-            }
-            ExecEngine::Interpreted => {
-                decode(self.mem.phys.read_u32(pa)).map_err(|_| Trap::Decode { pc })
-            }
+            ExecEngine::Cached => self.block_cache.fetch(pa, &mut self.mem.phys),
+            ExecEngine::Interpreted => decode(self.mem.phys.read_u32(pa)).ok(),
         }
     }
 
@@ -1378,119 +1499,28 @@ impl Machine {
                 self.cpu.el = El::El0;
                 self.cpu.pc = saved.pc;
             }
-            Inst::MovZ { rd, imm, shift } => {
-                self.cpu.set(rd, u64::from(imm) << (16 * u32::from(shift)));
+            alu_insts!() => {
+                match alu(inst, |r| self.cpu.get(r), self.cpu.cmp) {
+                    AluOut::Write { rd, value, .. } => self.cpu.set(rd, value),
+                    AluOut::Cmp(a, b) => self.cpu.cmp = (a, b),
+                }
                 self.cpu.pc = next;
             }
-            Inst::MovK { rd, imm, shift } => {
-                let sh = 16 * u32::from(shift);
-                let old = self.cpu.get(rd);
-                self.cpu.set(rd, (old & !(0xFFFFu64 << sh)) | (u64::from(imm) << sh));
-                self.cpu.pc = next;
-            }
-            Inst::MovN { rd, imm, shift } => {
-                self.cpu.set(rd, !(u64::from(imm) << (16 * u32::from(shift))));
-                self.cpu.pc = next;
-            }
-            Inst::MovReg { rd, rn } => {
-                let v = self.cpu.get(rn);
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::Csel { rd, rn, rm, cond } => {
-                let v = if cond.holds(self.cpu.cmp.0, self.cpu.cmp.1) {
-                    self.cpu.get(rn)
-                } else {
-                    self.cpu.get(rm)
-                };
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::AddImm { rd, rn, imm } => {
-                let v = self.cpu.get(rn).wrapping_add(u64::from(imm));
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::SubImm { rd, rn, imm } => {
-                let v = self.cpu.get(rn).wrapping_sub(u64::from(imm));
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::AddReg { rd, rn, rm } => {
-                let v = self.cpu.get(rn).wrapping_add(self.cpu.get(rm));
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::SubReg { rd, rn, rm } => {
-                let v = self.cpu.get(rn).wrapping_sub(self.cpu.get(rm));
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::AndReg { rd, rn, rm } => {
-                let v = self.cpu.get(rn) & self.cpu.get(rm);
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::OrrReg { rd, rn, rm } => {
-                let v = self.cpu.get(rn) | self.cpu.get(rm);
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::EorReg { rd, rn, rm } => {
-                let v = self.cpu.get(rn) ^ self.cpu.get(rm);
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::LslImm { rd, rn, shift } => {
-                let v = self.cpu.get(rn) << shift;
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::LsrImm { rd, rn, shift } => {
-                let v = self.cpu.get(rn) >> shift;
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::Mul { rd, rn, rm } => {
-                let v = self.cpu.get(rn).wrapping_mul(self.cpu.get(rm));
-                self.cpu.set(rd, v);
-                self.cpu.pc = next;
-            }
-            Inst::CmpImm { rn, imm } => {
-                self.cpu.cmp = (self.cpu.get(rn) as i64, i64::from(imm));
-                self.cpu.pc = next;
-            }
-            Inst::CmpReg { rn, rm } => {
-                self.cpu.cmp = (self.cpu.get(rn) as i64, self.cpu.get(rm) as i64);
-                self.cpu.pc = next;
-            }
-            Inst::Ldr { rt, rn, offset } | Inst::Ldrb { rt, rn, offset } => {
-                let va = self.cpu.get(rn).wrapping_add_signed(offset.into());
-                let (outcome, pa) = self
-                    .mem
-                    .data_access(va, el, AccessKind::Load)
-                    .map_err(|f| f.into_trap(va, el, AccessKind::Load))?;
-                self.cycles += outcome.cycles;
-                let v = if matches!(inst, Inst::Ldrb { .. }) {
-                    u64::from(self.mem.phys.read_u8(pa))
-                } else {
-                    self.mem.phys.read_u64(pa)
-                };
-                self.cpu.set(rt, v);
-                self.cpu.pc = next;
-            }
-            Inst::Str { rt, rn, offset } | Inst::Strb { rt, rn, offset } => {
-                let va = self.cpu.get(rn).wrapping_add_signed(offset.into());
-                let (outcome, pa) = self
-                    .mem
-                    .data_access(va, el, AccessKind::Store)
-                    .map_err(|f| f.into_trap(va, el, AccessKind::Store))?;
-                self.cycles += outcome.cycles;
-                let v = self.cpu.get(rt);
-                if matches!(inst, Inst::Strb { .. }) {
-                    self.mem.phys.write_u8(pa, v as u8);
-                } else {
-                    self.mem.phys.write_u64(pa, v);
+            mem_insts!() => {
+                let op = MemOp::of(inst, |r| self.cpu.get(r));
+                for &(rt, va) in op.words() {
+                    let (outcome, pa) = self
+                        .mem
+                        .data_access(va, el, op.kind)
+                        .map_err(|f| f.into_trap(va, el, op.kind))?;
+                    self.cycles += outcome.cycles;
+                    let phys = &mut self.mem.phys;
+                    match (op.kind, op.byte) {
+                        (AccessKind::Load, false) => self.cpu.set(rt, phys.read_u64(pa)),
+                        (AccessKind::Load, true) => self.cpu.set(rt, u64::from(phys.read_u8(pa))),
+                        (_, false) => phys.write_u64(pa, self.cpu.get(rt)),
+                        (_, true) => phys.write_u8(pa, self.cpu.get(rt) as u8),
+                    }
                 }
                 self.cpu.pc = next;
             }
@@ -1519,32 +1549,6 @@ impl Machine {
             Inst::Tbnz { rt, bit, offset } => {
                 let taken = (self.cpu.get(rt) >> bit) & 1 == 1;
                 self.conditional_branch(pc, el, taken, offset);
-            }
-            Inst::Ldp { rt, rt2, rn, offset } => {
-                let base = self.cpu.get(rn).wrapping_add_signed(offset.into());
-                for (reg, addr) in [(rt, base), (rt2, base.wrapping_add(8))] {
-                    let (outcome, pa) = self
-                        .mem
-                        .data_access(addr, el, AccessKind::Load)
-                        .map_err(|f| f.into_trap(addr, el, AccessKind::Load))?;
-                    self.cycles += outcome.cycles;
-                    let v = self.mem.phys.read_u64(pa);
-                    self.cpu.set(reg, v);
-                }
-                self.cpu.pc = next;
-            }
-            Inst::Stp { rt, rt2, rn, offset } => {
-                let base = self.cpu.get(rn).wrapping_add_signed(offset.into());
-                for (reg, addr) in [(rt, base), (rt2, base.wrapping_add(8))] {
-                    let (outcome, pa) = self
-                        .mem
-                        .data_access(addr, el, AccessKind::Store)
-                        .map_err(|f| f.into_trap(addr, el, AccessKind::Store))?;
-                    self.cycles += outcome.cycles;
-                    let v = self.cpu.get(reg);
-                    self.mem.phys.write_u64(pa, v);
-                }
-                self.cpu.pc = next;
             }
             Inst::Br { rn } | Inst::Blr { rn } => {
                 let target = self.cpu.get(rn);
@@ -1577,30 +1581,19 @@ impl Machine {
                 self.cpu.pc = target;
             }
             Inst::Pac { key, rd, modifier } => {
-                let modifier = match modifier {
-                    PacModifier::Reg(m) => self.cpu.get(m),
-                    PacModifier::Zero => 0,
-                };
+                let modifier = modifier_value(modifier, |r| self.cpu.get(r));
                 let signed = self.sign_pac(key, self.cpu.get(rd), modifier);
                 self.cpu.set(rd, signed);
                 self.cpu.pc = next;
             }
             Inst::Aut { key, rd, modifier } => {
-                let modifier = match modifier {
-                    PacModifier::Reg(m) => self.cpu.get(m),
-                    PacModifier::Zero => 0,
-                };
+                let modifier = modifier_value(modifier, |r| self.cpu.get(r));
                 let result = self.auth_pac(key, self.cpu.get(rd), modifier);
                 self.cpu.set(rd, result.pointer());
                 if self.config.mitigation == Mitigation::FenceAfterAut {
                     self.stats.fences_injected += 1;
                     self.cycles += self.config.latency.fence;
                 }
-                self.cpu.pc = next;
-            }
-            Inst::Xpac { rd, .. } => {
-                let v = ptr::canonicalize(self.cpu.get(rd));
-                self.cpu.set(rd, v);
                 self.cpu.pc = next;
             }
             Inst::Pacga { rd, rn, rm } => {
@@ -1674,15 +1667,8 @@ impl Machine {
             return pacs.pac(pointer, modifier) as u16;
         }
         let triple = (keyval, pointer, modifier);
-        if let Some((last, pac)) = self.pac_last {
-            if last == triple {
-                self.pac_memo_hits += 1;
-                return pac;
-            }
-        }
         if let Some(&pac) = self.pac_memo.get(&triple) {
             self.pac_memo_hits += 1;
-            self.pac_last = Some((triple, pac));
             return pac;
         }
         self.pac_memo_misses += 1;
@@ -1692,7 +1678,6 @@ impl Machine {
             self.pac_memo.clear();
         }
         self.pac_memo.insert(triple, pac);
-        self.pac_last = Some((triple, pac));
         pac
     }
 
@@ -1804,23 +1789,11 @@ impl Machine {
         let mut pc = start_pc;
         let mut executed: u32 = 0;
         for _ in 0..self.config.speculation_window {
-            let pa = match self.mem.spec_fetch(pc, el, Mitigation::None) {
-                SpecAccess::Ok(outcome, pa) => {
-                    self.cycles += outcome.cycles / 4; // overlapped wrong-path work
-                    pa
-                }
-                SpecAccess::Fault => {
-                    self.suppress_spec_fault(pc, el, AccessKind::Fetch);
-                    self.trace.record(SpecEvent::FaultSuppressed { pc, va: pc });
-                    break;
-                }
-                SpecAccess::Blocked => break,
+            let fetch = self.mem.spec_fetch(pc, el, Mitigation::None);
+            let Some(pa) = self.spec_outcome(pc, pc, el, AccessKind::Fetch, fetch) else {
+                break;
             };
-            let decoded = match self.config.engine {
-                ExecEngine::Cached => self.block_cache.fetch(pa, &mut self.mem.phys),
-                ExecEngine::Interpreted => decode(self.mem.phys.read_u32(pa)).ok(),
-            };
-            let Some(inst) = decoded else {
+            let Some(inst) = self.decode_at(pa) else {
                 break;
             };
             self.stats.spec_insts += 1;
@@ -1850,6 +1823,49 @@ impl Machine {
         }
     }
 
+    /// Accounts for the outcome of one wrong-path access of `va` by the
+    /// instruction at `pc`. An access that went through charges its
+    /// overlapped quarter of the cycles and returns the physical address;
+    /// a fault is suppressed and a delay-on-miss block counted, each
+    /// recorded, and both end the shadow (`None`).
+    fn spec_outcome(
+        &mut self,
+        pc: u64,
+        va: u64,
+        el: El,
+        kind: AccessKind,
+        access: SpecAccess,
+    ) -> Option<u64> {
+        match access {
+            SpecAccess::Ok(outcome, pa) => {
+                self.cycles += outcome.cycles / 4; // overlapped wrong-path work
+                Some(pa)
+            }
+            SpecAccess::Fault => {
+                self.suppress_spec_fault(va, el, kind);
+                self.trace.record(SpecEvent::FaultSuppressed { pc, va });
+                None
+            }
+            SpecAccess::Blocked => {
+                self.stats.delay_blocked += 1;
+                self.trace.record(SpecEvent::MitigationBlocked { pc, what: "delay-on-miss" });
+                None
+            }
+        }
+    }
+
+    /// Whether taint tracking ([`Mitigation::TaintAutOutputs`]) blocks
+    /// the wrong-path instruction at `pc` from issuing an address held in
+    /// `rn`; a block is counted and recorded.
+    fn taint_blocks(&mut self, shadow: &Shadow, pc: u64, rn: Reg, mit: Mitigation) -> bool {
+        let blocked = mit == Mitigation::TaintAutOutputs && shadow.tainted(rn);
+        if blocked {
+            self.stats.taint_blocked += 1;
+            self.trace.record(SpecEvent::MitigationBlocked { pc, what: "taint tracking" });
+        }
+        blocked
+    }
+
     /// Ends a speculation shadow: records the squash in the trace and the
     /// wrong-path depth in the episode histogram.
     fn close_shadow(&mut self, executed: u32) {
@@ -1859,6 +1875,11 @@ impl Machine {
 
     /// Executes one wrong-path instruction. Returns false when the shadow
     /// ends (fault, serialisation, window-irrelevant instruction).
+    ///
+    /// The values come from the same [`alu`] and [`MemOp`] as the retire
+    /// path's; what differs is policy: faults are suppressed instead of
+    /// raised, conditional branches follow the predictor without training
+    /// it, stores never write memory, and the mitigations act here.
     fn spec_exec(
         &mut self,
         shadow: &mut Shadow,
@@ -1878,240 +1899,69 @@ impl Machine {
             | Inst::Svc { .. }
             | Inst::Eret
             | Inst::Msr { .. } => return false,
-            Inst::MovZ { rd, imm, shift } => {
-                shadow.set(rd, u64::from(imm) << (16 * u32::from(shift)));
-                shadow.set_taint(rd, false);
+            alu_insts!() => {
+                match alu(inst, |r| shadow.get(r), shadow.cmp) {
+                    AluOut::Write { rd, value, srcs } => {
+                        let taint = srcs.iter().any(|&r| shadow.tainted(r));
+                        shadow.set(rd, value);
+                        shadow.set_taint(rd, taint);
+                    }
+                    AluOut::Cmp(a, b) => shadow.cmp = (a, b),
+                }
                 *pc = next;
             }
-            Inst::MovK { rd, imm, shift } => {
-                let sh = 16 * u32::from(shift);
-                let old = shadow.get(rd);
-                shadow.set(rd, (old & !(0xFFFFu64 << sh)) | (u64::from(imm) << sh));
-                *pc = next;
-            }
-            Inst::MovN { rd, imm, shift } => {
-                shadow.set(rd, !(u64::from(imm) << (16 * u32::from(shift))));
-                shadow.set_taint(rd, false);
-                *pc = next;
-            }
-            Inst::MovReg { rd, rn } => {
-                let (v, t) = (shadow.get(rn), shadow.tainted(rn));
-                shadow.set(rd, v);
-                shadow.set_taint(rd, t);
-                *pc = next;
-            }
-            Inst::Csel { rd, rn, rm, cond } => {
-                let taken = cond.holds(shadow.cmp.0, shadow.cmp.1);
-                let src = if taken { rn } else { rm };
-                let (v, t) = (shadow.get(src), shadow.tainted(src));
-                shadow.set(rd, v);
-                shadow.set_taint(rd, t);
-                *pc = next;
-            }
-            Inst::AddImm { rd, rn, imm } => {
-                let (v, t) = (shadow.get(rn).wrapping_add(u64::from(imm)), shadow.tainted(rn));
-                shadow.set(rd, v);
-                shadow.set_taint(rd, t);
-                *pc = next;
-            }
-            Inst::SubImm { rd, rn, imm } => {
-                let (v, t) = (shadow.get(rn).wrapping_sub(u64::from(imm)), shadow.tainted(rn));
-                shadow.set(rd, v);
-                shadow.set_taint(rd, t);
-                *pc = next;
-            }
-            Inst::AddReg { rd, rn, rm }
-            | Inst::SubReg { rd, rn, rm }
-            | Inst::AndReg { rd, rn, rm }
-            | Inst::OrrReg { rd, rn, rm }
-            | Inst::EorReg { rd, rn, rm }
-            | Inst::Mul { rd, rn, rm } => {
-                let (a, b) = (shadow.get(rn), shadow.get(rm));
-                let v = match inst {
-                    Inst::AddReg { .. } => a.wrapping_add(b),
-                    Inst::SubReg { .. } => a.wrapping_sub(b),
-                    Inst::AndReg { .. } => a & b,
-                    Inst::OrrReg { .. } => a | b,
-                    Inst::EorReg { .. } => a ^ b,
-                    _ => a.wrapping_mul(b),
-                };
-                shadow.set(rd, v);
-                shadow.set_taint(rd, shadow.tainted(rn) || shadow.tainted(rm));
-                *pc = next;
-            }
-            Inst::LslImm { rd, rn, shift } => {
-                let (v, t) = (shadow.get(rn) << shift, shadow.tainted(rn));
-                shadow.set(rd, v);
-                shadow.set_taint(rd, t);
-                *pc = next;
-            }
-            Inst::LsrImm { rd, rn, shift } => {
-                let (v, t) = (shadow.get(rn) >> shift, shadow.tainted(rn));
-                shadow.set(rd, v);
-                shadow.set_taint(rd, t);
-                *pc = next;
-            }
-            Inst::CmpImm { rn, imm } => {
-                shadow.cmp = (shadow.get(rn) as i64, i64::from(imm));
-                *pc = next;
-            }
-            Inst::CmpReg { rn, rm } => {
-                shadow.cmp = (shadow.get(rn) as i64, shadow.get(rm) as i64);
-                *pc = next;
-            }
-            Inst::Ldr { rt, rn, offset } | Inst::Ldrb { rt, rn, offset } => {
-                if mit == Mitigation::TaintAutOutputs && shadow.tainted(rn) {
-                    self.stats.taint_blocked += 1;
-                    self.trace
-                        .record(SpecEvent::MitigationBlocked { pc: *pc, what: "taint tracking" });
-                    shadow.set(rt, 0);
-                    shadow.set_taint(rt, true);
+            mem_insts!() => {
+                // Wrong-path stores translate (filling TLBs — a valid
+                // transmit channel, §4.1) but never write memory. The
+                // first fault or block ends the shadow.
+                let op = MemOp::of(inst, |r| shadow.get(r));
+                if self.taint_blocks(shadow, *pc, op.rn, mit) {
+                    if op.kind == AccessKind::Load {
+                        for &(rt, _) in op.words() {
+                            shadow.set(rt, 0);
+                            shadow.set_taint(rt, true);
+                        }
+                    }
                     *pc = next;
                     return true;
                 }
-                let va = shadow.get(rn).wrapping_add_signed(offset.into());
-                match self.mem.spec_data_access(va, el, AccessKind::Load, mit) {
-                    SpecAccess::Ok(outcome, pa) => {
-                        self.cycles += outcome.cycles / 4;
-                        self.trace.record(SpecEvent::SpecAccessIssued { pc: *pc, va });
-                        let v = if matches!(inst, Inst::Ldrb { .. }) {
-                            u64::from(self.mem.phys.read_u8(pa))
-                        } else {
-                            self.mem.phys.read_u64(pa)
-                        };
+                for &(rt, va) in op.words() {
+                    let access = self.mem.spec_data_access(va, el, op.kind, mit);
+                    let Some(pa) = self.spec_outcome(*pc, va, el, op.kind, access) else {
+                        return false;
+                    };
+                    self.trace.record(SpecEvent::SpecAccessIssued { pc: *pc, va });
+                    if op.kind == AccessKind::Load {
+                        let phys = &self.mem.phys;
+                        let v =
+                            if op.byte { u64::from(phys.read_u8(pa)) } else { phys.read_u64(pa) };
                         shadow.set(rt, v);
                         shadow.set_taint(rt, false);
-                        *pc = next;
-                    }
-                    SpecAccess::Fault => {
-                        self.suppress_spec_fault(va, el, AccessKind::Load);
-                        self.trace.record(SpecEvent::FaultSuppressed { pc: *pc, va });
-                        return false;
-                    }
-                    SpecAccess::Blocked => {
-                        self.stats.delay_blocked += 1;
-                        self.trace.record(SpecEvent::MitigationBlocked {
-                            pc: *pc,
-                            what: "delay-on-miss",
-                        });
-                        return false;
                     }
                 }
-            }
-            Inst::Str { rn, .. } | Inst::Strb { rn, .. } => {
-                // Speculative stores translate (filling TLBs — a valid
-                // transmit channel, §4.1) but never write memory.
-                if mit == Mitigation::TaintAutOutputs && shadow.tainted(rn) {
-                    self.stats.taint_blocked += 1;
-                    self.trace
-                        .record(SpecEvent::MitigationBlocked { pc: *pc, what: "taint tracking" });
-                    *pc = next;
-                    return true;
-                }
-                let va = shadow.get(rn);
-                match self.mem.spec_data_access(va, el, AccessKind::Store, mit) {
-                    SpecAccess::Ok(outcome, _) => {
-                        self.cycles += outcome.cycles / 4;
-                        self.trace.record(SpecEvent::SpecAccessIssued { pc: *pc, va });
-                        *pc = next;
-                    }
-                    SpecAccess::Fault => {
-                        self.suppress_spec_fault(va, el, AccessKind::Store);
-                        self.trace.record(SpecEvent::FaultSuppressed { pc: *pc, va });
-                        return false;
-                    }
-                    SpecAccess::Blocked => {
-                        self.stats.delay_blocked += 1;
-                        self.trace.record(SpecEvent::MitigationBlocked {
-                            pc: *pc,
-                            what: "delay-on-miss",
-                        });
-                        return false;
-                    }
-                }
+                *pc = next;
             }
             Inst::B { offset } => *pc = pc.wrapping_add_signed(4 * i64::from(offset)),
             Inst::Bl { offset } => {
                 shadow.set(Reg::LR, next);
                 *pc = pc.wrapping_add_signed(4 * i64::from(offset));
             }
-            Inst::BCond { cond: _, offset } => {
+            Inst::BCond { offset, .. }
+            | Inst::Cbz { offset, .. }
+            | Inst::Cbnz { offset, .. }
+            | Inst::Tbz { offset, .. }
+            | Inst::Tbnz { offset, .. } => {
                 // Inside the shadow, nested conditional branches follow the
                 // predictor (no training on wrong paths).
                 let taken = self.bimodal.predict(*pc);
                 *pc = if taken { pc.wrapping_add_signed(4 * i64::from(offset)) } else { next };
-            }
-            Inst::Cbz { offset, .. }
-            | Inst::Cbnz { offset, .. }
-            | Inst::Tbz { offset, .. }
-            | Inst::Tbnz { offset, .. } => {
-                let taken = self.bimodal.predict(*pc);
-                *pc = if taken { pc.wrapping_add_signed(4 * i64::from(offset)) } else { next };
-            }
-            Inst::Ldp { rt, rt2, rn, offset } => {
-                // Pair loads behave like two loads for the transmit
-                // channel; the first fault/block ends the shadow.
-                if mit == Mitigation::TaintAutOutputs && shadow.tainted(rn) {
-                    self.stats.taint_blocked += 1;
-                    shadow.set(rt, 0);
-                    shadow.set(rt2, 0);
-                    shadow.set_taint(rt, true);
-                    shadow.set_taint(rt2, true);
-                    *pc = next;
-                    return true;
-                }
-                let base = shadow.get(rn).wrapping_add_signed(offset.into());
-                for (reg, addr) in [(rt, base), (rt2, base.wrapping_add(8))] {
-                    match self.mem.spec_data_access(addr, el, AccessKind::Load, mit) {
-                        SpecAccess::Ok(outcome, pa) => {
-                            self.cycles += outcome.cycles / 4;
-                            let v = self.mem.phys.read_u64(pa);
-                            shadow.set(reg, v);
-                            shadow.set_taint(reg, false);
-                        }
-                        SpecAccess::Fault => {
-                            self.suppress_spec_fault(addr, el, AccessKind::Load);
-                            return false;
-                        }
-                        SpecAccess::Blocked => {
-                            self.stats.delay_blocked += 1;
-                            return false;
-                        }
-                    }
-                }
-                *pc = next;
-            }
-            Inst::Stp { rn, .. } => {
-                if mit == Mitigation::TaintAutOutputs && shadow.tainted(rn) {
-                    self.stats.taint_blocked += 1;
-                    *pc = next;
-                    return true;
-                }
-                let base = shadow.get(rn);
-                match self.mem.spec_data_access(base, el, AccessKind::Store, mit) {
-                    SpecAccess::Ok(outcome, _) => {
-                        self.cycles += outcome.cycles / 4;
-                        *pc = next;
-                    }
-                    SpecAccess::Fault => {
-                        self.suppress_spec_fault(base, el, AccessKind::Store);
-                        return false;
-                    }
-                    SpecAccess::Blocked => {
-                        self.stats.delay_blocked += 1;
-                        return false;
-                    }
-                }
             }
             Inst::Br { .. } | Inst::Blr { .. } | Inst::Ret => {
                 let rn = match inst {
                     Inst::Br { rn } | Inst::Blr { rn } => rn,
                     _ => Reg::LR,
                 };
-                if mit == Mitigation::TaintAutOutputs && shadow.tainted(rn) {
-                    self.stats.taint_blocked += 1;
-                    self.trace
-                        .record(SpecEvent::MitigationBlocked { pc: *pc, what: "taint tracking" });
+                if self.taint_blocks(shadow, *pc, rn, mit) {
                     return false;
                 }
                 let actual = shadow.get(rn);
@@ -2133,82 +1983,49 @@ impl Machine {
                 // t3/t4: eager squash of the inner branch, redirect fetch
                 // to the resolved target.
                 self.stats.eager_squashes += 1;
-                match self.mem.spec_fetch(actual, el, mit) {
-                    SpecAccess::Ok(outcome, _) => {
-                        self.cycles += outcome.cycles / 4;
-                        self.trace.record(SpecEvent::EagerSquashRedirect { pc: *pc, actual });
-                        if matches!(inst, Inst::Blr { .. }) {
-                            shadow.set(Reg::LR, next);
-                        }
-                        *pc = actual;
-                    }
-                    SpecAccess::Fault => {
-                        self.suppress_spec_fault(actual, el, AccessKind::Fetch);
-                        self.trace.record(SpecEvent::FaultSuppressed { pc: *pc, va: actual });
-                        return false;
-                    }
-                    SpecAccess::Blocked => {
-                        self.stats.delay_blocked += 1;
-                        self.trace.record(SpecEvent::MitigationBlocked {
-                            pc: *pc,
-                            what: "delay-on-miss",
-                        });
-                        return false;
-                    }
+                let fetch = self.mem.spec_fetch(actual, el, mit);
+                if self.spec_outcome(*pc, actual, el, AccessKind::Fetch, fetch).is_none() {
+                    return false;
                 }
+                self.trace.record(SpecEvent::EagerSquashRedirect { pc: *pc, actual });
+                if matches!(inst, Inst::Blr { .. }) {
+                    shadow.set(Reg::LR, next);
+                }
+                *pc = actual;
             }
             Inst::Pac { key, rd, modifier } => {
-                let modifier = match modifier {
-                    PacModifier::Reg(m) => shadow.get(m),
-                    PacModifier::Zero => 0,
-                };
+                let modifier = modifier_value(modifier, |r| shadow.get(r));
                 let v = self.sign_pac(key, shadow.get(rd), modifier);
                 shadow.set(rd, v);
                 *pc = next;
             }
-            Inst::Aut { key, rd, modifier } => {
-                match mit {
-                    Mitigation::NonSpeculativeAut => {
-                        // The AUT stalls until the shadow resolves; nothing
-                        // downstream of it executes speculatively.
-                        self.trace.record(SpecEvent::MitigationBlocked {
-                            pc: *pc,
-                            what: "non-speculative AUT",
-                        });
-                        return false;
-                    }
-                    _ => {
-                        let modifier = match modifier {
-                            PacModifier::Reg(m) => shadow.get(m),
-                            PacModifier::Zero => 0,
-                        };
-                        let result = self.auth_pac(key, shadow.get(rd), modifier);
-                        self.trace.record(SpecEvent::AutExecuted {
-                            pc: *pc,
-                            valid: result.is_valid(),
-                            result: result.pointer(),
-                        });
-                        shadow.set(rd, result.pointer());
-                        if mit == Mitigation::TaintAutOutputs {
-                            shadow.set_taint(rd, true);
-                        }
-                        if mit == Mitigation::FenceAfterAut {
-                            // The implicit fence stops speculation before
-                            // the verified pointer can be transmitted.
-                            self.stats.fences_injected += 1;
-                            self.trace.record(SpecEvent::MitigationBlocked {
-                                pc: *pc,
-                                what: "fence after AUT",
-                            });
-                            return false;
-                        }
-                        *pc = next;
-                    }
-                }
+            Inst::Aut { .. } if mit == Mitigation::NonSpeculativeAut => {
+                // The AUT stalls until the shadow resolves; nothing
+                // downstream of it executes speculatively.
+                self.trace
+                    .record(SpecEvent::MitigationBlocked { pc: *pc, what: "non-speculative AUT" });
+                return false;
             }
-            Inst::Xpac { rd, .. } => {
-                let v = ptr::canonicalize(shadow.get(rd));
-                shadow.set(rd, v);
+            Inst::Aut { key, rd, modifier } => {
+                let modifier = modifier_value(modifier, |r| shadow.get(r));
+                let result = self.auth_pac(key, shadow.get(rd), modifier);
+                self.trace.record(SpecEvent::AutExecuted {
+                    pc: *pc,
+                    valid: result.is_valid(),
+                    result: result.pointer(),
+                });
+                shadow.set(rd, result.pointer());
+                if mit == Mitigation::TaintAutOutputs {
+                    shadow.set_taint(rd, true);
+                }
+                if mit == Mitigation::FenceAfterAut {
+                    // The implicit fence stops speculation before the
+                    // verified pointer can be transmitted.
+                    self.stats.fences_injected += 1;
+                    self.trace
+                        .record(SpecEvent::MitigationBlocked { pc: *pc, what: "fence after AUT" });
+                    return false;
+                }
                 *pc = next;
             }
             Inst::Pacga { rd, rn, rm } => {
@@ -2575,6 +2392,38 @@ mod tests {
             m.mem.tlbs.dtlb().contains(VirtualAddress::new(secret).vpn()),
             "speculative load must leave a dTLB footprint"
         );
+
+        // The same shadow over a store whose offset carries it into the
+        // next page: the footprint is at `rn + offset`, not at `rn`.
+        let mut m = machine();
+        m.map_region(USER_DATA, 4 * PAGE_SIZE, Perms::user_rw());
+        let mut a = Asm::new();
+        let skip = a.new_label();
+        a.cbz(Reg::X1, skip);
+        a.push(Inst::Str { rt: Reg::X3, rn: Reg::X2, offset: 16 });
+        a.bind(skip);
+        a.push(Inst::Hlt);
+        let prog = a.assemble().unwrap();
+        m.map_region(USER_CODE, 64, Perms::user_rwx());
+        m.load_program(USER_CODE, &prog);
+        for _ in 0..4 {
+            m.cpu.pc = USER_CODE;
+            m.cpu.set(Reg::X1, 1);
+            m.cpu.set(Reg::X2, USER_DATA);
+            m.run(100).unwrap();
+        }
+        m.mem.tlbs.flush();
+        let base = USER_DATA + 2 * PAGE_SIZE - 8;
+        m.cpu.pc = USER_CODE;
+        m.cpu.set(Reg::X1, 0);
+        m.cpu.set(Reg::X2, base);
+        m.run(100).unwrap();
+        let dtlb = m.mem.tlbs.dtlb();
+        assert!(
+            dtlb.contains(VirtualAddress::new(base + 16).vpn()),
+            "speculative store must fill the dTLB at rn + offset, in the next page"
+        );
+        assert!(!dtlb.contains(VirtualAddress::new(base).vpn()), "the base's own page stays cold");
     }
 
     #[test]
@@ -2602,6 +2451,81 @@ mod tests {
         let before = m.stats.spec_faults_suppressed;
         m.run(100).expect("speculative fault must not become architectural");
         assert_eq!(m.stats.spec_faults_suppressed, before + 1);
+    }
+
+    #[test]
+    fn wrong_path_taint_follows_the_registers_each_alu_result_reads() {
+        use pacman_isa::Cond;
+        // x2 holds a signed pointer, x6 = USER_DATA and x7 = 0. Under
+        // the shadow, `autda x2` taints x2; `body` derives x5 (USER_DATA
+        // whichever way) and `ldr x4, [x5]` is blocked iff x5 is tainted.
+        let blocked = |body: &[Inst]| {
+            let mut m = Machine::new(MachineConfig {
+                os_noise: 0.0,
+                mitigation: Mitigation::TaintAutOutputs,
+                ..MachineConfig::default()
+            });
+            m.map_page(USER_DATA, Perms::user_rw());
+            let mut a = Asm::new();
+            let skip = a.new_label();
+            a.push(Inst::Pac { key: PacKey::Da, rd: Reg::X2, modifier: PacModifier::Zero });
+            a.cbz(Reg::X1, skip);
+            a.push(Inst::Aut { key: PacKey::Da, rd: Reg::X2, modifier: PacModifier::Zero });
+            for &inst in body {
+                a.push(inst);
+            }
+            a.push(Inst::Ldr { rt: Reg::X4, rn: Reg::X5, offset: 0 });
+            a.bind(skip);
+            a.push(Inst::Hlt);
+            let prog = a.assemble().unwrap();
+            m.map_region(USER_CODE, 4 * prog.len() as u64, Perms::user_rwx());
+            m.load_program(USER_CODE, &prog);
+            for x1 in [1, 1, 1, 1, 0] {
+                m.cpu.pc = USER_CODE;
+                for (r, v) in
+                    [(Reg::X1, x1), (Reg::X2, USER_DATA), (Reg::X6, USER_DATA), (Reg::X7, 0)]
+                {
+                    m.cpu.set(r, v);
+                }
+                m.run(100).expect("the body computes a mapped address");
+            }
+            assert_eq!(m.stats.spec_episodes, 1, "{body:?}");
+            m.stats.taint_blocked == 1
+        };
+        let mov = |rd, rn| Inst::MovReg { rd, rn };
+        let cases: [(&[Inst], bool); 10] = [
+            (&[mov(Reg::X5, Reg::X2)], true),
+            (&[Inst::MovZ { rd: Reg::X5, imm: 0x1000, shift: 1 }], false),
+            (&[mov(Reg::X5, Reg::X2), Inst::MovZ { rd: Reg::X5, imm: 0x1000, shift: 1 }], false),
+            (&[mov(Reg::X5, Reg::X2), Inst::MovK { rd: Reg::X5, imm: 0, shift: 0 }], true),
+            (&[mov(Reg::X5, Reg::X2), Inst::Xpac { data: true, rd: Reg::X5 }], true),
+            (
+                &[
+                    Inst::CmpReg { rn: Reg::XZR, rm: Reg::XZR },
+                    Inst::Csel { rd: Reg::X5, rn: Reg::X2, rm: Reg::X6, cond: Cond::Eq },
+                ],
+                true,
+            ),
+            (
+                &[
+                    Inst::CmpReg { rn: Reg::XZR, rm: Reg::XZR },
+                    Inst::Csel { rd: Reg::X5, rn: Reg::X2, rm: Reg::X6, cond: Cond::Ne },
+                ],
+                false,
+            ),
+            (
+                &[
+                    Inst::CmpReg { rn: Reg::XZR, rm: Reg::XZR },
+                    Inst::Csel { rd: Reg::X5, rn: Reg::X6, rm: Reg::X2, cond: Cond::Ne },
+                ],
+                true,
+            ),
+            (&[Inst::AddReg { rd: Reg::X5, rn: Reg::X7, rm: Reg::X2 }], true),
+            (&[Inst::AddReg { rd: Reg::X5, rn: Reg::X6, rm: Reg::XZR }], false),
+        ];
+        for (body, expect) in cases {
+            assert_eq!(blocked(body), expect, "{body:?}");
+        }
     }
 
     #[test]

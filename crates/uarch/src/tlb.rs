@@ -351,12 +351,6 @@ pub struct TlbHierarchy {
     itlb_kernel: Tlb,
     dtlb: Tlb,
     l2: Tlb,
-    /// One-entry data-side fast path: the last dTLB hit's vpn and entry,
-    /// valid only while that entry is still the MRU way of its dTLB set.
-    /// A fast-path hit performs exactly the counter update the full scan
-    /// would and promotes nothing (the entry is already MRU), so it is
-    /// invisible to the simulation; any dTLB insert or flush clears it.
-    data_fast: Option<(u64, TlbEntry)>,
     /// Counters (public for experiment reporting).
     pub stats: TlbStats,
 }
@@ -369,7 +363,6 @@ impl TlbHierarchy {
             itlb_kernel: Tlb::new(itlb),
             dtlb: Tlb::new(dtlb),
             l2: Tlb::new(l2),
-            data_fast: None,
             stats: TlbStats::default(),
         }
     }
@@ -382,7 +375,6 @@ impl TlbHierarchy {
         self.itlb_kernel.reset(itlb);
         self.dtlb.reset(dtlb);
         self.l2.reset(l2);
-        self.data_fast = None;
         self.stats = TlbStats::default();
     }
 
@@ -414,15 +406,8 @@ impl TlbHierarchy {
 
     /// Data-side lookup for a load/store.
     pub fn lookup_data(&mut self, vpn: u64) -> DataLookup {
-        if let Some((v, e)) = self.data_fast {
-            if v == vpn {
-                self.stats.dtlb_hits += 1;
-                return DataLookup::DtlbHit(e);
-            }
-        }
         if let Some(e) = self.dtlb.lookup(vpn) {
             self.stats.dtlb_hits += 1;
-            self.data_fast = Some((vpn, e));
             return DataLookup::DtlbHit(e);
         }
         self.stats.dtlb_misses += 1;
@@ -502,9 +487,6 @@ impl TlbHierarchy {
     }
 
     fn dtlb_insert_counted(&mut self, entry: TlbEntry) {
-        // The insert reorders the set (and may replace the cached entry
-        // in place), so the data fast path dies.
-        self.data_fast = None;
         self.stats.dtlb_fills += 1;
         if self.dtlb.insert(entry).is_some() {
             self.stats.dtlb_evictions += 1;
@@ -520,16 +502,13 @@ impl TlbHierarchy {
 
     /// Full hierarchy invalidate.
     pub fn flush(&mut self) {
-        self.data_fast = None;
         self.itlb_user.flush();
         self.itlb_kernel.flush();
         self.dtlb.flush();
         self.l2.flush();
     }
 
-    /// Serialises all four structures plus the counters. The one-entry
-    /// data fast path is not captured: its contract makes it invisible
-    /// to the simulation, so a restore simply starts with it cold.
+    /// Serialises all four structures plus the counters.
     pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
         self.itlb_user.save_state(w);
         self.itlb_kernel.save_state(w);
@@ -573,7 +552,6 @@ impl TlbHierarchy {
         &mut self,
         r: &mut pacman_telemetry::bin::Reader<'_>,
     ) -> Result<(), pacman_telemetry::bin::BinError> {
-        self.data_fast = None;
         self.itlb_user.restore_state(r)?;
         self.itlb_kernel.restore_state(r)?;
         self.dtlb.restore_state(r)?;

@@ -104,3 +104,85 @@ fn fig8b_instr_gadget_correct_guess_trace_is_golden() {
 fn fig8b_instr_gadget_wrong_guess_trace_is_golden() {
     snapshot_case("fig8b_wrong.txt", true, false);
 }
+
+/// Generated scenarios per wrong-path fingerprint configuration.
+const FINGERPRINT_SCENARIOS: u64 = 256;
+
+/// Retire budget per generated scenario (they are a page of code at
+/// most and end well inside it, as in `engine_equivalence`).
+const FINGERPRINT_BUDGET: u64 = 512;
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+}
+
+/// One line per mitigation × squash policy: an FNV-1a fingerprint of
+/// every generated scenario's rendered speculation events, its cycle
+/// count and its simulated counters (everything `export_telemetry`
+/// reports except the host-side `exec.*` accelerator counters), plus
+/// event and wrong-path instruction totals to make a diff legible.
+///
+/// Both engines share the wrong path, so `engine_equivalence` cannot see
+/// a change to it; the Fig 8 traces above cover four gadget runs. This
+/// covers the generator's branchy, faulting, PAC-heavy programs under
+/// every wrong-path policy.
+fn wrong_path_fingerprints() -> String {
+    use pacman::reference::diff::quiet_config;
+    use pacman::reference::gen::{generate, scenario_seed};
+    use pacman::uarch::{Machine, MachineConfig, Mitigation, SquashPolicy};
+    use pacman_telemetry::Registry;
+
+    let mut out = String::new();
+    for mitigation in [
+        Mitigation::None,
+        Mitigation::FenceAfterAut,
+        Mitigation::NonSpeculativeAut,
+        Mitigation::TaintAutOutputs,
+        Mitigation::DelayOnMiss,
+    ] {
+        for squash in [SquashPolicy::Eager, SquashPolicy::Lazy] {
+            let (mut hash, mut events, mut spec_insts) = (0xCBF2_9CE4_8422_2325u64, 0usize, 0);
+            for index in 0..FINGERPRINT_SCENARIOS {
+                let scenario = generate(scenario_seed(0x3B0_9A7B, index));
+                let mut m = Machine::new(MachineConfig { mitigation, squash, ..quiet_config() });
+                scenario.install_uarch(&mut m);
+                let (end, trace) = m.with_trace(|m| {
+                    for _ in 0..FINGERPRINT_BUDGET {
+                        match m.step() {
+                            Ok(None) => {}
+                            Ok(Some(stop)) => return format!("stop {stop:?}"),
+                            Err(trap) => return format!("trap {trap:?}"),
+                        }
+                    }
+                    "budget exhausted".to_string()
+                });
+                hash = fnv1a(hash, end.as_bytes());
+                for e in &trace {
+                    hash = fnv1a(hash, e.to_string().as_bytes());
+                }
+                hash = fnv1a(hash, &m.cycles.to_le_bytes());
+                let mut reg = Registry::new();
+                m.export_telemetry(&mut reg);
+                for (name, value) in reg.snapshot().counters() {
+                    if !name.starts_with("exec.") {
+                        hash = fnv1a(hash, name.as_bytes());
+                        hash = fnv1a(hash, &value.to_le_bytes());
+                    }
+                }
+                events += trace.len();
+                spec_insts += m.stats.spec_insts;
+            }
+            out.push_str(&format!(
+                "{mitigation:?}/{squash:?}: {FINGERPRINT_SCENARIOS} scenarios, \
+                 {events} events, {spec_insts} wrong-path instructions, fnv {hash:016x}\n"
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn wrong_path_fingerprint_of_generated_scenarios_is_golden() {
+    check_snapshot("wrong_path.txt", &wrong_path_fingerprints());
+}
