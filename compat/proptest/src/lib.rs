@@ -279,7 +279,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: a fixed `usize` or a
+    /// Element-count specification for [`vec()`]: a fixed `usize` or a
     /// half-open `usize` range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
@@ -300,7 +300,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

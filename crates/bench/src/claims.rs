@@ -1,14 +1,14 @@
 //! The paper-claims table: every number the reproduction commits to,
 //! with an explicit tolerance band per metric.
 //!
-//! Each bench target mirrors its printed report into a `BENCH_<id>.json`
-//! artefact ([`crate::Artifact`]); this module encodes what those
-//! artefacts *must* contain for the reproduction to count as faithful.
-//! Structural parameters (TLB geometry, cache sizes, PAC widths) are
-//! exact; timing distributions and accuracy rates carry bands no tighter
-//! than the shape checks the bench targets themselves enforce, so any
-//! bench run that printed PASS also verifies. `pacman-cli verify` diffs
-//! a directory of artefacts against this table.
+//! Each paper experiment ([`crate::experiments::EXPERIMENTS`]) and each
+//! perf target writes a `BENCH_<id>.json` artefact ([`crate::Artifact`]);
+//! this module encodes what those artefacts *must* contain for the
+//! reproduction to count as faithful. Structural parameters (TLB
+//! geometry, cache sizes, PAC widths) are exact; timing distributions
+//! and accuracy rates carry bands; relational shape checks (orderings,
+//! cut-offs) are derived boolean fields held to `true`. `pacman-cli
+//! verify` diffs a directory of artefacts against this table.
 
 use pacman_telemetry::json::Value;
 
@@ -159,24 +159,8 @@ impl Claim {
     }
 }
 
-/// Every artefact id a full bench run produces (one per bench target).
-pub const ARTIFACT_IDS: [&str; 24] = [
-    "fig5a",
-    "fig5b",
-    "fig5c",
-    "fig6",
-    "fig7",
-    "fig8a",
-    "fig8b",
-    "table1",
-    "table2",
-    "sec43",
-    "sec62",
-    "sec82_accuracy",
-    "sec82_speed",
-    "sec83",
-    "sec9",
-    "ablations",
+/// The perf targets' artefact ids (`cargo bench -p pacman-bench`).
+pub const PERF_IDS: [&str; 7] = [
     "perf_micro",
     "perf_parallel",
     "perf_trace",
@@ -184,8 +168,13 @@ pub const ARTIFACT_IDS: [&str; 24] = [
     "perf_campaign",
     "service_load",
     "snapshot",
-    "conform",
 ];
+
+/// Every artefact id with claims: the paper experiments, then the perf
+/// targets.
+pub fn artifact_ids() -> Vec<&'static str> {
+    crate::experiments::EXPERIMENTS.iter().map(|e| e.id).chain(PERF_IDS).collect()
+}
 
 use Expectation::{AtLeast, AtMost, Bool, F64Range, Present, Str, U64Range, U64};
 
@@ -216,6 +205,13 @@ pub fn all() -> Vec<Claim> {
         ),
         c("fig5a", "dtlb_knee_n", "§7.2 finding 1: dTLB 12 ways", U64(12)),
         c("fig5a", "l2_tlb_knee_n", "§7.2 finding 2: L2 TLB 23 ways", U64(23)),
+        c(
+            "fig5a",
+            "flat_stride_max_cycles",
+            "Fig. 5(a): stride 1 stays flat (< 75c)",
+            AtMost(74.0),
+        ),
+        c("fig5a", "plateaus_ordered", "Fig. 5(a): plateaus 60 < 95 < 115", Bool(true)),
         // ---- Figure 5(b): cache/TLB interaction sweep ------------------
         c("fig5b", "latency_vs_n", "Fig. 5(b) latency series", Present),
         c(
@@ -239,6 +235,7 @@ pub fn all() -> Vec<Claim> {
         c("fig5b", "l1d_knee_n", "footnote 5: observed 4-way L1D", U64(4)),
         c("fig5b", "dtlb_knee_n", "§7.2 finding 1: dTLB 12 ways", U64(12)),
         c("fig5b", "l2_tlb_knee_n", "§7.2 finding 2: L2 TLB 23 ways", U64(23)),
+        c("fig5b", "staircase_ordered", "Fig. 5(b): staircase 60 < 80 < 110 < 130", Bool(true)),
         // ---- Figure 5(c): instruction-fetch sweep ----------------------
         c("fig5c", "latency_vs_n", "Fig. 5(c) latency series", Present),
         c("fig5c", "itlb_resident_cycles", "Fig. 5(c): iTLB-resident reload >110c", AtLeast(111.0)),
@@ -257,6 +254,12 @@ pub fn all() -> Vec<Claim> {
         c("fig6", "dtlb_ways", "Fig. 6: L1 dTLB 12 ways x 256 sets", U64(12)),
         c("fig6", "l2_ways", "Fig. 6: L2 TLB 23 ways x 2048 sets", U64(23)),
         c("fig6", "itlb_victims_visible_to_loads", "§7.3: dTLB backs the iTLBs", Bool(true)),
+        c(
+            "fig6",
+            "configured_geometry",
+            "Fig. 6: the modelled TLBs",
+            Str("iTLB 4w x 32s, dTLB 12w x 256s, L2 23w x 2048s"),
+        ),
         // ---- Figure 7: timer distributions -----------------------------
         c(
             "fig7",
@@ -280,6 +283,12 @@ pub fn all() -> Vec<Claim> {
         ),
         c("fig7", "pmc_usable", "Fig. 7(a): PMC0 separates populations", Bool(true)),
         c("fig7", "mt_usable", "Fig. 7(b): MT timer separates populations", Bool(true)),
+        c(
+            "fig7",
+            "mt_walks_slower_than_misses",
+            "Fig. 7(b): walks slower than dTLB misses",
+            Bool(true),
+        ),
         // ---- Figure 8: PAC-oracle accuracy -----------------------------
         c("fig8a", "correct_detect_pct", "Fig. 8(a): correct PAC >=5 misses 99.6%", AtLeast(99.0)),
         c("fig8a", "incorrect_clean_pct", "Fig. 8(a): wrong PAC <=1 miss 99.2%", AtLeast(99.0)),
@@ -310,9 +319,16 @@ pub fn all() -> Vec<Claim> {
         c("table2", "l1_line_bytes", "Table 2: 64 B L1 lines", U64(64)),
         c("table2", "l2_line_bytes", "Table 2: 128 B L2 lines", U64(128)),
         c("table2", "pcore_l1d_effective_ways", "footnote 5: observed half of reported", U64(4)),
+        c(
+            "table2",
+            "pcore_geometry",
+            "Table 2: p-core ways x sets x line",
+            Str("L1I 6w x 512s x 64B, L1D 8w x 256s x 64B, L2 12w x 8192s x 128B"),
+        ),
         // ---- §4.3: gadget census (scale-invariant metrics only) --------
         c("sec43", "census", "§4.3 census table", Present),
         c("sec43", "gadgets_per_function", "§4.3: gadgets are abundant", AtLeast(1.0)),
+        c("sec43", "total_gadgets", "§4.3: more gadgets than the 4000 functions", AtLeast(4001.0)),
         c(
             "sec43",
             "instr_to_data_ratio",
@@ -323,7 +339,7 @@ pub fn all() -> Vec<Claim> {
             "sec43",
             "mean_distance",
             "§4.3: mean distance 8.1 insts",
-            F64Range { min: 3.0, max: 20.0 },
+            F64Range { min: 4.0, max: 20.0 },
         ),
         c("sec43", "gadgets_without_pa", "§4.3: no PA, no gadgets", U64(0)),
         // ---- §6.2: PacmanOS --------------------------------------------
@@ -360,6 +376,7 @@ pub fn all() -> Vec<Claim> {
             U64Range { min: 65, max: 100_000 },
         ),
         c("sec82_speed", "crashes", "§8.2: crash-free brute force", U64(0)),
+        c("sec82_speed", "guesses_tested", "§8.2: every guess tested, no early exit", U64(64)),
         // ---- §8.3: Jump2Win --------------------------------------------
         c("sec83", "hijacked", "§8.3: win() runs at EL1", Bool(true)),
         c("sec83", "crashes", "§8.3: zero kernel panics", U64(0)),
@@ -384,6 +401,12 @@ pub fn all() -> Vec<Claim> {
         ),
         // ---- Ablations -------------------------------------------------
         c("ablations", "min_oracle_window", "§4.3: gadget must fit the window", U64(3)),
+        c(
+            "ablations",
+            "window_cutoff_at_gadget_length",
+            "§4.3: blind below a 3-inst window, works from 3",
+            Bool(true),
+        ),
         c("ablations", "system_counter_blind", "Table 1: 24 MHz can't drive it", Bool(true)),
         c("ablations", "multithread_timer_works", "§7.4: MT timer suffices", Bool(true)),
         c("ablations", "pac_bits_53va", "§1: 11 PAC bits at 53-bit VA", U64(11)),
@@ -554,7 +577,7 @@ pub fn all() -> Vec<Claim> {
 /// every artefact carries.
 pub fn for_artifact(id: &str) -> Vec<Claim> {
     let mut out = Vec::new();
-    if let Some(&id) = ARTIFACT_IDS.iter().find(|&&a| a == id) {
+    if let Some(id) = artifact_ids().into_iter().find(|&a| a == id) {
         out.push(Claim::new(id, "record", "artefact framing", Str("bench")));
         out.push(Claim::new(id, "experiment", "artefact framing", Str(id)));
     }
@@ -579,7 +602,7 @@ mod tests {
 
     #[test]
     fn every_artifact_id_has_claims() {
-        for id in ARTIFACT_IDS {
+        for id in artifact_ids() {
             let claims = for_artifact(id);
             assert!(claims.len() > 2, "{id} has only structural claims");
             assert!(claims.iter().all(|c| c.artifact == id));
@@ -590,7 +613,7 @@ mod tests {
     fn claims_cover_no_unknown_artifacts() {
         for claim in all() {
             assert!(
-                ARTIFACT_IDS.contains(&claim.artifact),
+                artifact_ids().contains(&claim.artifact),
                 "claim {}/{} names an unknown artefact",
                 claim.artifact,
                 claim.field
@@ -615,7 +638,7 @@ mod tests {
 
     #[test]
     fn example_artifacts_pass_their_own_claims() {
-        for id in ARTIFACT_IDS {
+        for id in artifact_ids() {
             let json = example_artifact(id).to_json();
             for claim in for_artifact(id) {
                 assert_eq!(
@@ -632,7 +655,7 @@ mod tests {
     fn example_artifacts_round_trip_with_declared_fields() {
         // Every artefact id must serialize, re-parse, and still contain
         // every field the claims table declares.
-        for id in ARTIFACT_IDS {
+        for id in artifact_ids() {
             let text = example_artifact(id).to_json().to_string();
             let parsed = pacman_telemetry::json::parse(&text).expect("valid JSON");
             assert_eq!(parsed.get("experiment").and_then(Value::as_str), Some(id));

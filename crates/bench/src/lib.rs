@@ -1,11 +1,12 @@
-//! Shared helpers for the experiment harness.
+//! The experiment harness.
 //!
-//! Every table and figure in the paper's evaluation has a dedicated bench
-//! target in `benches/` (see DESIGN.md §3 for the index). Each target is a
-//! `harness = false` binary that regenerates the artefact, prints the
-//! paper-style rows/series, and asserts the qualitative shape. The
-//! `perf_micro` target uses Criterion for real wall-clock measurements of
-//! the workspace's own hot paths.
+//! Every table and figure in the paper's evaluation is one row of
+//! [`experiments::EXPERIMENTS`] (see DESIGN.md §3 for the index);
+//! `pacman-cli reproduce` regenerates them into `results/`, and
+//! [`claims`] holds each artefact to the paper. The `harness = false`
+//! targets in `benches/` are the performance timing loops; `perf_micro`
+//! uses Criterion for wall-clock measurements of the workspace's own
+//! hot paths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,12 +14,13 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use pacman_core::fault::{mix64, FaultPlan, FaultSite, RetryPolicy, Tolerance};
+use pacman_core::fault::{mix64, FaultPlan, FaultSite, RetryPolicy};
 use pacman_core::report::{AsciiChart, Table};
 use pacman_core::{System, SystemConfig};
 use pacman_telemetry::json::Value;
 
 pub mod claims;
+pub mod experiments;
 
 /// The standard experiment configuration (OS noise enabled, the attack's
 /// default timing source).
@@ -33,12 +35,6 @@ pub fn quiet_config() -> SystemConfig {
     cfg
 }
 
-/// Boots the standard experiment system (OS noise enabled, the attack's
-/// default timing source).
-pub fn noisy_system() -> System {
-    System::boot(noisy_config())
-}
-
 /// Boots a noise-free system for experiments that need clean statistics.
 pub fn quiet_system() -> System {
     System::boot(quiet_config())
@@ -50,22 +46,6 @@ pub fn jobs() -> usize {
     let jobs = pacman_runner::default_jobs();
     println!("  jobs: {jobs} (override with PACMAN_JOBS)");
     jobs
-}
-
-/// The fault-tolerance policy for parallelised experiments
-/// (`PACMAN_FAULT_SEED` / `PACMAN_FAULT_RATE`; faults are off unless the
-/// environment opts in), echoed when active so runs are self-describing.
-pub fn tolerance() -> Tolerance {
-    let tol = Tolerance::from_env();
-    if tol.faults.is_active() {
-        println!(
-            "  fault injection: ACTIVE (seed {:#x}, rate {}) — retry budget {}",
-            tol.faults.seed(),
-            tol.faults.rate(),
-            tol.retry.max_attempts
-        );
-    }
-    tol
 }
 
 /// Prints the experiment banner.
@@ -98,13 +78,14 @@ pub fn check(name: &str, ok: bool) {
     assert!(ok, "shape check failed: {name}");
 }
 
-/// A machine-readable companion to a bench target's printed output.
+/// One experiment's measured numbers as named JSON fields, written as
+/// `BENCH_<id>.json`.
 ///
-/// Experiments mirror the numbers they print into named fields (tables
-/// and charts are serialized cell-for-cell, so the artefact always
-/// matches the console report) and call [`Artifact::write`], which emits
-/// `BENCH_<id>.json` into the current directory — or `$PACMAN_BENCH_DIR`
-/// when set.
+/// Tables and charts are serialized cell for cell. The paper
+/// experiments are written by `pacman-cli reproduce` through
+/// [`Artifact::write_tolerant`]; the perf targets call
+/// [`Artifact::write`], which emits into the current directory — or
+/// `$PACMAN_BENCH_DIR` when set.
 #[derive(Clone, Debug)]
 pub struct Artifact {
     id: String,
@@ -409,7 +390,7 @@ mod tests {
         assert_eq!(q.kernel.crash_count(), 0);
         let set = q.pick_quiet_dtlb_set();
         assert!(set < 256);
-        let n = noisy_system();
+        let n = System::boot(noisy_config());
         assert!(n.machine.config().os_noise > 0.0);
     }
 }

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt::Write as _;
 
 use pacman_bench::claims;
+use pacman_bench::experiments::{self, Ctx, EXPERIMENTS};
 use pacman_core::conformance::{run_conformance, ConformConfig};
 use pacman_core::fault::{FaultPlan, Tolerance};
 use pacman_core::jump2win::Jump2Win;
@@ -109,6 +110,13 @@ pub static COMMANDS: &[Command] = &[
         summary: "print the Figure 3 speculation-event timelines",
         options: &["seed", "metrics-out"],
         flags: &["json", "quiet-noise"] },
+    // Not a daemon job: it writes files into a directory of its own
+    // choosing, not onto a session stream.
+    Command { name: "reproduce", subjects: &[], daemon_job: false, run: cmd_reproduce,
+        summary: "regenerate the paper's tables and figures (the EXPERIMENTS\n\
+                  table) as BENCH_<id>.json artifacts under --out",
+        options: &["only", "out", "jobs", "fault-rate", "metrics-out"],
+        flags: &[] },
     Command { name: "verify", subjects: &[], daemon_job: true, run: cmd_verify,
         summary: "diff BENCH_<id>.json artifacts against the paper claims",
         options: &["dir", "only", "metrics-out"],
@@ -161,7 +169,9 @@ options:
   --programs N    conform program count    --steps N       conform step budget
   --skip-self-test  conform: skip the injected-bug self-test
   --dir D         verify artifact dir      --help          this text
-  --only ID       verify: check a single artifact's claims (skips history)
+  --out D         reproduce: artifact dir (default results)
+  --only ID       verify: check a single artifact's claims;
+                  reproduce: regenerate a single artifact
   --json          emit JSONL on stdout     --metrics-out F write JSONL to file F
   --jobs N        max shards of one campaign in flight at once (default:
                   PACMAN_JOBS, else all cores; the shared worker pool is
@@ -227,6 +237,8 @@ JSON record per trial/event/row, and - for commands that drive the
 simulated machine - a final 'metrics' record holding the full
 counter/histogram snapshot (including the runner.retries /
 runner.shard_failures / runner.faults_injected execution counters).
+'reproduce' emits one 'reproduced' record per artifact written; its
+'metrics' record merges the telemetry of every sharded campaign it ran.
 'verify' ends with a 'verify_summary' record and exits nonzero if any
 paper claim is out of tolerance.
 ";
@@ -1159,39 +1171,42 @@ fn verdict_record(
     ])
 }
 
-/// The verify-history file name, colocated with the artifacts it scores.
-const VERIFY_HISTORY: &str = "BENCH_verify_history.jsonl";
-
-/// Reads the last record of the verify-history file, if one exists.
-fn last_history_entry(path: &std::path::Path) -> Option<Value> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text.lines().rev().find(|l| !l.trim().is_empty())?;
-    pacman_telemetry::json::parse(line.trim()).ok()
-}
-
-/// The current short commit hash, or `"unknown"` outside a git checkout.
-fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Appends one JSONL record to the verify-history file.
-fn append_history(path: &std::path::Path, entry: &Value) -> CliResult {
-    use std::io::Write;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open verify history '{}': {e}", path.display()))?;
-    file.write_all(to_jsonl_line(entry).as_bytes())
-        .map_err(|e| format!("writing verify history '{}': {e}", path.display()).into())
+/// Regenerates the [`EXPERIMENTS`] rows (all, or `--only ID`) one after
+/// another, their campaigns sharded on the executor, and writes each
+/// artifact into `--out` under the run's fault plan.
+fn cmd_reproduce(args: &Args) -> CliResult {
+    let rows: Vec<&experiments::Experiment> = match args.get("only") {
+        Some(id) => vec![experiments::find(id).ok_or_else(|| {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+            format!("--only got unknown experiment '{id}' (expected one of: {})", ids.join(", "))
+        })?],
+        None => EXPERIMENTS.iter().collect(),
+    };
+    let mut emit = Emitter::from_args(args)?;
+    let out = std::path::Path::new(args.get("out").unwrap_or("results"));
+    std::fs::create_dir_all(out)
+        .map_err(|e| format!("cannot create --out dir '{}': {e}", out.display()))?;
+    let ctx = Ctx::new(jobs(args)?, tolerance(args)?);
+    // Artifact writes roll their own copy of the plan, so their
+    // injections are counted once here rather than carried into every
+    // later campaign's clone of the plan.
+    let write_faults = ctx.tol.faults.clone();
+    for row in rows {
+        let art = (row.run)(&ctx).map_err(|e| format!("{}: {e}", row.id))?;
+        let path = art
+            .write_tolerant(out, &write_faults, ctx.tol.retry)
+            .map_err(|e| format!("{}: cannot write its artifact: {e}", row.id))?;
+        println!("{:<16} {:<22} {}", row.id, row.paper, path.display());
+        emit.record(&Value::Object(vec![
+            ("record".into(), Value::str("reproduced")),
+            ("experiment".into(), Value::str(row.id)),
+            ("paper".into(), Value::str(row.paper)),
+            ("path".into(), Value::str(path.display().to_string())),
+        ]));
+    }
+    let mut metrics = ctx.telemetry();
+    metrics.incr_by("runner.faults_injected", write_faults.injected());
+    emit.finish(&metrics.snapshot())
 }
 
 fn cmd_verify(args: &Args) -> CliResult {
@@ -1200,18 +1215,18 @@ fn cmd_verify(args: &Args) -> CliResult {
         Some(d) => d.to_string(),
         None => std::env::var("PACMAN_BENCH_DIR").unwrap_or_else(|_| ".".into()),
     };
+    let ids = claims::artifact_ids();
     let only = match args.get("only") {
-        Some(id) if !claims::ARTIFACT_IDS.contains(&id) => {
+        Some(id) if !ids.contains(&id) => {
             return Err(format!(
                 "--only got unknown artifact '{id}' (expected one of: {})",
-                claims::ARTIFACT_IDS.join(", ")
+                ids.join(", ")
             )
             .into());
         }
         other => other,
     };
-    let checked: Vec<&str> =
-        claims::ARTIFACT_IDS.iter().copied().filter(|id| only.is_none_or(|o| o == *id)).collect();
+    let checked: Vec<&str> = ids.into_iter().filter(|id| only.is_none_or(|o| o == *id)).collect();
     let mut table = Table::new(
         format!("paper-claims verification ({dir})"),
         &["artifact", "field", "paper claim", "expected", "got", "status"],
@@ -1283,14 +1298,8 @@ fn cmd_verify(args: &Args) -> CliResult {
         );
         println!("verdict: {}", if ok { "all claims in tolerance" } else { "OUT OF TOLERANCE" });
     }
-    // Pre-epoch clocks warn and record the 0 sentinel — the shared
-    // policy in `pacman_daemon::clock`, which session timestamps use
-    // too.
-    let timestamp = pacman_daemon::clock::unix_seconds_now();
     let summary = Value::Object(vec![
         ("record".into(), Value::str("verify_summary")),
-        ("commit".into(), Value::str(current_commit())),
-        ("timestamp".into(), Value::UInt(timestamp)),
         ("dir".into(), Value::str(dir.clone())),
         ("artifacts_expected".into(), Value::UInt(checked.len() as u64)),
         ("artifacts_loaded".into(), Value::UInt(artifacts_loaded as u64)),
@@ -1300,38 +1309,12 @@ fn cmd_verify(args: &Args) -> CliResult {
         ("faults_active".into(), Value::Bool(FaultPlan::from_env().is_active())),
         ("ok".into(), Value::Bool(ok)),
     ]);
-    // Cross-PR history: append this run (keyed by commit + timestamp) to
-    // the history file and diff it against the previous entry. A history
-    // write error must not mask an out-of-tolerance verdict, so it is
-    // deferred below the claims check. `--only` runs check a subset, so
-    // recording them would make the pass/fail trend incomparable across
-    // entries — they stay out of the history.
-    let history_path = std::path::Path::new(&dir).join(VERIFY_HISTORY);
-    let previous = last_history_entry(&history_path);
-    let history_result =
-        if only.is_none() { append_history(&history_path, &summary) } else { Ok(()) };
-    if !emit.quiet() && only.is_none() {
-        match &previous {
-            Some(prev) => {
-                let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-                println!(
-                    "history: pass {} -> {pass}, fail {} -> {fail}, missing {} -> {missing} \
-                     (previous commit {})",
-                    num(prev, "pass"),
-                    num(prev, "fail"),
-                    num(prev, "missing"),
-                    prev.get("commit").and_then(Value::as_str).unwrap_or("?"),
-                );
-            }
-            None => println!("history: first recorded verification for '{dir}'"),
-        }
-    }
     emit.record(&summary);
     emit.close()?;
     if !ok {
         return Err(format!("{fail} claim(s) out of tolerance, {missing} missing").into());
     }
-    history_result
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1519,7 +1502,7 @@ mod tests {
     #[test]
     fn verify_passes_over_example_artifacts() {
         let dir = temp_dir("verify_pass");
-        for id in claims::ARTIFACT_IDS {
+        for id in claims::artifact_ids() {
             claims::example_artifact(id).write_to(&dir).expect("example artifact");
         }
         let out = dir.join("verdicts.jsonl");
@@ -1532,7 +1515,7 @@ mod tests {
         assert_eq!(summary.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(
             summary.get("artifacts_loaded").and_then(Value::as_u64),
-            Some(claims::ARTIFACT_IDS.len() as u64)
+            Some(claims::artifact_ids().len() as u64)
         );
         let verdicts =
             records.iter().filter(|r| r.get("record").and_then(Value::as_str) == Some("verdict"));
@@ -1546,7 +1529,7 @@ mod tests {
     #[test]
     fn verify_fails_on_a_perturbed_artifact() {
         let dir = temp_dir("verify_fail");
-        for id in claims::ARTIFACT_IDS {
+        for id in claims::artifact_ids() {
             claims::example_artifact(id).write_to(&dir).expect("example artifact");
         }
         // Perturb one structural value out of tolerance.
@@ -1615,27 +1598,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_history_appends_and_diffs() {
-        let dir = temp_dir("verify_history");
-        for id in claims::ARTIFACT_IDS {
-            claims::example_artifact(id).write_to(&dir).expect("example artifact");
-        }
-        let cmd = format!("verify --dir {}", dir.display());
-        dispatch(&parse(&cmd)).expect("first verify");
-        dispatch(&parse(&cmd)).expect("second verify");
-        let records = read_jsonl(&dir.join(VERIFY_HISTORY));
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(records.len(), 2, "one history entry per run");
-        for r in &records {
-            assert_eq!(r.get("record").and_then(Value::as_str), Some("verify_summary"));
-            assert!(r.get("commit").and_then(Value::as_str).is_some());
-            assert!(r.get("timestamp").and_then(Value::as_u64).is_some());
-            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
-            assert!(r.get("pass").and_then(Value::as_u64).unwrap() > 0);
-        }
-    }
-
-    #[test]
     fn verify_only_checks_one_artifact_and_skips_history() {
         let dir = temp_dir("verify_only");
         claims::example_artifact("perf_trace").write_to(&dir).expect("example artifact");
@@ -1645,14 +1607,17 @@ mod tests {
             dir.display(),
             out.display()
         );
-        dispatch(&parse(&cmd)).expect("single present artifact passes despite 19 absent ones");
+        dispatch(&parse(&cmd)).expect("single present artifact passes despite 23 absent ones");
         let records = read_jsonl(&out);
-        let history = dir.join(VERIFY_HISTORY);
-        let history_exists = history.exists();
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("readable dir")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        files.sort();
         let err = dispatch(&parse(&format!("verify --dir {} --only nonsense", dir.display())))
             .expect_err("unknown --only id");
         std::fs::remove_dir_all(&dir).ok();
-        assert!(!history_exists, "--only runs must not pollute the verify history");
+        assert_eq!(files, ["BENCH_perf_trace.json", "only.jsonl"], "verify writes no files");
         assert!(err.to_string().contains("unknown artifact 'nonsense'"), "{err}");
         let summary = records.last().expect("verify_summary");
         assert_eq!(summary.get("record").and_then(Value::as_str), Some("verify_summary"));
@@ -1673,6 +1638,33 @@ mod tests {
             .expect_err("empty artifact dir must fail verification");
         std::fs::remove_dir_all(&dir).ok();
         assert!(err.to_string().contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn reproduce_writes_the_committed_artifact_and_rejects_unknown_ids() {
+        let dir = temp_dir("reproduce_only");
+        let out = dir.join("reproduce.jsonl");
+        let cmd = format!(
+            "reproduce --only table2 --out {} --metrics-out {}",
+            dir.display(),
+            out.display()
+        );
+        dispatch(&parse(&cmd)).expect("reproduce --only table2 runs");
+        let written = std::fs::read(dir.join("BENCH_table2.json")).expect("artifact written");
+        let records = read_jsonl(&out);
+        let err = dispatch(&parse(&format!("reproduce --only nonsense --out {}", dir.display())))
+            .expect_err("unknown --only id");
+        std::fs::remove_dir_all(&dir).ok();
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_table2.json");
+        assert_eq!(written, std::fs::read(committed).expect("committed result"));
+        assert_eq!(records[0].get("record").and_then(Value::as_str), Some("reproduced"));
+        assert_eq!(records[0].get("experiment").and_then(Value::as_str), Some("table2"));
+        assert_eq!(records.last().and_then(|r| r.get("record")?.as_str()), Some("metrics"));
+        let msg = err.to_string();
+        assert!(msg.contains("unknown experiment 'nonsense'"), "{msg}");
+        for e in EXPERIMENTS {
+            assert!(msg.contains(e.id), "{msg} omits {}", e.id);
+        }
     }
 
     #[test]
@@ -1976,7 +1968,7 @@ mod tests {
     #[test]
     fn verify_summary_records_whether_faults_were_active() {
         let dir = temp_dir("verify_faults_field");
-        for id in claims::ARTIFACT_IDS {
+        for id in claims::artifact_ids() {
             claims::example_artifact(id).write_to(&dir).expect("example artifact");
         }
         let out = dir.join("verdicts.jsonl");

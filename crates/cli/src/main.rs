@@ -4,10 +4,12 @@
 //! command is declared once, in `commands::COMMANDS`.
 //!
 //! Every command speaks JSONL when `--json` or `--metrics-out` is given.
-//! `verify` loads the `BENCH_<id>.json` artefacts a `cargo bench` run
-//! wrote, diffs each field against the paper's claims with per-metric
-//! tolerance bands (see `pacman_bench::claims`), prints the pass/fail
-//! matrix, and exits nonzero if anything is out of tolerance or missing.
+//! `reproduce` regenerates the paper's artefacts
+//! (`pacman_bench::experiments::EXPERIMENTS`) into `results/`; `verify`
+//! loads a directory of `BENCH_<id>.json` artefacts, diffs each field
+//! against the paper's claims with per-metric tolerance bands (see
+//! `pacman_bench::claims`), prints the pass/fail matrix, and exits
+//! nonzero if anything is out of tolerance or missing.
 
 mod args;
 mod commands;

@@ -4,7 +4,7 @@
 //! The daemon side wires three pieces together: `pacman_daemon`'s
 //! scheduling core, the CLI's own `dispatch` as the [`JobRunner`] (so a
 //! submitted command line behaves exactly like the one-shot CLI), and
-//! the [`jobctx`](crate::jobctx) thread-local that tees every emitted
+//! the [`jobctx`] thread-local that tees every emitted
 //! record onto the owning session's stream. Protocol and lifecycle
 //! semantics are documented in DESIGN.md §12.
 

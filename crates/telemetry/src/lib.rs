@@ -16,7 +16,7 @@
 //! - [`bin`] — the little-endian binary codec snapshot files encode
 //!   through, with typed truncation/corruption errors;
 //! - [`span`] — timed span events with thread+shard attribution and a
-//!   bounded ring-buffer [`FlightRecorder`](span::FlightRecorder);
+//!   bounded ring-buffer [`FlightRecorder`];
 //! - [`trace`] — the process-wide recorder plus a Chrome trace-event
 //!   exporter/parser (`trace.json`, viewable in Perfetto).
 //!

@@ -17,7 +17,7 @@
 //!   cursor keeps a frame's arena position and re-hits with one index,
 //!   valid until the next flush starts a new epoch.
 //! - **Runs.** A miss decodes forward from the missing word — up to
-//!   [`MAX_RUN`] instructions, stopping at the frame boundary, at an
+//!   `MAX_RUN` instructions, stopping at the frame boundary, at an
 //!   undecodable word, or after an unconditional control transfer — so
 //!   straight-line code warms in one pass.
 //! - **Invalidation.** Decoding registers the frame with

@@ -11,7 +11,7 @@
 //! - [`uarch`] — the Apple-M1-like speculative microarchitecture model
 //! - [`kernel`] — the XNU-like kernel model (EL0/EL1, kexts, signed vtables)
 //! - [`attack`] — the PACMAN attack library itself (the paper's contribution)
-//! - [`reference`] — the in-order architectural reference machine and the
+//! - [`reference`](mod@reference) — the in-order architectural reference machine and the
 //!   differential conformance harness that checks the speculative core
 //! - [`gadget`] — the static PACMAN-gadget scanner (§4.3)
 //! - [`os`] — PacmanOS, the bare-metal experiment environment (§6.2)
