@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use pacman_core::conformance::{run_conformance, ConformConfig};
 use pacman_core::fault::Tolerance;
 use pacman_core::jump2win::Jump2Win;
-use pacman_core::oracle::{DataPacOracle, PacOracle, CORRECT_MISS_THRESHOLD};
+use pacman_core::oracle::{DataPacOracle, CORRECT_MISS_THRESHOLD};
 use pacman_core::parallel::{
     oracle_distribution, parallel_accuracy, parallel_brute, parallel_sweep, Channel, SweepKind,
 };
@@ -26,7 +26,7 @@ use pacman_core::timing::{evaluate_timer, table1};
 use pacman_core::{System, SystemConfig};
 use pacman_gadget::{parallel_census, scan_image, synthesize, ImageSpec, ScanConfig};
 use pacman_isa::PacKey;
-use pacman_mitigations::{evaluate_all, evaluate_with_squash, AttackSurface};
+use pacman_mitigations::{evaluate_all, evaluate_with_squash, oracle_works, AttackSurface};
 use pacman_os::experiments::{MsrInventory, TimerResolution, TlbParameterSearch};
 use pacman_os::{BareMetal, Runner};
 use pacman_qarma::pac_field_bits;
@@ -66,9 +66,14 @@ impl Ctx {
         self.telemetry.lock().unwrap_or_else(std::sync::PoisonError::into_inner).merge(reg);
     }
 
-    /// The merged telemetry of every campaign run under this context.
+    /// The merged telemetry of every campaign run under this context,
+    /// plus the faults its own plan injected (campaigns run on clones of
+    /// it, which count their own).
     pub fn telemetry(&self) -> Registry {
-        self.telemetry.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        let mut reg =
+            self.telemetry.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
+        reg.incr_by("runner.faults_injected", self.tol.faults.injected());
+        reg
     }
 }
 
@@ -420,6 +425,17 @@ fn sec62_pacmanos(_: &Ctx) -> DriverResult {
             art.num(&format!("{name}_ways"), r.ways as u64);
         }
     }
+    // Each experiment's log, its name, cycles and status on its first line.
+    let mut log = Table::new("PacmanOS log", &["experiment", "cycles", "status", "log"]);
+    for r in [&msr, &timers, &search] {
+        let status = if r.ok { "ok" } else { "FAILED" };
+        for (i, line) in r.lines.iter().enumerate() {
+            let head = [r.name.to_string(), r.cycles.to_string(), status.to_string()];
+            let [name, cycles, status] = if i == 0 { head } else { Default::default() };
+            log.row(&[name, cycles, status, line.clone()]);
+        }
+    }
+    art.table("experiment_log", &log);
     Ok(art)
 }
 
@@ -511,11 +527,9 @@ fn sec83_jump2win(_: &Ctx) -> DriverResult {
 
 /// §9: the countermeasure matrix and the §4.2 eager-squash ablation.
 fn sec9_mitigations(_: &Ctx) -> DriverResult {
-    let evals = evaluate_all();
-    let baseline = evals
-        .iter()
-        .find(|e| e.report.mitigation == Mitigation::None)
-        .expect("evaluate_all includes the baseline");
+    let reports = evaluate_all();
+    let report = |m: Mitigation| reports.iter().find(|r| r.mitigation == m).expect("evaluated");
+    let baseline = report(Mitigation::None);
     let overhead = |cycles: u64| {
         100.0 * (cycles as f64 - baseline.benign_cycles as f64) / baseline.benign_cycles as f64
     };
@@ -524,53 +538,39 @@ fn sec9_mitigations(_: &Ctx) -> DriverResult {
         &["mitigation", "data oracle", "instr oracle", "surface", "benign overhead"],
     );
     let works = |w: bool| if w { "works" } else { "blind" }.to_string();
-    for e in &evals {
+    for r in &reports {
         t.row(&[
-            format!("{:?}", e.report.mitigation),
-            works(e.report.data_oracle_works),
-            works(e.report.instr_oracle_works),
-            format!("{:?}", e.surface),
-            format!("{:+.1}%", overhead(e.benign_cycles)),
+            format!("{:?}", r.mitigation),
+            works(r.data_oracle_works),
+            works(r.instr_oracle_works),
+            format!("{:?}", r.surface()),
+            format!("{:+.1}%", overhead(r.benign_cycles)),
         ]);
     }
-    let fence = evals
+    let all_protect = reports
         .iter()
-        .find(|e| e.report.mitigation == Mitigation::FenceAfterAut)
-        .expect("evaluate_all includes the fence");
-    let all_protect = evals
-        .iter()
-        .filter(|e| e.report.mitigation != Mitigation::None)
-        .all(|e| e.surface == AttackSurface::Protected);
+        .filter(|r| r.mitigation != Mitigation::None)
+        .all(|r| r.surface() == AttackSurface::Protected);
     let lazy = evaluate_with_squash(Mitigation::None, SquashPolicy::Lazy);
 
     let mut art = Artifact::new("sec9", "Section 9 - countermeasure matrix + squash ablation");
     art.table("mitigation_matrix", &t);
-    art.float("fence_after_aut_overhead_pct", overhead(fence.benign_cycles));
-    art.text("baseline_surface", &format!("{:?}", baseline.surface));
+    art.float(
+        "fence_after_aut_overhead_pct",
+        overhead(report(Mitigation::FenceAfterAut).benign_cycles),
+    );
+    art.text("baseline_surface", &format!("{:?}", baseline.surface()));
     art.field("all_mitigations_protect", Value::Bool(all_protect));
-    art.text("lazy_squash_surface", &format!("{:?}", lazy.surface));
+    art.text("lazy_squash_surface", &format!("{:?}", lazy.surface()));
     Ok(art)
 }
 
-/// Whether the data oracle tells the true PAC from three wrong ones on
-/// `sys` (2 of 3 correct guesses detected, at most 1 wrong one).
-fn oracle_works(sys: &mut System) -> bool {
+/// Whether the data oracle tells the true PAC from wrong ones on `sys`.
+fn data_oracle_works(sys: &mut System) -> bool {
     let set = sys.pick_quiet_dtlb_set();
     let target = sys.alloc_target(set);
     let true_pac = sys.true_pac(target);
-    let Ok(mut oracle) = DataPacOracle::new(sys) else { return false };
-    let mut good = 0;
-    let mut bad = 0;
-    for i in 0..3u16 {
-        if oracle.trial(sys, target, true_pac).is_ok_and(|m| m >= CORRECT_MISS_THRESHOLD) {
-            good += 1;
-        }
-        if oracle.trial(sys, target, true_pac ^ (1 + i)).is_ok_and(|m| m >= CORRECT_MISS_THRESHOLD)
-        {
-            bad += 1;
-        }
-    }
-    good >= 2 && bad <= 1
+    DataPacOracle::new(sys).is_ok_and(|mut o| oracle_works(sys, &mut o, target, true_pac))
 }
 
 /// Boots a noise-free system with `tweak` applied to its config.
@@ -593,9 +593,10 @@ fn quiet_with(tweak: impl FnOnce(&mut SystemConfig)) -> System {
 fn ablations(_: &Ctx) -> DriverResult {
     let windows: Vec<(u32, bool)> = [1u32, 2, 3, 8, 48]
         .into_iter()
-        .map(|w| (w, oracle_works(&mut quiet_with(|c| c.machine.speculation_window = w))))
+        .map(|w| (w, data_oracle_works(&mut quiet_with(|c| c.machine.speculation_window = w))))
         .collect();
-    let timer_works = |source: TimingSource| oracle_works(&mut quiet_with(|c| c.timing = source));
+    let timer_works =
+        |source: TimingSource| data_oracle_works(&mut quiet_with(|c| c.timing = source));
     let system_counter_works = timer_works(TimingSource::SystemCounter);
     let multithread_works = timer_works(TimingSource::MultiThread);
 

@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -78,8 +79,8 @@ pub fn check(name: &str, ok: bool) {
     assert!(ok, "shape check failed: {name}");
 }
 
-/// One experiment's measured numbers as named JSON fields, written as
-/// `BENCH_<id>.json`.
+/// One experiment's measured numbers as named fields, written as
+/// `BENCH_<id>.json` and printed through its [`Display`](fmt::Display).
 ///
 /// Tables and charts are serialized cell for cell. The paper
 /// experiments are written by `pacman-cli reproduce` through
@@ -89,25 +90,60 @@ pub fn check(name: &str, ok: bool) {
 #[derive(Clone, Debug)]
 pub struct Artifact {
     id: String,
-    fields: Vec<(String, Value)>,
+    fields: Vec<(String, Field)>,
+}
+
+/// One artefact field, kept as built so it prints as it was drawn.
+#[derive(Clone, Debug)]
+enum Field {
+    Json(Value),
+    Table(Table),
+    Chart(AsciiChart),
+}
+
+impl Field {
+    fn to_json(&self) -> Value {
+        let strs = |v: &[String]| Value::Array(v.iter().map(Value::str).collect());
+        match self {
+            Field::Json(v) => v.clone(),
+            Field::Table(t) => Value::Object(vec![
+                ("title".into(), Value::str(&t.title)),
+                ("headers".into(), strs(&t.headers)),
+                ("rows".into(), Value::Array(t.rows.iter().map(|r| strs(r)).collect())),
+            ]),
+            Field::Chart(c) => {
+                let point = |&(x, y): &(usize, u64)| {
+                    Value::Object(vec![
+                        ("x".into(), Value::UInt(x as u64)),
+                        ("y".into(), Value::UInt(y)),
+                    ])
+                };
+                let series = c.series.iter().map(|(label, points)| {
+                    Value::Object(vec![
+                        ("label".into(), Value::str(label)),
+                        ("points".into(), Value::Array(points.iter().map(point).collect())),
+                    ])
+                });
+                Value::Object(vec![
+                    ("title".into(), Value::str(&c.title)),
+                    ("series".into(), Value::Array(series.collect())),
+                ])
+            }
+        }
+    }
 }
 
 impl Artifact {
     /// Starts an artefact for experiment `id` (used in the file name).
     pub fn new(id: &str, description: &str) -> Self {
-        Self {
-            id: id.to_string(),
-            fields: vec![
-                ("record".into(), Value::str("bench")),
-                ("experiment".into(), Value::str(id)),
-                ("description".into(), Value::str(description)),
-            ],
-        }
+        let mut art = Self { id: id.to_string(), fields: Vec::new() };
+        art.text("record", "bench").text("experiment", id).text("description", description);
+        art
     }
 
     /// Adds an arbitrary JSON field.
     pub fn field(&mut self, key: &str, value: Value) -> &mut Self {
-        self.fields.push((key.to_string(), value));
+        self.fields.push((key.to_string(), Field::Json(value)));
         self
     }
 
@@ -126,58 +162,23 @@ impl Artifact {
         self.field(key, Value::str(value))
     }
 
-    /// Adds a printed [`Table`] verbatim: title, headers and every row's
-    /// cells exactly as displayed.
+    /// Adds a [`Table`], serialized as its title, headers and every
+    /// row's cells exactly as displayed.
     pub fn table(&mut self, key: &str, table: &Table) -> &mut Self {
-        let strs = |v: &[String]| Value::Array(v.iter().map(Value::str).collect());
-        self.field(
-            key,
-            Value::Object(vec![
-                ("title".into(), Value::str(&table.title)),
-                ("headers".into(), strs(&table.headers)),
-                ("rows".into(), Value::Array(table.rows.iter().map(|r| strs(r)).collect())),
-            ]),
-        )
+        self.fields.push((key.to_string(), Field::Table(table.clone())));
+        self
     }
 
-    /// Adds a printed [`AsciiChart`]'s series as `{label, points:[{x,y}]}`
-    /// objects.
+    /// Adds an [`AsciiChart`], serialized as its series of
+    /// `{label, points:[{x,y}]}` objects.
     pub fn chart(&mut self, key: &str, chart: &AsciiChart) -> &mut Self {
-        let series = chart
-            .series
-            .iter()
-            .map(|(label, points)| {
-                Value::Object(vec![
-                    ("label".into(), Value::str(label)),
-                    (
-                        "points".into(),
-                        Value::Array(
-                            points
-                                .iter()
-                                .map(|&(x, y)| {
-                                    Value::Object(vec![
-                                        ("x".into(), Value::UInt(x as u64)),
-                                        ("y".into(), Value::UInt(y)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        self.field(
-            key,
-            Value::Object(vec![
-                ("title".into(), Value::str(&chart.title)),
-                ("series".into(), Value::Array(series)),
-            ]),
-        )
+        self.fields.push((key.to_string(), Field::Chart(chart.clone())));
+        self
     }
 
     /// The artefact as one JSON object (field order = insertion order).
     pub fn to_json(&self) -> Value {
-        Value::Object(self.fields.clone())
+        Value::Object(self.fields.iter().map(|(k, f)| (k.clone(), f.to_json())).collect())
     }
 
     /// Writes `BENCH_<id>.json` under `dir` and returns the path.
@@ -262,6 +263,22 @@ impl Artifact {
     }
 }
 
+/// The artefact for a reader: tables and charts drawn as they were
+/// built, every other field (the `record` tag aside) as `key = value`.
+impl fmt::Display for Artifact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (key, field) in self.fields.iter().filter(|(key, _)| key != "record") {
+            match field {
+                Field::Json(Value::Str(s)) => writeln!(f, "{key} = {s}")?,
+                Field::Json(v) => writeln!(f, "{key} = {v}")?,
+                Field::Table(t) => write!(f, "{t}")?,
+                Field::Chart(c) => write!(f, "{c}")?,
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +321,23 @@ mod tests {
         let p1 = &s0.get("points").and_then(Value::as_array).unwrap()[1];
         assert_eq!(p1.get("x").and_then(Value::as_u64), Some(12));
         assert_eq!(p1.get("y").and_then(Value::as_u64), Some(95));
+    }
+
+    #[test]
+    fn artifact_displays_tables_and_charts_as_drawn_and_scalars_as_key_value() {
+        let mut t = Table::new("demo", &["a", "b"]);
+        t.row_of(&["1", "2"]);
+        let mut chart = AsciiChart::new("lat");
+        chart.series("stride 1".to_string(), vec![(1, 60)]);
+        let mut art = Artifact::new("demo", "display test");
+        art.num("count", 7).text("note", "ok").table("matrix", &t).chart("sweep", &chart);
+        let shown = art.to_string();
+        assert_eq!(
+            shown,
+            format!(
+                "experiment = demo\ndescription = display test\ncount = 7\nnote = ok\n{t}{chart}"
+            )
+        );
     }
 
     #[test]

@@ -3,24 +3,19 @@
 use std::error::Error;
 use std::fmt::Write as _;
 
-use pacman_bench::claims;
-use pacman_bench::experiments::{self, Ctx, EXPERIMENTS};
+use pacman_bench::experiments::{self, Ctx, Experiment, EXPERIMENTS};
+use pacman_bench::{claims, Artifact};
 use pacman_core::conformance::{run_conformance, ConformConfig};
 use pacman_core::fault::{FaultPlan, Tolerance};
 use pacman_core::jump2win::Jump2Win;
 use pacman_core::parallel::{
-    oracle_distribution, oracle_distribution_observed, parallel_brute, parallel_jump2win,
-    parallel_sweep, Channel, ExperimentError, SweepKind,
+    oracle_distribution, oracle_distribution_observed, parallel_brute, parallel_jump2win, Channel,
+    ExperimentError,
 };
 use pacman_core::report::Table;
-use pacman_core::sweep::{derive_hierarchy, experiment_machine};
 use pacman_core::{System, SystemConfig};
-use pacman_gadget::{parallel_census, ImageSpec, ScanConfig};
 use pacman_isa::ptr::with_pac_field;
 use pacman_isa::PacKey;
-use pacman_mitigations::evaluate_all;
-use pacman_os::experiments::{MsrInventory, TimerResolution, TlbParameterSearch};
-use pacman_os::{BareMetal, Runner};
 use pacman_ref::{self_test, Divergence, SelfTestResult};
 use pacman_telemetry::json::{to_jsonl_line, Value};
 use pacman_telemetry::{trace, Snapshot};
@@ -74,16 +69,17 @@ pub static COMMANDS: &[Command] = &[
         summary: "the section-8.3 end-to-end control-flow hijack",
         options: &["seed", "window", "jobs", "fault-rate", "metrics-out"],
         flags: &["json", "quiet-noise", "full"] },
-    // --quiet-noise is a no-op for sweep (its machines already run
-    // noise-free) but stays accepted for invocation compatibility.
-    Command { name: "sweep", subjects: &[], daemon_job: true, run: cmd_sweep,
+    // sweep, census, mitigations and os show their EXPERIMENTS rows.
+    Command { name: "sweep", subjects: &[], daemon_job: true,
+        run: |a| show_rows(a, &["fig5a", "fig5b", "fig5c", "fig6"]),
         summary: "the section-7 reverse-engineering sweeps (Figures 5-6)",
         options: &["jobs", "fault-rate", "metrics-out", "trace-out"],
-        flags: &["json", "quiet-noise"] },
-    Command { name: "census", subjects: &[], daemon_job: true, run: cmd_census,
+        flags: &["json"] },
+    Command { name: "census", subjects: &[], daemon_job: true,
+        run: |a| show_rows(a, &["sec43"]),
         summary: "the section-4.3 gadget census over a synthetic image",
-        options: &["functions", "jobs", "metrics-out"],
-        flags: &["json", "track-stack"] },
+        options: &["jobs", "metrics-out"],
+        flags: &["json"] },
     Command { name: "conform", subjects: &[], daemon_job: true, run: cmd_conform,
         summary: "differential conformance fuzzing of the speculative core\n\
                   against the architectural reference machine",
@@ -98,11 +94,13 @@ pub static COMMANDS: &[Command] = &[
         options: &["seed", "trials", "window", "channel", "jobs", "fault-rate", "metrics-out",
                    "trace-out", "top"],
         flags: &["json", "quiet-noise"] },
-    Command { name: "mitigations", subjects: &[], daemon_job: true, run: cmd_mitigations,
+    Command { name: "mitigations", subjects: &[], daemon_job: true,
+        run: |a| show_rows(a, &["sec9"]),
         summary: "the section-9 countermeasure matrix",
         options: &["metrics-out"],
         flags: &["json"] },
-    Command { name: "os", subjects: &[], daemon_job: true, run: cmd_os,
+    Command { name: "os", subjects: &[], daemon_job: true,
+        run: |a| show_rows(a, &["sec62"]),
         summary: "PacmanOS (section 6.2) bare-metal experiments",
         options: &["metrics-out"],
         flags: &["json"] },
@@ -165,7 +163,6 @@ options:
   --seed N        kernel key seed          --quiet-noise   disable OS noise
   --channel C     data|instr|cache         --trials N      oracle trials
   --window N      brute candidate window   --full          sweep all 65536
-  --functions N   census image size        --track-stack   deep census dataflow
   --programs N    conform program count    --steps N       conform step budget
   --skip-self-test  conform: skip the injected-bug self-test
   --dir D         verify artifact dir      --help          this text
@@ -237,8 +234,12 @@ JSON record per trial/event/row, and - for commands that drive the
 simulated machine - a final 'metrics' record holding the full
 counter/histogram snapshot (including the runner.retries /
 runner.shard_failures / runner.faults_injected execution counters).
-'reproduce' emits one 'reproduced' record per artifact written; its
-'metrics' record merges the telemetry of every sharded campaign it ran.
+'sweep' (Figures 5-6), 'census' (section 4.3), 'mitigations' (section 9)
+and 'os' (section 6.2) run their EXPERIMENTS rows, the artifacts
+'reproduce' writes: they print each one, or stream it as one 'bench'
+record. 'reproduce' emits one 'reproduced' record per artifact written.
+Both end with a 'metrics' record merging the telemetry of every sharded
+campaign the rows ran.
 'verify' ends with a 'verify_summary' record and exits nonzero if any
 paper claim is out of tolerance.
 ";
@@ -654,105 +655,6 @@ fn cmd_jump2win(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_sweep(args: &Args) -> CliResult {
-    let jobs = jobs(args)?;
-    let tol = tolerance(args)?;
-    let mut emit = Emitter::from_args(args)?;
-    let tr = trace_arm(args);
-    if !emit.quiet() {
-        println!("Figure 5(a) knees:");
-    }
-    let swept = parallel_sweep(SweepKind::DataTlb, &[256, 2048], jobs, &tol)
-        .and_then(|data| Ok((data, parallel_sweep(SweepKind::Itlb, &[32], jobs, &tol)?)));
-    let ((data, mut reg), (instr, instr_reg)) = match swept {
-        Ok(out) => out,
-        Err(e) => {
-            let _ = trace_write(tr.as_ref());
-            return Err(fail_sharded(emit, e));
-        }
-    };
-    reg.merge(&instr_reg);
-    for series in data.iter().chain(instr.iter()) {
-        emit.record(&Value::Object(vec![
-            ("record".into(), Value::str("sweep_series")),
-            ("label".into(), Value::str(series.label.clone())),
-            ("stride".into(), Value::UInt(series.stride)),
-            (
-                "points".into(),
-                Value::Array(
-                    series
-                        .points
-                        .iter()
-                        .map(|p| {
-                            Value::Object(vec![
-                                ("n".into(), Value::UInt(p.n as u64)),
-                                ("median".into(), Value::UInt(p.median)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-    if !emit.quiet() {
-        println!("  dTLB   (stride 256 x 16KB): N = {:?}", data[0].knee_above(90));
-        println!("  L2 TLB (stride 2048 x 16KB): N = {:?}", data[1].knee_above(110));
-        println!("  iTLB   (stride 32 x 16KB, drop): N = {:?}", instr[0].knee_below(90));
-    }
-    let mut m2 = experiment_machine();
-    let f = derive_hierarchy(&mut m2)?;
-    emit.record(&Value::Object(vec![
-        ("record".into(), Value::str("hierarchy")),
-        ("itlb_ways".into(), Value::UInt(f.itlb_ways as u64)),
-        ("dtlb_ways".into(), Value::UInt(f.dtlb_ways as u64)),
-        ("l2_ways".into(), Value::UInt(f.l2_ways as u64)),
-        ("itlb_victims_visible_to_loads".into(), Value::Bool(f.itlb_victims_visible_to_loads)),
-    ]));
-    if !emit.quiet() {
-        println!(
-            "Figure 6: iTLB {}w x 32s | dTLB {}w x 256s | L2 {}w x 2048s | victim migration: {}",
-            f.itlb_ways, f.dtlb_ways, f.l2_ways, f.itlb_victims_visible_to_loads
-        );
-    }
-    // The sweeps drive the machines directly (no System); the parallel
-    // driver already merged their microarchitectural totals, so only the
-    // hierarchy-derivation machine still needs a hand export.
-    m2.export_telemetry(&mut reg);
-    emit.finish(&reg.snapshot())?;
-    trace_write(tr.as_ref())
-}
-
-fn cmd_census(args: &Args) -> CliResult {
-    let functions: usize = args.get_num("functions", 2000)?;
-    let jobs = jobs(args)?;
-    let mut emit = Emitter::from_args(args)?;
-    let spec = ImageSpec { functions, seed: 0xC0DE, ..ImageSpec::default() };
-    let config = ScanConfig { track_stack: args.flag("track-stack"), ..ScanConfig::default() };
-    let report = parallel_census(&spec, &config, jobs);
-    emit.record(&Value::Object(vec![
-        ("record".into(), Value::str("census")),
-        ("functions".into(), Value::UInt(functions as u64)),
-        ("jobs".into(), Value::UInt(jobs as u64)),
-        ("instructions".into(), Value::UInt(report.instructions as u64)),
-        ("total_gadgets".into(), Value::UInt(report.total() as u64)),
-        ("data_gadgets".into(), Value::UInt(report.data_count() as u64)),
-        ("instruction_gadgets".into(), Value::UInt(report.instruction_count() as u64)),
-        ("track_stack".into(), Value::Bool(config.track_stack)),
-        ("mean_distance".into(), Value::Float(report.mean_distance())),
-    ]));
-    if !emit.quiet() {
-        println!("image: {} functions, {} instructions", functions, report.instructions);
-        println!(
-            "gadgets: {} total ({} data, {} instruction)",
-            report.total(),
-            report.data_count(),
-            report.instruction_count()
-        );
-        println!("mean branch->transmit distance: {:.1}", report.mean_distance());
-    }
-    emit.close()
-}
-
 /// One `conform` JSONL record per (minimized) divergence: the full
 /// repro — scenario seed, retire step, mismatch kind/detail and the
 /// program/handler listings — so a CI failure ships its own test case.
@@ -1047,57 +949,6 @@ fn cmd_profile(args: &Args) -> CliResult {
     emit.finish(&snap)
 }
 
-fn cmd_mitigations(args: &Args) -> CliResult {
-    let mut emit = Emitter::from_args(args)?;
-    let evals = evaluate_all();
-    let baseline = evals[0].benign_cycles as f64;
-    let mut t = Table::new("mitigation matrix", &["mitigation", "surface", "benign overhead"]);
-    for e in &evals {
-        let overhead = 100.0 * (e.benign_cycles as f64 - baseline) / baseline;
-        emit.record(&Value::Object(vec![
-            ("record".into(), Value::str("mitigation")),
-            ("mitigation".into(), Value::str(format!("{:?}", e.report.mitigation))),
-            ("surface".into(), Value::str(format!("{:?}", e.surface))),
-            ("data_oracle_works".into(), Value::Bool(e.report.data_oracle_works)),
-            ("instr_oracle_works".into(), Value::Bool(e.report.instr_oracle_works)),
-            ("benign_cycles".into(), Value::UInt(e.benign_cycles)),
-            ("benign_overhead_pct".into(), Value::Float(overhead)),
-        ]));
-        t.row(&[
-            format!("{:?}", e.report.mitigation),
-            format!("{:?}", e.surface),
-            format!("{overhead:+.1}%"),
-        ]);
-    }
-    if !emit.quiet() {
-        println!("{t}");
-    }
-    emit.close()
-}
-
-fn cmd_os(args: &Args) -> CliResult {
-    let mut emit = Emitter::from_args(args)?;
-    let mut runner = Runner::new(BareMetal::boot_default());
-    let mut msr = MsrInventory::new();
-    let mut timer = TimerResolution::new();
-    let mut tlb = TlbParameterSearch::new();
-    let experiments: [&mut dyn pacman_os::Experiment; 3] = [&mut msr, &mut timer, &mut tlb];
-    for experiment in experiments {
-        let report = runner.run(experiment);
-        emit.record(&Value::Object(vec![
-            ("record".into(), Value::str("os_experiment")),
-            ("name".into(), Value::str(report.name)),
-            ("cycles".into(), Value::UInt(report.cycles)),
-            ("ok".into(), Value::Bool(report.ok)),
-            ("lines".into(), Value::Array(report.lines.iter().map(Value::str).collect())),
-        ]));
-        if !emit.quiet() {
-            print!("{report}");
-        }
-    }
-    emit.close()
-}
-
 fn cmd_timeline(args: &Args) -> CliResult {
     let mut emit = Emitter::from_args(args)?;
     let mut sys = boot(args)?;
@@ -1171,30 +1022,70 @@ fn verdict_record(
     ])
 }
 
-/// Regenerates the [`EXPERIMENTS`] rows (all, or `--only ID`) one after
-/// another, their campaigns sharded on the executor, and writes each
-/// artifact into `--out` under the run's fault plan.
+/// Runs `rows` in order under one [`Ctx`] built from `--jobs` and
+/// `--fault-rate`, hands each artifact to `sink`, and ends the JSONL
+/// stream with the context's `metrics` record. A row whose campaign ran
+/// out of retries ends the run with `shard_failure`/`partial_failure`
+/// records, like every sharded command.
+fn run_rows(
+    args: &Args,
+    rows: &[&Experiment],
+    mut sink: impl FnMut(&mut Emitter, &Experiment, &Ctx, Artifact) -> CliResult,
+) -> CliResult {
+    let ctx = Ctx::new(jobs(args)?, tolerance(args)?);
+    let mut emit = Emitter::from_args(args)?;
+    let tr = trace_arm(args);
+    for row in rows {
+        let art = match (row.run)(&ctx) {
+            Ok(art) => art,
+            Err(e) => {
+                let _ = trace_write(tr.as_ref());
+                return Err(match e.downcast::<ExperimentError>() {
+                    Ok(e) => fail_sharded(emit, *e),
+                    Err(e) => format!("{}: {e}", row.id).into(),
+                });
+            }
+        };
+        sink(&mut emit, row, &ctx, art)?;
+    }
+    emit.finish(&ctx.telemetry().snapshot())?;
+    trace_write(tr.as_ref())
+}
+
+/// A command that shows the [`EXPERIMENTS`] rows `ids`: each artifact
+/// printed, or streamed as its one `bench` JSONL record, exactly as
+/// `reproduce` writes it.
+fn show_rows(args: &Args, ids: &[&str]) -> CliResult {
+    let rows = ids
+        .iter()
+        .map(|id| experiments::find(id).ok_or_else(|| format!("no experiment '{id}'")))
+        .collect::<Result<Vec<_>, _>>()?;
+    run_rows(args, &rows, |emit, _, _, art| {
+        if !emit.quiet() {
+            println!("{art}");
+        }
+        emit.record(&art.to_json());
+        Ok(())
+    })
+}
+
+/// Regenerates the [`EXPERIMENTS`] rows (all, or `--only ID`), their
+/// campaigns sharded on the executor, and writes each artifact into
+/// `--out` under the run's fault plan.
 fn cmd_reproduce(args: &Args) -> CliResult {
-    let rows: Vec<&experiments::Experiment> = match args.get("only") {
+    let rows: Vec<&Experiment> = match args.get("only") {
         Some(id) => vec![experiments::find(id).ok_or_else(|| {
             let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
             format!("--only got unknown experiment '{id}' (expected one of: {})", ids.join(", "))
         })?],
         None => EXPERIMENTS.iter().collect(),
     };
-    let mut emit = Emitter::from_args(args)?;
     let out = std::path::Path::new(args.get("out").unwrap_or("results"));
     std::fs::create_dir_all(out)
         .map_err(|e| format!("cannot create --out dir '{}': {e}", out.display()))?;
-    let ctx = Ctx::new(jobs(args)?, tolerance(args)?);
-    // Artifact writes roll their own copy of the plan, so their
-    // injections are counted once here rather than carried into every
-    // later campaign's clone of the plan.
-    let write_faults = ctx.tol.faults.clone();
-    for row in rows {
-        let art = (row.run)(&ctx).map_err(|e| format!("{}: {e}", row.id))?;
+    run_rows(args, &rows, |emit, row, ctx, art| {
         let path = art
-            .write_tolerant(out, &write_faults, ctx.tol.retry)
+            .write_tolerant(out, &ctx.tol.faults, ctx.tol.retry)
             .map_err(|e| format!("{}: cannot write its artifact: {e}", row.id))?;
         println!("{:<16} {:<22} {}", row.id, row.paper, path.display());
         emit.record(&Value::Object(vec![
@@ -1203,10 +1094,8 @@ fn cmd_reproduce(args: &Args) -> CliResult {
             ("paper".into(), Value::str(row.paper)),
             ("path".into(), Value::str(path.display().to_string())),
         ]));
-    }
-    let mut metrics = ctx.telemetry();
-    metrics.incr_by("runner.faults_injected", write_faults.injected());
-    emit.finish(&metrics.snapshot())
+        Ok(())
+    })
 }
 
 fn cmd_verify(args: &Args) -> CliResult {
@@ -1365,7 +1254,7 @@ mod tests {
 
     #[test]
     fn census_command_runs() {
-        dispatch(&parse("census --functions 50 --track-stack")).expect("census runs");
+        dispatch(&parse("census")).expect("census runs");
     }
 
     #[test]
@@ -1434,8 +1323,10 @@ mod tests {
     fn unknown_options_and_flags_are_rejected() {
         let err = dispatch(&parse("oracle --banana 1")).expect_err("unknown option");
         assert!(err.to_string().contains("--banana"), "{err}");
-        let err = dispatch(&parse("sweep --track-stack")).expect_err("foreign flag");
-        assert!(err.to_string().contains("--track-stack"), "{err}");
+        let err = dispatch(&parse("sweep --full")).expect_err("foreign flag");
+        assert!(err.to_string().contains("--full"), "{err}");
+        let err = dispatch(&parse("census --functions 16")).expect_err("no census size option");
+        assert!(err.to_string().contains("unknown option --functions"), "{err}");
         let err = dispatch(&parse("census --trials 3")).expect_err("foreign option");
         assert!(err.to_string().contains("--trials"), "{err}");
     }
@@ -1468,35 +1359,64 @@ mod tests {
         assert_eq!(metrics.get("record").and_then(Value::as_str), Some("metrics"));
     }
 
-    #[test]
-    fn census_mitigations_and_os_emit_jsonl() {
-        let dir = temp_dir("humanonly");
-        let path = dir.join("out.jsonl");
-        let path_str = path.to_str().expect("utf-8 temp path");
-
-        dispatch(&parse(&format!("census --functions 50 --metrics-out {path_str}")))
-            .expect("census runs");
-        let records = read_jsonl(&path);
-        assert_eq!(records[0].get("record").and_then(Value::as_str), Some("census"));
-        assert!(records[0].get("total_gadgets").and_then(Value::as_u64).unwrap() > 0);
-
-        dispatch(&parse(&format!("mitigations --metrics-out {path_str}")))
-            .expect("mitigations runs");
-        let records = read_jsonl(&path);
-        assert!(records.len() > 3, "one record per mitigation row");
-        for r in &records {
-            assert_eq!(r.get("record").and_then(Value::as_str), Some("mitigation"));
-            assert!(r.get("surface").and_then(Value::as_str).is_some());
-        }
-
-        dispatch(&parse(&format!("os --metrics-out {path_str}"))).expect("os runs");
-        let records = read_jsonl(&path);
-        assert_eq!(records.len(), 3, "one record per PacmanOS experiment");
-        for r in &records {
-            assert_eq!(r.get("record").and_then(Value::as_str), Some("os_experiment"));
-            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
-        }
+    /// Runs `command` with `--metrics-out` and asserts it streams
+    /// exactly the committed `results/BENCH_<id>.json` line of each of
+    /// `ids`, then the `metrics` record, which it returns.
+    fn assert_streams_committed_rows(command: &str, ids: &[&str]) -> Value {
+        let dir = temp_dir(&format!("rows_{command}"));
+        let out = dir.join("out.jsonl");
+        dispatch(&parse(&format!("{command} --metrics-out {}", out.display())))
+            .unwrap_or_else(|e| panic!("{command}: {e}"));
+        let text = std::fs::read_to_string(&out).expect("metrics file written");
         std::fs::remove_dir_all(&dir).ok();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        assert_eq!(lines.len(), ids.len() + 1, "{command}: one bench line per row, then metrics");
+        for (line, id) in lines.iter().zip(ids) {
+            let committed = format!("{}/../../results/BENCH_{id}.json", env!("CARGO_MANIFEST_DIR"));
+            let committed = std::fs::read_to_string(committed).expect("committed result");
+            assert_eq!(*line, committed, "{command}: {id} differs from results/");
+        }
+        let metrics = pacman_telemetry::json::parse(lines[ids.len()].trim()).expect("JSON");
+        assert_eq!(metrics.get("record").and_then(Value::as_str), Some("metrics"));
+        metrics
+    }
+
+    #[test]
+    fn census_mitigations_and_os_stream_their_rows_committed_bench_lines() {
+        assert_streams_committed_rows("census", &["sec43"]);
+        assert_streams_committed_rows("mitigations", &["sec9"]);
+        assert_streams_committed_rows("os", &["sec62"]);
+    }
+
+    #[test]
+    fn sweep_streams_its_rows_committed_bench_lines_and_machine_counters() {
+        let metrics = assert_streams_committed_rows("sweep", &["fig5a", "fig5b", "fig5c", "fig6"]);
+        let walks =
+            metrics.get("counters").and_then(|c| c.get("tlb.walks")).and_then(Value::as_u64);
+        assert!(walks.is_some_and(|w| w > 0), "sweeps must cause page walks: {walks:?}");
+    }
+
+    #[test]
+    fn rows_that_exhaust_their_retries_end_in_a_typed_partial_failure() {
+        let dir = temp_dir("rows_exhaust");
+        let out = dir.join("out.jsonl");
+        for command in [
+            "sweep --fault-rate 1".to_string(),
+            format!("reproduce --only fig5a --fault-rate 1 --out {}", dir.display()),
+        ] {
+            let err = dispatch(&parse(&format!("{command} --metrics-out {}", out.display())))
+                .expect_err("rate 1.0 exhausts every shard's retry budget");
+            assert!(err.to_string().contains("shards completed"), "{command}: {err}");
+            let kinds: Vec<String> = read_jsonl(&out)
+                .iter()
+                .map(|r| r.get("record").and_then(Value::as_str).unwrap_or_default().to_string())
+                .collect();
+            assert_eq!(kinds.first().map(String::as_str), Some("shard_failure"), "{command}");
+            assert_eq!(kinds.last().map(String::as_str), Some("partial_failure"), "{command}");
+        }
+        let written = std::fs::read_dir(&dir).expect("dir").count();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(written, 1, "only the JSONL file: no artifact written");
     }
 
     #[test]
@@ -1548,7 +1468,7 @@ mod tests {
     fn jobs_option_is_accepted_by_trial_commands() {
         dispatch(&parse("oracle --trials 2 --quiet-noise --jobs 4")).expect("oracle --jobs");
         dispatch(&parse("brute --window 8 --quiet-noise --jobs 2")).expect("brute --jobs");
-        dispatch(&parse("census --functions 50 --jobs 3")).expect("census --jobs");
+        dispatch(&parse("census --jobs 3")).expect("census --jobs");
         let err = dispatch(&parse("mitigations --jobs 2")).expect_err("foreign option");
         assert!(err.to_string().contains("--jobs"), "{err}");
     }
@@ -1665,24 +1585,6 @@ mod tests {
         for e in EXPERIMENTS {
             assert!(msg.contains(e.id), "{msg} omits {}", e.id);
         }
-    }
-
-    #[test]
-    fn sweep_metrics_out_includes_series_and_machine_counters() {
-        let path = std::env::temp_dir().join("pacman_cli_sweep_metrics_test.jsonl");
-        let path_str = path.to_str().expect("utf-8 temp path");
-        dispatch(&parse(&format!("sweep --metrics-out {path_str}"))).expect("sweep runs");
-        let text = std::fs::read_to_string(&path).expect("metrics file written");
-        std::fs::remove_file(&path).ok();
-        let records = pacman_telemetry::json::parse_jsonl(&text).expect("valid JSONL");
-        assert!(records
-            .iter()
-            .any(|r| r.get("record").and_then(Value::as_str) == Some("sweep_series")));
-        let metrics = records.last().expect("metrics record");
-        assert_eq!(metrics.get("record").and_then(Value::as_str), Some("metrics"));
-        let walks =
-            metrics.get("counters").and_then(|c| c.get("tlb.walks")).and_then(Value::as_u64);
-        assert!(walks.is_some_and(|w| w > 0), "sweeps must cause page walks: {walks:?}");
     }
 
     /// Drops `runner.*` counters from every metrics record so a faulted

@@ -307,6 +307,7 @@ mod tests {
             "client",
             "oracle --runner scoped",
             "oracle --trace-out t.json",
+            "census --functions 16",
             "",
         ] {
             let session = format!("forbid-{}", cmd.split_whitespace().next().unwrap_or("empty"));

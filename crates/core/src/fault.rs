@@ -92,13 +92,12 @@ impl Default for FaultPlan {
     }
 }
 
+/// A clone makes the same decisions but counts only its own: its
+/// injected count starts at 0, so a campaign running on a clone of its
+/// caller's plan reports the faults it injected, not the caller's.
 impl Clone for FaultPlan {
     fn clone(&self) -> Self {
-        Self {
-            seed: self.seed,
-            rate: self.rate,
-            injected: AtomicU64::new(self.injected.load(Ordering::Relaxed)),
-        }
+        Self::new(self.seed, self.rate)
     }
 }
 
@@ -192,8 +191,8 @@ impl FaultPlan {
         }
     }
 
-    /// Faults injected so far (across all sites and clones' ancestors'
-    /// decisions made on *this* instance).
+    /// Faults injected so far by decisions made on *this* instance,
+    /// across all sites (a clone starts from 0).
     #[must_use]
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
@@ -301,6 +300,17 @@ mod tests {
             _ => None,
         });
         assert!((clamped.rate() - 1.0).abs() < 1e-12, "rates clamp to [0, 1]");
+    }
+
+    #[test]
+    fn a_clone_decides_alike_and_counts_from_zero() {
+        let plan = FaultPlan::new(42, 1.0);
+        assert!(plan.fires(FaultSite::ShardPanic, 0, 0));
+        let copy = plan.clone();
+        assert_eq!(copy.injected(), 0, "a clone does not inherit its original's count");
+        assert_eq!((copy.seed(), copy.rate()), (plan.seed(), plan.rate()));
+        assert!(copy.fires(FaultSite::ShardPanic, 0, 0));
+        assert_eq!((plan.injected(), copy.injected()), (1, 1));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! use pacman_uarch::Mitigation;
 //!
 //! let baseline = evaluate(Mitigation::None);
-//! assert_eq!(baseline.surface, AttackSurface::FullyVulnerable);
+//! assert_eq!(baseline.surface(), AttackSurface::FullyVulnerable);
 //! let fenced = evaluate(Mitigation::FenceAfterAut);
-//! assert_eq!(fenced.surface, AttackSurface::Protected);
+//! assert_eq!(fenced.surface(), AttackSurface::Protected);
 //! assert!(fenced.benign_cycles > baseline.benign_cycles);
 //! ```
 
@@ -86,18 +86,6 @@ impl MitigationReport {
     }
 }
 
-/// Convenience wrapper carrying the surface inline (used by doctests and
-/// reports).
-#[derive(Clone, Debug)]
-pub struct Evaluation {
-    /// Full report.
-    pub report: MitigationReport,
-    /// Derived surface.
-    pub surface: AttackSurface,
-    /// Benign-workload cycles (copied from the report for terseness).
-    pub benign_cycles: u64,
-}
-
 fn quiet_config(mitigation: Mitigation, squash: SquashPolicy) -> SystemConfig {
     let mut cfg = SystemConfig::default();
     cfg.machine.os_noise = 0.0;
@@ -106,28 +94,26 @@ fn quiet_config(mitigation: Mitigation, squash: SquashPolicy) -> SystemConfig {
     cfg
 }
 
-/// Does an oracle still separate correct from incorrect PACs under this
-/// system? Uses a handful of trials of each class.
-fn oracle_works(sys: &mut System, oracle: &mut dyn PacOracle, target: u64, true_pac: u16) -> bool {
-    let rounds = 3;
-    let mut good_hits = 0;
-    let mut bad_hits = 0;
-    for i in 0..rounds {
-        if let Ok(m) = oracle.trial(sys, target, true_pac) {
-            if m >= CORRECT_MISS_THRESHOLD {
-                good_hits += 1;
-            }
-        }
-        if let Ok(m) = oracle.trial(sys, target, true_pac ^ (1 + i as u16)) {
-            if m >= CORRECT_MISS_THRESHOLD {
-                bad_hits += 1;
-            }
-        }
+/// Whether `oracle` still separates the true PAC of `target` from wrong
+/// ones on `sys`: three rounds of one correct and one wrong trial, and
+/// it works if it detects at least 2 of the 3 correct guesses while
+/// flagging at most 1 of the 3 wrong ones.
+pub fn oracle_works(
+    sys: &mut System,
+    oracle: &mut dyn PacOracle,
+    target: u64,
+    true_pac: u16,
+) -> bool {
+    let mut detect =
+        |pac: u16| oracle.trial(sys, target, pac).is_ok_and(|m| m >= CORRECT_MISS_THRESHOLD);
+    let (mut good, mut bad) = (0, 0);
+    for i in 0..3u16 {
+        good += u32::from(detect(true_pac));
+        bad += u32::from(detect(true_pac ^ (1 + i)));
     }
-    // The oracle "works" only if it detects the true PAC *and* rejects
-    // wrong ones — a constant verdict either way is useless to an
-    // attacker.
-    good_hits > rounds / 2 && bad_hits <= rounds / 2
+    // A constant verdict either way is useless to an attacker: the
+    // oracle must both detect the true PAC and reject wrong ones.
+    good >= 2 && bad <= 1
 }
 
 /// The PA-heavy benign workload: a kernel handler that signs,
@@ -160,12 +146,12 @@ fn benign_cycles(sys: &mut System, sc: u64) -> u64 {
 }
 
 /// Evaluates one mitigation with the default (eager) squash policy.
-pub fn evaluate(mitigation: Mitigation) -> Evaluation {
+pub fn evaluate(mitigation: Mitigation) -> MitigationReport {
     evaluate_with_squash(mitigation, SquashPolicy::Eager)
 }
 
 /// Evaluates a (mitigation, squash-policy) pair.
-pub fn evaluate_with_squash(mitigation: Mitigation, squash: SquashPolicy) -> Evaluation {
+pub fn evaluate_with_squash(mitigation: Mitigation, squash: SquashPolicy) -> MitigationReport {
     let mut sys = System::boot(quiet_config(mitigation, squash));
     let set = sys.pick_quiet_dtlb_set();
     let target = sys.alloc_target(set);
@@ -182,7 +168,7 @@ pub fn evaluate_with_squash(mitigation: Mitigation, squash: SquashPolicy) -> Eva
     let _ = benign_cycles(&mut sys, benign_sc);
     let benign = benign_cycles(&mut sys, benign_sc);
 
-    let report = MitigationReport {
+    MitigationReport {
         mitigation,
         squash,
         data_oracle_works,
@@ -192,14 +178,11 @@ pub fn evaluate_with_squash(mitigation: Mitigation, squash: SquashPolicy) -> Eva
         taint_blocked: sys.machine.stats.taint_blocked,
         delay_blocked: sys.machine.stats.delay_blocked,
         crashes: sys.kernel.crash_count(),
-    };
-    let surface = report.surface();
-    let benign_cycles = report.benign_cycles;
-    Evaluation { report, surface, benign_cycles }
+    }
 }
 
 /// Evaluates every §9 mitigation plus the baseline.
-pub fn evaluate_all() -> Vec<Evaluation> {
+pub fn evaluate_all() -> Vec<MitigationReport> {
     [
         Mitigation::None,
         Mitigation::FenceAfterAut,
@@ -219,16 +202,16 @@ mod tests {
     #[test]
     fn baseline_is_fully_vulnerable() {
         let e = evaluate(Mitigation::None);
-        assert_eq!(e.surface, AttackSurface::FullyVulnerable);
-        assert_eq!(e.report.crashes, 0);
+        assert_eq!(e.surface(), AttackSurface::FullyVulnerable);
+        assert_eq!(e.crashes, 0);
     }
 
     #[test]
     fn fence_after_aut_protects_at_a_cost() {
         let base = evaluate(Mitigation::None);
         let e = evaluate(Mitigation::FenceAfterAut);
-        assert_eq!(e.surface, AttackSurface::Protected);
-        assert!(e.report.fences_injected > 0, "fences must actually fire");
+        assert_eq!(e.surface(), AttackSurface::Protected);
+        assert!(e.fences_injected > 0, "fences must actually fire");
         assert!(
             e.benign_cycles > base.benign_cycles,
             "PAC-agnostic fencing must cost benign cycles ({} vs {})",
@@ -241,7 +224,7 @@ mod tests {
     fn non_speculative_aut_protects_without_benign_cost() {
         let base = evaluate(Mitigation::None);
         let e = evaluate(Mitigation::NonSpeculativeAut);
-        assert_eq!(e.surface, AttackSurface::Protected);
+        assert_eq!(e.surface(), AttackSurface::Protected);
         // In this model the stall only affects wrong-path work, so the
         // benign workload sees no meaningful overhead (the paper notes
         // the real cost is the lost speculation, which our IPC-less model
@@ -257,15 +240,15 @@ mod tests {
     #[test]
     fn taint_tracking_with_aut_source_protects() {
         let e = evaluate(Mitigation::TaintAutOutputs);
-        assert_eq!(e.surface, AttackSurface::Protected);
-        assert!(e.report.taint_blocked > 0, "taint blocks must actually fire");
+        assert_eq!(e.surface(), AttackSurface::Protected);
+        assert!(e.taint_blocked > 0, "taint blocks must actually fire");
     }
 
     #[test]
     fn delay_on_miss_protects() {
         let e = evaluate(Mitigation::DelayOnMiss);
-        assert_eq!(e.surface, AttackSurface::Protected);
-        assert!(e.report.delay_blocked > 0, "delays must actually fire");
+        assert_eq!(e.surface(), AttackSurface::Protected);
+        assert!(e.delay_blocked > 0, "delays must actually fire");
     }
 
     #[test]
@@ -273,13 +256,13 @@ mod tests {
         // §4.2: the instruction PACMAN gadget requires eager squash of
         // nested branches; the data gadget does not care.
         let e = evaluate_with_squash(Mitigation::None, SquashPolicy::Lazy);
-        assert_eq!(e.surface, AttackSurface::DataGadgetOnly);
+        assert_eq!(e.surface(), AttackSurface::DataGadgetOnly);
     }
 
     #[test]
     fn no_mitigation_converts_the_attack_into_crashes() {
         for e in evaluate_all() {
-            assert_eq!(e.report.crashes, 0, "{:?} caused crashes", e.report.mitigation);
+            assert_eq!(e.crashes, 0, "{:?} caused crashes", e.mitigation);
         }
     }
 }
