@@ -15,17 +15,17 @@ use std::sync::Mutex;
 
 use pacman_core::conformance::{run_conformance, ConformConfig};
 use pacman_core::fault::Tolerance;
-use pacman_core::jump2win::Jump2Win;
+use pacman_core::jump2win::centred_windows;
 use pacman_core::oracle::{DataPacOracle, CORRECT_MISS_THRESHOLD};
 use pacman_core::parallel::{
-    oracle_distribution, parallel_accuracy, parallel_brute, parallel_sweep, Channel, SweepKind,
+    oracle_distribution, parallel_accuracy, parallel_brute, parallel_jump2win, parallel_sweep,
+    Channel, SweepKind,
 };
 use pacman_core::report::{AsciiChart, Table};
 use pacman_core::sweep::{derive_hierarchy, experiment_machine, SweepSeries};
 use pacman_core::timing::{evaluate_timer, table1};
 use pacman_core::{System, SystemConfig};
 use pacman_gadget::{parallel_census, scan_image, synthesize, ImageSpec, ScanConfig};
-use pacman_isa::PacKey;
 use pacman_mitigations::{evaluate_all, evaluate_with_squash, oracle_works, AttackSurface};
 use pacman_os::experiments::{MsrInventory, TimerResolution, TlbParameterSearch};
 use pacman_os::{BareMetal, Runner};
@@ -33,7 +33,9 @@ use pacman_qarma::pac_field_bits;
 use pacman_ref::self_test;
 use pacman_telemetry::json::Value;
 use pacman_telemetry::Registry;
-use pacman_uarch::{ClusterCaches, ClusterTlbs, CoreKind, Mitigation, SquashPolicy, TimingSource};
+use pacman_uarch::{
+    ClusterCaches, ClusterTlbs, CoreKind, Machine, Mitigation, SquashPolicy, TimingSource,
+};
 
 use crate::{noisy_config, quiet_config, quiet_system, Artifact};
 
@@ -64,6 +66,14 @@ impl Ctx {
     /// into the run's total.
     fn absorb(&self, reg: &Registry) {
         self.telemetry.lock().unwrap_or_else(std::sync::PoisonError::into_inner).merge(reg);
+    }
+
+    /// Folds the counters of the one machine a driver ran on into the
+    /// run's total.
+    fn absorb_machine(&self, machine: &Machine) {
+        let mut reg = Registry::new();
+        machine.export_telemetry(&mut reg);
+        self.absorb(&reg);
     }
 
     /// The merged telemetry of every campaign run under this context,
@@ -116,8 +126,10 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 }
 
 /// Table 1: summary of timers on M1, regenerated by measurement.
-fn table1_timers(_: &Ctx) -> DriverResult {
-    let rows = table1(&mut quiet_system())?;
+fn table1_timers(ctx: &Ctx) -> DriverResult {
+    let mut sys = quiet_system();
+    let rows = table1(&mut sys)?;
+    ctx.absorb_machine(&sys.machine);
     let yes_no = |b: bool| if b { "Yes" } else { "No" }.to_string();
     let mut t =
         Table::new("Table 1: timers", &["timer", "MSR", "EL0 enabled?", "resolves dTLB hit/miss?"]);
@@ -262,8 +274,10 @@ fn fig5c_itlb_sweep(ctx: &Ctx) -> DriverResult {
 }
 
 /// Figure 6: the TLB hierarchy, derived from timing alone.
-fn fig6_tlb_hierarchy(_: &Ctx) -> DriverResult {
-    let f = derive_hierarchy(&mut experiment_machine())?;
+fn fig6_tlb_hierarchy(ctx: &Ctx) -> DriverResult {
+    let mut machine = experiment_machine();
+    let f = derive_hierarchy(&mut machine)?;
+    ctx.absorb_machine(&machine);
     let t = ClusterTlbs::m1();
     let configured = format!(
         "iTLB {}w x {}s, dTLB {}w x {}s, L2 {}w x {}s",
@@ -280,7 +294,7 @@ fn fig6_tlb_hierarchy(_: &Ctx) -> DriverResult {
 
 /// Figure 7: latency distributions under PMC0 and the multi-thread
 /// timer.
-fn fig7_timer_distributions(_: &Ctx) -> DriverResult {
+fn fig7_timer_distributions(ctx: &Ctx) -> DriverResult {
     const SAMPLES: usize = 500;
     let mut sys = quiet_system();
     // (a) Apple performance counter, after the kext unlock (§6.1).
@@ -291,6 +305,7 @@ fn fig7_timer_distributions(_: &Ctx) -> DriverResult {
     // (b) The userspace multi-thread timer.
     sys.machine.set_timing_source(TimingSource::MultiThread);
     let b = evaluate_timer(&mut sys, SAMPLES)?;
+    ctx.absorb_machine(&sys.machine);
 
     let mut art = Artifact::new("fig7", "Figure 7 - access-latency distributions per timer");
     art.num("samples", SAMPLES as u64);
@@ -502,24 +517,22 @@ fn sec82_bruteforce_accuracy(ctx: &Ctx) -> DriverResult {
 /// §8.3: the Jump2Win control-flow hijack, measured end to end over a
 /// 512-candidate window per phase centred on the true PACs (the same
 /// per-guess behaviour as the full 2^16 sweep, at bounded runtime).
-fn sec83_jump2win(_: &Ctx) -> DriverResult {
-    const WINDOW: u32 = 512;
-    let mut sys = quiet_system();
-    let pac_win = sys.true_pac_with_salt(PacKey::Ia, sys.cpp.win_fn);
-    let pac_vtable = sys.true_pac_with_salt(PacKey::Da, sys.cpp.obj1);
-    let centre = |t: u16| (t.wrapping_sub((WINDOW / 2) as u16), WINDOW);
-    let mut driver = Jump2Win::new().with_samples(3).with_train_iters(16);
-    driver.phase_windows = Some([centre(pac_win), centre(pac_vtable)]);
-    let report = driver.run(&mut sys)?;
+fn sec83_jump2win(ctx: &Ctx) -> DriverResult {
+    let cfg = quiet_config();
+    let windows = centred_windows(&cfg, 512);
+    let (report, telemetry) = parallel_jump2win(&cfg, windows, ctx.jobs, true, &ctx.tol)?;
+    ctx.absorb(&telemetry);
 
-    let pacs_ok = report.pac_win == pac_win && report.pac_vtable == pac_vtable;
+    // Each window is centred on its phase's ground-truth PAC.
+    let truth = windows.map(|(start, len)| start.wrapping_add((len / 2) as u16));
+    let pacs_ok = [report.pac_win, report.pac_vtable] == truth;
     let mut art = Artifact::new("sec83", "Section 8.3 - Jump2Win control-flow hijack");
     art.num("pac_win", u64::from(report.pac_win))
         .num("pac_vtable", u64::from(report.pac_vtable))
         .num("guesses_tested", report.guesses_tested)
         .num("syscalls", report.syscalls)
         .num("crashes", report.crashes)
-        .float("attack_seconds", report.cycles as f64 / sys.machine.config().clock_hz as f64)
+        .float("attack_seconds", report.cycles as f64 / cfg.machine.clock_hz as f64)
         .field("hijacked", Value::Bool(report.hijacked))
         .field("pacs_authenticate", Value::Bool(pacs_ok));
     Ok(art)
@@ -699,19 +712,27 @@ mod tests {
     #[test]
     fn a_sharded_row_is_byte_identical_at_any_jobs_and_under_faults() {
         use pacman_core::fault::FaultPlan;
-        let run = |jobs: usize, tol: Tolerance| {
-            let ctx = Ctx::new(jobs, tol);
-            let row = find("sec82_accuracy").expect("sec82_accuracy row");
-            let art = (row.run)(&ctx).expect("sec82_accuracy runs");
-            (art.to_json().to_string(), ctx.telemetry().counter_value("runner.retries"))
-        };
-        let (serial, _) = run(1, Tolerance::default());
-        let (wide, _) = run(4, Tolerance::default());
-        let faults =
-            Tolerance { faults: FaultPlan::disabled().with_rate(0.2), ..Tolerance::default() };
-        let (faulted, retries) = run(4, faults);
-        assert!(retries > 0, "the fault plan never fired");
-        assert_eq!(serial, wide, "jobs=1 and jobs=4 differ");
-        assert_eq!(serial, faulted, "a recovered fault plan changed the artifact");
+        for id in ["sec82_accuracy", "sec83"] {
+            let run = |jobs: usize, tol: Tolerance| {
+                let ctx = Ctx::new(jobs, tol);
+                let art = (find(id).expect("row").run)(&ctx).expect("row runs");
+                (art.to_json().to_string(), ctx.telemetry().counter_value("runner.retries"))
+            };
+            let (serial, _) = run(1, Tolerance::default());
+            let (wide, _) = run(4, Tolerance::default());
+            let faults =
+                Tolerance { faults: FaultPlan::disabled().with_rate(0.2), ..Tolerance::default() };
+            let (faulted, retries) = run(4, faults);
+            assert!(retries > 0, "{id}: the fault plan never fired");
+            assert_eq!(serial, wide, "{id}: jobs=1 and jobs=4 differ");
+            assert_eq!(serial, faulted, "{id}: a recovered fault plan changed the artifact");
+        }
+    }
+
+    #[test]
+    fn a_single_machine_row_feeds_its_counters_into_the_context() {
+        let ctx = Ctx::new(1, Tolerance::default());
+        (find("fig6").expect("fig6 row").run)(&ctx).expect("fig6 runs");
+        assert!(ctx.telemetry().counter_value("tlb.walks") > 0);
     }
 }

@@ -7,7 +7,7 @@ use pacman_bench::experiments::{self, Ctx, Experiment, EXPERIMENTS};
 use pacman_bench::{claims, Artifact};
 use pacman_core::conformance::{run_conformance, ConformConfig};
 use pacman_core::fault::{FaultPlan, Tolerance};
-use pacman_core::jump2win::Jump2Win;
+use pacman_core::jump2win::centred_windows;
 use pacman_core::parallel::{
     oracle_distribution, oracle_distribution_observed, parallel_brute, parallel_jump2win, Channel,
     ExperimentError,
@@ -15,7 +15,6 @@ use pacman_core::parallel::{
 use pacman_core::report::Table;
 use pacman_core::{System, SystemConfig};
 use pacman_isa::ptr::with_pac_field;
-use pacman_isa::PacKey;
 use pacman_ref::{self_test, Divergence, SelfTestResult};
 use pacman_telemetry::json::{to_jsonl_line, Value};
 use pacman_telemetry::{trace, Snapshot};
@@ -614,17 +613,8 @@ fn cmd_jump2win(args: &Args) -> CliResult {
     let tol = tolerance(args)?;
     let mut emit = Emitter::from_args(args)?;
     let cfg = config(args)?;
-    let mut driver = Jump2Win::new().with_samples(3).with_train_iters(16);
-    if window < 65536 {
-        // Demo windows centred on the true PACs; a probe boot reads them
-        // (both phases share the probe's kernel seed and layout).
-        let probe = System::boot(cfg.clone());
-        let t1 = probe.true_pac_with_salt(PacKey::Ia, probe.cpp.win_fn);
-        let t2 = probe.true_pac_with_salt(PacKey::Da, probe.cpp.obj1);
-        let centre = |t: u16| (t.wrapping_sub((window / 2) as u16), window);
-        driver.phase_windows = Some([centre(t1), centre(t2)]);
-    }
-    let (report, telemetry) = match parallel_jump2win(&cfg, &driver, jobs, emit.active(), &tol) {
+    let windows = centred_windows(&cfg, window);
+    let (report, telemetry) = match parallel_jump2win(&cfg, windows, jobs, emit.active(), &tol) {
         Ok(out) => out,
         Err(e) => return Err(fail_sharded(emit, e)),
     };
@@ -957,16 +947,9 @@ fn cmd_timeline(args: &Args) -> CliResult {
     let true_pac = sys.true_pac(target);
     let sc = sys.gadget.instr_gadget;
     for (label, pac) in [("CORRECT", true_pac), ("WRONG", true_pac ^ 5)] {
-        for _ in 0..16 {
-            sys.kernel.syscall(&mut sys.machine, sc, &[0, 0, 1])?;
-        }
-        let mut payload = [0u8; 24];
-        payload[16..].copy_from_slice(&with_pac_field(target, pac).to_le_bytes());
-        let buf = sys.write_payload(&payload);
-        // Scoped tracing: enabled for exactly this syscall, previous
-        // recorder state restored afterwards.
-        let kernel = &mut sys.kernel;
-        let (result, events) = sys.machine.with_trace(|m| kernel.syscall(m, sc, &[buf, 24, 0]));
+        sys.train_gadget(sc, 16)?;
+        // Scoped tracing: enabled for exactly the trigger syscall.
+        let (result, events) = sys.trigger_gadget_traced(sc, with_pac_field(target, pac));
         result?;
         if !emit.quiet() {
             println!("--- instruction gadget, {label} PAC ---");

@@ -150,14 +150,9 @@ impl PacOracle for CacheDataPacOracle {
         let pp =
             self.probes.entry(target).or_insert_with(|| CachePrimeProbe::for_target(sys, target));
         let sc = sys.gadget.data_gadget;
-        for _ in 0..train_iters {
-            sys.kernel.syscall(&mut sys.machine, sc, &[0, 0, 1])?;
-        }
+        sys.train_gadget(sc, train_iters)?;
         pp.prime(sys)?;
-        let mut payload = [0u8; 24];
-        payload[16..].copy_from_slice(&with_pac_field(target, pac).to_le_bytes());
-        let buf = sys.write_payload(&payload);
-        sys.kernel.syscall(&mut sys.machine, sc, &[buf, 24, 0])?;
+        sys.trigger_gadget(sc, with_pac_field(target, pac))?;
         Ok(pp.probe(sys)?)
     }
 

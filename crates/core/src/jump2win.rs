@@ -7,16 +7,26 @@
 //! pointers, and finally invokes the C++-style dispatch syscall, which
 //! authenticates the planted pointers successfully and calls `win()` at
 //! EL1. No kernel crash occurs at any point.
+//!
+//! Jump2Win is a composition, not a new attack: each brute-force phase
+//! is one §8.2 [`BruteForcer`](crate::brute::BruteForcer) run over the
+//! §8.1 dTLB oracle, triggering the cpp kext's salt-matched gadget, and
+//! [`parallel_jump2win`](crate::parallel::parallel_jump2win) runs the two
+//! phases on the shard harness before the overflow.
 
 use pacman_isa::ptr::with_pac_field;
 use pacman_isa::PacKey;
 use pacman_kernel::kext::cpp::{OBJ2_OFFSET, WIN_MAGIC};
-use pacman_kernel::kext::JumpPads;
 use pacman_kernel::KernelError;
 
-use crate::oracle::{OracleError, OracleVerdict, TRAIN_ITERS};
-use crate::probe::PrimeProbe;
-use crate::system::System;
+use crate::oracle::{dtlb_trial, OracleError, PacOracle, ProbeCache};
+use crate::system::{System, SystemConfig};
+
+/// Samples per PAC guess (median rule) in both phases.
+pub const SAMPLES: usize = 3;
+
+/// Branch-training syscalls per trial in both phases.
+pub const TRAIN_ITERS: usize = 16;
 
 /// Report of a finished Jump2Win run.
 #[derive(Clone, Eq, PartialEq, Debug)]
@@ -40,9 +50,7 @@ pub struct Jump2WinReport {
 /// Errors from the end-to-end attack.
 #[derive(Debug)]
 pub enum Jump2WinError {
-    /// The oracle failed (see [`OracleError`]).
-    Oracle(OracleError),
-    /// A brute-force phase exhausted the PAC space without a hit
+    /// A brute-force phase exhausted its window without a hit
     /// (tolerable per §8.2 — the caller may simply retry).
     PacNotFound {
         /// Which key's PAC was being searched.
@@ -55,7 +63,6 @@ pub enum Jump2WinError {
 impl std::fmt::Display for Jump2WinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Jump2WinError::Oracle(e) => write!(f, "oracle failure: {e}"),
             Jump2WinError::PacNotFound { key } => {
                 write!(f, "no PAC found for key {key:?} (retryable false negative)")
             }
@@ -66,233 +73,150 @@ impl std::fmt::Display for Jump2WinError {
 
 impl std::error::Error for Jump2WinError {}
 
-impl From<OracleError> for Jump2WinError {
-    fn from(e: OracleError) -> Self {
-        Jump2WinError::Oracle(e)
+/// The key of each phase's PAC: IA for `win()`, DA for the fake vtable.
+pub(crate) const PHASE_KEYS: [PacKey; 2] = [PacKey::Ia, PacKey::Da];
+
+/// Phase `phase` of Figure 9 on `sys`: the cpp kext's salt-matched
+/// gadget syscall and the pointer whose PAC it reveals. Phase 0 is
+/// `win()`; phase 1 the fake vtable (the overflowed object doubles as
+/// the vtable).
+pub(crate) fn phase(sys: &System, phase: usize) -> (u64, u64) {
+    if phase == 0 {
+        (sys.cpp.gadget_ia, sys.cpp.win_fn)
+    } else {
+        (sys.cpp.gadget_da, sys.cpp.obj1)
     }
 }
 
-/// The §8.3 attack driver.
+/// Per-phase candidate windows `(start, len)` of `len` guesses centred on
+/// the true PACs, read from a probe boot of `cfg`; every shard system
+/// shares its kernel seed, hence its keys and layout. A `len` of 2^16 or
+/// more sweeps the whole space from 0.
+pub fn centred_windows(cfg: &SystemConfig, len: u32) -> [(u16, u32); 2] {
+    if len >= 1 << 16 {
+        return [(0, 1 << 16); 2];
+    }
+    let probe = System::boot(cfg.clone());
+    [0, 1].map(|i| {
+        let true_pac = probe.true_pac_with_salt(PHASE_KEYS[i], phase(&probe, i).1);
+        (true_pac.wrapping_sub((len / 2) as u16), len)
+    })
+}
+
+/// The §8.3 PAC oracle: the §8.1 dTLB data channel over one of the cpp
+/// kext's salt-matched gadgets, whose PACs are salted with the victim
+/// object's address like the ones the dispatch path consumes.
 ///
-/// The brute-force phases use the cpp kext's salt-matched Listing-1
-/// gadgets (`gadget_ia`, `gadget_da`), because the PACs consumed by the
-/// dispatch path are salted with the victim object's address.
-#[derive(Clone, Debug)]
-pub struct Jump2Win {
-    samples: usize,
-    train_iters: usize,
-    /// Optional search-window hint applied to both phases: `(start, len)`
-    /// over the 16-bit PAC space. Defaults to the full space. Tests and
-    /// benches narrow this to keep runtimes sane; the semantics are
-    /// identical.
-    pub window: Option<(u16, u32)>,
-    /// Optional per-phase windows `(IA phase, DA phase)`, overriding
-    /// [`Jump2Win::window`] when set.
-    pub phase_windows: Option<[(u16, u32); 2]>,
+/// It has no hot-set guard. The guard stops an attacker from monitoring
+/// a target it chose in a set its own syscalls pollute; §8.3's pointers
+/// are fixed by the victim, and at the default kernel seed the object
+/// sits in such a set, yet its fill still shows.
+#[derive(Debug)]
+pub(crate) struct SaltedPacOracle {
+    sc: u64,
+    probes: ProbeCache,
 }
 
-impl Default for Jump2Win {
-    fn default() -> Self {
-        Self::new()
+impl SaltedPacOracle {
+    /// The oracle over gadget syscall `sc`.
+    pub(crate) fn new(sc: u64) -> Self {
+        Self { sc, probes: ProbeCache::default() }
     }
 }
 
-impl Jump2Win {
-    /// Creates the driver with the §8.2 protocol (5 samples per guess).
-    pub fn new() -> Self {
-        Self { samples: 5, train_iters: TRAIN_ITERS, window: None, phase_windows: None }
+impl PacOracle for SaltedPacOracle {
+    fn samples(&self) -> usize {
+        SAMPLES
     }
 
-    /// Overrides the per-guess sample count.
-    pub fn with_samples(mut self, samples: usize) -> Self {
-        assert!(samples >= 1);
-        self.samples = samples;
-        self
+    fn channel(&self) -> &'static str {
+        "dtlb-data"
     }
 
-    /// Overrides the per-trial training iterations.
-    pub fn with_train_iters(mut self, iters: usize) -> Self {
-        self.train_iters = iters;
-        self
+    fn train_iters(&self) -> usize {
+        TRAIN_ITERS
     }
 
-    fn candidates(&self, phase: usize) -> Vec<u16> {
-        let window = self.phase_windows.map(|w| w[phase]).or(self.window);
-        match window {
-            None => (0..=u16::MAX).collect(),
-            Some((start, len)) => (0..len).map(|i| start.wrapping_add(i as u16)).collect(),
-        }
+    fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
+        let pp = self.probes.get(sys, target);
+        dtlb_trial(sys, pp, None, self.sc, TRAIN_ITERS, target, pac)
     }
+}
 
-    /// One oracle trial against a cpp-kext gadget syscall.
-    fn gadget_trial(
-        &self,
-        sys: &mut System,
-        sc: u64,
-        pp: &PrimeProbe,
-        pads: &JumpPads,
-        target: u64,
-        pac: u16,
-    ) -> Result<usize, OracleError> {
-        let _ = pads; // data-transmit gadgets need no iTLB eviction
-        for _ in 0..self.train_iters {
-            sys.kernel.syscall(&mut sys.machine, sc, &[0, 0, 1])?;
-        }
-        pp.reset(sys)?;
-        pp.prime(sys)?;
-        let mut payload = [0u8; 24];
-        payload[16..].copy_from_slice(&with_pac_field(target, pac).to_le_bytes());
-        let buf = sys.write_payload(&payload);
-        sys.kernel.syscall(&mut sys.machine, sc, &[buf, 24, 0])?;
-        Ok(pp.probe(sys)?)
-    }
-
-    /// Brute-forces one PAC through a cpp-kext gadget. `pub(crate)` so
-    /// the parallel driver can run the two phases on separate shard
-    /// systems.
-    pub(crate) fn brute_phase(
-        &self,
-        sys: &mut System,
-        sc: u64,
-        target: u64,
-        key: PacKey,
-        phase: usize,
-        guesses: &mut u64,
-    ) -> Result<u16, Jump2WinError> {
-        let pp = PrimeProbe::for_target(sys, target);
-        let pads = JumpPads::install_for_target(&mut sys.kernel, &mut sys.machine, target, 4);
-        for pac in self.candidates(phase) {
-            *guesses += 1;
-            let mut misses = Vec::with_capacity(self.samples);
-            for _ in 0..self.samples {
-                misses.push(self.gadget_trial(sys, sc, &pp, &pads, target, pac)?);
-            }
-            if OracleVerdict::from_misses(misses).is_correct() {
-                return Ok(pac);
-            }
-        }
-        Err(Jump2WinError::PacNotFound { key })
-    }
-
-    /// Phases 3–4 of Figure 9: the buffer overflow planting both signed
-    /// pointers, then the dispatch that authenticates them and diverts to
-    /// `win()`. Returns whether the hijack landed.
-    pub(crate) fn plant_and_dispatch(
-        sys: &mut System,
-        pac_win: u16,
-        pac_vtable: u16,
-    ) -> Result<bool, Jump2WinError> {
-        let win = sys.cpp.win_fn;
-        let fake_vtable = sys.cpp.obj1;
-        let mut payload = vec![0u8; (OBJ2_OFFSET + 8) as usize];
-        payload[0..8].copy_from_slice(&with_pac_field(win, pac_win).to_le_bytes());
-        payload[OBJ2_OFFSET as usize..]
-            .copy_from_slice(&with_pac_field(fake_vtable, pac_vtable).to_le_bytes());
-        let buf = sys.write_payload(&payload);
-        sys.kernel
-            .syscall(&mut sys.machine, sys.cpp.overflow, &[buf, payload.len() as u64])
-            .map_err(Jump2WinError::Dispatch)?;
-        sys.kernel
-            .syscall(&mut sys.machine, sys.cpp.dispatch, &[0, 0])
-            .map_err(Jump2WinError::Dispatch)?;
-        Ok(sys.cpp.flag_value(&sys.machine) == WIN_MAGIC)
-    }
-
-    /// Runs the full attack.
-    ///
-    /// # Errors
-    ///
-    /// See [`Jump2WinError`]. On success the report's `hijacked` is true
-    /// and `crashes` is zero.
-    pub fn run(&self, sys: &mut System) -> Result<Jump2WinReport, Jump2WinError> {
-        let syscalls0 = sys.machine.stats.syscalls;
-        let cycles0 = sys.machine.cycles;
-        let crashes0 = sys.kernel.crash_count();
-        let mut guesses = 0u64;
-
-        let win = sys.cpp.win_fn;
-        let fake_vtable = sys.cpp.obj1; // the buffer doubles as the vtable
-
-        // Phase 1: IA-key PAC of win() (salted with the object address).
-        let pac_win = self.brute_phase(sys, sys.cpp.gadget_ia, win, PacKey::Ia, 0, &mut guesses)?;
-        // Phase 2: DA-key PAC of the fake vtable pointer.
-        let pac_vtable =
-            self.brute_phase(sys, sys.cpp.gadget_da, fake_vtable, PacKey::Da, 1, &mut guesses)?;
-
-        let hijacked = Self::plant_and_dispatch(sys, pac_win, pac_vtable)?;
-        Ok(Jump2WinReport {
-            pac_win,
-            pac_vtable,
-            guesses_tested: guesses,
-            syscalls: sys.machine.stats.syscalls - syscalls0,
-            cycles: sys.machine.cycles - cycles0,
-            crashes: sys.kernel.crash_count() - crashes0,
-            hijacked,
-        })
-    }
+/// Phases 3–4 of Figure 9: the buffer overflow planting both signed
+/// pointers, then the dispatch that authenticates them and diverts to
+/// `win()`. Returns whether the hijack landed.
+pub(crate) fn plant_and_dispatch(
+    sys: &mut System,
+    pac_win: u16,
+    pac_vtable: u16,
+) -> Result<bool, Jump2WinError> {
+    let win = sys.cpp.win_fn;
+    let fake_vtable = sys.cpp.obj1;
+    let mut payload = vec![0u8; (OBJ2_OFFSET + 8) as usize];
+    payload[0..8].copy_from_slice(&with_pac_field(win, pac_win).to_le_bytes());
+    payload[OBJ2_OFFSET as usize..]
+        .copy_from_slice(&with_pac_field(fake_vtable, pac_vtable).to_le_bytes());
+    let buf = sys.write_payload(&payload);
+    sys.kernel
+        .syscall(&mut sys.machine, sys.cpp.overflow, &[buf, payload.len() as u64])
+        .map_err(Jump2WinError::Dispatch)?;
+    sys.kernel
+        .syscall(&mut sys.machine, sys.cpp.dispatch, &[0, 0])
+        .map_err(Jump2WinError::Dispatch)?;
+    Ok(sys.cpp.flag_value(&sys.machine) == WIN_MAGIC)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemConfig;
-    use pacman_isa::PacKey;
+    use crate::brute::BruteForcer;
+    use crate::fault::Tolerance;
+    use crate::parallel::{parallel_jump2win, ExperimentError};
 
-    fn quiet_system() -> System {
+    fn quiet_config() -> SystemConfig {
         let mut cfg = SystemConfig::default();
         cfg.machine.os_noise = 0.0;
-        System::boot(cfg)
+        cfg
     }
 
     #[test]
     fn jump2win_end_to_end_with_narrowed_windows() {
-        let mut sys = quiet_system();
-        // Narrow the search windows around the true PACs so the test runs
-        // in seconds; the attack logic is byte-identical to a full sweep.
-        let true_win = sys.true_pac_with_salt(PacKey::Ia, sys.cpp.win_fn);
-        let true_vt = sys.true_pac_with_salt(PacKey::Da, sys.cpp.obj1);
-        // Both phases share one window that covers both true PACs'
-        // vicinity; use per-phase runs instead.
-        let mut j = Jump2Win::new().with_samples(3).with_train_iters(8);
-        j.window = Some((true_win.wrapping_sub(3), 8));
-        // Phase-2 window must cover true_vt too; run brute phases
-        // separately to validate, then the driver end-to-end with a
-        // window covering both (works when they are near each other —
-        // not guaranteed — so drive phases manually here).
-        let mut guesses = 0;
-        let (sc_ia, sc_da, win_fn, obj1) =
-            (sys.cpp.gadget_ia, sys.cpp.gadget_da, sys.cpp.win_fn, sys.cpp.obj1);
-        let found_win =
-            j.brute_phase(&mut sys, sc_ia, win_fn, PacKey::Ia, 0, &mut guesses).unwrap();
-        assert_eq!(found_win, true_win);
-        j.window = Some((true_vt.wrapping_sub(3), 8));
-        let found_vt = j.brute_phase(&mut sys, sc_da, obj1, PacKey::Da, 1, &mut guesses).unwrap();
-        assert_eq!(found_vt, true_vt);
-        assert_eq!(sys.kernel.crash_count(), 0);
-
-        // Now the planting + dispatch steps, reusing the driver's code
-        // path by setting a window that hits immediately for both.
-        let mut payload = vec![0u8; (OBJ2_OFFSET + 8) as usize];
-        payload[0..8].copy_from_slice(&with_pac_field(sys.cpp.win_fn, found_win).to_le_bytes());
-        payload[OBJ2_OFFSET as usize..]
-            .copy_from_slice(&with_pac_field(sys.cpp.obj1, found_vt).to_le_bytes());
-        let buf = sys.write_payload(&payload);
-        sys.kernel
-            .syscall(&mut sys.machine, sys.cpp.overflow, &[buf, payload.len() as u64])
-            .unwrap();
-        sys.kernel.syscall(&mut sys.machine, sys.cpp.dispatch, &[0, 0]).unwrap();
+        let mut sys = System::boot(quiet_config());
+        let mut found = [0u16; 2];
+        for (i, pac) in found.iter_mut().enumerate() {
+            let (sc, target) = phase(&sys, i);
+            let true_pac = sys.true_pac_with_salt(PHASE_KEYS[i], target);
+            let mut bf = BruteForcer::new(SaltedPacOracle::new(sc));
+            let window = (0..8).map(|g| true_pac.wrapping_sub(3).wrapping_add(g));
+            *pac = bf.brute(&mut sys, target, window).unwrap().found.expect("PAC found");
+            assert_eq!(*pac, true_pac, "phase {i}");
+        }
+        assert!(plant_and_dispatch(&mut sys, found[0], found[1]).unwrap());
         assert_eq!(sys.cpp.flag_value(&sys.machine), WIN_MAGIC);
         assert_eq!(sys.kernel.crash_count(), 0, "the hijack must be crash-free");
     }
 
     #[test]
+    fn windows_centre_on_the_true_pacs_or_cover_the_whole_space() {
+        let cfg = quiet_config();
+        let sys = System::boot(cfg.clone());
+        for (i, (start, len)) in centred_windows(&cfg, 8).into_iter().enumerate() {
+            let true_pac = sys.true_pac_with_salt(PHASE_KEYS[i], phase(&sys, i).1);
+            assert_eq!((start.wrapping_add(4), len), (true_pac, 8));
+        }
+        assert_eq!(centred_windows(&cfg, 1 << 16), [(0, 1 << 16); 2]);
+    }
+
+    #[test]
     fn wrong_window_reports_a_retryable_false_negative() {
-        let mut sys = quiet_system();
-        let true_win = sys.true_pac_with_salt(PacKey::Ia, sys.cpp.win_fn);
-        let mut j = Jump2Win::new().with_samples(1).with_train_iters(8);
-        j.window = Some((true_win.wrapping_add(100), 8));
-        let err = j.run(&mut sys).unwrap_err();
-        assert!(matches!(err, Jump2WinError::PacNotFound { key: PacKey::Ia }));
-        assert_eq!(sys.kernel.crash_count(), 0);
+        let cfg = quiet_config();
+        let [(ia, _), (da, _)] = centred_windows(&cfg, 8);
+        let windows = [(ia.wrapping_add(100), 8), (da, 8)];
+        let err = parallel_jump2win(&cfg, windows, 1, false, &Tolerance::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            ExperimentError::Jump2Win(Jump2WinError::PacNotFound { key: PacKey::Ia })
+        ));
     }
 }

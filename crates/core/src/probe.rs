@@ -41,11 +41,6 @@ impl PrimeProbe {
         self.prime_set.set()
     }
 
-    /// The Prime+Probe member addresses (diagnostics and tests).
-    pub fn prime_addrs(&self) -> &[u64] {
-        self.prime_set.addrs()
-    }
-
     /// §8.1 step 2: reset the TLB hierarchy so no stale copy of the
     /// target's translation survives from a previous trial.
     ///

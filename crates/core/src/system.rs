@@ -2,11 +2,12 @@
 
 use pacman_isa::PacKey;
 use pacman_kernel::kext::{CppKext, GadgetKext, PmcKext};
-use pacman_kernel::{layout, Kernel};
+use pacman_kernel::{layout, Kernel, KernelError};
 use pacman_telemetry::bin::{BinError, Reader, Writer};
 use pacman_telemetry::{Registry, Snapshot};
 use pacman_uarch::{
-    CoreKind, ExecEngine, Machine, MachineConfig, Mitigation, Perms, SquashPolicy, TimingSource,
+    CoreKind, ExecEngine, Machine, MachineConfig, Mitigation, Perms, SpecEvent, SquashPolicy,
+    TimingSource,
 };
 
 /// Configuration for [`System::boot`].
@@ -177,6 +178,52 @@ impl System {
         let va = self.scratch_va();
         assert!(self.machine.mem.debug_write_bytes(va, bytes), "scratch page must be mapped");
         va
+    }
+
+    /// §8.1 step 1: trains gadget syscall `sc`'s conditional branch
+    /// taken with `iters` calls at `cond = 1`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the syscalls' [`KernelError`]s.
+    pub fn train_gadget(&mut self, sc: u64, iters: usize) -> Result<(), KernelError> {
+        for _ in 0..iters {
+            self.kernel.syscall(&mut self.machine, sc, &[0, 0, 1])?;
+        }
+        Ok(())
+    }
+
+    /// §8.1 step 4: triggers gadget syscall `sc` on the signed pointer
+    /// `signed` with `cond = 0`, so the gadget body runs only down the
+    /// wrong path. The pointer travels as bytes 16..24 of the 24-byte
+    /// payload the gadgets' `memcpy` overflows with.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the syscall's [`KernelError`].
+    pub fn trigger_gadget(&mut self, sc: u64, signed: u64) -> Result<u64, KernelError> {
+        let args = self.stage_trigger(signed);
+        self.kernel.syscall(&mut self.machine, sc, &args)
+    }
+
+    /// [`System::trigger_gadget`] with the trigger syscall run under
+    /// [`Machine::with_trace`]: also returns the speculation events it
+    /// recorded (the Figure 3 timeline).
+    pub fn trigger_gadget_traced(
+        &mut self,
+        sc: u64,
+        signed: u64,
+    ) -> (Result<u64, KernelError>, Vec<SpecEvent>) {
+        let args = self.stage_trigger(signed);
+        let kernel = &mut self.kernel;
+        self.machine.with_trace(|m| kernel.syscall(m, sc, &args))
+    }
+
+    /// Writes the trigger payload and returns the trigger's arguments.
+    fn stage_trigger(&mut self, signed: u64) -> [u64; 3] {
+        let mut payload = [0u8; 24];
+        payload[16..].copy_from_slice(&signed.to_le_bytes());
+        [self.write_payload(&payload), 24, 0]
     }
 
     /// Maps (if needed) one page of attacker memory at `va`.

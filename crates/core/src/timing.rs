@@ -8,7 +8,7 @@
 
 use pacman_uarch::{TimingSource, Trap};
 
-use crate::evict::{EvictionSet, L2_WAYS};
+use crate::evict::EvictionSet;
 use crate::system::System;
 
 /// A latency histogram for one access population.
@@ -143,12 +143,6 @@ pub fn derive_threshold(hits: &LatencyHistogram, misses: &LatencyHistogram) -> O
     let hi = hits.max()?;
     let lo = misses.min()?;
     (hi < lo).then(|| (hi + lo) / 2)
-}
-
-/// Quick sanity check that the §8.1 reset population really uses 23-way
-/// L2 conflicts (used by tests and the Fig. 6 derivation).
-pub fn l2_reset_width() -> usize {
-    L2_WAYS
 }
 
 /// The Table 1 row data: a timer's EL0 accessibility and whether it

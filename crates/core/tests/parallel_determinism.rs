@@ -11,7 +11,6 @@
 //! fault-free serial run.
 
 use pacman_core::fault::{FaultPlan, RetryPolicy, Tolerance};
-use pacman_core::jump2win::Jump2Win;
 use pacman_core::parallel::{
     oracle_distribution, parallel_accuracy, parallel_brute, parallel_jump2win, parallel_sweep,
     Channel, ExperimentError, SweepKind,
@@ -152,10 +151,9 @@ fn parallel_jump2win_is_jobs_invariant() {
     let probe = System::boot(cfg.clone());
     let true_win = probe.true_pac_with_salt(pacman_isa::PacKey::Ia, probe.cpp.win_fn);
     let true_vt = probe.true_pac_with_salt(pacman_isa::PacKey::Da, probe.cpp.obj1);
-    let mut driver = Jump2Win::new().with_samples(3).with_train_iters(16);
-    driver.phase_windows = Some([(true_win.wrapping_sub(2), 6), (true_vt.wrapping_sub(2), 6)]);
-    let (serial, sreg) = parallel_jump2win(&cfg, &driver, 1, true, &no_faults()).expect("jobs=1");
-    let (parallel, preg) = parallel_jump2win(&cfg, &driver, 4, true, &no_faults()).expect("jobs=4");
+    let windows = [(true_win.wrapping_sub(2), 6), (true_vt.wrapping_sub(2), 6)];
+    let (serial, sreg) = parallel_jump2win(&cfg, windows, 1, true, &no_faults()).expect("jobs=1");
+    let (parallel, preg) = parallel_jump2win(&cfg, windows, 4, true, &no_faults()).expect("jobs=4");
     assert!(serial.hijacked && parallel.hijacked);
     assert_eq!(serial, parallel, "full report must be jobs-invariant");
     assert_eq!(serial.pac_win, true_win);
@@ -203,16 +201,14 @@ mod fault_tolerance_properties {
             let probe = System::boot(cfg.clone());
             let true_win = probe.true_pac_with_salt(pacman_isa::PacKey::Ia, probe.cpp.win_fn);
             let true_vt = probe.true_pac_with_salt(pacman_isa::PacKey::Da, probe.cpp.obj1);
-            let mut driver = Jump2Win::new().with_samples(1).with_train_iters(16);
-            driver.phase_windows =
-                Some([(true_win.wrapping_sub(1), 4), (true_vt.wrapping_sub(1), 4)]);
-            let (baseline, _) = parallel_jump2win(&cfg, &driver, 1, false, &no_faults())
+            let windows = [(true_win.wrapping_sub(1), 4), (true_vt.wrapping_sub(1), 4)];
+            let (baseline, _) = parallel_jump2win(&cfg, windows, 1, false, &no_faults())
                 .expect("fault-free serial run");
             let tol = Tolerance {
                 retry: RetryPolicy::default(),
                 faults: FaultPlan::new(seed, rate_milli as f64 / 1000.0),
             };
-            match parallel_jump2win(&cfg, &driver, 4, false, &tol) {
+            match parallel_jump2win(&cfg, windows, 4, false, &tol) {
                 Ok((faulted, _)) => prop_assert_eq!(baseline, faulted),
                 Err(ExperimentError::Shards(partial)) => {
                     prop_assert!(partial.completed < partial.total);

@@ -677,11 +677,6 @@ impl SessionHandle {
         self.rx.as_ref().and_then(|rx| rx.recv().ok())
     }
 
-    /// Non-blocking variant of [`next_record`](SessionHandle::next_record).
-    pub fn try_next_record(&self) -> Option<Value> {
-        self.rx.as_ref().and_then(|rx| rx.try_recv().ok())
-    }
-
     /// Moves the record receiver out — e.g. to a socket-forwarder
     /// thread — leaving the handle usable for submit/close.
     pub fn take_records(&mut self) -> Option<Receiver<Value>> {

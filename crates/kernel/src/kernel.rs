@@ -169,11 +169,6 @@ impl Kernel {
         num
     }
 
-    /// The handler VA of a registered syscall.
-    pub fn syscall_handler_va(&self, num: u64) -> Option<u64> {
-        self.syscalls.get(num as usize).copied()
-    }
-
     // ----- syscall path --------------------------------------------------
 
     /// Performs a syscall from EL0 through the user stub: `x16 = num`,

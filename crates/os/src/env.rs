@@ -1,6 +1,6 @@
 //! The bare-metal environment: full machine control, no kernel.
 
-use pacman_isa::ptr::{VirtualAddress, PAGE_SIZE};
+use pacman_isa::ptr::PAGE_SIZE;
 use pacman_isa::{Asm, Inst, Reg, SysReg};
 use pacman_uarch::{AccessOutcome, El, Machine, MachineConfig, Perms, TimingSource, Trap};
 
@@ -165,11 +165,6 @@ impl BareMetal {
     /// Propagates traps from unmapped experiment addresses.
     pub fn fetch(&mut self, va: u64) -> Result<AccessOutcome, Trap> {
         self.machine.user_fetch(va)
-    }
-
-    /// The dTLB set a VA maps to (diagnostics).
-    pub fn dtlb_set_of(&self, va: u64) -> u64 {
-        VirtualAddress::new(va).vpn() % 256
     }
 }
 

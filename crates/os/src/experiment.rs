@@ -53,11 +53,6 @@ impl Runner {
         Self { os }
     }
 
-    /// Access to the underlying environment.
-    pub fn os_mut(&mut self) -> &mut BareMetal {
-        &mut self.os
-    }
-
     /// Runs one experiment from a quiesced machine.
     pub fn run(&mut self, experiment: &mut dyn Experiment) -> ExperimentReport {
         self.os.quiesce();

@@ -243,11 +243,6 @@ impl Cpu {
     pub fn pac_computer(&self, key: PacKey) -> PacComputer {
         PacComputer::new(QarmaKey::from_u128(self.keys.get(key)), pacman_isa::ptr::VA_BITS)
     }
-
-    /// Builds the PAC datapath for the generic key (`PACGA`).
-    pub fn pacga_computer(&self) -> PacComputer {
-        PacComputer::new(QarmaKey::from_u128(self.keys.ga()), pacman_isa::ptr::VA_BITS)
-    }
 }
 
 #[cfg(test)]

@@ -323,17 +323,6 @@ impl MemorySystem {
         Some(self.phys.read_u64(pa))
     }
 
-    /// Debug write (no microarchitectural side effects).
-    pub fn debug_write_u64(&mut self, va: u64, value: u64) -> bool {
-        match self.tables.translate(&self.phys, VirtualAddress::new(va)) {
-            Some(pa) => {
-                self.phys.write_u64(pa, value);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Debug byte-slice write, page-crossing safe.
     pub fn debug_write_bytes(&mut self, va: u64, bytes: &[u8]) -> bool {
         for (i, &b) in bytes.iter().enumerate() {

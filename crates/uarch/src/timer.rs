@@ -118,12 +118,6 @@ impl Timers {
         }
     }
 
-    /// Ticks of the multi-thread counter corresponding to one core cycle,
-    /// as a float (for reports).
-    pub fn mt_ticks_per_cycle(&self) -> f64 {
-        self.mt_rate.0 as f64 / self.mt_rate.1 as f64
-    }
-
     /// Serialises the mutable timer state (everything else is fixed at
     /// construction from the machine configuration).
     pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {

@@ -15,16 +15,9 @@ use pacman::prelude::*;
 
 fn show(title: &str, sys: &mut System, syscall: u64, signed: u64) {
     // Re-train between runs so the outer branch mispredicts.
-    for _ in 0..16 {
-        sys.kernel.syscall(&mut sys.machine, syscall, &[0, 0, 1]).expect("training");
-    }
-    let mut payload = [0u8; 24];
-    payload[16..].copy_from_slice(&signed.to_le_bytes());
-    let buf = sys.write_payload(&payload);
-    sys.machine.trace.enable();
-    sys.kernel.syscall(&mut sys.machine, syscall, &[buf, 24, 0]).expect("trigger");
-    let events = sys.machine.trace.take();
-    sys.machine.trace.disable();
+    sys.train_gadget(syscall, 16).expect("training");
+    let (result, events) = sys.trigger_gadget_traced(syscall, signed);
+    result.expect("trigger");
 
     println!("\n### {title} ###");
     // Only the gadget's own shadow is interesting: take the last episode

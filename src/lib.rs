@@ -58,10 +58,11 @@ pub use pacman_uarch as uarch;
 pub mod prelude {
     pub use pacman_core::brute::{BruteForcer, BruteOutcome, BruteVerdict};
     pub use pacman_core::cache_probe::CacheDataPacOracle;
-    pub use pacman_core::jump2win::{Jump2Win, Jump2WinReport};
+    pub use pacman_core::jump2win::{centred_windows, Jump2WinReport};
     pub use pacman_core::oracle::{
         DataPacOracle, InstrPacOracle, OracleError, OracleVerdict, PacOracle,
     };
+    pub use pacman_core::parallel::parallel_jump2win;
     pub use pacman_core::{System, SystemConfig};
     pub use pacman_isa::ptr::{PointerKind, VirtualAddress};
     pub use pacman_kernel::Kernel;

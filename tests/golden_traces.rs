@@ -34,14 +34,8 @@ fn quiet_system() -> System {
 /// Runs one traced gadget invocation and renders the event sequence,
 /// one `SpecEvent` per line.
 fn gadget_trace(sys: &mut System, sc: u64, pac: u16, target: u64) -> String {
-    for _ in 0..TRAIN_ITERS {
-        sys.kernel.syscall(&mut sys.machine, sc, &[0, 0, 1]).expect("training syscall");
-    }
-    let mut payload = [0u8; 24];
-    payload[16..].copy_from_slice(&with_pac_field(target, pac).to_le_bytes());
-    let buf = sys.write_payload(&payload);
-    let kernel = &mut sys.kernel;
-    let (result, events) = sys.machine.with_trace(|m| kernel.syscall(m, sc, &[buf, 24, 0]));
+    sys.train_gadget(sc, TRAIN_ITERS).expect("training syscalls");
+    let (result, events) = sys.trigger_gadget_traced(sc, with_pac_field(target, pac));
     result.expect("traced gadget syscall");
     let mut out = String::new();
     for e in &events {
