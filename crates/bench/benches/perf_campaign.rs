@@ -19,9 +19,8 @@ use std::time::Instant;
 
 use pacman_bench::{banner, check, compare, quiet_config, scale, Artifact};
 use pacman_core::fault::Tolerance;
-use pacman_core::parallel::{oracle_distribution, Channel, OracleDistribution};
+use pacman_core::parallel::{oracle_distribution, parallel_census, Channel, OracleDistribution};
 use pacman_core::pool;
-use pacman_gadget::census::parallel_census;
 use pacman_gadget::scan::{scan_image, ScanConfig, ScanReport};
 use pacman_gadget::synth::{synthesize, ImageSpec};
 use pacman_runner::{shard_plan, Executor, RetryPolicy, Shard, DEFAULT_SHARDS};
@@ -147,7 +146,11 @@ fn main() {
     println!("  campaign latency:       p50 {p50:.0} us, p99 {p99:.0} us");
 
     // -- zero drift: jobs=1 vs jobs=N -----------------------------------
-    let census = |jobs| parallel_census(&census_spec(200, 0xC0DE), &scan_cfg, jobs);
+    let census = |jobs| {
+        parallel_census(&census_spec(200, 0xC0DE), &scan_cfg, jobs, &Tolerance::default())
+            .expect("fault-free census")
+            .0
+    };
     let jobs_drift = oracle_drift(&oracle_run(trials, jobs), &oracle_run(trials, 1))
         + u64::from(census(jobs) != census(1));
     println!("  jobs drift (jobs=1 vs jobs={jobs}):     {jobs_drift} fields");

@@ -22,7 +22,7 @@ use std::time::Instant;
 use pacman_bench::{banner, check, compare, quiet_config, scale, Artifact};
 use pacman_core::fault::Tolerance;
 use pacman_core::parallel::{oracle_distribution, Channel};
-use pacman_daemon::{Daemon, DaemonConfig, JobRunner, JobSink};
+use pacman_daemon::{Daemon, JobRunner, JobSink};
 use pacman_telemetry::json::Value;
 
 /// Job commands: `oracle <seed> <trials>` runs a real PAC-oracle
@@ -125,10 +125,7 @@ fn main() {
     let session_jobs = scale("SESSION_JOBS", 2);
     let trials = scale("SERVICE_TRIALS", 2);
     let workers = pacman_runner::Executor::global().workers();
-    let daemon = Arc::new(Daemon::start(
-        DaemonConfig { session_queue: 8, job_attempts: 1 },
-        Arc::new(LoadRunner),
-    ));
+    let daemon = Arc::new(Daemon::start(Arc::new(LoadRunner)));
 
     let start = Instant::now();
     let reports: Vec<SessionReport> = thread::scope(|scope| {

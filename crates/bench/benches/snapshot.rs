@@ -20,7 +20,7 @@ use pacman_core::fault::Tolerance;
 use pacman_core::parallel::{oracle_distribution, Channel};
 use pacman_core::System;
 use pacman_daemon::snapshot::DaemonSnapshot;
-use pacman_daemon::{CheckpointPolicy, Daemon, DaemonConfig, JobRunner, JobSink};
+use pacman_daemon::{CheckpointPolicy, Daemon, JobRunner, JobSink};
 use pacman_telemetry::json::Value;
 
 /// Job command `campaign <seed> <records>`: a real (small) PAC-oracle
@@ -89,7 +89,6 @@ fn main() {
     let trials = scale("SNAP_TRIALS", 96);
     let every = scale("SNAP_EVERY", 64) as u64;
     let reps = scale("SNAP_REPS", 10).max(1) as u32;
-    let config = DaemonConfig::default();
     let runner = || Arc::new(SnapRunner { trials });
     let state = std::env::temp_dir().join(format!("pacman-bench-snapshot-{}", std::process::id()));
     std::fs::create_dir_all(&state).expect("create bench state dir");
@@ -115,7 +114,7 @@ fn main() {
     // -- campaign overhead: plain vs durable daemon, best-of-2 each ----
     let mut baseline_wall_s = f64::INFINITY;
     for _ in 0..2 {
-        let daemon = Daemon::start(config, runner());
+        let daemon = Daemon::start(runner());
         let (wall, _) = drive(&daemon, jobs, records);
         daemon.drain();
         baseline_wall_s = baseline_wall_s.min(wall);
@@ -123,12 +122,8 @@ fn main() {
     let mut durable_wall_s = f64::INFINITY;
     let mut checkpoints = 0;
     for _ in 0..2 {
-        let daemon = Daemon::start_durable(
-            config,
-            runner(),
-            CheckpointPolicy::new(path.clone(), every),
-            false,
-        );
+        let daemon =
+            Daemon::start_durable(CheckpointPolicy::new(path.clone(), every), runner(), false);
         let (wall, n) = drive(&daemon, jobs, records);
         daemon.drain();
         durable_wall_s = durable_wall_s.min(wall);
@@ -140,8 +135,7 @@ fn main() {
     // -- daemon checkpoint write / load latency ------------------------
     // Measured with a populated daemon (open session, run telemetry,
     // restorable machine-pool blobs are the CLI's concern, not cut here).
-    let daemon =
-        Daemon::start_durable(config, runner(), CheckpointPolicy::new(path.clone(), every), false);
+    let daemon = Daemon::start_durable(CheckpointPolicy::new(path.clone(), every), runner(), false);
     let (_, _) = drive(&daemon, 2, records);
     let t = Instant::now();
     for _ in 0..reps {

@@ -123,8 +123,7 @@ pub static COMMANDS: &[Command] = &[
                   sessions over a Unix socket (or --stdio), schedule\n\
                   submitted command lines fair-share across tenants, and\n\
                   stream results back incrementally (DESIGN.md section 12)",
-        options: &["socket", "workers", "session-queue", "job-attempts", "state-dir",
-                   "checkpoint-every"],
+        options: &["socket", "workers", "state-dir", "checkpoint-every"],
         flags: &["stdio", "resume"] },
     Command { name: "client", subjects: &[], daemon_job: false, run: service::cmd_client,
         summary: "drive a running pacmand: submit one job and stream its\n\
@@ -186,9 +185,6 @@ daemon/client options:
   --workers N         daemon: executor threads shared by all sessions,
                       and jobs run at once (default: PACMAN_JOBS, else
                       all cores)
-  --session-queue N   daemon: queued jobs per session before
-                      backpressure (default 16)
-  --job-attempts N    daemon: attempts per job before job_failed (def. 1)
   --state-dir D       daemon: durable mode — write checksummed snapshots
                       of in-flight state to D/pacmand.snapshot
   --checkpoint-every N  daemon: checkpoint cadence in output records
@@ -550,6 +546,16 @@ fn cmd_oracle(args: &Args) -> CliResult {
     trace_write(tr.as_ref())
 }
 
+/// `window` brute candidates centred on the true PAC of the data
+/// channel's target, placed by one probe boot (the kernel seed pins the
+/// layout, so every shard sees the same target). Returns the target and
+/// the candidates.
+fn centred_brute_window(cfg: &SystemConfig, window: u32) -> (u64, Vec<u16>) {
+    let (target, true_pac) = Channel::Data.target(&mut System::boot(cfg.clone()));
+    let start = true_pac.wrapping_sub((window / 2) as u16);
+    (target, (0..window).map(|i| start.wrapping_add(i as u16)).collect())
+}
+
 fn cmd_brute(args: &Args) -> CliResult {
     let window: u32 = if args.flag("full") { 65536 } else { args.get_num("window", 512)? };
     let jobs = jobs(args)?;
@@ -557,13 +563,8 @@ fn cmd_brute(args: &Args) -> CliResult {
     let mut emit = Emitter::from_args(args)?;
     let tr = trace_arm(args);
     let cfg = config(args)?;
-    // A probe boot positions the demo window around the true PAC (the
-    // kernel seed pins the layout, so every shard sees the same target).
-    let mut probe = System::boot(cfg.clone());
-    let (target, true_pac) = Channel::Data.target(&mut probe);
-    let clock = probe.machine.config().clock_hz;
-    let start = true_pac.wrapping_sub((window / 2) as u16);
-    let candidates: Vec<u16> = (0..window).map(|i| start.wrapping_add(i as u16)).collect();
+    let (target, candidates) = centred_brute_window(&cfg, window);
+    let clock = cfg.machine.clock_hz;
     if !emit.quiet() {
         println!("sweeping {window} candidates for the PAC of {target:#x} ({jobs} jobs) ...");
     }
@@ -823,10 +824,7 @@ fn cmd_profile(args: &Args) -> CliResult {
         })
         .map(|out| out.telemetry),
         _ => {
-            // Same probe-boot window placement as cmd_brute.
-            let (_, true_pac) = Channel::Data.target(&mut System::boot(cfg.clone()));
-            let start = true_pac.wrapping_sub((window / 2) as u16);
-            let candidates: Vec<u16> = (0..window).map(|i| start.wrapping_add(i as u16)).collect();
+            let (_, candidates) = centred_brute_window(&cfg, window);
             parallel_brute(&cfg, Channel::Data, 5, &candidates, jobs, true, &tol)
                 .map(|out| out.telemetry)
         }

@@ -12,7 +12,7 @@ use std::error::Error;
 use std::sync::{Arc, Mutex};
 
 use pacman_daemon::net;
-use pacman_daemon::{CheckpointPolicy, Daemon, DaemonConfig, JobRunner, JobSink};
+use pacman_daemon::{CheckpointPolicy, Daemon, JobRunner, JobSink};
 use pacman_telemetry::json::{to_jsonl_line, Value};
 
 use crate::args::Args;
@@ -48,14 +48,6 @@ impl JobRunner for DispatchRunner {
     }
 }
 
-fn daemon_config(args: &Args) -> Result<DaemonConfig, Box<dyn Error>> {
-    let defaults = DaemonConfig::default();
-    Ok(DaemonConfig {
-        session_queue: args.get_num("session-queue", defaults.session_queue)?.max(1),
-        job_attempts: args.get_num("job-attempts", defaults.job_attempts)?.max(1),
-    })
-}
-
 /// Builds the durable-mode [`CheckpointPolicy`] from `--state-dir` /
 /// `--checkpoint-every`.
 fn checkpoint_policy(args: &Args, state_dir: &str) -> Result<CheckpointPolicy, Box<dyn Error>> {
@@ -79,18 +71,13 @@ pub fn cmd_daemon(args: &Args) -> CliResult {
     let daemon = match args.get("state-dir") {
         Some(dir) => {
             let policy = checkpoint_policy(args, dir)?;
-            Arc::new(Daemon::start_durable(
-                daemon_config(args)?,
-                Arc::new(DispatchRunner),
-                policy,
-                args.flag("resume"),
-            ))
+            Arc::new(Daemon::start_durable(policy, Arc::new(DispatchRunner), args.flag("resume")))
         }
         None => {
             if args.flag("resume") {
                 return Err("--resume needs --state-dir to know where the snapshot lives".into());
             }
-            Arc::new(Daemon::start(daemon_config(args)?, Arc::new(DispatchRunner)))
+            Arc::new(Daemon::start(Arc::new(DispatchRunner)))
         }
     };
     // Announce the resume outcome (daemon_resumed or resume_warning)
@@ -280,7 +267,7 @@ mod tests {
         let file_lines: Vec<&str> = file.lines().collect();
 
         // The same command as a daemon job, records teed by jobctx.
-        let daemon = Daemon::start(DaemonConfig::default(), Arc::new(DispatchRunner));
+        let daemon = Daemon::start(Arc::new(DispatchRunner));
         let (records, failed) = submit_and_collect(&daemon, "parity", cmd);
         assert!(!failed);
         let streamed = output_lines(&records);
@@ -300,7 +287,7 @@ mod tests {
 
     #[test]
     fn forbidden_job_commands_fail_the_job_not_the_daemon() {
-        let daemon = Daemon::start(DaemonConfig::default(), Arc::new(DispatchRunner));
+        let daemon = Daemon::start(Arc::new(DispatchRunner));
         for cmd in [
             "profile oracle",
             "daemon",

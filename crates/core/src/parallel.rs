@@ -34,6 +34,7 @@
 
 use std::sync::Arc;
 
+use pacman_gadget::{scan_image, synthesize, ImageSpec, ScanConfig, ScanReport};
 use pacman_runner::{shard_plan, Executor, RunnerError, Shard, DEFAULT_SHARDS};
 use pacman_telemetry::Registry;
 use pacman_uarch::Trap;
@@ -775,6 +776,50 @@ pub fn parallel_sweep(
     fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
 }
 
+/// Per-shard gadget reports folded in shard order beside the census
+/// registry, which holds only the `runner.*` counters: a census runs no
+/// machine.
+impl Absorb for (ScanReport, Registry) {
+    type Shard = ScanReport;
+
+    fn absorb(&mut self, report: ScanReport) {
+        self.0.merge(&report);
+    }
+
+    fn telemetry(&mut self) -> &mut Registry {
+        &mut self.1
+    }
+}
+
+/// Runs the §4.3 gadget census: `spec.functions` functions cut into
+/// [`DEFAULT_SHARDS`] deterministic sub-images, each synthesized from its
+/// shard's seed (`mix64(spec.seed, shard_index)`) and scanned under
+/// `config`, then folded with [`ScanReport::merge`] in shard order. The
+/// plan is a pure function of the spec, so the merged report is the same
+/// at any `jobs`. Also returns the census registry.
+///
+/// Fault injection covers shard panics only: a census leases no machine,
+/// so the timing-spike site does not apply.
+///
+/// # Errors
+///
+/// [`ExperimentError::Shards`] with a partial-result report when a
+/// shard exhausts its retry budget.
+pub fn parallel_census(
+    spec: &ImageSpec,
+    config: &ScanConfig,
+    jobs: usize,
+    tol: &Tolerance,
+) -> Result<(ScanReport, Registry), ExperimentError> {
+    let plan = shard_plan(spec.functions, DEFAULT_SHARDS, spec.seed);
+    let (spec, config) = (*spec, *config);
+    let work = move |at: &Attempt<'_>| {
+        let sub = ImageSpec { functions: at.shard.len, seed: at.shard.seed, ..spec };
+        Ok(scan_image(&synthesize(&sub).bytes, &config))
+    };
+    fold_campaign(plan, jobs, tol, work, (ScanReport::default(), Registry::new()), &mut |_| {})
+}
+
 /// Runs the §8.3 Jump2Win attack: its two independent brute-force
 /// phases (IA-key `win()` PAC, DA-key vtable PAC) run as one
 /// [`BruteForcer`] sweep each over `windows` (`(start, len)` per phase,
@@ -984,6 +1029,38 @@ mod tests {
         assert!(!reg.is_empty(), "machine telemetry merged");
         let (instr, _) = parallel_sweep(SweepKind::Itlb, &[32], 2, &no_faults()).expect("itlb");
         assert_eq!(instr[0].knee_below(90), Some(4), "finding 3 survives parallelism");
+    }
+
+    fn census_spec(functions: usize) -> ImageSpec {
+        ImageSpec { functions, seed: 0xC0DE, ..ImageSpec::default() }
+    }
+
+    fn census(spec: &ImageSpec, jobs: usize) -> ScanReport {
+        parallel_census(spec, &ScanConfig::default(), jobs, &no_faults()).expect("census").0
+    }
+
+    #[test]
+    fn census_is_jobs_invariant() {
+        let serial = census(&census_spec(400), 1);
+        let parallel = census(&census_spec(400), 4);
+        assert_eq!(serial, parallel, "census must not depend on the worker count");
+        assert!(serial.total() > 0);
+    }
+
+    #[test]
+    fn census_scans_every_function() {
+        let report = census(&census_spec(500), 2);
+        // PA-heavy synthetic code averages more than one gadget per
+        // function (§4.3 scaling), and the sub-images jointly cover the
+        // full function budget.
+        assert!(report.total() > 500, "expected >1 gadget/function, got {}", report.total());
+        assert!(report.conditional_branches >= 500);
+    }
+
+    #[test]
+    fn clean_images_stay_clean_under_parallel_scan() {
+        let clean = ImageSpec { pa_percent: 0, ..census_spec(300) };
+        assert_eq!(census(&clean, 4).total(), 0, "no PA, no gadgets — in any shard");
     }
 
     /// Replays the driver's per-shard fault decisions: the attempts a

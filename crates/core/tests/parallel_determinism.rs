@@ -6,14 +6,14 @@
 //!
 //! The property tests at the bottom extend the contract to fault
 //! tolerance: for every driver (oracle, brute, accuracy, sweep,
-//! Jump2Win), any injected fault pattern that stays within the retry
+//! census, Jump2Win), any injected fault pattern that stays within the retry
 //! budget must leave the merged aggregate bit-identical to the
 //! fault-free serial run.
 
 use pacman_core::fault::{FaultPlan, RetryPolicy, Tolerance};
 use pacman_core::parallel::{
-    oracle_distribution, parallel_accuracy, parallel_brute, parallel_jump2win, parallel_sweep,
-    Channel, ExperimentError, SweepKind,
+    oracle_distribution, parallel_accuracy, parallel_brute, parallel_census, parallel_jump2win,
+    parallel_sweep, Channel, ExperimentError, SweepKind,
 };
 use pacman_core::{System, SystemConfig};
 use pacman_telemetry::Snapshot;
@@ -163,7 +163,7 @@ fn parallel_jump2win_is_jobs_invariant() {
 
 mod fault_tolerance_properties {
     use super::*;
-    use pacman_gadget::{parallel_census, ImageSpec, ScanConfig};
+    use pacman_gadget::{ImageSpec, ScanConfig};
     use proptest::prelude::*;
 
     proptest! {
@@ -182,9 +182,38 @@ mod fault_tolerance_properties {
         ) {
             let spec = ImageSpec { functions, seed, pa_percent, ..ImageSpec::default() };
             let cfg = ScanConfig { track_stack, ..ScanConfig::default() };
-            let serial = parallel_census(&spec, &cfg, 1);
-            let sharded = parallel_census(&spec, &cfg, 4);
+            let (serial, _) = parallel_census(&spec, &cfg, 1, &no_faults()).expect("jobs=1");
+            let (sharded, _) = parallel_census(&spec, &cfg, 4, &no_faults()).expect("jobs=4");
             prop_assert_eq!(serial, sharded);
+        }
+
+        /// The census under injected shard panics: any fault pattern
+        /// that stays within the retry budget leaves the merged report
+        /// bit-identical to the fault-free serial census; an exhausted
+        /// budget must surface as the typed partial failure.
+        #[test]
+        fn faulted_census_matches_fault_free_serial(
+            seed in 0u64..(1u64 << 48),
+            rate_milli in 50u64..350,
+        ) {
+            let spec = ImageSpec { functions: 120, seed: 0xC0DE, ..ImageSpec::default() };
+            let cfg = ScanConfig::default();
+            let (baseline, _) =
+                parallel_census(&spec, &cfg, 1, &no_faults()).expect("fault-free serial run");
+            let tol = Tolerance {
+                retry: RetryPolicy::default(),
+                faults: FaultPlan::new(seed, rate_milli as f64 / 1000.0),
+            };
+            match parallel_census(&spec, &cfg, 4, &tol) {
+                Ok((faulted, _)) => prop_assert_eq!(baseline, faulted),
+                Err(ExperimentError::Shards(partial)) => {
+                    prop_assert!(partial.completed < partial.total);
+                    prop_assert!(!partial.failures.is_empty());
+                }
+                Err(other) => return Err(TestCaseError::fail(format!(
+                    "unexpected error class: {other}"
+                ))),
+            }
         }
 
         /// Jump2Win under injected faults: any fault pattern that stays

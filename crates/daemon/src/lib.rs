@@ -17,8 +17,8 @@
 //!
 //! The contract that makes the daemon multi-*tenant* rather than just
 //! multi-session is fault isolation ([`service`] module docs): panics,
-//! retry-budget exhaustion, and partial-failure reports are scoped to
-//! the one session that submitted the job. Shutdown is a graceful
+//! job errors, and partial-failure reports are scoped to the one
+//! session that submitted the job. Shutdown is a graceful
 //! drain that finishes queued work and emits per-session telemetry
 //! snapshots merged into a daemon-wide registry.
 //!
@@ -40,7 +40,5 @@ pub mod protocol;
 pub mod service;
 pub mod snapshot;
 
-pub use service::{
-    CheckpointPolicy, Daemon, DaemonConfig, DaemonError, JobRunner, JobSink, SessionHandle,
-};
+pub use service::{CheckpointPolicy, Daemon, DaemonError, JobRunner, JobSink, SessionHandle};
 pub use snapshot::{DaemonSnapshot, SnapshotError};

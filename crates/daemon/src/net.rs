@@ -180,7 +180,7 @@ mod unix_socket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{DaemonConfig, JobRunner, JobSink};
+    use crate::service::{JobRunner, JobSink};
     use std::io::Cursor;
 
     fn echo_daemon() -> Daemon {
@@ -191,7 +191,7 @@ mod tests {
             sink.record(&format!("{{\"record\":\"echo\",\"command\":\"{command}\"}}"));
             Ok(())
         });
-        Daemon::start(DaemonConfig::default(), runner)
+        Daemon::start(runner)
     }
 
     fn run_script(daemon: &Daemon, script: &str) -> (bool, Vec<Value>) {

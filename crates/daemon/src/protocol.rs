@@ -133,25 +133,23 @@ pub fn job_progress(
     ])
 }
 
-/// `job_done`: the job succeeded on attempt `attempts`.
-pub fn job_done(session: &str, job: u64, attempts: u32) -> Value {
+/// `job_done`: the job succeeded.
+pub fn job_done(session: &str, job: u64) -> Value {
     obj(vec![
         ("type", Value::str("job_done")),
         ("session", Value::str(session)),
         ("job", Value::UInt(job)),
-        ("attempts", Value::UInt(u64::from(attempts))),
     ])
 }
 
-/// `job_failed`: the job exhausted its retry budget. Scoped to the
+/// `job_failed`: the job returned an error or panicked. Scoped to the
 /// session — the daemon and every other session carry on.
-pub fn job_failed(session: &str, job: u64, error: &str, attempts: u32) -> Value {
+pub fn job_failed(session: &str, job: u64, error: &str) -> Value {
     obj(vec![
         ("type", Value::str("job_failed")),
         ("session", Value::str(session)),
         ("job", Value::UInt(job)),
         ("error", Value::str(error)),
-        ("attempts", Value::UInt(u64::from(attempts))),
     ])
 }
 

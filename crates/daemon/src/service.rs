@@ -2,8 +2,8 @@
 //! queues, and per-session fault isolation.
 //!
 //! Each tenant opens a named *session*; jobs submitted to it wait in a
-//! bounded per-session queue ([`DaemonConfig::session_queue`]) and a
-//! session runs one job at a time. At most as many jobs run at once as
+//! bounded per-session queue ([`SESSION_QUEUE`] jobs) and a session runs
+//! one job at a time. At most as many jobs run at once as
 //! [`Executor::global`](pacman_runner::Executor::global) has workers:
 //! a free job slot goes to the session that has waited longest, and a
 //! session whose job finishes with more queued goes to the back of that
@@ -13,12 +13,13 @@
 //! campaign with the fewest shards in flight.
 //!
 //! Fault isolation is the daemon's core contract: a job that panics or
-//! returns an error is caught on its job thread ([`std::panic::catch_unwind`]),
-//! charged against the *job's* retry budget
-//! ([`DaemonConfig::job_attempts`]), and reported as a `job_failed`
-//! record on the *owning session's* stream. The daemon and every other
-//! session carry on. A retry re-runs the whole command line; its shards
-//! go to the shared executor like the first attempt's.
+//! returns an error is caught on its job thread ([`std::panic::catch_unwind`])
+//! and reported as a `job_failed` record on the *owning session's*
+//! stream. The daemon and every other session carry on. A job runs
+//! once: retries belong to its campaigns' shards, whose harness reruns a
+//! failed shard within its `RetryPolicy`. Rerunning the whole command
+//! line could not help — its fault plan is rebuilt from the same line —
+//! and would stream the output the failed run already delivered again.
 //!
 //! Shutdown is a graceful *drain*: stop admitting, run every queued job
 //! to completion, close every session (emitting its final telemetry
@@ -42,27 +43,11 @@ use crate::clock::unix_seconds_now;
 use crate::protocol;
 use crate::snapshot::{DaemonSnapshot, JobSnapshot, SessionSnapshot, SnapshotError};
 
-/// Admission and fault-budget knobs for a [`Daemon`].
-#[derive(Clone, Copy, Debug)]
-pub struct DaemonConfig {
-    /// Queued-job capacity per session; a submit beyond it blocks
-    /// after emitting one `backpressure` record.
-    pub session_queue: usize,
-    /// Attempts per job (first run included). Exhausting the budget
-    /// yields `job_failed` on the session stream, nothing more.
-    pub job_attempts: u32,
-}
-
-impl Default for DaemonConfig {
-    fn default() -> Self {
-        DaemonConfig { session_queue: 16, job_attempts: 1 }
-    }
-}
+/// Queued-job capacity per session; a submit beyond it blocks after
+/// emitting one `backpressure` record.
+pub const SESSION_QUEUE: usize = 16;
 
 /// Durability knobs: where checkpoints go and how often they are cut.
-///
-/// `DaemonConfig` stays `Copy`; the checkpoint path lives here and is
-/// passed to [`Daemon::start_durable`] separately.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
     /// Snapshot file path (written atomically; see [`crate::snapshot`]).
@@ -283,7 +268,6 @@ struct Inner {
     space_ready: Condvar,
     /// A job finished — close/drain waiters re-check here.
     idle: Condvar,
-    config: DaemonConfig,
     /// Jobs allowed to run at once: the shared executor's worker
     /// count. More would only interleave more campaigns on the same
     /// workers, each evicting the others' warm machines.
@@ -307,8 +291,8 @@ pub struct Daemon {
 
 impl Daemon {
     /// Starts a daemon with no sessions.
-    pub fn start(config: DaemonConfig, runner: Arc<dyn JobRunner>) -> Daemon {
-        Self::start_inner(config, runner, None, fresh_state(), global_workers())
+    pub fn start(runner: Arc<dyn JobRunner>) -> Daemon {
+        Self::start_inner(runner, None, fresh_state(), global_workers())
     }
 
     /// Boots a *durable* daemon: checkpoints are cut per `policy`, and
@@ -323,9 +307,8 @@ impl Daemon {
     /// `resume_warning` record in [`Daemon::resume_report`]: a bad file
     /// must never stop the daemon from serving.
     pub fn start_durable(
-        config: DaemonConfig,
-        runner: Arc<dyn JobRunner>,
         policy: CheckpointPolicy,
+        runner: Arc<dyn JobRunner>,
         resume: bool,
     ) -> Daemon {
         let mut report = None;
@@ -353,11 +336,10 @@ impl Daemon {
             resume_report: Mutex::new(report),
             writing: Mutex::new(()),
         };
-        Self::start_inner(config, runner, Some(durable), state, global_workers())
+        Self::start_inner(runner, Some(durable), state, global_workers())
     }
 
     fn start_inner(
-        config: DaemonConfig,
         runner: Arc<dyn JobRunner>,
         durable: Option<Durable>,
         state: SchedState,
@@ -367,7 +349,6 @@ impl Daemon {
             state: Mutex::new(state),
             space_ready: Condvar::new(),
             idle: Condvar::new(),
-            config,
             slots: slots.max(1),
             runner,
             durable,
@@ -627,7 +608,6 @@ impl SessionHandle {
     /// Blocks while the session queue is at capacity, after streaming
     /// one `backpressure` record so the tenant knows why.
     pub fn submit(&self, command: &str) -> Result<u64, DaemonError> {
-        let capacity = self.inner.config.session_queue;
         let mut g = self.inner.lock();
         let mut warned = false;
         loop {
@@ -640,12 +620,15 @@ impl SessionHandle {
             if sess.closing {
                 return Err(DaemonError::UnknownSession(self.name.clone()));
             }
-            if sess.queue.len() < capacity {
+            if sess.queue.len() < SESSION_QUEUE {
                 break;
             }
             if !warned {
-                let _ =
-                    sess.tx.send(protocol::backpressure(&self.name, sess.queue.len(), capacity));
+                let _ = sess.tx.send(protocol::backpressure(
+                    &self.name,
+                    sess.queue.len(),
+                    SESSION_QUEUE,
+                ));
                 sess.telemetry.incr("daemon.backpressure");
                 warned = true;
             }
@@ -763,7 +746,7 @@ fn spawn_job_thread(inner: &Arc<Inner>, name: String, job: Job) {
             .spawn(move || run_jobs(&thread_inner, thread_name, job));
         if let Err(e) = spawned {
             let error = format!("cannot start a job thread: {e}");
-            next = finish_job(inner, &name, id, Err(error), 1, 0);
+            next = finish_job(inner, &name, id, Err(error), 0);
         }
     }
 }
@@ -778,36 +761,22 @@ fn run_jobs(inner: &Arc<Inner>, name: String, job: Job) {
             let sess = &g.sessions[&name];
             (sess.tx.clone(), Arc::clone(&sess.records))
         };
-        let started = Instant::now();
-        let mut attempt: u32 = 1;
-        let outcome = loop {
-            let sink = JobSink {
-                session: name.clone(),
-                job: job.id,
-                tx: tx.clone(),
-                records: Arc::clone(&records),
-                emitted: Arc::clone(&job.emitted),
-                skip: job.skip,
-                inner: Arc::clone(inner),
-            };
-            // The job's entire execution — campaign shards included —
-            // is fenced here; a panic is the session's problem alone.
-            let result = catch_unwind(AssertUnwindSafe(|| inner.runner.run(&job.command, &sink)));
-            let error = match result {
-                Ok(Ok(())) => break Ok(()),
-                Ok(Err(e)) => e,
-                Err(payload) => format!("job panicked: {}", panic_message(payload.as_ref())),
-            };
-            if attempt >= inner.config.job_attempts.max(1) {
-                break Err(error);
-            }
-            // Retry the whole command line. This thread holds no
-            // machines: the job's shards run on executor workers, whose
-            // thread-local pools reboot warm systems in place.
-            attempt += 1;
+        let sink = JobSink {
+            session: name.clone(),
+            job: job.id,
+            tx,
+            records,
+            emitted: Arc::clone(&job.emitted),
+            skip: job.skip,
+            inner: Arc::clone(inner),
         };
+        let started = Instant::now();
+        // The job's entire execution — campaign shards included — is
+        // fenced here; a panic is the session's problem alone.
+        let outcome = catch_unwind(AssertUnwindSafe(|| inner.runner.run(&job.command, &sink)))
+            .unwrap_or_else(|p| Err(format!("job panicked: {}", panic_message(p.as_ref()))));
         let elapsed_us = started.elapsed().as_micros() as u64;
-        next = finish_job(inner, &name, job.id, outcome, attempt, elapsed_us);
+        next = finish_job(inner, &name, job.id, outcome, elapsed_us);
     }
 }
 
@@ -819,19 +788,17 @@ fn finish_job(
     name: &str,
     id: u64,
     outcome: Result<(), String>,
-    attempts: u32,
     elapsed_us: u64,
 ) -> Option<(String, Job)> {
     let mut g = inner.lock();
     let sess = g.sessions.get_mut(name).expect("a session outlives its running job");
     let record = match &outcome {
-        Ok(()) => protocol::job_done(name, id, attempts),
-        Err(error) => protocol::job_failed(name, id, error, attempts),
+        Ok(()) => protocol::job_done(name, id),
+        Err(error) => protocol::job_failed(name, id, error),
     };
     let _ = sess.tx.send(record);
     sess.running = None;
     sess.telemetry.observe("daemon.job_us", elapsed_us);
-    sess.telemetry.incr_by("daemon.job_retries", u64::from(attempts - 1));
     if outcome.is_ok() {
         sess.telemetry.incr("daemon.jobs_done");
         sess.jobs_done += 1;
@@ -903,7 +870,7 @@ mod tests {
 
     #[test]
     fn a_job_streams_output_then_done_in_order() {
-        let daemon = Daemon::start(DaemonConfig::default(), echo_runner());
+        let daemon = Daemon::start(echo_runner());
         let session = daemon.open_session("t").unwrap();
         session.submit("oracle --trials 4").unwrap();
         let types = drain_types(&session, "job_done");
@@ -916,14 +883,21 @@ mod tests {
 
     #[test]
     fn a_panicking_job_fails_its_session_but_not_its_neighbors() {
-        let runner: Arc<dyn JobRunner> = Arc::new(|command: &str, sink: &JobSink| {
+        let half_runs = Arc::new(AtomicUsize::new(0));
+        let counting = Arc::clone(&half_runs);
+        let runner: Arc<dyn JobRunner> = Arc::new(move |command: &str, sink: &JobSink| {
             if command == "boom" {
                 panic!("injected fault");
+            }
+            if command == "half" {
+                counting.fetch_add(1, Ordering::SeqCst);
+                sink.record("{\"record\":\"partial\"}");
+                return Err("failed after its first record".to_string());
             }
             sink.record("{\"record\":\"ok\"}");
             Ok(())
         });
-        let daemon = Daemon::start(DaemonConfig::default(), runner);
+        let daemon = Daemon::start(runner);
         let victim = daemon.open_session("victim").unwrap();
         let bystander = daemon.open_session("bystander").unwrap();
         victim.submit("boom").unwrap();
@@ -944,42 +918,26 @@ mod tests {
         another.submit("fine").unwrap();
         assert_eq!(drain_types(&another, "job_done").last().map(String::as_str), Some("job_done"));
         let _ = another.close();
-        daemon.drain();
-    }
 
-    #[test]
-    fn a_failing_job_is_retried_up_to_its_budget() {
-        let failures = Arc::new(AtomicUsize::new(0));
-        let counting = Arc::clone(&failures);
-        let runner: Arc<dyn JobRunner> = Arc::new(move |_: &str, _: &JobSink| {
-            if counting.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err("transient".to_string())
-            } else {
-                Ok(())
-            }
-        });
-        let daemon =
-            Daemon::start(DaemonConfig { job_attempts: 3, ..DaemonConfig::default() }, runner);
-        let session = daemon.open_session("retry").unwrap();
-        session.submit("flaky").unwrap();
-        let types = drain_types(&session, "job_done");
-        assert_eq!(types.last().map(String::as_str), Some("job_done"));
-        assert_eq!(failures.load(Ordering::SeqCst), 3);
-        let closed = session.close().unwrap();
-        let retries = closed
-            .get("telemetry")
-            .and_then(|t| t.get("counters"))
-            .and_then(|c| c.get("daemon.job_retries"))
-            .and_then(Value::as_u64);
-        assert_eq!(retries, Some(2));
+        // A job that streams a record and then errors runs exactly once:
+        // its record reaches the stream once, before `job_failed`.
+        let erring = daemon.open_session("erring").unwrap();
+        erring.submit("half").unwrap();
+        assert_eq!(
+            drain_types(&erring, "job_failed"),
+            ["session_opened", "job_accepted", "job_output", "job_failed"]
+        );
+        let closed = erring.close().unwrap();
+        assert_eq!(closed.get("jobs_failed").and_then(Value::as_u64), Some(1));
+        assert_eq!(half_runs.load(Ordering::SeqCst), 1, "a failed job is not rerun");
         daemon.drain();
     }
 
     #[test]
     fn submit_beyond_session_capacity_backpressures_then_completes() {
-        // The session's job is held busy by a slow one; the queue
-        // (capacity 1) fills, so the third submit must block, emit
-        // `backpressure`, and still land once space frees.
+        // The session's job is held busy by a slow one; the queue fills
+        // to its [`SESSION_QUEUE`] bound, so the next submit must block,
+        // emit `backpressure`, and still land once space frees.
         let gate = gate();
         let gate_for_runner = Arc::clone(&gate);
         let runner: Arc<dyn JobRunner> = Arc::new(move |command: &str, _: &JobSink| {
@@ -988,48 +946,53 @@ mod tests {
             }
             Ok(())
         });
-        let daemon =
-            Daemon::start(DaemonConfig { session_queue: 1, ..DaemonConfig::default() }, runner);
+        let daemon = Daemon::start(runner);
         let session = daemon.open_session("t").unwrap();
         session.submit("slow").unwrap();
-        // Wait until the slow job is in flight so the next submit
-        // occupies the single queue slot.
+        // Wait until the slow job is in flight so the next submits
+        // occupy queue slots.
         while in_flight_jobs(&daemon) != 1 {
             thread::sleep(Duration::from_millis(1));
         }
-        session.submit("queued").unwrap();
+        for _ in 0..SESSION_QUEUE {
+            session.submit("queued").unwrap();
+        }
         let submit_side = SessionHandle {
             name: session.name.clone(),
             inner: Arc::clone(&session.inner),
             rx: None,
         };
-        let blocked = thread::spawn(move || submit_side.submit("third"));
-        // The backpressure counter proves the third submit really
+        let blocked = thread::spawn(move || submit_side.submit("overflow"));
+        // The backpressure counter proves the overflowing submit really
         // blocked before we open the gate.
         while daemon.metrics().counter_value("daemon.backpressure") == 0 {
             thread::sleep(Duration::from_millis(1));
         }
         open_gate(&gate);
-        assert_eq!(blocked.join().unwrap(), Ok(2));
-        let mut saw_backpressure = false;
+        let overflow_id = SESSION_QUEUE as u64 + 1;
+        assert_eq!(blocked.join().unwrap(), Ok(overflow_id));
+        let mut backpressure = None;
         while let Some(r) = session.next_record() {
             if r.get("type").and_then(Value::as_str) == Some("backpressure") {
-                saw_backpressure = true;
+                backpressure = Some(r.clone());
             }
             if r.get("type").and_then(Value::as_str) == Some("job_accepted")
-                && r.get("job").and_then(Value::as_u64) == Some(2)
+                && r.get("job").and_then(Value::as_u64) == Some(overflow_id)
             {
                 break;
             }
         }
-        assert!(saw_backpressure, "blocked submit should announce backpressure");
+        let backpressure = backpressure.expect("blocked submit should announce backpressure");
+        for field in ["queued", "capacity"] {
+            assert_eq!(backpressure.get(field).and_then(Value::as_u64), Some(SESSION_QUEUE as u64));
+        }
         let _ = session.close();
         daemon.drain();
     }
 
     #[test]
     fn drain_runs_queued_work_to_completion_and_reports_totals() {
-        let daemon = Daemon::start(DaemonConfig::default(), echo_runner());
+        let daemon = Daemon::start(echo_runner());
         let a = daemon.open_session("a").unwrap();
         let b = daemon.open_session("b").unwrap();
         for _ in 0..3 {
@@ -1051,8 +1014,8 @@ mod tests {
 
     /// A daemon allowed `slots` jobs at once, whatever the shared
     /// executor's size.
-    fn start_with_slots(config: DaemonConfig, runner: Arc<dyn JobRunner>, slots: usize) -> Daemon {
-        Daemon::start_inner(config, runner, None, fresh_state(), slots)
+    fn start_with_slots(runner: Arc<dyn JobRunner>, slots: usize) -> Daemon {
+        Daemon::start_inner(runner, None, fresh_state(), slots)
     }
 
     #[test]
@@ -1067,7 +1030,7 @@ mod tests {
             wait_gate(&gate_for_runner);
             Ok(())
         });
-        let daemon = Daemon::start(DaemonConfig::default(), runner);
+        let daemon = Daemon::start(runner);
         let handles: Vec<_> = (0..workers + 2)
             .map(|i| {
                 let handle = daemon.open_session(&format!("s{i}")).unwrap();
@@ -1096,9 +1059,9 @@ mod tests {
 
     #[test]
     fn fair_share_interleaves_a_flooded_session_with_a_light_one() {
-        // One job slot, one greedy session with many jobs, one light
-        // session submitting after: the slot must go to the light
-        // session's job before the greedy backlog finishes.
+        // One job slot, one greedy session flooding its queue to the
+        // bound, one light session submitting after: the slot must go
+        // to the light session's job before the greedy backlog finishes.
         let order = Arc::new(Mutex::new(Vec::<String>::new()));
         let order_ref = Arc::clone(&order);
         let runner: Arc<dyn JobRunner> = Arc::new(move |command: &str, _: &JobSink| {
@@ -1106,14 +1069,10 @@ mod tests {
             thread::sleep(Duration::from_millis(2));
             Ok(())
         });
-        let daemon = start_with_slots(
-            DaemonConfig { session_queue: 32, ..DaemonConfig::default() },
-            runner,
-            1,
-        );
+        let daemon = start_with_slots(runner, 1);
         let greedy = daemon.open_session("greedy").unwrap();
         let light = daemon.open_session("light").unwrap();
-        for i in 0..8 {
+        for i in 0..SESSION_QUEUE {
             greedy.submit(&format!("greedy-{i}")).unwrap();
         }
         light.submit("light-0").unwrap();
@@ -1164,7 +1123,7 @@ mod tests {
             }
             Ok(())
         });
-        let daemon = start_with_slots(DaemonConfig::default(), runner, 2);
+        let daemon = start_with_slots(runner, 2);
         let flooded = daemon.open_session("flooded").unwrap();
         for _ in 0..2 {
             flooded.submit("flood").unwrap();
@@ -1189,9 +1148,8 @@ mod tests {
     fn concurrent_checkpoints_neither_fail_nor_tear() {
         let path = temp_snapshot_path("concurrent");
         let daemon = Arc::new(Daemon::start_durable(
-            DaemonConfig::default(),
-            echo_runner(),
             CheckpointPolicy::new(path.clone(), 1_000),
+            echo_runner(),
             false,
         ));
         let session = daemon.open_session("s").unwrap();
@@ -1247,9 +1205,8 @@ mod tests {
         // "Pre-crash" daemon: checkpoint every 5 records, job stalls
         // right after the fifth, so the checkpoint sees it running.
         let daemon = Daemon::start_durable(
-            DaemonConfig::default(),
-            Arc::clone(&runner),
             CheckpointPolicy::new(path.clone(), 5),
+            Arc::clone(&runner),
             false,
         );
         assert!(daemon.resume_report().is_none(), "cold start has no report");
@@ -1288,12 +1245,7 @@ mod tests {
 
         // Restarted daemon: resumes, re-runs job 0 with the first 5
         // records suppressed, and the stream picks up mid-job.
-        let restarted = Daemon::start_durable(
-            DaemonConfig::default(),
-            runner,
-            CheckpointPolicy::new(path.clone(), 5),
-            true,
-        );
+        let restarted = Daemon::start_durable(CheckpointPolicy::new(path.clone(), 5), runner, true);
         let report = restarted.resume_report().expect("resumed from a snapshot");
         assert_eq!(report.get("type").and_then(Value::as_str), Some("daemon_resumed"));
         assert_eq!(report.get("jobs").and_then(Value::as_u64), Some(1));
@@ -1333,12 +1285,8 @@ mod tests {
     fn a_corrupt_snapshot_cold_starts_with_a_warning() {
         let path = temp_snapshot_path("corrupt");
         std::fs::write(&path, b"PACMANDS\x63\x00garbage-checksum-and-body").unwrap();
-        let daemon = Daemon::start_durable(
-            DaemonConfig::default(),
-            echo_runner(),
-            CheckpointPolicy::new(path.clone(), 100),
-            true,
-        );
+        let daemon =
+            Daemon::start_durable(CheckpointPolicy::new(path.clone(), 100), echo_runner(), true);
         let report = daemon.resume_report().expect("a warning is reported");
         assert_eq!(report.get("type").and_then(Value::as_str), Some("resume_warning"));
         assert!(report.get("error").and_then(Value::as_str).unwrap().contains("version"));
@@ -1370,12 +1318,8 @@ mod tests {
             ..DaemonSnapshot::default()
         };
         snap.write_atomic(&path).unwrap();
-        let daemon = Daemon::start_durable(
-            DaemonConfig::default(),
-            echo_runner(),
-            CheckpointPolicy::new(path.clone(), 100),
-            true,
-        );
+        let daemon =
+            Daemon::start_durable(CheckpointPolicy::new(path.clone(), 100), echo_runner(), true);
         let report = daemon.resume_report().expect("a warning is reported");
         assert_eq!(report.get("type").and_then(Value::as_str), Some("resume_warning"));
         assert!(report.get("error").and_then(Value::as_str).unwrap().contains("appears twice"));
@@ -1392,7 +1336,7 @@ mod tests {
 
     #[test]
     fn metrics_merge_live_and_closed_sessions() {
-        let daemon = Daemon::start(DaemonConfig::default(), echo_runner());
+        let daemon = Daemon::start(echo_runner());
         let a = daemon.open_session("a").unwrap();
         a.submit("one").unwrap();
         drain_types(&a, "job_done");

@@ -123,7 +123,7 @@ pub struct SessionSnapshot {
     pub next_job: u64,
     /// Jobs completed successfully so far.
     pub jobs_done: u64,
-    /// Jobs that exhausted their retry budget.
+    /// Jobs that failed.
     pub jobs_failed: u64,
     /// `job_output` records delivered on this session's stream.
     pub records: u64,

@@ -13,8 +13,10 @@
 //! regenerated at any scale:
 //!
 //! - [`scan`] — the scanner;
-//! - [`synth`] — the synthetic kernel-image generator;
-//! - [`census`] — the sharded, jobs-invariant parallel census driver.
+//! - [`synth`] — the synthetic kernel-image generator.
+//!
+//! The sharded census runs these on the shard harness as
+//! `pacman_core::parallel::parallel_census`.
 //!
 //! # Example
 //!
@@ -30,10 +32,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod census;
 pub mod scan;
 pub mod synth;
 
-pub use census::parallel_census;
 pub use scan::{scan_image, Gadget, GadgetKind, ScanConfig, ScanReport};
 pub use synth::{synthesize, ImageSpec, SynthImage};

@@ -439,4 +439,22 @@ mod tests {
         let report = scan_image(&image(&a.assemble().unwrap()), &ScanConfig::default());
         assert_eq!(report.total(), 1);
     }
+
+    #[test]
+    fn merge_folds_counts_and_distances_exactly() {
+        use crate::synth::{synthesize, ImageSpec};
+        let cfg = ScanConfig::default();
+        let spec = ImageSpec { functions: 100, seed: 0xC0DE, ..ImageSpec::default() };
+        let a = scan_image(&synthesize(&spec).bytes, &cfg);
+        let b = scan_image(&synthesize(&ImageSpec { seed: 0xBEEF, ..spec }).bytes, &cfg);
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!(merged.total(), a.total() + b.total());
+        assert_eq!(merged.data_count(), a.data_count() + b.data_count());
+        assert_eq!(merged.instructions, a.instructions + b.instructions);
+        assert_eq!(merged.conditional_branches, a.conditional_branches + b.conditional_branches);
+        let weighted = a.mean_distance() * a.total() as f64 + b.mean_distance() * b.total() as f64;
+        let expected = weighted / (a.total() + b.total()) as f64;
+        assert!((merged.mean_distance() - expected).abs() < 1e-9);
+    }
 }

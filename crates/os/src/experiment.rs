@@ -41,28 +41,18 @@ pub trait Experiment {
     fn run(&mut self, os: &mut BareMetal, lines: &mut Vec<String>) -> bool;
 }
 
-/// Boots + runs experiments, quiescing the machine before each.
-#[derive(Debug)]
-pub struct Runner {
-    os: BareMetal,
-}
-
-impl Runner {
-    /// Wraps a booted environment.
-    pub fn new(os: BareMetal) -> Self {
-        Self { os }
-    }
-
-    /// Runs one experiment from a quiesced machine.
+impl BareMetal {
+    /// Runs one experiment from a quiesced machine and reports its lines,
+    /// verdict and the cycles it consumed.
     pub fn run(&mut self, experiment: &mut dyn Experiment) -> ExperimentReport {
-        self.os.quiesce();
-        let before = self.os.machine.cycles;
+        self.quiesce();
+        let before = self.machine.cycles;
         let mut lines = Vec::new();
-        let ok = experiment.run(&mut self.os, &mut lines);
+        let ok = experiment.run(self, &mut lines);
         ExperimentReport {
             name: experiment.name(),
             lines,
-            cycles: self.os.machine.cycles - before,
+            cycles: self.machine.cycles - before,
             ok,
         }
     }
@@ -87,8 +77,7 @@ mod tests {
 
     #[test]
     fn runner_reports_cycles_and_lines() {
-        let mut runner = Runner::new(BareMetal::boot_default());
-        let report = runner.run(&mut Trivial);
+        let report = BareMetal::boot_default().run(&mut Trivial);
         assert!(report.ok);
         assert_eq!(report.name, "trivial");
         assert_eq!(report.lines.len(), 1);

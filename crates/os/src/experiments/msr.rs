@@ -53,13 +53,12 @@ impl Experiment for MsrInventory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Runner;
 
     #[test]
     fn inventory_covers_every_register() {
-        let mut runner = Runner::new(BareMetal::boot_default());
+        let mut os = BareMetal::boot_default();
         let mut exp = MsrInventory::new();
-        let report = runner.run(&mut exp);
+        let report = os.run(&mut exp);
         assert!(report.ok, "{report}");
         assert_eq!(exp.results().len(), SysReg::ALL.len());
         assert_eq!(report.lines.len(), SysReg::ALL.len());

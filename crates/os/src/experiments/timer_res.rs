@@ -60,13 +60,12 @@ impl Experiment for TimerResolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Runner;
 
     #[test]
     fn only_the_system_counter_is_too_coarse() {
-        let mut runner = Runner::new(BareMetal::boot_default());
+        let mut os = BareMetal::boot_default();
         let mut exp = TimerResolution::new();
-        let report = runner.run(&mut exp);
+        let report = os.run(&mut exp);
         assert!(report.ok, "{report}");
         assert_eq!(exp.measurements.len(), 3);
     }

@@ -175,13 +175,12 @@ impl Experiment for TlbParameterSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Runner;
 
     #[test]
     fn search_rediscovers_figure6_with_no_priors() {
-        let mut runner = Runner::new(BareMetal::boot_default());
+        let mut os = BareMetal::boot_default();
         let mut exp = TlbParameterSearch::new();
-        let report = runner.run(&mut exp);
+        let report = os.run(&mut exp);
         assert!(report.ok, "{report}");
         assert_eq!(exp.dtlb, Some(TlbSearchResult { sets: 256, ways: 12 }));
         assert_eq!(exp.l2, Some(TlbSearchResult { sets: 2048, ways: 23 }));

@@ -15,7 +15,8 @@
 //!   MSR probing (by *executing* `MRS`/`MSR`, exactly how a bare-metal
 //!   probe discovers which encodings trap), arbitrary page-table
 //!   configuration including aliases, and state quiescing between trials;
-//! - [`Experiment`] / [`Runner`] — the one-experiment-per-boot harness;
+//! - [`Experiment`] / [`BareMetal::run`] — the one-experiment-per-boot
+//!   harness;
 //! - [`experiments`] — built-in experiments: the MSR inventory, timer
 //!   resolution measurement, and an automated TLB-parameter search that
 //!   rediscovers the Figure 6 organisation without being told any stride.
@@ -23,10 +24,10 @@
 //! # Example
 //!
 //! ```
-//! use pacman_os::{experiments::MsrInventory, BareMetal, Experiment, Runner};
+//! use pacman_os::{experiments::MsrInventory, BareMetal};
 //!
-//! let mut runner = Runner::new(BareMetal::boot_default());
-//! let report = runner.run(&mut MsrInventory::new());
+//! let mut os = BareMetal::boot_default();
+//! let report = os.run(&mut MsrInventory::new());
 //! assert_eq!(report.name, "msr-inventory");
 //! assert!(report.cycles > 0);
 //! ```
@@ -39,4 +40,4 @@ mod experiment;
 pub mod experiments;
 
 pub use env::{BareMetal, MsrAccess};
-pub use experiment::{Experiment, ExperimentReport, Runner};
+pub use experiment::{Experiment, ExperimentReport};
