@@ -144,6 +144,8 @@ impl PacOracle for CacheDataPacOracle {
     }
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
+        // An executor scheduling point, as in the dTLB channels' trial.
+        pacman_runner::executor::yield_now();
         let train_iters = self.train_iters;
         // Borrow, don't clone: the eviction set is invariant across
         // guesses, so the per-guess address vector rebuild was pure waste.

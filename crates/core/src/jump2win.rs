@@ -138,7 +138,7 @@ impl PacOracle for SaltedPacOracle {
     }
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
-        let pp = self.probes.get(sys, target);
+        let pp = self.probes.get(sys, target)?;
         dtlb_trial(sys, pp, None, self.sc, TRAIN_ITERS, target, pac)
     }
 }

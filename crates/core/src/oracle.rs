@@ -199,34 +199,61 @@ impl<O: PacOracle + ?Sized> PacOracle for Box<O> {
     }
 }
 
-fn check_quiet(sys: &System, target: u64) -> Result<(), OracleError> {
-    let set = pacman_isa::ptr::VirtualAddress::new(target).vpn() % 256;
-    if sys.hot_dtlb_sets().contains(&set) {
-        Err(OracleError::HotSetCollision { set })
-    } else {
-        Ok(())
-    }
-}
-
 /// State shared by the dTLB-channel oracles: per-target Prime+Probe
 /// machinery.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeCache {
-    by_target: HashMap<u64, PrimeProbe>,
+    /// Whether a target in a dTLB set the syscall path touches is
+    /// rejected ([`OracleError::HotSetCollision`]).
+    guard_hot_sets: bool,
+    /// Per target: its Prime+Probe state, or the hot set it sits in.
+    by_target: HashMap<u64, Result<PrimeProbe, u64>>,
 }
 
 impl ProbeCache {
+    /// A cache that rejects targets in hot dTLB sets.
+    pub(crate) fn guarded() -> Self {
+        Self { guard_hot_sets: true, by_target: HashMap::new() }
+    }
+
     /// The Prime+Probe state for `target`, built on first use. Returns a
     /// borrow (not a clone): the eviction-set vectors are invariant
-    /// across guesses, so trials must not re-materialise them.
-    pub(crate) fn get<'a>(&'a mut self, sys: &mut System, target: u64) -> &'a PrimeProbe {
-        self.by_target.entry(target).or_insert_with(|| PrimeProbe::for_target(sys, target))
+    /// across guesses, so trials must not re-materialise them. The hot
+    /// set check is decided then too, once per target: the hot sets are
+    /// fixed at boot.
+    ///
+    /// # Errors
+    ///
+    /// [`OracleError::HotSetCollision`] for a guarded hot target, on
+    /// every call.
+    pub(crate) fn get<'a>(
+        &'a mut self,
+        sys: &mut System,
+        target: u64,
+    ) -> Result<&'a PrimeProbe, OracleError> {
+        let guard = self.guard_hot_sets;
+        self.by_target
+            .entry(target)
+            .or_insert_with(|| {
+                let set = pacman_isa::ptr::VirtualAddress::new(target).vpn() % 256;
+                if guard && sys.hot_dtlb_sets().contains(&set) {
+                    Err(set)
+                } else {
+                    Ok(PrimeProbe::for_target(sys, target))
+                }
+            })
+            .as_ref()
+            .map_err(|&set| OracleError::HotSetCollision { set })
     }
 }
 
 /// One dTLB-channel trial of gadget syscall `sc`, the recipe at the top
 /// of this module: train, reset, prime, trigger with `target` signed by
 /// `pac`, evict through `pads` (instruction gadgets only), probe.
+///
+/// Every trial is an executor scheduling point
+/// ([`yield_now`](pacman_runner::executor::yield_now)): a starved
+/// campaign's shard may run on this thread first, on its own system.
 pub(crate) fn dtlb_trial(
     sys: &mut System,
     pp: &PrimeProbe,
@@ -236,6 +263,7 @@ pub(crate) fn dtlb_trial(
     target: u64,
     pac: u16,
 ) -> Result<usize, OracleError> {
+    pacman_runner::executor::yield_now();
     sys.train_gadget(sc, train_iters)?;
     pp.reset(sys)?;
     pp.prime(sys)?;
@@ -262,7 +290,7 @@ impl DataPacOracle {
     /// Creates the oracle (1 sample per test; see
     /// [`DataPacOracle::with_samples`] for the §8.2 median-of-5 rule).
     pub fn new(_sys: &mut System) -> Result<Self, OracleError> {
-        Ok(Self { probes: ProbeCache::default(), samples: 1, train_iters: TRAIN_ITERS })
+        Ok(Self { probes: ProbeCache::guarded(), samples: 1, train_iters: TRAIN_ITERS })
     }
 
     /// Sets the per-test sample count (median classification).
@@ -291,9 +319,8 @@ impl PacOracle for DataPacOracle {
     }
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
-        check_quiet(sys, target)?;
         let sc = sys.gadget.data_gadget;
-        let pp = self.probes.get(sys, target);
+        let pp = self.probes.get(sys, target)?;
         dtlb_trial(sys, pp, None, sc, self.train_iters, target, pac)
     }
 }
@@ -314,7 +341,7 @@ impl InstrPacOracle {
     /// Creates the oracle.
     pub fn new(_sys: &mut System) -> Result<Self, OracleError> {
         Ok(Self {
-            probes: ProbeCache::default(),
+            probes: ProbeCache::guarded(),
             pads: HashMap::new(),
             samples: 1,
             train_iters: TRAIN_ITERS,
@@ -347,9 +374,8 @@ impl PacOracle for InstrPacOracle {
     }
 
     fn trial(&mut self, sys: &mut System, target: u64, pac: u16) -> Result<usize, OracleError> {
-        check_quiet(sys, target)?;
         let sc = sys.gadget.instr_gadget;
-        let pp = self.probes.get(sys, target);
+        let pp = self.probes.get(sys, target)?;
         // Installed on first use and borrowed, like the probe state.
         let pads = self.pads.entry(target).or_insert_with(|| {
             JumpPads::install_for_target(&mut sys.kernel, &mut sys.machine, target, 4)
@@ -430,11 +456,20 @@ mod tests {
         let mut sys = quiet_system();
         let hot = sys.hot_dtlb_sets()[0] as usize;
         let target = sys.alloc_target(hot);
-        let mut oracle = DataPacOracle::new(&mut sys).unwrap();
-        assert!(matches!(
-            oracle.test_pac(&mut sys, target, 0),
-            Err(OracleError::HotSetCollision { .. })
-        ));
+        let mut data = DataPacOracle::new(&mut sys).unwrap();
+        let mut instr = InstrPacOracle::new(&mut sys).unwrap();
+        let cycles = sys.machine.cycles;
+        for _ in 0..3 {
+            assert!(matches!(
+                data.test_pac(&mut sys, target, 0),
+                Err(OracleError::HotSetCollision { set }) if set == hot as u64
+            ));
+            assert!(matches!(
+                instr.trial(&mut sys, target, 0),
+                Err(OracleError::HotSetCollision { set }) if set == hot as u64
+            ));
+        }
+        assert_eq!(sys.machine.cycles, cycles, "a rejected trial runs nothing");
     }
 
     #[test]

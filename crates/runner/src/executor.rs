@@ -5,26 +5,30 @@
 //! campaigns a `pacmand` daemon serves pay no per-campaign thread
 //! spawns:
 //!
-//! - **Whole shards are the steal units.** Each worker owns a deque of
-//!   pending shard tasks; an idle worker first drains its own deque,
-//!   then refills a chunk from the shared campaign injector, then
-//!   steals half of a sibling's deque. Scheduling only decides *where*
-//!   a shard runs — the shard plan and its [`mix64`](crate::mix64)
-//!   seeds are fixed at submission, so jobs=1 and jobs=N stay
-//!   bit-identical by construction.
+//! - **Whole shards are the steal units; trials are scheduling
+//!   points.** Each worker owns a deque of pending shard tasks; an idle
+//!   worker first drains its own deque, then refills a chunk from the
+//!   shared campaign injector, then steals half of a sibling's deque.
+//!   A running shard also calls [`yield_now`] once per trial, where the
+//!   same fair-share pick may run one smaller shard of a starved
+//!   campaign to completion on this worker before the trial goes on
+//!   (one level deep). Scheduling only decides *where* and *when* a shard runs —
+//!   the shard plan and its [`mix64`](crate::mix64) seeds are fixed at
+//!   submission, so jobs=1 and jobs=N stay bit-identical by
+//!   construction.
 //! - **Batched submission.** [`Executor::submit`] enqueues a campaign
 //!   and returns a [`CampaignHandle`] immediately; many campaigns can
 //!   be in flight at once. The injector hands each free worker a chunk
 //!   of the campaign with the fewest shards in flight, round-robin among
 //!   ties (fair share: a small campaign that arrives behind a long one
-//!   gets the next free worker rather than waiting out another of the
-//!   long one's shards), and each campaign's in-flight shard
-//!   count is capped by its `jobs` argument. Submission never blocks:
-//!   each driver waits out its campaign before submitting the next, so
-//!   the injector holds at most one campaign per submitting thread —
-//!   for `pacmand`, one per running job, with at most one job per
-//!   executor worker — and the daemon's per-session queue is the only
-//!   admission bound.
+//!   gets the next free worker, or the next trial boundary of a busy
+//!   one, rather than waiting out the long one's shards), and each
+//!   campaign's in-flight shard count is capped by its `jobs` argument.
+//!   Submission never blocks: each driver waits out its campaign
+//!   before submitting the next, so the injector holds at most one
+//!   campaign per submitting thread — for `pacmand`, one per running
+//!   job, with at most one job per executor worker — and the daemon's
+//!   per-session queue is the only admission bound.
 //! - **Streaming results.** Every finished shard is sent to the
 //!   handle's channel the moment it completes.
 //!   [`CampaignHandle::ordered`] reassembles shard order incrementally
@@ -45,6 +49,7 @@
 //! and only sleep if it is unchanged, so a wakeup between scan and
 //! sleep is never lost.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,6 +77,9 @@ struct CampaignQueue {
     limit: usize,
     /// Shards currently dispatched to workers but not yet finished.
     in_flight: Arc<AtomicUsize>,
+    /// Work items of the campaign's largest shard: what one of its
+    /// shards nested by [`yield_now`] may hold up the running shard.
+    shard_len: usize,
 }
 
 /// Injector state: campaigns with undispatched shards, round-robin
@@ -238,7 +246,10 @@ impl Executor {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pacman-exec-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
+                    .spawn(move || {
+                        WORKER.with(|w| w.borrow_mut().worker = Some((Arc::clone(&shared), me)));
+                        worker_loop(&shared, me);
+                    })
                     .expect("spawn executor worker")
             })
             .collect();
@@ -320,6 +331,7 @@ impl Executor {
             return CampaignHandle { rx, retries, total };
         }
         let in_flight = Arc::new(AtomicUsize::new(0));
+        let shard_len = shards.iter().map(|s| s.len).max().unwrap_or(0);
         let core = Arc::new(CampaignCore {
             cancelled: AtomicBool::new(false),
             retries: Arc::clone(&retries),
@@ -343,7 +355,7 @@ impl Executor {
         drop(tx);
         {
             let mut g = lock(&self.shared.sched);
-            g.queue.push_back(CampaignQueue { tasks, limit, in_flight });
+            g.queue.push_back(CampaignQueue { tasks, limit, in_flight, shard_len });
             g.epoch += 1;
         }
         self.shared.work_ready.notify_all();
@@ -381,6 +393,9 @@ fn run_campaign_task<T, E, F>(
     E: fmt::Display,
     F: Fn(&Shard, u32) -> Result<T, E>,
 {
+    let _running = enter(|w| {
+        w.running = Some(Running { in_flight: Arc::clone(&core.in_flight), len: shard.len });
+    });
     let rec = trace::recorder();
     let result = if core.cancelled.load(Ordering::Acquire) {
         rec.instant("shard.cancelled", "runner", tid, Some(shard.index as u64), Vec::new());
@@ -431,33 +446,141 @@ fn run_task(shared: &Shared, task: Task, me: usize) {
     shared.work_ready.notify_all();
 }
 
-/// Pulls a chunk from the injector: of the campaigns with in-flight
-/// headroom, the one with the fewest shards in flight (the first in
-/// round-robin order on a tie) donates
-/// `min(ceil(remaining / workers), headroom)` tasks and moves to the
-/// back of the order. The first runs immediately, the rest land in our
-/// deque for siblings to steal.
-fn refill(shared: &Shared, me: usize) -> bool {
-    let mut taken: VecDeque<Task> = VecDeque::new();
-    {
-        let mut g = lock(&shared.sched);
-        let pick = (0..g.queue.len())
-            .map(|i| (i, g.queue[i].in_flight.load(Ordering::Acquire)))
-            .filter(|&(i, running)| running < g.queue[i].limit)
-            .min_by_key(|&(_, running)| running);
-        if let Some((i, running)) = pick {
-            let mut c = g.queue.remove(i).expect("index from the scan");
-            let remaining = c.tasks.len();
-            let headroom = c.limit - running;
-            let chunk = remaining.div_ceil(shared.deques.len()).clamp(1, headroom.min(remaining));
-            c.in_flight.fetch_add(chunk, Ordering::AcqRel);
-            taken.extend(c.tasks.drain(..chunk));
-            // A fully dispatched campaign retires from the injector.
-            if !c.tasks.is_empty() {
-                g.queue.push_back(c);
-            }
-        }
+/// What [`yield_now`] knows about the calling thread. Only executor
+/// workers ever set it.
+#[derive(Default)]
+struct WorkerCtx {
+    /// The executor's shared state and this worker's index, set when
+    /// the worker starts.
+    worker: Option<(Arc<Shared>, usize)>,
+    /// The shard that runs here now.
+    running: Option<Running>,
+    /// Inside a shard that [`yield_now`] started.
+    nested: bool,
+}
+
+/// A shard running on a worker, as [`pick`] weighs it.
+#[derive(Clone)]
+struct Running {
+    /// In-flight counter of the shard's campaign.
+    in_flight: Arc<AtomicUsize>,
+    /// The shard's work items.
+    len: usize,
+}
+
+thread_local! {
+    static WORKER: RefCell<WorkerCtx> = RefCell::new(WorkerCtx::default());
+}
+
+/// Puts back the running-shard context [`enter`] replaced, on every
+/// exit path of the shard.
+struct Restore {
+    running: Option<Running>,
+    nested: bool,
+}
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        WORKER.with(|w| {
+            let mut w = w.borrow_mut();
+            w.running = self.running.take();
+            w.nested = self.nested;
+        });
     }
+}
+
+/// Edits this thread's running-shard context until the guard drops.
+fn enter(edit: impl FnOnce(&mut WorkerCtx)) -> Restore {
+    WORKER.with(|w| {
+        let mut w = w.borrow_mut();
+        let saved = Restore { running: w.running.clone(), nested: w.nested };
+        edit(&mut w);
+        saved
+    })
+}
+
+/// A scheduling point inside a running shard: the fair-share pick
+/// also runs here, not only when a whole shard ends. If a campaign
+/// other than the running shard's has strictly fewer shards in flight,
+/// headroom under its `jobs` cap and smaller shards (fewer work items)
+/// than the running one, this worker takes one of its shards, runs it
+/// to completion on this thread, and returns.
+///
+/// Campaign drivers call it once per trial, so a small campaign that
+/// arrives behind long bulk shards starts within a trial instead of
+/// waiting for a worker to free up. The nested shard holds up the one
+/// it cuts into until it ends, so only a smaller shard may cut in: a
+/// bulk campaign that arrives while a small job runs waits for a free
+/// worker instead of stalling the job for a whole bulk shard. Results
+/// cannot change: a shard's output depends only on its plan, never on
+/// where or when it runs. Nesting is one level deep (a nested shard's
+/// call does nothing), and the call does nothing off an executor
+/// worker or outside a shard.
+pub fn yield_now() {
+    let Some((shared, me, running)) = WORKER.with(|w| {
+        let w = w.borrow();
+        let (shared, me) = w.worker.as_ref().filter(|_| !w.nested)?;
+        Some((Arc::clone(shared), *me, w.running.clone()?))
+    }) else {
+        return;
+    };
+    let task = {
+        let mut g = lock(&shared.sched);
+        let Some((i, _)) = pick(&g, Some(&running)) else { return };
+        take(&mut g, i, 1).pop_front().expect("a queued campaign holds a task")
+    };
+    let _nested = enter(|w| w.nested = true);
+    run_task(&shared, task, me);
+}
+
+/// The fair-share pick: of the queued campaigns with headroom under
+/// their `jobs` cap, the one with the fewest shards in flight, the
+/// first in round-robin order on a tie. Given a `running` shard, it
+/// picks only a campaign with strictly fewer in flight and shards
+/// smaller than it. No shard is smaller than its campaign's largest,
+/// so that also rules out the running shard's own campaign. Returns
+/// its queue index and in-flight count.
+fn pick(sched: &Sched, running: Option<&Running>) -> Option<(usize, usize)> {
+    let (below, len) =
+        running.map_or((usize::MAX, usize::MAX), |r| (r.in_flight.load(Ordering::Acquire), r.len));
+    sched
+        .queue
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.shard_len < len)
+        .map(|(i, c)| (i, c.in_flight.load(Ordering::Acquire), c.limit))
+        .filter(|&(_, n, limit)| n < limit && n < below)
+        .min_by_key(|&(_, n, _)| n)
+        .map(|(i, n, _)| (i, n))
+}
+
+/// Dispatches the first `chunk` tasks of queued campaign `i`, counting
+/// them in flight, and moves the campaign to the back of the
+/// round-robin order (a fully dispatched campaign retires from the
+/// injector).
+fn take(sched: &mut Sched, i: usize, chunk: usize) -> VecDeque<Task> {
+    let mut c = sched.queue.remove(i).expect("index from the pick");
+    c.in_flight.fetch_add(chunk, Ordering::AcqRel);
+    let taken = c.tasks.drain(..chunk).collect();
+    if !c.tasks.is_empty() {
+        sched.queue.push_back(c);
+    }
+    taken
+}
+
+/// Pulls a chunk from the injector: the [`pick`]ed campaign donates
+/// `min(ceil(remaining / workers), headroom)` tasks. The first runs
+/// immediately, the rest land in our deque for siblings to steal.
+fn refill(shared: &Shared, me: usize) -> bool {
+    let mut taken = {
+        let mut g = lock(&shared.sched);
+        let Some((i, running)) = pick(&g, None) else { return false };
+        let c = &g.queue[i];
+        let remaining = c.tasks.len();
+        let chunk =
+            remaining.div_ceil(shared.deques.len()).clamp(1, (c.limit - running).min(remaining));
+        take(&mut g, i, chunk)
+    };
     let Some(first) = taken.pop_front() else { return false };
     if !taken.is_empty() {
         lock(&shared.deques[me]).append(&mut taken);
@@ -761,6 +884,260 @@ mod tests {
         let order = lock(&started).clone();
         assert_eq!(order.len(), 5);
         assert_eq!(order[2], "short", "start order {order:?}");
+    }
+
+    /// Appends `event` to a shared start/finish log.
+    fn log(events: &Mutex<Vec<String>>, event: impl Into<String>) {
+        lock(events).push(event.into());
+    }
+
+    /// Spins until `events` holds `event`.
+    fn await_event(events: &Mutex<Vec<String>>, event: &str) {
+        while !lock(events).iter().any(|e| e == event) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A one-shard campaign of `trials` items that loops its trials,
+    /// each a short sleep and a [`yield_now`], logging `long.i` before
+    /// trial `i`. Its first trial awaits event `first` before yielding.
+    fn long_campaign(
+        exec: &Executor,
+        trials: usize,
+        first: &'static str,
+        events: &Arc<Mutex<Vec<String>>>,
+    ) -> CampaignHandle<u64> {
+        let events = Arc::clone(events);
+        exec.submit::<u64, std::convert::Infallible, _>(
+            shard_plan(trials, 1, 0),
+            1,
+            RetryPolicy::no_retries(),
+            move |s, _| {
+                for i in 0..trials {
+                    log(&events, format!("long.{i}"));
+                    if i == 0 {
+                        await_event(&events, first);
+                    }
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                    yield_now();
+                }
+                Ok(s.seed)
+            },
+        )
+    }
+
+    /// A campaign of one one-item shard that logs `name` when it runs.
+    fn logging_campaign(
+        exec: &Executor,
+        name: &'static str,
+        events: &Arc<Mutex<Vec<String>>>,
+    ) -> CampaignHandle<u64> {
+        let events = Arc::clone(events);
+        exec.submit::<u64, std::convert::Infallible, _>(
+            shard_plan(1, 1, 1),
+            1,
+            RetryPolicy::no_retries(),
+            move |s, _| {
+                log(&events, name);
+                Ok(s.seed)
+            },
+        )
+    }
+
+    #[test]
+    fn a_short_campaign_runs_at_the_next_trial_of_a_busy_worker() {
+        // The only worker is inside a long one-shard campaign. A campaign
+        // submitted after it started has nothing in flight, so the long
+        // shard's next trial boundary runs it, long before its last trial.
+        let exec = Executor::new(1);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let long = long_campaign(&exec, 50, "short.submitted", &events);
+        await_event(&events, "long.0");
+        let short = logging_campaign(&exec, "short", &events);
+        log(&events, "short.submitted");
+        short.wait().expect("short campaign");
+        long.wait().expect("long campaign");
+        let order = lock(&events).clone();
+        let pos = |e: &str| order.iter().position(|x| x == e).expect("logged");
+        assert!(pos("short") < pos("long.1"), "the short campaign waited: {order:?}");
+    }
+
+    #[test]
+    fn campaigns_with_equal_in_flight_counts_never_nest() {
+        // Campaign A runs one 20-trial shard on one worker; campaign B
+        // (jobs 2, one-item shards) runs shard 0 on the other and has
+        // shard 1 queued. Both have one shard in flight, so A's trials
+        // must not take B's shard 1: it starts only once a worker frees
+        // up.
+        let exec = Executor::new(2);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let a = {
+            let (events, gate) = (Arc::clone(&events), Arc::clone(&gate));
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(20, 1, 0),
+                1,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, "a.start");
+                    await_event(&events, "b.0");
+                    for _ in 0..20 {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                        yield_now();
+                    }
+                    log(&events, "a.done");
+                    let (open, cv) = &*gate;
+                    *lock(open) = true;
+                    cv.notify_all();
+                    Ok(s.seed)
+                },
+            )
+        };
+        await_event(&events, "a.start");
+        let b = {
+            let (events, gate) = (Arc::clone(&events), Arc::clone(&gate));
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(2, 2, 1),
+                2,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, format!("b.{}", s.index));
+                    if s.index == 0 {
+                        let (open, cv) = &*gate;
+                        let mut g = lock(open);
+                        while !*g {
+                            g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+                        }
+                    }
+                    Ok(s.seed)
+                },
+            )
+        };
+        a.wait().expect("campaign A");
+        b.wait().expect("campaign B");
+        let order = lock(&events).clone();
+        let pos = |e: &str| order.iter().position(|x| x == e).expect("logged");
+        assert!(pos("a.done") < pos("b.1"), "A's trials ran B's queued shard: {order:?}");
+    }
+
+    #[test]
+    fn a_nested_shard_yields_nothing() {
+        // One worker inside a long shard runs campaign B at a trial
+        // boundary. B's own yield must not start campaign C, although C
+        // has nothing in flight and smaller shards: C runs after B, at a
+        // later boundary.
+        let exec = Executor::new(1);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let long = long_campaign(&exec, 50, "b.submitted", &events);
+        await_event(&events, "long.0");
+        let b = {
+            let events = Arc::clone(&events);
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(2, 1, 2),
+                1,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, "b.start");
+                    await_event(&events, "c.submitted");
+                    yield_now();
+                    log(&events, "b.end");
+                    Ok(s.seed)
+                },
+            )
+        };
+        log(&events, "b.submitted");
+        await_event(&events, "b.start");
+        let c = logging_campaign(&exec, "c", &events);
+        log(&events, "c.submitted");
+        b.wait().expect("campaign B");
+        c.wait().expect("campaign C");
+        long.wait().expect("long campaign");
+        let order = lock(&events).clone();
+        let pos = |e: &str| order.iter().position(|x| x == e).expect("logged");
+        assert!(pos("b.end") < pos("c"), "a nested shard ran another: {order:?}");
+        assert!(pos("c") < pos("long.2"), "C waited out the long shard: {order:?}");
+    }
+
+    #[test]
+    fn a_campaign_with_larger_shards_never_cuts_into_a_smaller_shard() {
+        // The only worker runs a one-item shard that loops trials. A
+        // campaign of two-item shards submitted meanwhile has nothing in
+        // flight, but nesting it would stall the small shard for a whole
+        // larger one: it waits for the small shard to end.
+        let exec = Executor::new(1);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let small = {
+            let events = Arc::clone(&events);
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(1, 1, 0),
+                1,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, "small.start");
+                    await_event(&events, "big.submitted");
+                    for _ in 0..20 {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                        yield_now();
+                    }
+                    log(&events, "small.done");
+                    Ok(s.seed)
+                },
+            )
+        };
+        await_event(&events, "small.start");
+        let big = {
+            let events = Arc::clone(&events);
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(2, 1, 1),
+                1,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, "big");
+                    Ok(s.seed)
+                },
+            )
+        };
+        log(&events, "big.submitted");
+        small.wait().expect("small campaign");
+        big.wait().expect("big campaign");
+        let order = lock(&events).clone();
+        let pos = |e: &str| order.iter().position(|x| x == e).expect("logged");
+        assert!(pos("small.done") < pos("big"), "a larger shard cut in: {order:?}");
+    }
+
+    #[test]
+    fn yield_now_off_a_worker_runs_nothing() {
+        // The only worker is blocked inside a shard with campaign B
+        // queued behind it: the test thread's yield must not run B.
+        let exec = Executor::new(1);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let a = {
+            let (events, gate) = (Arc::clone(&events), Arc::clone(&gate));
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(1, 1, 0),
+                1,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, "a.start");
+                    let (open, cv) = &*gate;
+                    let mut g = lock(open);
+                    while !*g {
+                        g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+                    }
+                    Ok(s.seed)
+                },
+            )
+        };
+        await_event(&events, "a.start");
+        let b = logging_campaign(&exec, "b", &events);
+        yield_now();
+        assert_eq!(*lock(&events), ["a.start"], "an off-worker yield ran a shard");
+        let (open, cv) = &*gate;
+        *lock(open) = true;
+        cv.notify_all();
+        a.wait().expect("campaign A");
+        b.wait().expect("campaign B");
     }
 
     #[test]

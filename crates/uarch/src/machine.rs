@@ -1778,7 +1778,7 @@ impl Machine {
         let mut pc = start_pc;
         let mut executed: u32 = 0;
         for _ in 0..self.config.speculation_window {
-            let fetch = self.mem.spec_fetch(pc, el, Mitigation::None);
+            let fetch = self.mem.spec_fetch(pc, el, mit);
             let Some(pa) = self.spec_outcome(pc, pc, el, AccessKind::Fetch, fetch) else {
                 break;
             };
@@ -2413,6 +2413,54 @@ mod tests {
             "speculative store must fill the dTLB at rn + offset, in the next page"
         );
         assert!(!dtlb.contains(VirtualAddress::new(base).vpn()), "the base's own page stays cold");
+    }
+
+    #[test]
+    fn delay_on_miss_blocks_a_sequential_wrong_path_fetch_onto_an_itlb_missing_page() {
+        // The last slot of page A holds a `cbz` trained not taken, whose
+        // fall-through is page B. Run with the branch taken after a TLB
+        // flush: the wrong path fetches B sequentially while B is in no
+        // TLB. Without a mitigation that fetch walks and fills the iTLB
+        // and the L2 TLB; under delay-on-miss it must block with no fill.
+        let slots = (PAGE_SIZE / 4) as usize;
+        let (a, b) = (USER_CODE, USER_CODE + PAGE_SIZE);
+        let mut asm = Asm::new();
+        let (taken, last) = (asm.new_label(), asm.new_label());
+        asm.b(last);
+        asm.bind(taken);
+        asm.push(Inst::Hlt);
+        while asm.len() < slots - 1 {
+            asm.push(Inst::Nop);
+        }
+        asm.bind(last);
+        asm.cbz(Reg::X1, taken);
+        asm.push(Inst::Hlt); // slot 0 of page B
+        let program = asm.assemble().unwrap();
+        let b_vpn = VirtualAddress::new(b).vpn();
+        for (mitigation, fills) in [(Mitigation::None, true), (Mitigation::DelayOnMiss, false)] {
+            let mut m = Machine::new(MachineConfig {
+                os_noise: 0.0,
+                mitigation,
+                ..MachineConfig::default()
+            });
+            m.map_region(a, 2 * PAGE_SIZE, Perms::user_rwx());
+            m.load_program(a, &program);
+            m.cpu.el = El::El0;
+            for _ in 0..4 {
+                m.cpu.pc = a;
+                m.cpu.set(Reg::X1, 1);
+                assert_eq!(m.run(100), Ok(Stop::Hlt));
+            }
+            m.mem.tlbs.flush();
+            let episodes = m.stats.spec_episodes;
+            m.cpu.pc = a;
+            m.cpu.set(Reg::X1, 0);
+            assert_eq!(m.run(100), Ok(Stop::Hlt));
+            assert_eq!(m.stats.spec_episodes, episodes + 1, "{mitigation:?}: one shadow");
+            let tlbs = &m.mem.tlbs;
+            assert_eq!(tlbs.itlb(FetchWorld::User).contains(b_vpn), fills, "{mitigation:?}: iTLB");
+            assert_eq!(tlbs.l2().contains(b_vpn), fills, "{mitigation:?}: L2 TLB");
+        }
     }
 
     #[test]
