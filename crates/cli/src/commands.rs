@@ -19,22 +19,20 @@ use pacman_ref::{self_test, Divergence, SelfTestResult};
 use pacman_telemetry::json::{to_jsonl_line, Value};
 use pacman_telemetry::{trace, Snapshot};
 
-use crate::args::Args;
+use crate::args::{Args, Kind, Opt};
 use crate::jobctx;
 use crate::service;
 
-/// One CLI command, declared once. `Args::parse`, option validation,
-/// [`dispatch`], the daemon's job allowlist and `--help` all read it
-/// from [`COMMANDS`].
+/// One CLI command, declared once. `Args::parse`, [`dispatch`], the
+/// daemon's job allowlist and `--help` all read it from [`COMMANDS`].
 pub struct Command {
     /// The command word.
     pub name: &'static str,
     /// The `--help` summary; further lines are indented under the first.
     pub summary: &'static str,
-    /// The `--key value` options it accepts.
-    pub options: &'static [&'static str],
-    /// The bare flags it accepts (`--help` is accepted by every command).
-    pub flags: &'static [&'static str],
+    /// The options and flags it accepts (`--help` is accepted by every
+    /// command).
+    pub options: &'static [Opt],
     /// The positional subjects it accepts after the command word (empty:
     /// none).
     pub subjects: &'static [&'static str],
@@ -43,6 +41,49 @@ pub struct Command {
     /// The implementation.
     pub run: fn(&Args) -> CliResult,
 }
+
+/// Every option, declared once with its kind, range, default and help.
+/// A name declared twice differs in default or help by command. Upper
+/// bounds cap what one command line, a daemon job's included, can ask for.
+#[rustfmt::skip]
+mod opt {
+    use super::{Kind, Opt};
+    pub const JSON: Opt = Opt::flag("json", "emit JSONL on stdout");
+    pub const QUIET_NOISE: Opt = Opt::flag("quiet-noise", "disable the OS-noise model");
+    pub const METRICS_OUT: Opt = Opt::text("metrics-out", "F", None, "write the JSONL records to file F");
+    pub const TRACE_OUT: Opt = Opt::text("trace-out", "F", None, "write shard/fault spans to F as Chrome trace JSON");
+    pub const JOBS: Opt = Opt::uint("jobs", 1..=1024, None, "max shards of one campaign in flight at once");
+    pub const FAULT_RATE: Opt = Opt { name: "fault-rate", kind: Kind::Rate, help: "injected fault rate; 0 disables" };
+    pub const SEED: Opt = Opt::uint("seed", 0..=u64::MAX, Some(0xA11CE), "kernel key seed");
+    pub const TRIALS: Opt = Opt::uint("trials", 1..=100_000, Some(50), "oracle trials per PAC class");
+    pub const CHANNEL: Opt = Opt { name: "channel", help: "oracle side channel",
+        kind: Kind::Choice { choices: &["data", "instr", "cache"], default: "data" } };
+    // A PAC is 16 bits: 65536 candidates are the whole space.
+    pub const WINDOW: Opt = Opt::uint("window", 1..=65536, Some(512), "PAC candidates centred on the true PAC");
+    pub const PROGRAMS: Opt = Opt::uint("programs", 1..=1_000_000, Some(500), "conform: program count");
+    pub const CONFORM_SEED: Opt = Opt::uint("seed", 0..=u64::MAX, Some(7), "conform: program generator seed");
+    pub const STEPS: Opt = Opt::uint("steps", 1..=1_000_000, Some(512), "conform: retire budget per program");
+    pub const SKIP_SELF_TEST: Opt = Opt::flag("skip-self-test", "conform: skip the injected-bug self-test");
+    pub const PROFILE_TRIALS: Opt = Opt::uint("trials", 1..=100_000, Some(8), "profile oracle: trials per PAC class");
+    pub const PROFILE_WINDOW: Opt = Opt::uint("window", 1..=65536, Some(64), "profile brute: PAC candidates");
+    pub const PROFILE_TRACE_OUT: Opt = Opt::text("trace-out", "F", Some("trace.json"), "profile: Chrome trace file");
+    pub const TOP: Opt = Opt::uint("top", 1..=1000, Some(10), "profile: rows per hot-opcode/hot-block table");
+    pub const EXPERIMENT: Opt = Opt::text("only", "ID", None, "reproduce: regenerate a single artifact");
+    pub const OUT: Opt = Opt::text("out", "D", Some("results"), "reproduce: artifact directory");
+    pub const DIR: Opt = Opt::text("dir", "D", None, "verify: artifact directory (else PACMAN_BENCH_DIR, else .)");
+    pub const ARTIFACT: Opt = Opt::text("only", "ID", None, "verify: check a single artifact's claims");
+    pub const SOCKET: Opt = Opt::text("socket", "P", Some("pacmand.sock"), "daemon/client: socket path");
+    pub const STDIO: Opt = Opt::flag("stdio", "daemon: serve one session stream on stdin/stdout");
+    pub const WORKERS: Opt = Opt::uint("workers", 1..=1024, None, "daemon: executor threads, and jobs run at once");
+    pub const STATE_DIR: Opt = Opt::text("state-dir", "D", None, "daemon: keep checksummed snapshots in D");
+    pub const CHECKPOINT_EVERY: Opt = Opt::uint("checkpoint-every", 1..=u64::MAX, Some(256), "daemon: output records per checkpoint");
+    pub const RESUME: Opt = Opt::flag("resume", "daemon: continue the sessions of the --state-dir snapshot");
+    pub const SESSION: Opt = Opt::text("session", "S", Some("cli"), "client: session name");
+    pub const SUBMIT: Opt = Opt::text("submit", "CMD", None, "client: submit one quoted command line as a job");
+    pub const ATTACH: Opt = Opt::flag("attach", "client: reattach to --session, stream it to completion");
+    pub const SHUTDOWN: Opt = Opt::flag("shutdown", "client: ask the daemon to drain and exit");
+}
+use opt::*;
 
 /// Every command, in `--help` order. Anything a command does not
 /// declare is a usage error: a misspelled option must fail loudly, not
@@ -58,275 +99,204 @@ pub struct Command {
 pub static COMMANDS: &[Command] = &[
     Command { name: "oracle", subjects: &[], daemon_job: true, run: cmd_oracle,
         summary: "run the section-8.1 PAC oracle and print verdicts",
-        options: &["seed", "trials", "channel", "jobs", "fault-rate", "metrics-out", "trace-out"],
-        flags: &["json", "quiet-noise"] },
+        options: &[SEED, TRIALS, CHANNEL, JOBS, FAULT_RATE, METRICS_OUT, TRACE_OUT, JSON, QUIET_NOISE] },
     Command { name: "brute", subjects: &[], daemon_job: true, run: cmd_brute,
         summary: "brute-force a PAC over a candidate window (section 8.2)",
-        options: &["seed", "window", "jobs", "fault-rate", "metrics-out", "trace-out"],
-        flags: &["json", "quiet-noise", "full"] },
+        options: &[SEED, WINDOW, JOBS, FAULT_RATE, METRICS_OUT, TRACE_OUT, JSON, QUIET_NOISE] },
     Command { name: "jump2win", subjects: &[], daemon_job: true, run: cmd_jump2win,
         summary: "the section-8.3 end-to-end control-flow hijack",
-        options: &["seed", "window", "jobs", "fault-rate", "metrics-out"],
-        flags: &["json", "quiet-noise", "full"] },
+        options: &[SEED, WINDOW, JOBS, FAULT_RATE, METRICS_OUT, JSON, QUIET_NOISE] },
     // sweep, census, mitigations and os show their EXPERIMENTS rows.
     Command { name: "sweep", subjects: &[], daemon_job: true,
         run: |a| show_rows(a, &["fig5a", "fig5b", "fig5c", "fig6"]),
         summary: "the section-7 reverse-engineering sweeps (Figures 5-6)",
-        options: &["jobs", "fault-rate", "metrics-out", "trace-out"],
-        flags: &["json"] },
+        options: &[JOBS, FAULT_RATE, METRICS_OUT, TRACE_OUT, JSON] },
     Command { name: "census", subjects: &[], daemon_job: true,
         run: |a| show_rows(a, &["sec43"]),
         summary: "the section-4.3 gadget census over a synthetic image",
-        options: &["jobs", "metrics-out"],
-        flags: &["json"] },
+        options: &[JOBS, METRICS_OUT, JSON] },
     Command { name: "conform", subjects: &[], daemon_job: true, run: cmd_conform,
         summary: "differential conformance fuzzing of the speculative core\n\
                   against the architectural reference machine",
-        options: &["programs", "seed", "steps", "jobs", "fault-rate", "metrics-out", "trace-out"],
-        flags: &["json", "skip-self-test"] },
+        options: &[PROGRAMS, CONFORM_SEED, STEPS, JOBS, FAULT_RATE, METRICS_OUT, TRACE_OUT, JSON,
+                   SKIP_SELF_TEST] },
     // The System-driven attacks only: sweep and census build their
     // machines outside the config path the profile flag rides on.
     Command { name: "profile", subjects: &["oracle", "brute"], daemon_job: false, run: cmd_profile,
         summary: "run an experiment (oracle|brute) with the simulator\n\
                   self-profiler and flight recorder armed, write a Chrome\n\
                   trace and print hot-opcode/hot-block reports",
-        options: &["seed", "trials", "window", "channel", "jobs", "fault-rate", "metrics-out",
-                   "trace-out", "top"],
-        flags: &["json", "quiet-noise"] },
+        options: &[SEED, PROFILE_TRIALS, PROFILE_WINDOW, CHANNEL, JOBS, FAULT_RATE, METRICS_OUT,
+                   PROFILE_TRACE_OUT, TOP, JSON, QUIET_NOISE] },
     Command { name: "mitigations", subjects: &[], daemon_job: true,
         run: |a| show_rows(a, &["sec9"]),
         summary: "the section-9 countermeasure matrix",
-        options: &["metrics-out"],
-        flags: &["json"] },
+        options: &[METRICS_OUT, JSON] },
     Command { name: "os", subjects: &[], daemon_job: true,
         run: |a| show_rows(a, &["sec62"]),
         summary: "PacmanOS (section 6.2) bare-metal experiments",
-        options: &["metrics-out"],
-        flags: &["json"] },
+        options: &[METRICS_OUT, JSON] },
     Command { name: "timeline", subjects: &[], daemon_job: true, run: cmd_timeline,
         summary: "print the Figure 3 speculation-event timelines",
-        options: &["seed", "metrics-out"],
-        flags: &["json", "quiet-noise"] },
+        options: &[SEED, METRICS_OUT, JSON, QUIET_NOISE] },
     // Not a daemon job: it writes files into a directory of its own
     // choosing, not onto a session stream.
     Command { name: "reproduce", subjects: &[], daemon_job: false, run: cmd_reproduce,
         summary: "regenerate the paper's tables and figures (the EXPERIMENTS\n\
                   table) as BENCH_<id>.json artifacts under --out",
-        options: &["only", "out", "jobs", "fault-rate", "metrics-out"],
-        flags: &[] },
+        options: &[EXPERIMENT, OUT, JOBS, FAULT_RATE, METRICS_OUT] },
     Command { name: "verify", subjects: &[], daemon_job: true, run: cmd_verify,
         summary: "diff BENCH_<id>.json artifacts against the paper claims",
-        options: &["dir", "only", "metrics-out"],
-        flags: &["json"] },
+        options: &[DIR, ARTIFACT, METRICS_OUT, JSON] },
     Command { name: "daemon", subjects: &[], daemon_job: false, run: service::cmd_daemon,
         summary: "run pacmand, the multi-tenant experiment daemon: serve\n\
                   sessions over a Unix socket (or --stdio), schedule\n\
                   submitted command lines fair-share across tenants, and\n\
                   stream results back incrementally (DESIGN.md section 12)",
-        options: &["socket", "workers", "state-dir", "checkpoint-every"],
-        flags: &["stdio", "resume"] },
+        options: &[SOCKET, WORKERS, STATE_DIR, CHECKPOINT_EVERY, STDIO, RESUME] },
     Command { name: "client", subjects: &[], daemon_job: false, run: service::cmd_client,
         summary: "drive a running pacmand: submit one job and stream its\n\
                   session records, ping/status, or request shutdown",
-        options: &["socket", "session", "submit"],
-        flags: &["shutdown", "attach"] },
+        options: &[SOCKET, SESSION, SUBMIT, SHUTDOWN, ATTACH] },
 ];
 
-/// Whether `--name` is a bare flag of any command; `--help` is the one
-/// global flag.
-pub fn is_flag(name: &str) -> bool {
-    name == "help" || COMMANDS.iter().any(|c| c.flags.contains(&name))
+/// The command named `name`.
+pub fn find(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
 }
 
-/// The `--help` text: a header, the command list rendered from
-/// [`COMMANDS`], then the option prose.
+/// The `--help` text: a header, each command with the names of its
+/// options, every distinct option declaration once, then the notes.
 pub fn usage() -> String {
     let mut out = String::from(
         "pacman-cli - drive the PACMAN (ISCA 2022) reproduction\n\n\
-         usage: pacman-cli <command> [options]\n\ncommands:\n",
+         usage: pacman-cli <command> [options], or --help anywhere for this text\n\ncommands:\n",
     );
+    let mut distinct: Vec<&Opt> = Vec::new();
     for c in COMMANDS {
-        let mut lines = c.summary.lines();
-        let _ = writeln!(out, "  {:<12} {}", c.name, lines.next().unwrap_or_default());
-        for line in lines {
-            let _ = writeln!(out, "{:15}{line}", "");
+        let mut lines: Vec<String> = c.summary.lines().map(String::from).collect();
+        let mut names = String::new();
+        for o in c.options {
+            if names.len() + o.name.len() > 60 {
+                lines.push(std::mem::take(&mut names));
+            }
+            let _ = write!(names, "--{} ", o.name);
+        }
+        lines.push(names);
+        for (i, line) in lines.iter().enumerate() {
+            let name = if i == 0 { c.name } else { "" };
+            let _ = writeln!(out, "  {name:<12} {}", line.trim_end());
+        }
+        for o in c.options {
+            if !distinct.iter().any(|d| d.name == o.name && d.help == o.help) {
+                distinct.push(o);
+            }
         }
     }
-    out + USAGE_OPTIONS
+    out.push_str("\noptions:\n");
+    for o in distinct {
+        let _ = writeln!(out, "{o}");
+    }
+    out + USAGE_NOTES
 }
 
-/// The option prose of `--help`, after the command list.
-const USAGE_OPTIONS: &str = "
-options:
-  --seed N        kernel key seed          --quiet-noise   disable OS noise
-  --channel C     data|instr|cache         --trials N      oracle trials
-  --window N      brute candidate window   --full          sweep all 65536
-  --programs N    conform program count    --steps N       conform step budget
-  --skip-self-test  conform: skip the injected-bug self-test
-  --dir D         verify artifact dir      --help          this text
-  --out D         reproduce: artifact dir (default results)
-  --only ID       verify: check a single artifact's claims;
-                  reproduce: regenerate a single artifact
-  --json          emit JSONL on stdout     --metrics-out F write JSONL to file F
-  --jobs N        max shards of one campaign in flight at once (default:
-                  PACMAN_JOBS, else all cores; the shared worker pool is
-                  sized once per process from PACMAN_JOBS or the cores,
-                  or by daemon --workers)
-  --fault-rate R  injected fault rate in [0,1] (default: PACMAN_FAULT_RATE
-                  when PACMAN_FAULT_SEED is set, else off; 0 disables)
-  --trace-out F   record shard/fault lifecycle spans during the run and
-                  write them as Chrome trace-event JSON to F (open in
-                  Perfetto or chrome://tracing)
-  --top N         profile: rows per hot-opcode/hot-block table (def. 10)
+/// The prose of `--help`, after the option list.
+const USAGE_NOTES: &str = "
+--jobs defaults to PACMAN_JOBS, else all cores; the shared worker pool
+is sized once per process from the same, or by daemon --workers.
+--fault-rate defaults to PACMAN_FAULT_RATE when PACMAN_FAULT_SEED is
+set, else off. --window 65536 sweeps the whole 16-bit PAC space.
 
-daemon/client options:
-  --socket P          socket path (default pacmand.sock)
-  --stdio             daemon: serve one session stream on stdin/stdout
-  --workers N         daemon: executor threads shared by all sessions,
-                      and jobs run at once (default: PACMAN_JOBS, else
-                      all cores)
-  --state-dir D       daemon: durable mode — write checksummed snapshots
-                      of in-flight state to D/pacmand.snapshot
-  --checkpoint-every N  daemon: checkpoint cadence in output records
-                      (default 256; a final checkpoint is cut on drain)
-  --resume            daemon: load the --state-dir snapshot at boot and
-                      continue interrupted sessions mid-stream
-  --session S         client: session name (default cli)
-  --submit CMD        client: submit one quoted command line as a job
-  --attach            client: reattach to --session (e.g. one resumed by
-                      a restarted daemon) and stream it to completion
-  --shutdown          client: ask the daemon to drain and exit
-
-Trial-driving commands (oracle, brute, jump2win, sweep, census,
-conform) cut their work into fixed shards and run up to --jobs of them
-at once on the process-wide work-stealing pool; for a fixed --seed the
-merged result is identical at every job count.
+Trial-driving commands cut their work into fixed shards and run up to
+--jobs of them at once on the process-wide work-stealing pool; for a
+fixed --seed the merged result is identical at every job count. A
+panicking or faulted shard is retried within a bounded budget; one that
+exhausts it ends the run with 'shard_failure' and 'partial_failure'
+JSONL records and a nonzero exit. PACMAN_FAULT_SEED (with
+PACMAN_FAULT_RATE or --fault-rate) injects such faults
+deterministically; retried runs stay bit-identical to fault-free ones.
 
 'conform' runs seeded random programs on the speculative core and on an
-in-order architectural reference machine in lockstep, asserting
-committed-state equivalence (registers, memory, exception PC/cause) at
-every retire boundary. Any diverging program is shrunk to a minimal
-reproducer ('conform' JSONL records). Unless --skip-self-test is given
-it then re-runs the harness against deliberately broken speculative
-cores and fails unless every injected bug is detected.
+in-order reference machine in lockstep, checks committed state at every
+retire boundary, and shrinks any diverging program to a minimal
+reproducer. Unless --skip-self-test is given it then fails unless it
+detects every bug injected into deliberately broken cores.
 
-Sharded commands run fault-tolerantly: a panicking or faulted shard is
-retried within a bounded budget, and a shard that exhausts it surfaces
-as a typed partial-result error (per-shard 'shard_failure' JSONL
-records, nonzero exit) instead of a crash. Setting PACMAN_FAULT_SEED
-(with PACMAN_FAULT_RATE or --fault-rate) deterministically injects
-shard panics, timing-noise spikes and artifact-write errors to exercise
-those paths; retried runs stay bit-identical to fault-free ones.
+'profile' reruns oracle or brute with the per-opcode retire profiler
+and the flight recorder armed: it writes --trace-out and prints hot
+opcodes, hot basic blocks and a decode/dispatch/memory/QARMA breakdown
+of simulated cycles and wall-clock time.
 
-'profile <experiment>' reruns oracle or brute with the per-opcode
-retire profiler and the flight recorder enabled: it writes --trace-out
-(default trace.json) and prints top-N hot-opcode and hot-basic-block
-tables plus a decode/dispatch/memory/QARMA phase breakdown attributing
-simulated cycles and wall-clock time.
-
-Every command emits JSONL when --json (or --metrics-out) is given: one
-JSON record per trial/event/row, and - for commands that drive the
-simulated machine - a final 'metrics' record holding the full
-counter/histogram snapshot (including the runner.retries /
-runner.shard_failures / runner.faults_injected execution counters).
-'sweep' (Figures 5-6), 'census' (section 4.3), 'mitigations' (section 9)
-and 'os' (section 6.2) run their EXPERIMENTS rows, the artifacts
-'reproduce' writes: they print each one, or stream it as one 'bench'
-record. 'reproduce' emits one 'reproduced' record per artifact written.
-Both end with a 'metrics' record merging the telemetry of every sharded
-campaign the rows ran.
-'verify' ends with a 'verify_summary' record and exits nonzero if any
-paper claim is out of tolerance.
+--json (or --metrics-out) streams one JSON record per trial, event or
+row, then, for commands that drive the simulated machine, a 'metrics'
+record with every counter and histogram. 'sweep', 'census',
+'mitigations' and 'os' print their EXPERIMENTS rows, or stream each as
+the 'bench' record 'reproduce' writes; 'reproduce' emits a 'reproduced'
+record per artifact. 'verify' ends with a 'verify_summary' record and
+exits nonzero if any paper claim is out of tolerance.
 ";
 
 pub type CliResult = Result<(), Box<dyn Error>>;
-
-/// Rejects subjects, options and flags the command does not declare.
-fn validate_options(cmd: &Command, args: &Args) -> CliResult {
-    if let Some(subject) = &args.subject {
-        if cmd.subjects.is_empty() {
-            return Err(format!("unexpected argument '{subject}' for '{}'", cmd.name).into());
-        }
-    }
-    for name in args.option_names() {
-        if !cmd.options.contains(&name) {
-            return Err(format!("unknown option --{name} for '{}' (try --help)", cmd.name).into());
-        }
-    }
-    for name in args.flag_names() {
-        if name != "help" && !cmd.flags.contains(&name) {
-            return Err(format!("unknown flag --{name} for '{}' (try --help)", cmd.name).into());
-        }
-    }
-    if let Some(subject) = &args.subject {
-        if !cmd.subjects.contains(&subject.as_str()) {
-            let choices = cmd.subjects.join("|");
-            return Err(format!("{} cannot run '{subject}' ({choices})", cmd.name).into());
-        }
-    }
-    Ok(())
-}
 
 /// Routes a parsed command line to its implementation.
 ///
 /// # Errors
 ///
-/// Any subcommand failure (bad options, oracle errors, failed attacks).
+/// Any subcommand failure (oracle errors, failed attacks, ...).
 pub fn dispatch(args: &Args) -> CliResult {
     // A typed error, not a panic: `main` prints usage before dispatch,
     // but the daemon feeds client-submitted command lines straight in,
     // and an empty one must come back as a job failure — never abort
     // the process.
-    let Some(name) = args.command.as_deref() else {
+    let Some(cmd) = args.command.and_then(find) else {
         return Err("no command given (try --help)".into());
     };
-    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
-        return Err(format!("unknown command '{name}' (try --help)").into());
-    };
-    validate_options(cmd, args)?;
     (cmd.run)(args)
 }
 
 fn config(args: &Args) -> Result<SystemConfig, Box<dyn Error>> {
-    let mut cfg =
-        SystemConfig { kernel_seed: args.get_num("seed", 0xA11CEu64)?, ..SystemConfig::default() };
+    let mut cfg = SystemConfig { kernel_seed: args.num("seed")?, ..SystemConfig::default() };
     if args.flag("quiet-noise") {
         cfg.machine.os_noise = 0.0;
     }
     Ok(cfg)
 }
 
-fn boot(args: &Args) -> Result<System, Box<dyn Error>> {
-    Ok(System::boot(config(args)?))
-}
-
-/// The resolved `--jobs` per-campaign shard cap (defaults to
-/// `PACMAN_JOBS`, else the machine's available parallelism).
-fn jobs(args: &Args) -> Result<usize, Box<dyn Error>> {
-    Ok(args.get_num("jobs", pacman_runner::default_jobs())?.max(1))
+/// The `--jobs` per-campaign shard cap, else `PACMAN_JOBS`, else the
+/// machine's available parallelism.
+fn jobs(args: &Args) -> usize {
+    args.num("jobs").unwrap_or_else(|_| pacman_runner::default_jobs())
 }
 
 /// The resolved fault-tolerance policy: `PACMAN_FAULT_SEED` /
 /// `PACMAN_FAULT_RATE` from the environment, with `--fault-rate`
 /// overriding the rate (0 disables injection even when the environment
 /// enables it; the retry budget applies either way).
-fn tolerance(args: &Args) -> Result<Tolerance, Box<dyn Error>> {
+fn tolerance(args: &Args) -> Tolerance {
     let mut tol = Tolerance::from_env();
-    if let Some(raw) = args.get("fault-rate") {
-        let rate: f64 = raw.parse().map_err(|_| format!("--fault-rate '{raw}' is not a number"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("--fault-rate {rate} is outside [0, 1]").into());
-        }
+    if let Ok(rate) = args.rate("fault-rate") {
         tol.faults = tol.faults.with_rate(rate);
     }
-    Ok(tol)
+    tol
 }
 
-/// Reports a sharded experiment failure: one `shard_failure` JSONL
-/// record per permanently failed or cancelled shard, a closing
-/// `partial_failure` summary, then the (nonzero-exit) error. Everything
-/// already emitted stays flushed — partial evidence is the point.
-fn fail_sharded(mut emit: Emitter, err: ExperimentError) -> Box<dyn Error> {
+/// The `--channel` side channel.
+fn channel(args: &Args) -> Channel {
+    match args.text("channel") {
+        Ok("instr") => Channel::Instr,
+        Ok("cache") => Channel::Cache,
+        _ => Channel::Data,
+    }
+}
+
+/// Reports a sharded experiment failure: the `--trace-out` trace (a
+/// faulted run's trace is exactly the one worth opening), one
+/// `shard_failure` JSONL record per permanently failed or cancelled
+/// shard, a closing `partial_failure` summary, then the (nonzero-exit)
+/// error. Everything already emitted stays flushed — partial evidence is
+/// the point.
+fn fail_sharded(mut emit: Emitter, err: ExperimentError, trace: Option<&String>) -> Box<dyn Error> {
+    let _ = trace_write(trace);
     if let ExperimentError::Shards(partial) = &err {
         for f in &partial.failures {
             emit.record(&Value::Object(vec![
@@ -402,7 +372,7 @@ impl Emitter {
     /// unwritable path must fail before any trials run, not after the
     /// whole experiment has completed.
     fn from_args(args: &Args) -> Result<Self, Box<dyn Error>> {
-        let out = match args.get("metrics-out") {
+        let out = match args.text("metrics-out").ok() {
             Some(path) => {
                 let file = std::fs::File::create(path)
                     .map_err(|e| format!("cannot create --metrics-out file '{path}': {e}"))?;
@@ -474,7 +444,7 @@ impl Emitter {
 /// in-process command are discarded — the trace should cover exactly
 /// this run.
 fn trace_arm(args: &Args) -> Option<String> {
-    let path = args.get("trace-out")?.to_string();
+    let path = args.text("trace-out").ok()?.to_string();
     trace::recorder().take();
     trace::enable();
     Some(path)
@@ -492,23 +462,11 @@ fn trace_write(path: Option<&String>) -> CliResult {
         .map_err(|e| format!("cannot write --trace-out file '{path}': {e}").into())
 }
 
-/// Parses `--channel` (default `data`). Commands call it before the
-/// `--metrics-out` file is created and the system boots, so a bad value
-/// fails up front.
-fn parse_channel(args: &Args) -> Result<Channel, Box<dyn Error>> {
-    match args.get("channel").unwrap_or("data") {
-        "data" => Ok(Channel::Data),
-        "instr" => Ok(Channel::Instr),
-        "cache" => Ok(Channel::Cache),
-        other => Err(format!("unknown channel '{other}' (data|instr|cache)").into()),
-    }
-}
-
 fn cmd_oracle(args: &Args) -> CliResult {
-    let channel = parse_channel(args)?;
-    let trials: usize = args.get_num("trials", 50)?;
-    let jobs = jobs(args)?;
-    let tol = tolerance(args)?;
+    let channel = channel(args);
+    let trials: usize = args.num("trials")?;
+    let jobs = jobs(args);
+    let tol = tolerance(args);
     let mut emit = Emitter::from_args(args)?;
     let tr = trace_arm(args);
     let cfg = config(args)?;
@@ -526,10 +484,7 @@ fn cmd_oracle(args: &Args) -> CliResult {
         |p| jobctx::progress(p.shard, p.shards, p.completed, p.retries),
     ) {
         Ok(out) => out,
-        Err(e) => {
-            let _ = trace_write(tr.as_ref());
-            return Err(fail_sharded(emit, e));
-        }
+        Err(e) => return Err(fail_sharded(emit, e, tr.as_ref())),
     };
     if !emit.quiet() {
         println!("target {:#x}, {trials} trials per class, {jobs} jobs", out.target);
@@ -557,9 +512,9 @@ fn centred_brute_window(cfg: &SystemConfig, window: u32) -> (u64, Vec<u16>) {
 }
 
 fn cmd_brute(args: &Args) -> CliResult {
-    let window: u32 = if args.flag("full") { 65536 } else { args.get_num("window", 512)? };
-    let jobs = jobs(args)?;
-    let tol = tolerance(args)?;
+    let window: u32 = args.num("window")?;
+    let jobs = jobs(args);
+    let tol = tolerance(args);
     let mut emit = Emitter::from_args(args)?;
     let tr = trace_arm(args);
     let cfg = config(args)?;
@@ -570,23 +525,14 @@ fn cmd_brute(args: &Args) -> CliResult {
     }
     let out = match parallel_brute(&cfg, Channel::Data, 5, &candidates, jobs, emit.active(), &tol) {
         Ok(out) => out,
-        Err(e) => {
-            let _ = trace_write(tr.as_ref());
-            return Err(fail_sharded(emit, e));
-        }
+        Err(e) => return Err(fail_sharded(emit, e, tr.as_ref())),
     };
     let outcome = out.outcome;
     emit.record(&Value::Object(vec![
         ("record".into(), Value::str("brute")),
         ("target".into(), Value::UInt(target)),
         ("jobs".into(), Value::UInt(jobs as u64)),
-        (
-            "found".into(),
-            match outcome.found {
-                Some(p) => Value::UInt(u64::from(p)),
-                None => Value::Null,
-            },
-        ),
+        ("found".into(), outcome.found.map_or(Value::Null, |p| Value::UInt(u64::from(p)))),
         ("guesses_tested".into(), Value::UInt(outcome.guesses_tested)),
         ("syscalls".into(), Value::UInt(outcome.syscalls)),
         ("cycles".into(), Value::UInt(outcome.cycles)),
@@ -609,15 +555,15 @@ fn cmd_brute(args: &Args) -> CliResult {
 }
 
 fn cmd_jump2win(args: &Args) -> CliResult {
-    let window: u32 = if args.flag("full") { 65536 } else { args.get_num("window", 512)? };
-    let jobs = jobs(args)?;
-    let tol = tolerance(args)?;
+    let window: u32 = args.num("window")?;
+    let jobs = jobs(args);
+    let tol = tolerance(args);
     let mut emit = Emitter::from_args(args)?;
     let cfg = config(args)?;
     let windows = centred_windows(&cfg, window);
     let (report, telemetry) = match parallel_jump2win(&cfg, windows, jobs, emit.active(), &tol) {
         Ok(out) => out,
-        Err(e) => return Err(fail_sharded(emit, e)),
+        Err(e) => return Err(fail_sharded(emit, e, None)),
     };
     emit.record(&Value::Object(vec![
         ("record".into(), Value::str("jump2win")),
@@ -688,11 +634,11 @@ fn self_test_record(r: &SelfTestResult) -> Value {
 const SELF_TEST_BUDGET: u64 = 64;
 
 fn cmd_conform(args: &Args) -> CliResult {
-    let programs: usize = args.get_num("programs", 500)?;
-    let seed: u64 = args.get_num("seed", 7)?;
-    let max_steps: u64 = args.get_num("steps", 512)?;
-    let jobs = jobs(args)?;
-    let tol = tolerance(args)?;
+    let programs: usize = args.num("programs")?;
+    let seed: u64 = args.num("seed")?;
+    let max_steps: u64 = args.num("steps")?;
+    let jobs = jobs(args);
+    let tol = tolerance(args);
     let mut emit = Emitter::from_args(args)?;
     let tr = trace_arm(args);
     let cfg = ConformConfig { programs, seed, max_steps, ..ConformConfig::default() };
@@ -704,10 +650,7 @@ fn cmd_conform(args: &Args) -> CliResult {
     }
     let report = match run_conformance(&cfg, jobs, &tol) {
         Ok(report) => report,
-        Err(e) => {
-            let _ = trace_write(tr.as_ref());
-            return Err(fail_sharded(emit, e));
-        }
+        Err(e) => return Err(fail_sharded(emit, e, tr.as_ref())),
     };
     for d in &report.divergences {
         emit.record(&divergence_record(d));
@@ -800,17 +743,17 @@ fn profile_family<'a>(
 }
 
 fn cmd_profile(args: &Args) -> CliResult {
-    let experiment = args.subject.as_deref().unwrap_or("oracle");
-    let channel = parse_channel(args)?;
-    let top = args.get_num("top", 10usize)?.max(1);
-    let jobs = jobs(args)?;
-    let tol = tolerance(args)?;
-    let trials: usize = args.get_num("trials", 8)?;
-    let window: u32 = args.get_num("window", 64)?;
+    let experiment = args.subject.unwrap_or("oracle");
+    let channel = channel(args);
+    let top: usize = args.num("top")?;
+    let jobs = jobs(args);
+    let tol = tolerance(args);
+    let trials: usize = args.num("trials")?;
+    let window: u32 = args.num("window")?;
     let mut emit = Emitter::from_args(args)?;
     // Profiling exists to produce the trace and the report, so the
     // recorder is always armed; --trace-out only moves the destination.
-    let trace_path = args.get("trace-out").unwrap_or("trace.json").to_string();
+    let trace_path = args.text("trace-out")?.to_string();
     trace::recorder().take();
     trace::enable();
     let mut cfg = config(args)?;
@@ -831,10 +774,7 @@ fn cmd_profile(args: &Args) -> CliResult {
     };
     let registry = match run {
         Ok(reg) => reg,
-        Err(e) => {
-            let _ = trace_write(Some(&trace_path));
-            return Err(fail_sharded(emit, e));
-        }
+        Err(e) => return Err(fail_sharded(emit, e, Some(&trace_path))),
     };
     let snap = registry.snapshot();
     trace::disable();
@@ -939,7 +879,7 @@ fn cmd_profile(args: &Args) -> CliResult {
 
 fn cmd_timeline(args: &Args) -> CliResult {
     let mut emit = Emitter::from_args(args)?;
-    let mut sys = boot(args)?;
+    let mut sys = System::boot(config(args)?);
     let set = sys.pick_quiet_dtlb_set();
     let target = sys.alloc_target(set);
     let true_pac = sys.true_pac(target);
@@ -983,24 +923,13 @@ fn render_got(value: Option<&Value>) -> String {
     }
 }
 
-/// One JSONL `verdict` record of the verification stream.
-fn verdict_record(
-    artifact: &str,
-    field: &str,
-    paper: &str,
-    expected: &str,
-    got: &str,
-    status: &str,
-) -> Value {
-    Value::Object(vec![
-        ("record".into(), Value::str("verdict")),
-        ("artifact".into(), Value::str(artifact)),
-        ("field".into(), Value::str(field)),
-        ("paper".into(), Value::str(paper)),
-        ("expected".into(), Value::str(expected)),
-        ("got".into(), Value::str(got)),
-        ("status".into(), Value::str(status)),
-    ])
+/// One row of the verification matrix (artifact, field, paper, expected,
+/// got, status): onto `table`, and as a JSONL `verdict` record.
+fn verdict(table: &mut Table, emit: &mut Emitter, row: [&str; 6]) {
+    table.row_of(&row);
+    let keys = ["record", "artifact", "field", "paper", "expected", "got", "status"];
+    let values = ["verdict"].into_iter().chain(row).map(Value::str);
+    emit.record(&Value::Object(keys.into_iter().map(String::from).zip(values).collect()));
 }
 
 /// Runs `rows` in order under one [`Ctx`] built from `--jobs` and
@@ -1013,7 +942,7 @@ fn run_rows(
     rows: &[&Experiment],
     mut sink: impl FnMut(&mut Emitter, &Experiment, &Ctx, Artifact) -> CliResult,
 ) -> CliResult {
-    let ctx = Ctx::new(jobs(args)?, tolerance(args)?);
+    let ctx = Ctx::new(jobs(args), tolerance(args));
     let mut emit = Emitter::from_args(args)?;
     let tr = trace_arm(args);
     for row in rows {
@@ -1022,7 +951,7 @@ fn run_rows(
             Err(e) => {
                 let _ = trace_write(tr.as_ref());
                 return Err(match e.downcast::<ExperimentError>() {
-                    Ok(e) => fail_sharded(emit, *e),
+                    Ok(e) => fail_sharded(emit, *e, None),
                     Err(e) => format!("{}: {e}", row.id).into(),
                 });
             }
@@ -1054,14 +983,14 @@ fn show_rows(args: &Args, ids: &[&str]) -> CliResult {
 /// campaigns sharded on the executor, and writes each artifact into
 /// `--out` under the run's fault plan.
 fn cmd_reproduce(args: &Args) -> CliResult {
-    let rows: Vec<&Experiment> = match args.get("only") {
+    let rows: Vec<&Experiment> = match args.text("only").ok() {
         Some(id) => vec![experiments::find(id).ok_or_else(|| {
             let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
             format!("--only got unknown experiment '{id}' (expected one of: {})", ids.join(", "))
         })?],
         None => EXPERIMENTS.iter().collect(),
     };
-    let out = std::path::Path::new(args.get("out").unwrap_or("results"));
+    let out = std::path::Path::new(args.text("out")?);
     std::fs::create_dir_all(out)
         .map_err(|e| format!("cannot create --out dir '{}': {e}", out.display()))?;
     run_rows(args, &rows, |emit, row, ctx, art| {
@@ -1081,21 +1010,14 @@ fn cmd_reproduce(args: &Args) -> CliResult {
 
 fn cmd_verify(args: &Args) -> CliResult {
     let mut emit = Emitter::from_args(args)?;
-    let dir = match args.get("dir") {
-        Some(d) => d.to_string(),
-        None => std::env::var("PACMAN_BENCH_DIR").unwrap_or_else(|_| ".".into()),
-    };
+    let env_dir = || std::env::var("PACMAN_BENCH_DIR").unwrap_or_else(|_| ".".into());
+    let dir = args.text("dir").map_or_else(|_| env_dir(), String::from);
     let ids = claims::artifact_ids();
-    let only = match args.get("only") {
-        Some(id) if !ids.contains(&id) => {
-            return Err(format!(
-                "--only got unknown artifact '{id}' (expected one of: {})",
-                ids.join(", ")
-            )
-            .into());
-        }
-        other => other,
-    };
+    let only = args.text("only").ok();
+    if let Some(id) = only.filter(|id| !ids.contains(id)) {
+        let ids = ids.join(", ");
+        return Err(format!("--only got unknown artifact '{id}' (expected one of: {ids})").into());
+    }
     let checked: Vec<&str> = ids.into_iter().filter(|id| only.is_none_or(|o| o == *id)).collect();
     let mut table = Table::new(
         format!("paper-claims verification ({dir})"),
@@ -1111,51 +1033,33 @@ fn cmd_verify(args: &Args) -> CliResult {
                 Err(e) => {
                     fail += 1;
                     let why = format!("unparseable: {e}");
-                    table.row_of(&[id, "(artifact)", "-", "valid JSON", why.as_str(), "fail"]);
-                    emit.record(&verdict_record(id, "(artifact)", "-", "valid JSON", &why, "fail"));
+                    verdict(
+                        &mut table,
+                        &mut emit,
+                        [id, "(artifact)", "-", "valid JSON", &why, "fail"],
+                    );
                     continue;
                 }
             },
             Err(_) => {
                 missing += 1;
-                table.row_of(&[id, "(artifact)", "-", "file present", "absent", "missing"]);
-                emit.record(&verdict_record(
-                    id,
-                    "(artifact)",
-                    "-",
-                    "file present",
-                    "absent",
-                    "missing",
-                ));
+                let row = [id, "(artifact)", "-", "file present", "absent", "missing"];
+                verdict(&mut table, &mut emit, row);
                 continue;
             }
         };
         artifacts_loaded += 1;
         for claim in claims::for_artifact(id) {
-            let verdict = claim.check(&artifact);
-            match verdict {
+            let status = claim.check(&artifact);
+            match status {
                 claims::Verdict::Pass => pass += 1,
                 claims::Verdict::Fail(_) => fail += 1,
                 claims::Verdict::Missing => missing += 1,
             }
             let got = render_got(artifact.get(claim.field));
             let expected = claim.expect.describe();
-            table.row_of(&[
-                claim.artifact,
-                claim.field,
-                claim.paper,
-                expected.as_str(),
-                got.as_str(),
-                verdict.status(),
-            ]);
-            emit.record(&verdict_record(
-                id,
-                claim.field,
-                claim.paper,
-                &expected,
-                &got,
-                verdict.status(),
-            ));
+            let row = [id, claim.field, claim.paper, &expected, &got, status.status()];
+            verdict(&mut table, &mut emit, row);
         }
     }
     let ok = fail == 0 && missing == 0;
@@ -1190,64 +1094,70 @@ fn cmd_verify(args: &Args) -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::ArgsError;
 
     fn parse(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from)).expect("parses")
     }
 
+    /// Parses and dispatches one command line, as `main` does.
+    fn run(line: &str) -> CliResult {
+        dispatch(&Args::parse(line.split_whitespace().map(String::from))?)
+    }
+
     #[test]
     fn unknown_commands_error() {
-        assert!(dispatch(&parse("frobnicate")).is_err());
+        assert!(run("frobnicate").is_err());
     }
 
     #[test]
     fn an_empty_command_is_a_usage_error_not_a_panic() {
         // The daemon reuses dispatch for client-submitted command
         // lines; an empty line must surface as a typed error.
-        let err = dispatch(&parse("")).expect_err("empty command errors");
+        let err = run("").expect_err("empty command errors");
         assert!(err.to_string().contains("no command"), "{err}");
     }
 
     #[test]
     fn oracle_command_runs_end_to_end() {
-        dispatch(&parse("oracle --trials 2 --quiet-noise")).expect("oracle runs");
+        run("oracle --trials 2 --quiet-noise").expect("oracle runs");
     }
 
     #[test]
     fn oracle_cache_channel_runs() {
-        dispatch(&parse("oracle --trials 1 --channel cache --quiet-noise")).expect("cache oracle");
+        run("oracle --trials 1 --channel cache --quiet-noise").expect("cache oracle");
     }
 
     #[test]
     fn oracle_rejects_bad_channels() {
-        assert!(dispatch(&parse("oracle --trials 1 --channel pigeon --quiet-noise")).is_err());
+        assert!(run("oracle --trials 1 --channel pigeon --quiet-noise").is_err());
     }
 
     #[test]
     fn brute_command_finds_the_pac_in_a_small_window() {
-        dispatch(&parse("brute --window 8 --quiet-noise")).expect("brute runs");
+        run("brute --window 8 --quiet-noise").expect("brute runs");
     }
 
     #[test]
     fn jump2win_command_succeeds_with_a_window() {
-        dispatch(&parse("jump2win --window 12 --quiet-noise")).expect("jump2win runs");
+        run("jump2win --window 12 --quiet-noise").expect("jump2win runs");
     }
 
     #[test]
     fn census_command_runs() {
-        dispatch(&parse("census")).expect("census runs");
+        run("census").expect("census runs");
     }
 
     #[test]
     fn timeline_command_runs() {
-        dispatch(&parse("timeline --quiet-noise")).expect("timeline runs");
+        run("timeline --quiet-noise").expect("timeline runs");
     }
 
     #[test]
     fn oracle_metrics_out_writes_valid_jsonl() {
         let path = std::env::temp_dir().join("pacman_cli_oracle_metrics_test.jsonl");
         let path_str = path.to_str().expect("utf-8 temp path");
-        dispatch(&parse(&format!("oracle --trials 2 --quiet-noise --metrics-out {path_str}")))
+        run(&format!("oracle --trials 2 --quiet-noise --metrics-out {path_str}"))
             .expect("oracle runs");
         let text = std::fs::read_to_string(&path).expect("metrics file written");
         std::fs::remove_file(&path).ok();
@@ -1302,22 +1212,20 @@ mod tests {
 
     #[test]
     fn unknown_options_and_flags_are_rejected() {
-        let err = dispatch(&parse("oracle --banana 1")).expect_err("unknown option");
+        let err = run("oracle --banana 1").expect_err("unknown option");
         assert!(err.to_string().contains("--banana"), "{err}");
-        let err = dispatch(&parse("sweep --full")).expect_err("foreign flag");
+        let err = run("sweep --full").expect_err("foreign flag");
         assert!(err.to_string().contains("--full"), "{err}");
-        let err = dispatch(&parse("census --functions 16")).expect_err("no census size option");
+        let err = run("census --functions 16").expect_err("no census size option");
         assert!(err.to_string().contains("unknown option --functions"), "{err}");
-        let err = dispatch(&parse("census --trials 3")).expect_err("foreign option");
+        let err = run("census --trials 3").expect_err("foreign option");
         assert!(err.to_string().contains("--trials"), "{err}");
     }
 
     #[test]
     fn metrics_out_fails_eagerly_for_unwritable_paths() {
-        let err = dispatch(&parse(
-            "oracle --trials 1 --metrics-out /nonexistent-dir-3313/deeper/out.jsonl",
-        ))
-        .expect_err("unwritable metrics path");
+        let err = run("oracle --trials 1 --metrics-out /nonexistent-dir-3313/deeper/out.jsonl")
+            .expect_err("unwritable metrics path");
         assert!(err.to_string().contains("cannot create --metrics-out"), "{err}");
     }
 
@@ -1326,7 +1234,7 @@ mod tests {
         let dir = temp_dir("jump2win");
         let path = dir.join("out.jsonl");
         let path_str = path.to_str().expect("utf-8 temp path");
-        dispatch(&parse(&format!("jump2win --window 12 --quiet-noise --metrics-out {path_str}")))
+        run(&format!("jump2win --window 12 --quiet-noise --metrics-out {path_str}"))
             .expect("jump2win runs");
         let records = read_jsonl(&path);
         std::fs::remove_dir_all(&dir).ok();
@@ -1346,7 +1254,7 @@ mod tests {
     fn assert_streams_committed_rows(command: &str, ids: &[&str]) -> Value {
         let dir = temp_dir(&format!("rows_{command}"));
         let out = dir.join("out.jsonl");
-        dispatch(&parse(&format!("{command} --metrics-out {}", out.display())))
+        run(&format!("{command} --metrics-out {}", out.display()))
             .unwrap_or_else(|e| panic!("{command}: {e}"));
         let text = std::fs::read_to_string(&out).expect("metrics file written");
         std::fs::remove_dir_all(&dir).ok();
@@ -1385,7 +1293,7 @@ mod tests {
             "sweep --fault-rate 1".to_string(),
             format!("reproduce --only fig5a --fault-rate 1 --out {}", dir.display()),
         ] {
-            let err = dispatch(&parse(&format!("{command} --metrics-out {}", out.display())))
+            let err = run(&format!("{command} --metrics-out {}", out.display()))
                 .expect_err("rate 1.0 exhausts every shard's retry budget");
             assert!(err.to_string().contains("shards completed"), "{command}: {err}");
             let kinds: Vec<String> = read_jsonl(&out)
@@ -1408,7 +1316,7 @@ mod tests {
         }
         let out = dir.join("verdicts.jsonl");
         let cmd = format!("verify --dir {} --metrics-out {}", dir.display(), out.display());
-        dispatch(&parse(&cmd)).expect("all example artifacts verify");
+        run(&cmd).expect("all example artifacts verify");
         let records = read_jsonl(&out);
         std::fs::remove_dir_all(&dir).ok();
         let summary = records.last().expect("verify_summary record");
@@ -1439,7 +1347,7 @@ mod tests {
             "{\"record\":\"bench\",\"experiment\":\"fig6\",\"itlb_ways\":99}\n",
         )
         .expect("perturbed artifact");
-        let err = dispatch(&parse(&format!("verify --dir {}", dir.display())))
+        let err = run(&format!("verify --dir {}", dir.display()))
             .expect_err("perturbed artifact must fail verification");
         std::fs::remove_dir_all(&dir).ok();
         assert!(err.to_string().contains("out of tolerance"), "{err}");
@@ -1447,17 +1355,17 @@ mod tests {
 
     #[test]
     fn jobs_option_is_accepted_by_trial_commands() {
-        dispatch(&parse("oracle --trials 2 --quiet-noise --jobs 4")).expect("oracle --jobs");
-        dispatch(&parse("brute --window 8 --quiet-noise --jobs 2")).expect("brute --jobs");
-        dispatch(&parse("census --jobs 3")).expect("census --jobs");
-        let err = dispatch(&parse("mitigations --jobs 2")).expect_err("foreign option");
+        run("oracle --trials 2 --quiet-noise --jobs 4").expect("oracle --jobs");
+        run("brute --window 8 --quiet-noise --jobs 2").expect("brute --jobs");
+        run("census --jobs 3").expect("census --jobs");
+        let err = run("mitigations --jobs 2").expect_err("foreign option");
         assert!(err.to_string().contains("--jobs"), "{err}");
     }
 
     #[test]
     fn runner_option_is_rejected_by_every_command() {
         for Command { name: command, .. } in COMMANDS {
-            let err = dispatch(&parse(&format!("{command} --runner executor")))
+            let err = run(&format!("{command} --runner executor"))
                 .expect_err("--runner is not an option");
             assert!(err.to_string().contains("unknown option --runner"), "{command}: {err}");
         }
@@ -1466,27 +1374,68 @@ mod tests {
     #[test]
     fn every_declared_flag_and_option_parses_as_declared() {
         for cmd in COMMANDS {
-            for flag in cmd.flags {
-                let a = parse(&format!("{} --{flag} --json", cmd.name));
-                assert!(a.flag(flag), "{}: --{flag} did not parse as a flag", cmd.name);
-                assert_eq!(a.option_names().count(), 0, "{}: --{flag} took a value", cmd.name);
-            }
-            for option in cmd.options {
-                let a = parse(&format!("{} --{option} v", cmd.name));
-                assert_eq!(a.get(option), Some("v"), "{}: --{option} is not key/value", cmd.name);
-                assert_eq!(a.flag_names().count(), 0, "{}: --{option} parsed as a flag", cmd.name);
+            for opt in cmd.options {
+                let (c, name) = (cmd.name, opt.name);
+                if let Kind::Flag = opt.kind {
+                    // A flag takes no value: a second `--name` still parses.
+                    let a = parse(&format!("{c} --{name} --{name}"));
+                    assert!(a.flag(name), "{c}: --{name} did not parse as a flag");
+                    continue;
+                }
+                let alone = Args::parse([c.to_string(), format!("--{name}")]);
+                assert_eq!(alone, Err(ArgsError::MissingValue(name.into())), "{c}: --{name}");
+                // A value of the option's kind, and whether it was stored.
+                let (value, stored): (String, fn(&Args, &str) -> bool) = match opt.kind {
+                    Kind::Uint { min, .. } => (min.to_string(), |a, n| a.num::<u64>(n).is_ok()),
+                    Kind::Rate => ("0.5".into(), |a, n| a.rate(n) == Ok(0.5)),
+                    Kind::Choice { choices, .. } => (choices[1].into(), |a, n| a.text(n).is_ok()),
+                    _ => ("v".into(), |a, n| a.text(n) == Ok("v")),
+                };
+                let a = parse(&format!("{c} --{name} {value}"));
+                assert!(stored(&a, name), "{c}: --{name} {value} is not key/value");
+                assert!(!a.flag(name), "{c}: --{name} parsed as a flag");
             }
         }
+    }
+
+    #[test]
+    fn degenerate_and_oversized_values_are_usage_errors() {
+        for (line, option) in [
+            ("brute --window 0", "--window"),
+            ("jump2win --window 0", "--window"),
+            ("oracle --trials 0", "--trials"),
+            ("oracle --jobs 0", "--jobs"),
+            ("brute --window 4000000000", "--window"),
+            ("profile brute --window 4000000000", "--window"),
+            ("jump2win --window 65537", "--window"),
+            ("profile --top 0", "--top"),
+            ("daemon --workers 0", "--workers"),
+            ("daemon --checkpoint-every 0", "--checkpoint-every"),
+        ] {
+            let err = Args::parse(line.split_whitespace().map(String::from)).expect_err(line);
+            assert!(matches!(err, ArgsError::BadValue { .. }), "{line}: {err:?}");
+            assert!(err.to_string().contains(option), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_text_matches_its_snapshot() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/snapshots/help.txt");
+        if std::env::var_os("PACMAN_BLESS").is_some_and(|v| v == "1") {
+            std::fs::write(path, usage()).expect("bless snapshot");
+        }
+        let expected = std::fs::read_to_string(path).expect("help snapshot");
+        assert_eq!(usage(), expected, "--help changed; re-bless with PACMAN_BLESS=1 if intended");
     }
 
     #[test]
     fn conform_accepts_skip_self_test() {
         let dir = temp_dir("conform_skip_self_test");
         let path = dir.join("conform.jsonl");
-        dispatch(&parse(&format!(
+        run(&format!(
             "conform --programs 2 --seed 7 --skip-self-test --metrics-out {}",
             path.display()
-        )))
+        ))
         .expect("conform --skip-self-test runs");
         let records = read_jsonl(&path);
         std::fs::remove_dir_all(&dir).ok();
@@ -1508,14 +1457,14 @@ mod tests {
             dir.display(),
             out.display()
         );
-        dispatch(&parse(&cmd)).expect("single present artifact passes despite 23 absent ones");
+        run(&cmd).expect("single present artifact passes despite 23 absent ones");
         let records = read_jsonl(&out);
         let mut files: Vec<_> = std::fs::read_dir(&dir)
             .expect("readable dir")
             .map(|e| e.expect("entry").file_name().into_string().expect("utf-8 name"))
             .collect();
         files.sort();
-        let err = dispatch(&parse(&format!("verify --dir {} --only nonsense", dir.display())))
+        let err = run(&format!("verify --dir {} --only nonsense", dir.display()))
             .expect_err("unknown --only id");
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(files, ["BENCH_perf_trace.json", "only.jsonl"], "verify writes no files");
@@ -1535,7 +1484,7 @@ mod tests {
     #[test]
     fn verify_reports_missing_artifacts() {
         let dir = temp_dir("verify_missing");
-        let err = dispatch(&parse(&format!("verify --dir {}", dir.display())))
+        let err = run(&format!("verify --dir {}", dir.display()))
             .expect_err("empty artifact dir must fail verification");
         std::fs::remove_dir_all(&dir).ok();
         assert!(err.to_string().contains("missing"), "{err}");
@@ -1550,10 +1499,10 @@ mod tests {
             dir.display(),
             out.display()
         );
-        dispatch(&parse(&cmd)).expect("reproduce --only table2 runs");
+        run(&cmd).expect("reproduce --only table2 runs");
         let written = std::fs::read(dir.join("BENCH_table2.json")).expect("artifact written");
         let records = read_jsonl(&out);
-        let err = dispatch(&parse(&format!("reproduce --only nonsense --out {}", dir.display())))
+        let err = run(&format!("reproduce --only nonsense --out {}", dir.display()))
             .expect_err("unknown --only id");
         std::fs::remove_dir_all(&dir).ok();
         let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_table2.json");
@@ -1617,7 +1566,7 @@ mod tests {
             ("brute", "brute --window 8 --jobs 4 --quiet-noise"),
         ] {
             let base = dir.join(format!("{tag}_base.jsonl"));
-            dispatch(&parse(&format!("{cmd} --fault-rate 0 --metrics-out {}", base.display())))
+            run(&format!("{cmd} --fault-rate 0 --metrics-out {}", base.display()))
                 .expect("fault-free baseline");
             let baseline = read_jsonl(&base);
             // Fault decisions are a pure function of (plan seed, rate,
@@ -1630,10 +1579,8 @@ mod tests {
             let mut matched = false;
             for rate in ["0.2", "0.25", "0.3", "0.35"] {
                 let out = dir.join(format!("{tag}_{rate}.jsonl"));
-                let run = dispatch(&parse(&format!(
-                    "{cmd} --fault-rate {rate} --metrics-out {}",
-                    out.display()
-                )));
+                let run =
+                    run(&format!("{cmd} --fault-rate {rate} --metrics-out {}", out.display()));
                 if run.is_err() {
                     continue; // budget exhausted at this rate; try lower odds elsewhere
                 }
@@ -1663,10 +1610,10 @@ mod tests {
         // Rate 1.0 fires on every (shard, attempt) decision regardless of
         // seed, so every shard must exhaust its budget: a typed partial
         // failure with per-shard evidence, never a panic.
-        let err = dispatch(&parse(&format!(
+        let err = run(&format!(
             "oracle --trials 4 --jobs 2 --quiet-noise --fault-rate 1 --metrics-out {}",
             out.display()
-        )))
+        ))
         .expect_err("rate 1.0 must exhaust every shard's retry budget");
         let records = read_jsonl(&out);
         std::fs::remove_dir_all(&dir).ok();
@@ -1696,11 +1643,11 @@ mod tests {
 
     #[test]
     fn fault_rate_option_is_validated() {
-        let err = dispatch(&parse("oracle --trials 1 --fault-rate 1.5")).expect_err("rate > 1");
+        let err = run("oracle --trials 1 --fault-rate 1.5").expect_err("rate > 1");
         assert!(err.to_string().contains("outside [0, 1]"), "{err}");
-        let err = dispatch(&parse("oracle --trials 1 --fault-rate nan-ish")).expect_err("garbage");
+        let err = run("oracle --trials 1 --fault-rate nan-ish").expect_err("garbage");
         assert!(err.to_string().contains("not a number"), "{err}");
-        let err = dispatch(&parse("census --fault-rate 0.5")).expect_err("foreign option");
+        let err = run("census --fault-rate 0.5").expect_err("foreign option");
         assert!(err.to_string().contains("--fault-rate"), "{err}");
     }
 
@@ -1719,11 +1666,11 @@ mod tests {
         let dir = temp_dir("profile");
         let trace_path = dir.join("trace.json");
         let out = dir.join("out.jsonl");
-        dispatch(&parse(&format!(
+        run(&format!(
             "profile oracle --trials 2 --quiet-noise --top 5 --trace-out {} --metrics-out {}",
             trace_path.display(),
             out.display()
-        )))
+        ))
         .expect("profile oracle runs");
         let text = std::fs::read_to_string(&trace_path).expect("trace written");
         let events = trace::parse_chrome_trace(&text).expect("trace round-trips");
@@ -1768,9 +1715,9 @@ mod tests {
 
     #[test]
     fn profile_rejects_unknown_experiments_and_foreign_subjects() {
-        let err = dispatch(&parse("profile sweep")).expect_err("unsupported experiment");
+        let err = run("profile sweep").expect_err("unsupported experiment");
         assert!(err.to_string().contains("profile cannot run"), "{err}");
-        let err = dispatch(&parse("oracle extra --trials 1")).expect_err("foreign subject");
+        let err = run("oracle extra --trials 1").expect_err("foreign subject");
         assert!(err.to_string().contains("unexpected argument 'extra'"), "{err}");
     }
 
@@ -1779,11 +1726,8 @@ mod tests {
         let _guard = trace_lock();
         let dir = temp_dir("trace_out");
         let trace_path = dir.join("oracle_trace.json");
-        dispatch(&parse(&format!(
-            "oracle --trials 2 --quiet-noise --trace-out {}",
-            trace_path.display()
-        )))
-        .expect("oracle runs");
+        run(&format!("oracle --trials 2 --quiet-noise --trace-out {}", trace_path.display()))
+            .expect("oracle runs");
         let text = std::fs::read_to_string(&trace_path).expect("trace written");
         let events = trace::parse_chrome_trace(&text).expect("trace parses");
         assert!(events.iter().any(|e| e.name == "shard.queue_wait"));
@@ -1796,10 +1740,10 @@ mod tests {
         let _guard = trace_lock();
         let dir = temp_dir("trace_fault");
         let trace_path = dir.join("faulted_trace.json");
-        dispatch(&parse(&format!(
+        run(&format!(
             "oracle --trials 2 --jobs 2 --quiet-noise --fault-rate 1 --trace-out {}",
             trace_path.display()
-        )))
+        ))
         .expect_err("rate 1.0 exhausts the budget");
         let text = std::fs::read_to_string(&trace_path).expect("trace written on failure too");
         let events = trace::parse_chrome_trace(&text).expect("trace parses");
@@ -1812,10 +1756,10 @@ mod tests {
     fn metrics_out_has_no_truncated_trailing_line_after_partial_failure() {
         let dir = temp_dir("faults_durability");
         let out = dir.join("out.jsonl");
-        dispatch(&parse(&format!(
+        run(&format!(
             "oracle --trials 4 --jobs 2 --quiet-noise --fault-rate 1 --metrics-out {}",
             out.display()
-        )))
+        ))
         .expect_err("rate 1.0 must exhaust every shard's retry budget");
         let text = std::fs::read_to_string(&out).expect("metrics file written");
         std::fs::remove_dir_all(&dir).ok();
@@ -1856,7 +1800,7 @@ mod tests {
         }
         let out = dir.join("verdicts.jsonl");
         let cmd = format!("verify --dir {} --metrics-out {}", dir.display(), out.display());
-        dispatch(&parse(&cmd)).expect("verify runs");
+        run(&cmd).expect("verify runs");
         let records = read_jsonl(&out);
         std::fs::remove_dir_all(&dir).ok();
         let summary = records.last().expect("verify_summary record");

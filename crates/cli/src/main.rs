@@ -1,15 +1,13 @@
 //! `pacman-cli` — drive the PACMAN reproduction from the command line.
 //!
-//! Run `pacman-cli --help` for the commands and their options; each
-//! command is declared once, in `commands::COMMANDS`.
-//!
-//! Every command speaks JSONL when `--json` or `--metrics-out` is given.
-//! `reproduce` regenerates the paper's artefacts
-//! (`pacman_bench::experiments::EXPERIMENTS`) into `results/`; `verify`
-//! loads a directory of `BENCH_<id>.json` artefacts, diffs each field
-//! against the paper's claims with per-metric tolerance bands (see
-//! `pacman_bench::claims`), prints the pass/fail matrix, and exits
-//! nonzero if anything is out of tolerance or missing.
+//! Each command and each of its options is declared once, in
+//! `commands::COMMANDS`: `Args::parse` range-checks every option against
+//! its declaration before any command runs, and `pacman-cli --help` is
+//! rendered from the same table. Every command speaks JSONL when
+//! `--json` or `--metrics-out` is given. `reproduce` regenerates the
+//! paper's artefacts into `results/`; `verify` diffs them against the
+//! paper's claims (`pacman_bench::claims`) and exits nonzero if anything
+//! is out of tolerance or missing.
 
 mod args;
 mod commands;

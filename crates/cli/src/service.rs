@@ -9,6 +9,7 @@
 //! semantics are documented in DESIGN.md §12.
 
 use std::error::Error;
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use pacman_daemon::net;
@@ -29,15 +30,15 @@ impl JobRunner for DispatchRunner {
     fn run(&self, command: &str, sink: &JobSink) -> Result<(), String> {
         let parsed =
             Args::parse(command.split_whitespace().map(String::from)).map_err(|e| e.to_string())?;
-        let Some(cmd) = parsed.command.as_deref() else {
+        let Some(cmd) = parsed.command.and_then(commands::find) else {
             return Err("no command given".to_string());
         };
-        if !commands::COMMANDS.iter().any(|c| c.name == cmd && c.daemon_job) {
-            return Err(format!("command '{cmd}' is not available as a daemon job"));
+        if !cmd.daemon_job {
+            return Err(format!("command '{}' is not available as a daemon job", cmd.name));
         }
         // A process-global switch would let one tenant reconfigure
         // every other tenant's execution; refuse it per job.
-        if parsed.get("trace-out").is_some() {
+        if parsed.text("trace-out").is_ok() {
             return Err(
                 "--trace-out arms the process-wide flight recorder; unavailable in daemon jobs"
                     .into(),
@@ -54,10 +55,7 @@ fn checkpoint_policy(args: &Args, state_dir: &str) -> Result<CheckpointPolicy, B
     let dir = std::path::PathBuf::from(state_dir);
     std::fs::create_dir_all(&dir)
         .map_err(|e| format!("cannot create state dir '{state_dir}': {e}"))?;
-    Ok(CheckpointPolicy::new(
-        dir.join("pacmand.snapshot"),
-        args.get_num("checkpoint-every", 256u64)?.max(1),
-    ))
+    Ok(CheckpointPolicy::new(dir.join("pacmand.snapshot"), args.num("checkpoint-every")?))
 }
 
 /// `pacman-cli daemon`: serve sessions until a client sends `shutdown`
@@ -67,8 +65,9 @@ fn checkpoint_policy(args: &Args, state_dir: &str) -> Result<CheckpointPolicy, B
 pub fn cmd_daemon(args: &Args) -> CliResult {
     // `--workers` sizes the one executor every session's shards share,
     // and with it how many jobs the daemon runs at once.
-    pacman_runner::Executor::init_global(args.get_num("workers", pacman_runner::default_jobs())?)?;
-    let daemon = match args.get("state-dir") {
+    let workers = args.num("workers").unwrap_or_else(|_| pacman_runner::default_jobs());
+    pacman_runner::Executor::init_global(workers)?;
+    let daemon = match args.text("state-dir").ok() {
         Some(dir) => {
             let policy = checkpoint_policy(args, dir)?;
             Arc::new(Daemon::start_durable(policy, Arc::new(DispatchRunner), args.flag("resume")))
@@ -85,14 +84,12 @@ pub fn cmd_daemon(args: &Args) -> CliResult {
     // no client connection exists yet.
     if let Some(report) = daemon.resume_report() {
         print!("{}", to_jsonl_line(&report));
-        use std::io::Write;
         let _ = std::io::stdout().flush();
     }
     if args.flag("stdio") {
         let writer = Arc::new(Mutex::new(std::io::stdout()));
         net::serve_connection(&daemon, std::io::stdin().lock(), Arc::clone(&writer));
         let report = daemon.drain();
-        use std::io::Write;
         let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let _ = w.write_all(to_jsonl_line(&report).as_bytes());
         let _ = w.flush();
@@ -103,7 +100,7 @@ pub fn cmd_daemon(args: &Args) -> CliResult {
 
 #[cfg(unix)]
 fn serve_socket(args: &Args, daemon: Arc<Daemon>) -> CliResult {
-    let path = args.get("socket").unwrap_or("pacmand.sock");
+    let path = args.text("socket")?;
     eprintln!("pacmand: listening on {path}");
     let report = net::serve_unix(daemon, std::path::Path::new(path))
         .map_err(|e| format!("serving '{path}' failed: {e}"))?;
@@ -132,10 +129,10 @@ fn request(kind: &str, fields: &[(&str, &str)]) -> String {
 /// the status record.
 #[cfg(unix)]
 pub fn cmd_client(args: &Args) -> CliResult {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader};
     use std::os::unix::net::UnixStream;
 
-    let path = args.get("socket").unwrap_or("pacmand.sock");
+    let path = args.text("socket")?;
     let stream = UnixStream::connect(path)
         .map_err(|e| format!("cannot connect to pacmand at '{path}': {e}"))?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -152,45 +149,31 @@ pub fn cmd_client(args: &Args) -> CliResult {
             Ok(Some(value))
         };
 
+    let session = args.text("session")?;
+    let submit = args.text("submit").ok();
     let mut job_failed = false;
-    if let Some(command) = args.get("submit") {
-        let session = args.get("session").unwrap_or("cli");
+    if submit.is_some() || args.flag("attach") {
         writer.write_all(request("open_session", &[("session", session)]).as_bytes())?;
-        writer.write_all(
-            request("submit", &[("session", session), ("command", command)]).as_bytes(),
-        )?;
-        writer.write_all(request("close_session", &[("session", session)]).as_bytes())?;
-        writer.flush()?;
-        while let Some(record) = read_record(&mut reader)? {
-            match record.get("type").and_then(Value::as_str) {
-                Some("job_failed") => job_failed = true,
-                Some("session_closed") => break,
-                // A refused open/submit means session_closed never
-                // comes; stop reading instead of hanging.
-                Some("error") => {
-                    job_failed = true;
-                    break;
-                }
-                _ => {}
-            }
+        if let Some(command) = submit {
+            let job = request("submit", &[("session", session), ("command", command)]);
+            writer.write_all(job.as_bytes())?;
+            writer.write_all(request("close_session", &[("session", session)]).as_bytes())?;
         }
-    } else if args.flag("attach") {
-        // Reattach to an existing session — typically one a restarted
-        // daemon resumed from a checkpoint — and stream it to
-        // completion: read until the in-flight job finishes, then close
-        // the session and wait for its terminal record.
-        let session = args.get("session").unwrap_or("cli");
-        writer.write_all(request("open_session", &[("session", session)]).as_bytes())?;
         writer.flush()?;
         while let Some(record) = read_record(&mut reader)? {
             match record.get("type").and_then(Value::as_str) {
-                Some("job_done") => {
+                // --attach: reattach to an existing session, typically
+                // one a restarted daemon resumed from a checkpoint, and
+                // close it once its in-flight job finishes.
+                Some("job_done") if submit.is_none() => {
                     writer
                         .write_all(request("close_session", &[("session", session)]).as_bytes())?;
                     writer.flush()?;
                 }
                 Some("job_failed") => job_failed = true,
                 Some("session_closed") => break,
+                // A refused open/submit means session_closed never
+                // comes; stop reading instead of hanging.
                 Some("error") => {
                     job_failed = true;
                     break;
@@ -303,6 +286,21 @@ mod tests {
         }
         // The daemon still runs legitimate jobs afterwards.
         let (_, failed) = submit_and_collect(&daemon, "after", "timeline --seed 1 --quiet-noise");
+        assert!(!failed);
+        daemon.drain();
+    }
+
+    #[test]
+    fn a_hostile_window_fails_its_job_and_the_daemon_keeps_serving() {
+        // Rejected while parsing, before any candidate is allocated: the
+        // window alone would ask for gigabytes.
+        let daemon = Daemon::start(Arc::new(DispatchRunner));
+        let (records, failed) = submit_and_collect(&daemon, "hostile", "brute --window 4000000000");
+        assert!(failed, "records: {records:?}");
+        let error = records.last().and_then(|r| r.get("error")).and_then(Value::as_str);
+        assert!(error.is_some_and(|e| e.contains("--window")), "records: {records:?}");
+        let (_, failed) =
+            submit_and_collect(&daemon, "after", "oracle --trials 2 --quiet-noise --jobs 2");
         assert!(!failed);
         daemon.drain();
     }
