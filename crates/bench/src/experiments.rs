@@ -545,7 +545,7 @@ fn sec83_jump2win(ctx: &Ctx) -> DriverResult {
 }
 
 /// §9: the countermeasure matrix and the §4.2 eager-squash ablation.
-fn sec9_mitigations(_: &Ctx) -> DriverResult {
+fn sec9_mitigations(ctx: &Ctx) -> DriverResult {
     let reports = evaluate_all();
     let report = |m: Mitigation| reports.iter().find(|r| r.mitigation == m).expect("evaluated");
     let baseline = report(Mitigation::None);
@@ -571,6 +571,9 @@ fn sec9_mitigations(_: &Ctx) -> DriverResult {
         .filter(|r| r.mitigation != Mitigation::None)
         .all(|r| r.surface() == AttackSurface::Protected);
     let lazy = evaluate_with_squash(Mitigation::None, SquashPolicy::Lazy);
+    for r in reports.iter().chain([&lazy]) {
+        ctx.absorb(&r.telemetry);
+    }
 
     let mut art = Artifact::new("sec9", "Section 9 - countermeasure matrix + squash ablation");
     art.table("mitigation_matrix", &t);
@@ -584,12 +587,16 @@ fn sec9_mitigations(_: &Ctx) -> DriverResult {
     Ok(art)
 }
 
-/// Whether the data oracle tells the true PAC from wrong ones on `sys`.
-fn data_oracle_works(sys: &mut System) -> bool {
+/// Whether the data oracle tells the true PAC from wrong ones on `sys`;
+/// the machine's counters go into `ctx`.
+fn data_oracle_works(ctx: &Ctx, mut sys: System) -> bool {
     let set = sys.pick_quiet_dtlb_set();
     let target = sys.alloc_target(set);
     let true_pac = sys.true_pac(target);
-    DataPacOracle::new(sys).is_ok_and(|mut o| oracle_works(sys, &mut o, target, true_pac))
+    let works = DataPacOracle::new(&mut sys)
+        .is_ok_and(|mut o| oracle_works(&mut sys, &mut o, target, true_pac));
+    ctx.absorb_machine(&sys.machine);
+    works
 }
 
 /// Boots a noise-free system with `tweak` applied to its config.
@@ -609,13 +616,13 @@ fn quiet_with(tweak: impl FnOnce(&mut SystemConfig)) -> System {
 ///    2^bits at the measured per-guess time.
 /// 4. **Scanner depth** — register-only (the paper's tool) vs
 ///    stack-tracking dataflow.
-fn ablations(_: &Ctx) -> DriverResult {
+fn ablations(ctx: &Ctx) -> DriverResult {
     let windows: Vec<(u32, bool)> = [1u32, 2, 3, 8, 48]
         .into_iter()
-        .map(|w| (w, data_oracle_works(&mut quiet_with(|c| c.machine.speculation_window = w))))
+        .map(|w| (w, data_oracle_works(ctx, quiet_with(|c| c.machine.speculation_window = w))))
         .collect();
     let timer_works =
-        |source: TimingSource| data_oracle_works(&mut quiet_with(|c| c.timing = source));
+        |source: TimingSource| data_oracle_works(ctx, quiet_with(|c| c.timing = source));
     let system_counter_works = timer_works(TimingSource::SystemCounter);
     let multithread_works = timer_works(TimingSource::MultiThread);
 
@@ -743,6 +750,18 @@ mod tests {
         let ctx = Ctx::new(1, Tolerance::default());
         (find("fig6").expect("fig6 row").run)(&ctx).expect("fig6 runs");
         assert!(ctx.telemetry().counter_value("tlb.walks") > 0);
+    }
+
+    #[test]
+    fn the_mitigation_and_ablation_rows_feed_their_machine_counters_into_the_context() {
+        for id in ["sec9", "ablations"] {
+            let ctx = Ctx::new(1, Tolerance::default());
+            (find(id).expect("row").run)(&ctx).expect("row runs");
+            let reg = ctx.telemetry();
+            for counter in ["tlb.walks", "cache.l1d.hits", "cpu.retired"] {
+                assert!(reg.counter_value(counter) > 0, "{id}: {counter}");
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub struct Command {
 #[rustfmt::skip]
 mod opt {
     use super::{Kind, Opt};
+    use pacman_core::conformance;
     pub const JSON: Opt = Opt::flag("json", "emit JSONL on stdout");
     pub const QUIET_NOISE: Opt = Opt::flag("quiet-noise", "disable the OS-noise model");
     pub const METRICS_OUT: Opt = Opt::text("metrics-out", "F", None, "write the JSONL records to file F");
@@ -60,9 +61,9 @@ mod opt {
         kind: Kind::Choice { choices: &["data", "instr", "cache"], default: "data" } };
     // A PAC is 16 bits: 65536 candidates are the whole space.
     pub const WINDOW: Opt = Opt::uint("window", 1..=65536, Some(512), "PAC candidates centred on the true PAC");
-    pub const PROGRAMS: Opt = Opt::uint("programs", 1..=1_000_000, Some(500), "conform: program count");
-    pub const CONFORM_SEED: Opt = Opt::uint("seed", 0..=u64::MAX, Some(7), "conform: program generator seed");
-    pub const STEPS: Opt = Opt::uint("steps", 1..=1_000_000, Some(512), "conform: retire budget per program");
+    pub const PROGRAMS: Opt = Opt::uint("programs", 1..=1_000_000, Some(conformance::DEFAULT_PROGRAMS as u64), "conform: program count");
+    pub const CONFORM_SEED: Opt = Opt::uint("seed", 0..=u64::MAX, Some(conformance::DEFAULT_SEED), "conform: program generator seed");
+    pub const STEPS: Opt = Opt::uint("steps", 1..=1_000_000, Some(conformance::DEFAULT_MAX_STEPS), "conform: retire budget per program");
     pub const SKIP_SELF_TEST: Opt = Opt::flag("skip-self-test", "conform: skip the injected-bug self-test");
     pub const PROFILE_TRIALS: Opt = Opt::uint("trials", 1..=100_000, Some(8), "profile oracle: trials per PAC class");
     pub const PROFILE_WINDOW: Opt = Opt::uint("window", 1..=65536, Some(64), "profile brute: PAC candidates");

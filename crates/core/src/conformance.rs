@@ -25,6 +25,13 @@ use pacman_uarch::MachineConfig;
 use crate::fault::Tolerance;
 use crate::parallel::{fold_campaign, Absorb, Attempt, ExperimentError};
 
+/// Default [`ConformConfig::programs`].
+pub const DEFAULT_PROGRAMS: usize = 500;
+/// Default [`ConformConfig::seed`].
+pub const DEFAULT_SEED: u64 = 7;
+/// Default [`ConformConfig::max_steps`].
+pub const DEFAULT_MAX_STEPS: u64 = 512;
+
 /// Workload for one conformance run.
 #[derive(Clone, Debug)]
 pub struct ConformConfig {
@@ -47,7 +54,13 @@ pub struct ConformConfig {
 
 impl Default for ConformConfig {
     fn default() -> Self {
-        Self { programs: 500, seed: 7, max_steps: 512, machine: quiet_config(), minimize: true }
+        Self {
+            programs: DEFAULT_PROGRAMS,
+            seed: DEFAULT_SEED,
+            max_steps: DEFAULT_MAX_STEPS,
+            machine: quiet_config(),
+            minimize: true,
+        }
     }
 }
 

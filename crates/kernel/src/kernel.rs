@@ -193,12 +193,9 @@ impl Kernel {
         assert!(args.len() <= 6, "at most six syscall arguments");
         machine.cpu.el = El::El0;
         machine.cpu.set(Reg::X16, num);
-        for (i, &a) in args.iter().enumerate() {
-            machine.cpu.set(Reg::x(i as u8), a);
-        }
-        for i in args.len()..6 {
-            machine.cpu.set(Reg::x(i as u8), 0);
-        }
+        let (given, rest) = machine.cpu.regs[..6].split_at_mut(args.len());
+        given.copy_from_slice(args);
+        rest.fill(0);
         machine.cpu.pc = layout::USER_SYSCALL_STUB;
         match machine.run(1_000_000) {
             Ok(pacman_uarch::Stop::Hlt) => Ok(machine.cpu.get(Reg::X0)),

@@ -35,6 +35,7 @@
 use pacman_core::oracle::{DataPacOracle, InstrPacOracle, PacOracle, CORRECT_MISS_THRESHOLD};
 use pacman_core::{System, SystemConfig};
 use pacman_isa::{Asm, Inst, PacKey, PacModifier, Reg};
+use pacman_telemetry::Registry;
 use pacman_uarch::{Mitigation, SquashPolicy};
 
 /// How much of the PACMAN attack surface remains under a configuration.
@@ -72,6 +73,9 @@ pub struct MitigationReport {
     /// Kernel crashes during evaluation (must stay zero: mitigations must
     /// not convert the attack into a crash storm).
     pub crashes: u64,
+    /// The evaluated machine's exported counters (`tlb.*`, `cache.*`,
+    /// `cpu.*`, ...; see [`pacman_uarch::Machine::export_telemetry`]).
+    pub telemetry: Registry,
 }
 
 impl MitigationReport {
@@ -167,6 +171,8 @@ pub fn evaluate_with_squash(mitigation: Mitigation, squash: SquashPolicy) -> Mit
     // Warm up, then measure.
     let _ = benign_cycles(&mut sys, benign_sc);
     let benign = benign_cycles(&mut sys, benign_sc);
+    let mut telemetry = Registry::new();
+    sys.machine.export_telemetry(&mut telemetry);
 
     MitigationReport {
         mitigation,
@@ -178,6 +184,7 @@ pub fn evaluate_with_squash(mitigation: Mitigation, squash: SquashPolicy) -> Mit
         taint_blocked: sys.machine.stats.taint_blocked,
         delay_blocked: sys.machine.stats.delay_blocked,
         crashes: sys.kernel.crash_count(),
+        telemetry,
     }
 }
 

@@ -92,6 +92,11 @@ struct Sched {
 
 struct Shared {
     sched: Mutex<Sched>,
+    /// The smallest `shard_len` in `sched.queue` (`usize::MAX` when it
+    /// is empty), republished under the lock wherever the queue gains or
+    /// loses a campaign, so [`yield_now`] can see without the lock that
+    /// [`pick`] would find no shard smaller than the running one.
+    smallest_queued: AtomicUsize,
     work_ready: Condvar,
     /// Per-worker task deques: owners pop the front, thieves take the
     /// back half.
@@ -237,6 +242,7 @@ impl Executor {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched { queue: VecDeque::new(), epoch: 0 }),
+            smallest_queued: AtomicUsize::new(usize::MAX),
             work_ready: Condvar::new(),
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             shutdown: AtomicBool::new(false),
@@ -356,6 +362,7 @@ impl Executor {
         {
             let mut g = lock(&self.shared.sched);
             g.queue.push_back(CampaignQueue { tasks, limit, in_flight, shard_len });
+            self.shared.smallest_queued.store(smallest_shard(&g), Ordering::Relaxed);
             g.epoch += 1;
         }
         self.shared.work_ready.notify_all();
@@ -520,14 +527,23 @@ pub fn yield_now() {
     let Some((shared, me, running)) = WORKER.with(|w| {
         let w = w.borrow();
         let (shared, me) = w.worker.as_ref().filter(|_| !w.nested)?;
-        Some((Arc::clone(shared), *me, w.running.clone()?))
+        let running = w.running.as_ref()?;
+        // No queued shard is smaller than this one, so `pick` would take
+        // none: an empty injector, or only this shard's own campaign (the
+        // usual case on a lone campaign), answered without the lock. A
+        // campaign queued just after this read waits one more trial.
+        if shared.smallest_queued.load(Ordering::Relaxed) >= running.len {
+            return None;
+        }
+        Some((Arc::clone(shared), *me, running.clone()))
     }) else {
         return;
     };
     let task = {
         let mut g = lock(&shared.sched);
+        debug_assert_eq!(shared.smallest_queued.load(Ordering::Relaxed), smallest_shard(&g));
         let Some((i, _)) = pick(&g, Some(&running)) else { return };
-        take(&mut g, i, 1).pop_front().expect("a queued campaign holds a task")
+        take(&shared, &mut g, i, 1).pop_front().expect("a queued campaign holds a task")
     };
     let _nested = enter(|w| w.nested = true);
     run_task(&shared, task, me);
@@ -558,14 +574,22 @@ fn pick(sched: &Sched, running: Option<&Running>) -> Option<(usize, usize)> {
 /// them in flight, and moves the campaign to the back of the
 /// round-robin order (a fully dispatched campaign retires from the
 /// injector).
-fn take(sched: &mut Sched, i: usize, chunk: usize) -> VecDeque<Task> {
+fn take(shared: &Shared, sched: &mut Sched, i: usize, chunk: usize) -> VecDeque<Task> {
     let mut c = sched.queue.remove(i).expect("index from the pick");
     c.in_flight.fetch_add(chunk, Ordering::AcqRel);
     let taken = c.tasks.drain(..chunk).collect();
-    if !c.tasks.is_empty() {
+    if c.tasks.is_empty() {
+        shared.smallest_queued.store(smallest_shard(sched), Ordering::Relaxed);
+    } else {
         sched.queue.push_back(c);
     }
     taken
+}
+
+/// The smallest `shard_len` of the queued campaigns, `usize::MAX` if
+/// none is queued: the value [`Shared::smallest_queued`] publishes.
+fn smallest_shard(sched: &Sched) -> usize {
+    sched.queue.iter().map(|c| c.shard_len).min().unwrap_or(usize::MAX)
 }
 
 /// Pulls a chunk from the injector: the [`pick`]ed campaign donates
@@ -574,12 +598,13 @@ fn take(sched: &mut Sched, i: usize, chunk: usize) -> VecDeque<Task> {
 fn refill(shared: &Shared, me: usize) -> bool {
     let mut taken = {
         let mut g = lock(&shared.sched);
+        debug_assert_eq!(shared.smallest_queued.load(Ordering::Relaxed), smallest_shard(&g));
         let Some((i, running)) = pick(&g, None) else { return false };
         let c = &g.queue[i];
         let remaining = c.tasks.len();
         let chunk =
             remaining.div_ceil(shared.deques.len()).clamp(1, (c.limit - running).min(remaining));
-        take(&mut g, i, chunk)
+        take(shared, &mut g, i, chunk)
     };
     let Some(first) = taken.pop_front() else { return false };
     if !taken.is_empty() {

@@ -14,8 +14,8 @@
 //! - **Slots.** Each frame that has been decoded from gets a dense
 //!   `PAGE_SIZE / 4` slot table (word index → micro-op) in one shared
 //!   arena, so a dispatch is two array indexes. The machine's fetch
-//!   cursor keeps a frame's arena position and re-hits with one index,
-//!   valid until the next flush starts a new epoch.
+//!   cursor keeps a frame's arena position and reads the frame's slot
+//!   table directly, valid until the next flush starts a new epoch.
 //! - **Runs.** A miss decodes forward from the missing word — up to
 //!   `MAX_RUN` instructions, stopping at the frame boundary, at an
 //!   undecodable word, or after an unconditional control transfer — so
@@ -138,21 +138,17 @@ impl BlockCache {
         self.epoch
     }
 
-    /// The fetch cursor's dispatch: the micro-op at arena position `slot`
-    /// (from [`BlockCache::slot_base`] in `epoch`), counted as a hit, or
-    /// `None` — with no side effects — if the cache was flushed since or
-    /// the slot is not decoded. The caller also checks that the
-    /// code-write generation is still the one `slot` was taken at (else
-    /// [`BlockCache::fetch`] would flush); a `Some` is then exactly the
-    /// hit [`BlockCache::fetch`] would make.
+    /// The slot table starting at arena position `base` (from
+    /// [`BlockCache::slot_base`] in `epoch`): one frame's word index →
+    /// micro-op, `None` where not decoded. `None` if the cache was flushed
+    /// since. The caller also checks that the code-write generation is
+    /// still the one `base` was taken at (else [`BlockCache::fetch`] would
+    /// flush); each decoded slot it serves is then exactly the hit
+    /// [`BlockCache::fetch`] would make, and it counts it in
+    /// [`BlockCache::stats`] itself.
     #[inline]
-    pub(crate) fn rehit(&mut self, epoch: u64, slot: usize) -> Option<Inst> {
-        if epoch != self.epoch {
-            return None;
-        }
-        let inst = self.slots[slot]?;
-        self.stats.hits += 1;
-        Some(inst)
+    pub(crate) fn page(&self, epoch: u64, base: usize) -> Option<&[Option<Inst>]> {
+        (epoch == self.epoch).then(|| &self.slots[base..base + SLOTS])
     }
 
     /// Drops every decoded entry (slot storage is kept for reuse) and

@@ -244,17 +244,17 @@ impl Cache {
         }
     }
 
-    /// Counts a hit on `pa` if it lies in the most recently accessed
-    /// line, which is still its set's MRU way, so [`Cache::access`] would
-    /// hit it without promotion. Returns false, with no side effects,
-    /// otherwise.
+    /// Whether `pa` lies in the most recently accessed line, which is
+    /// still its set's MRU way, so [`Cache::access`] would hit it without
+    /// promotion.
     #[inline]
-    pub(crate) fn rehit_last(&mut self, pa: u64) -> bool {
-        if self.line_key(pa) != self.last {
-            return false;
-        }
-        self.stats.hits += 1;
-        true
+    pub(crate) fn in_last_line(&self, pa: u64) -> bool {
+        self.line_key(pa) == self.last
+    }
+
+    /// The line size in bytes.
+    pub(crate) fn line_bytes(&self) -> u64 {
+        1 << self.line_shift
     }
 
     /// Presence check without LRU update (for assertions in tests).

@@ -14,6 +14,23 @@
 //!   and redirected to the resolved target (Figure 3(d));
 //! - the §9 mitigations hook into exactly these paths.
 //!
+//! [`Machine::run`] is the one retire loop ([`Machine::step`] is
+//! `run(1)`). Under [`ExecEngine::Cached`], while a fetch cursor covers
+//! the PC, it executes each run of consecutive predecoded register-only
+//! instructions back to back and charges their fetches in bulk; the
+//! instruction that ends a run goes through `Machine::exec`. A run ends
+//! at the page end, at the instruction budget, or at the first slot that
+//! is not a decoded register-only instruction. Bulk charging is exact:
+//! those instructions touch no simulated memory, TLB, predictor or RNG,
+//! so their fetches make the same counter updates and cycles in one
+//! update as one by one — block-cache hits, MRU iTLB hits and the L1i
+//! accessed line by line in program order. The profiler times each
+//! instruction, so under it the loop forms no runs: each cursor-served
+//! fetch is charged alone and each instruction goes through `exec`.
+//! Every other fetch, and every fetch under
+//! [`ExecEngine::Interpreted`], goes through the full per-instruction
+//! path in the same loop.
+//!
 //! The retire path (`Machine::exec`) and the wrong path
 //! (`Machine::spec_exec`) share one copy of the instruction semantics:
 //! `alu` evaluates the register-only instructions and `MemOp` computes
@@ -1285,122 +1302,232 @@ impl Machine {
 
     // ----- execution ---------------------------------------------------
 
-    /// Runs from the current PC until `HLT`, a trap, or `max_insts`.
+    /// Runs from the current PC until `HLT`, a trap, or `max_insts`
+    /// retired instructions: the one retire loop.
+    ///
+    /// While a fetch cursor covers the PC, each run of consecutive
+    /// decoded register-only slots executes back to back (`retire_run`),
+    /// and the slot that ends it goes through `exec`; while the profiler
+    /// runs, every instruction goes through `exec` on its own. Any
+    /// instruction no cursor serves — all of them under
+    /// [`ExecEngine::Interpreted`] — takes a full fetch first.
     ///
     /// # Errors
     ///
     /// Returns the first architectural [`Trap`]. A trap while at EL1 is a
     /// kernel panic; the kernel crate turns it into a reboot.
     pub fn run(&mut self, max_insts: u64) -> Result<Stop, Trap> {
-        for _ in 0..max_insts {
-            if let Some(stop) = self.retire()? {
+        if self.profiler.is_enabled() {
+            self.retire_loop::<true>(max_insts)
+        } else {
+            self.retire_loop::<false>(max_insts)
+        }
+    }
+
+    /// The body of [`Machine::run`], compiled once with the profiler's
+    /// per-instruction timing (`PROFILED`) and once without, so the
+    /// unprofiled loop carries none of it.
+    #[inline(always)]
+    fn retire_loop<const PROFILED: bool>(&mut self, max_insts: u64) -> Result<Stop, Trap> {
+        let mut left = max_insts;
+        // The table slot of the cursor covering the PC. It is looked up
+        // after a page change and kept while only what cannot invalidate
+        // the cursor happened (only a full fetch re-aims a slot).
+        let mut cursor = None;
+        while left > 0 {
+            if let Some(trap) = self.pending_spec_fault {
+                // Only reachable under the `commit_suppressed_faults`
+                // injected bug: the wrong-path fault the squash should
+                // have discarded is delivered architecturally instead.
+                self.pending_spec_fault = None;
+                return Err(trap);
+            }
+            let el = self.cpu.el;
+            if cursor.is_none() {
+                cursor = self.covering_cursor(self.cpu.pc, el);
+            }
+            let step_start = self.cycles;
+            let decode_timer = ProfTimer::start(PROFILED);
+            let served = match cursor {
+                Some(slot) => self.retire_run::<PROFILED>(slot, &mut left),
+                None => None,
+            };
+            let pc = self.cpu.pc;
+            let inst = match served {
+                Some(inst) => inst,
+                None => {
+                    // The run reached the page end or the budget, or the
+                    // PC's slot takes a full fetch.
+                    let page_end = cursor.is_some_and(|slot| {
+                        pc.wrapping_sub(self.fetch_cursors[slot].page) >= PAGE_SIZE
+                    });
+                    cursor = None;
+                    if left == 0 || page_end {
+                        continue;
+                    }
+                    let inst = self.fetch(pc, el)?;
+                    self.cycles += self.config.latency.alu;
+                    self.stats.retired += 1;
+                    left -= 1;
+                    inst
+                }
+            };
+            if PROFILED {
+                self.profiler.record_decode(self.cycles - step_start, decode_timer.elapsed_ns());
+            }
+            let exec_start = self.cycles;
+            let exec_timer = ProfTimer::start(PROFILED);
+            let out = self.exec(pc, el, inst);
+            if PROFILED {
+                self.profiler.record_retire(
+                    &inst,
+                    pc,
+                    self.cycles - step_start,
+                    self.cycles - exec_start,
+                    exec_timer.elapsed_ns(),
+                );
+            }
+            if let Some(stop) = out? {
                 return Ok(stop);
             }
+            // What `exec` can change of a cursor's validity: the EL, the
+            // iTLB version (a translation or a wrong-path fetch), the
+            // code-write generation (a store) and the page of the PC. A
+            // latched wrong-path fault is checked at the top.
+            cursor = cursor.filter(|&slot| {
+                let c = &self.fetch_cursors[slot];
+                self.cpu.el == el
+                    && self.mem.tlbs.itlb(MemorySystem::world(el)).version() == c.version
+                    && self.mem.phys.code_write_gen() == c.gen
+                    && self.cpu.pc.wrapping_sub(c.page) & !(PAGE_SIZE - 4) == 0
+            });
         }
         Ok(Stop::InstLimit)
     }
 
-    /// Fetches, decodes and retires exactly one instruction — the retire
-    /// boundary the differential conformance harness (`pacman-ref`)
-    /// compares committed state at.
+    /// Fetches, decodes and retires exactly one instruction — `run(1)`,
+    /// the retire boundary the differential conformance harness
+    /// (`pacman-ref`) compares committed state at.
     ///
     /// # Errors
     ///
     /// Returns the architectural [`Trap`] raised by this instruction.
     pub fn step(&mut self) -> Result<Option<Stop>, Trap> {
-        self.retire()
+        match self.run(1)? {
+            Stop::InstLimit => Ok(None),
+            stop => Ok(Some(stop)),
+        }
     }
 
-    /// The one retire body behind [`Machine::step`] and [`Machine::run`].
+    /// Retires from the PC, which the cursor in table slot `slot` covers,
+    /// at most `*left` instructions, counting them off: the run of decoded
+    /// register-only slots there executes back to back, up to the page
+    /// end or the budget, then [`Machine::charge_fetches`] charges its
+    /// fetches and that of the decoded slot that ended it, which it
+    /// returns for [`Machine::exec`]. Charging in bulk is exact: the run's
+    /// instructions touch no simulated memory, TLB, predictor or RNG, so
+    /// nothing can observe the order. The PC is left after the run.
+    /// `None` if the run reached the page end or the budget, if the slot
+    /// after it is not decoded, or if the block cache was flushed since
+    /// the cursor was aimed.
+    ///
+    /// While the profiler runs (`PROFILED`), there are no runs: the
+    /// slot at the PC is charged alone ([`Machine::charge_fetch`]) and
+    /// returned, so `exec` can be timed for every instruction.
     #[inline(always)]
-    fn retire(&mut self) -> Result<Option<Stop>, Trap> {
-        if let Some(trap) = self.pending_spec_fault {
-            // Only reachable under the `commit_suppressed_faults`
-            // injected bug: the wrong-path fault the squash should have
-            // discarded is delivered architecturally instead.
-            self.pending_spec_fault = None;
-            return Err(trap);
-        }
-        if self.profiler.is_enabled() {
-            return self.retire_profiled();
-        }
+    fn retire_run<const PROFILED: bool>(&mut self, slot: usize, left: &mut u64) -> Option<Inst> {
+        let c = self.fetch_cursors[slot];
+        let slots = self.block_cache.page(c.epoch, c.slots)?;
         let pc = self.cpu.pc;
-        let el = self.cpu.el;
-        let inst = self.fetch_decode(pc, el)?;
-        self.stats.retired += 1;
-        self.exec(pc, el, inst)
-    }
-
-    /// [`Machine::retire`] with the profiler's decode and execute timing.
-    #[inline(never)]
-    fn retire_profiled(&mut self) -> Result<Option<Stop>, Trap> {
-        let pc = self.cpu.pc;
-        let el = self.cpu.el;
-        let step_start = self.cycles;
-        let decode_timer = ProfTimer::start(true);
-        let inst = self.fetch_decode(pc, el)?;
-        self.stats.retired += 1;
-        self.profiler.record_decode(self.cycles - step_start, decode_timer.elapsed_ns());
-        let exec_start = self.cycles;
-        let exec_timer = ProfTimer::start(true);
-        let out = self.exec(pc, el, inst);
-        self.profiler.record_retire(
-            &inst,
-            pc,
-            self.cycles - step_start,
-            self.cycles - exec_start,
-            exec_timer.elapsed_ns(),
-        );
-        out
-    }
-
-    /// Fetches and decodes `pc` at `el`, charging the fetch and the
-    /// `alu` issue cost: from a fetch cursor when one covers it, else
-    /// through [`Machine::fetch`].
-    #[inline(always)]
-    fn fetch_decode(&mut self, pc: u64, el: El) -> Result<Inst, Trap> {
-        if let Some(inst) = self.cursor_fetch(pc, el) {
-            return Ok(inst);
+        let first = ((pc - c.page) / 4) as usize;
+        if PROFILED {
+            let inst = slots[first]?;
+            self.charge_fetch(c, pc);
+            self.stats.retired += 1;
+            *left -= 1;
+            return Some(inst);
         }
-        let inst = self.fetch(pc, el)?;
-        self.cycles += self.config.latency.alu;
-        Ok(inst)
+        let budget = usize::try_from(*left).unwrap_or(usize::MAX);
+        let end = first + (slots.len() - first).min(budget);
+        let mut i = first;
+        while i < end {
+            let Some(inst @ alu_insts!()) = slots[i] else { break };
+            match alu(inst, |r| self.cpu.get(r), self.cpu.cmp) {
+                AluOut::Write { rd, value, .. } => self.cpu.set(rd, value),
+                AluOut::Cmp(a, b) => self.cpu.cmp = (a, b),
+            }
+            i += 1;
+        }
+        let ender = if i < end { slots[i] } else { None };
+        let ran = (i - first) as u64;
+        let charged = ran + u64::from(ender.is_some());
+        if charged > 0 {
+            self.charge_fetches(c, pc, charged);
+            self.stats.retired += charged;
+            *left -= charged;
+        }
+        self.cpu.pc = pc + 4 * ran;
+        ender
     }
 
-    /// The cursor for `pc`'s slot, if it covers a fetch of `pc` at `el`:
+    /// `pc`'s table slot, if its cursor covers a fetch of `pc` at `el`:
     /// word-aligned, inside its page, at its EL, under its iTLB version
     /// and code-write generation (see [`FetchCursor`]).
     #[inline(always)]
-    fn covering_cursor(&self, pc: u64, el: El) -> Option<FetchCursor> {
-        let c = self.fetch_cursors[cursor_index(pc)];
+    fn covering_cursor(&self, pc: u64, el: El) -> Option<usize> {
+        let slot = cursor_index(pc);
+        let c = &self.fetch_cursors[slot];
         let off = pc.wrapping_sub(c.page);
         // One test for "word-aligned and inside the page".
         let covers = off & !(PAGE_SIZE - 4) == 0
             && el == c.el
             && self.mem.tlbs.itlb(MemorySystem::world(el)).version() == c.version
             && self.mem.phys.code_write_gen() == c.gen;
-        covers.then_some(c)
+        covers.then_some(slot)
     }
 
-    /// Serves the fetch of `pc` at `el` from a fetch cursor, or returns
-    /// `None` — with no side effects — when none covers it. A served
-    /// fetch makes exactly the counter updates and charges exactly the
-    /// cycles of [`Machine::fetch`] plus the `alu` issue cost on the same
-    /// state: an MRU iTLB hit, the L1i access, and a block-cache hit.
+    /// Charges the fetches of the `n` consecutive words from `pc` in
+    /// cursor `c`'s page, decoded slots all, with exactly the counter
+    /// updates and cycles of `n` full fetches in program order plus the
+    /// `alu` issue cost of each: `n` block-cache hits and MRU iTLB hits,
+    /// and the L1i line by line — a line's first word a real access
+    /// unless it lies in the line accessed last, every other word a hit
+    /// on what is then its set's MRU way.
     #[inline(always)]
-    fn cursor_fetch(&mut self, pc: u64, el: El) -> Option<Inst> {
-        let c = self.covering_cursor(pc, el)?;
-        let off = pc - c.page;
-        let inst = self.block_cache.rehit(c.epoch, c.slots + (off / 4) as usize)?;
-        self.mem.tlbs.count_itlb_hit(MemorySystem::world(el));
-        let pa = c.frame + off;
-        let fetch_cycles = if self.mem.l1i.rehit_last(pa) {
+    fn charge_fetches(&mut self, c: FetchCursor, pc: u64, n: u64) {
+        self.block_cache.stats.hits += n;
+        self.mem.tlbs.count_itlb_hits(MemorySystem::world(c.el), n);
+        let hit = self.mem.latency.l1_hit;
+        let line = self.mem.l1i.line_bytes();
+        let mut cycles = n * (self.config.latency.alu + hit);
+        let mut hits = n;
+        let start = c.frame + (pc - c.page);
+        let mut pa = start;
+        while pa < start + 4 * n {
+            if !self.mem.l1i.in_last_line(pa) {
+                hits -= 1;
+                cycles += self.mem.cache_access(AccessKind::Fetch, pa).1 - hit;
+            }
+            pa = (pa | (line - 1)) + 1;
+        }
+        self.mem.l1i.stats.hits += hits;
+        self.cycles += cycles;
+    }
+
+    /// [`Machine::charge_fetches`] for the one word at `pc`, without the
+    /// line walk.
+    #[inline(always)]
+    fn charge_fetch(&mut self, c: FetchCursor, pc: u64) {
+        self.block_cache.stats.hits += 1;
+        self.mem.tlbs.count_itlb_hits(MemorySystem::world(c.el), 1);
+        let pa = c.frame + (pc - c.page);
+        let fetch_cycles = if self.mem.l1i.in_last_line(pa) {
+            self.mem.l1i.stats.hits += 1;
             self.mem.latency.l1_hit
         } else {
             self.mem.cache_access(AccessKind::Fetch, pa).1
         };
         self.cycles += fetch_cycles + self.config.latency.alu;
-        Some(inst)
     }
 
     /// The full fetch + decode of `pc` at `el`: translation, permissions
@@ -1448,6 +1575,7 @@ impl Machine {
         };
     }
 
+    #[inline(always)]
     fn exec(&mut self, pc: u64, el: El, inst: Inst) -> Result<Option<Stop>, Trap> {
         let next = pc.wrapping_add(4);
         match inst {
@@ -1476,17 +1604,17 @@ impl Machine {
                 if el != El::El1 {
                     return Err(Trap::BadEret { pc });
                 }
-                let saved = self.cpu.saved.take().ok_or(Trap::BadEret { pc })?;
+                let Some(saved) = &self.cpu.saved else {
+                    return Err(Trap::BadEret { pc });
+                };
                 self.cycles += self.config.latency.syscall_transition;
                 // Return values in x0/x1 survive the context restore, as on
                 // a real syscall ABI.
-                let (x0, x1) = (self.cpu.regs[0], self.cpu.regs[1]);
-                self.cpu.regs = saved.regs;
-                self.cpu.regs[0] = x0;
-                self.cpu.regs[1] = x1;
+                self.cpu.regs[2..].copy_from_slice(&saved.regs[2..]);
                 self.cpu.sp[El::El0 as usize] = saved.sp;
-                self.cpu.el = El::El0;
                 self.cpu.pc = saved.pc;
+                self.cpu.saved = None;
+                self.cpu.el = El::El0;
             }
             alu_insts!() => {
                 match alu(inst, |r| self.cpu.get(r), self.cpu.cmp) {
@@ -2851,7 +2979,7 @@ mod tests {
     /// Whether a fetch cursor covers a fetch of `pc` at `el` in the
     /// current block-cache epoch.
     fn cursor_live(m: &Machine, pc: u64, el: El) -> bool {
-        m.covering_cursor(pc, el).is_some_and(|c| c.epoch == m.block_cache.epoch())
+        m.covering_cursor(pc, el).is_some_and(|i| m.fetch_cursors[i].epoch == m.block_cache.epoch())
     }
 
     #[test]
@@ -3043,6 +3171,121 @@ mod tests {
         assert_eq!(cached.cpu.pc % 4, 2, "execution must have reached the misaligned PC");
         assert!(cached.block_cache_stats().bypasses >= 1);
         assert_engines_agree(&cached, &interp);
+    }
+
+    #[test]
+    fn alu_run_crosses_l1i_lines_and_the_page_end() {
+        // Forty register-only instructions end page A, and twenty more
+        // open page B: the run from A's second slot charges the L1i line
+        // by line across three cold lines, stops at A's end, and B's
+        // first fetch starts a new page.
+        let tail = 40;
+        let start = USER_CODE + PAGE_SIZE - 4 * tail;
+        let mut a = Asm::new();
+        for imm in 1..=60 {
+            a.push(Inst::AddImm { rd: Reg::X0, rn: Reg::X0, imm });
+        }
+        a.push(Inst::Hlt);
+        let program = a.assemble().unwrap();
+        let (mut cached, mut interp) = engine_pair();
+        for m in [&mut cached, &mut interp] {
+            m.map_region(USER_CODE, 2 * PAGE_SIZE, Perms::user_rwx());
+            m.load_program(start, &program);
+            m.cpu.pc = start;
+            m.cpu.el = El::El0;
+            assert_eq!(m.run(100), Ok(Stop::Hlt));
+        }
+        assert_eq!(cached.cpu.get(Reg::X0), (1..=60).sum::<u64>());
+        assert!(cached.mem.l1i.stats.misses >= 4, "every line is cold");
+        assert!(cached.block_cache_stats().hits >= 58, "both pages run from the arena");
+        assert_engines_agree(&cached, &interp);
+    }
+
+    #[test]
+    fn a_budget_that_ends_mid_run_stops_exactly_there() {
+        let mut a = Asm::new();
+        for imm in 1..=30 {
+            a.push(Inst::AddImm { rd: Reg::X0, rn: Reg::X0, imm });
+        }
+        a.push(Inst::Hlt);
+        let program = a.assemble().unwrap();
+        let (mut cached, mut interp) = engine_pair();
+        for m in [&mut cached, &mut interp] {
+            load_user(m, &program);
+        }
+        let mut steps = 0;
+        for budget in [1, 12, 5] {
+            assert_eq!(cached.run(budget), Ok(Stop::InstLimit));
+            for _ in 0..budget {
+                assert_eq!(interp.step(), Ok(None));
+            }
+            steps += budget;
+            assert_eq!(cached.cpu.pc, USER_CODE + 4 * steps, "the run must stop at the budget");
+            assert_eq!(cached.stats.retired, steps);
+            assert_engines_agree(&cached, &interp);
+        }
+        assert_eq!(cached.run(100), Ok(Stop::Hlt));
+        assert_eq!(interp.run(100), Ok(Stop::Hlt));
+        assert_engines_agree(&cached, &interp);
+    }
+
+    #[test]
+    fn a_store_into_the_running_frame_changes_the_very_next_instruction() {
+        // Mid-run, a 64-bit store rewrites the two slots right after it,
+        // both decoded with the run: the next instruction must be the
+        // new one.
+        let patched = encode(&Inst::MovZ { rd: Reg::X5, imm: 42, shift: 0 }).unwrap();
+        let add = Inst::AddImm { rd: Reg::X6, rn: Reg::X6, imm: 1 };
+        let mut a = Asm::new();
+        a.mov_imm64(Reg::X1, USER_CODE);
+        a.mov_imm64(Reg::X2, u64::from(patched) | u64::from(encode(&add).unwrap()) << 32);
+        if a.len().is_multiple_of(2) {
+            a.push(Inst::AddImm { rd: Reg::X7, rn: Reg::X7, imm: 1 });
+        }
+        let site = a.len() + 1;
+        a.push(Inst::Str { rt: Reg::X2, rn: Reg::X1, offset: 4 * site as i16 });
+        a.push(Inst::MovZ { rd: Reg::X5, imm: 7, shift: 0 });
+        a.push(add);
+        a.push(Inst::Hlt);
+        let program = a.assemble().unwrap();
+        let (mut cached, mut interp) = engine_pair();
+        for m in [&mut cached, &mut interp] {
+            load_user(m, &program);
+            assert_eq!(m.run(100), Ok(Stop::Hlt));
+        }
+        assert_eq!(cached.cpu.get(Reg::X5), 42, "the patched instruction must execute");
+        assert_eq!(cached.cpu.get(Reg::X6), 1);
+        assert!(cached.block_cache_stats().invalidations >= 1);
+        assert_engines_agree(&cached, &interp);
+    }
+
+    #[test]
+    fn a_profiled_run_counts_exactly_what_the_unprofiled_run_counts() {
+        // The profiler charges every instruction's fetch on its own; the
+        // unprofiled run charges register-only runs in bulk. Every
+        // exported counter but the profiler's own must agree, the
+        // engine's `exec.*` counters included.
+        let program = self_modifying_pac_program();
+        let [mut plain, mut profiled] = [false, true].map(|profile| {
+            let mut m =
+                Machine::new(MachineConfig { os_noise: 0.0, profile, ..MachineConfig::default() });
+            m.cpu.keys.write_half(SysReg::ApiaKeyLo, 0xfeed);
+            m
+        });
+        for m in [&mut plain, &mut profiled] {
+            run_user(m, &program);
+        }
+        let export = |m: &Machine| {
+            let mut reg = Registry::new();
+            m.export_telemetry(&mut reg);
+            let mut snap = reg.snapshot();
+            snap.retain_counters(|name| !name.starts_with("profile."));
+            snap
+        };
+        assert!(plain.block_cache_stats().hits > 0);
+        assert_eq!(format!("{:?}", plain.cpu), format!("{:?}", profiled.cpu));
+        assert_eq!(plain.cycles, profiled.cycles);
+        assert_eq!(export(&plain), export(&profiled));
     }
 
     #[test]

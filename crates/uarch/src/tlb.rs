@@ -430,7 +430,7 @@ impl TlbHierarchy {
     /// Instruction-side lookup for a fetch at the given privilege.
     pub fn lookup_fetch(&mut self, world: FetchWorld, vpn: u64) -> FetchLookup {
         if let Some(e) = self.itlb_mut(world).lookup(vpn) {
-            self.count_itlb_hit(world);
+            self.count_itlb_hits(world, 1);
             return FetchLookup::ItlbHit(e);
         }
         self.stats.itlb_misses += 1;
@@ -455,14 +455,14 @@ impl TlbHierarchy {
         self.fill_itlb_with_migration(world, entry);
     }
 
-    /// The counter updates of an iTLB hit (also those of a fetch the
-    /// fetch cursor serves).
+    /// The counter updates of `n` iTLB hits (also those of the fetches
+    /// the machine serves from a fetch cursor).
     #[inline]
-    pub(crate) fn count_itlb_hit(&mut self, world: FetchWorld) {
-        self.stats.itlb_hits += 1;
+    pub(crate) fn count_itlb_hits(&mut self, world: FetchWorld, n: u64) {
+        self.stats.itlb_hits += n;
         match world {
-            FetchWorld::User => self.stats.itlb_user_hits += 1,
-            FetchWorld::Kernel => self.stats.itlb_kernel_hits += 1,
+            FetchWorld::User => self.stats.itlb_user_hits += n,
+            FetchWorld::Kernel => self.stats.itlb_kernel_hits += n,
         }
     }
 

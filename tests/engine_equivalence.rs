@@ -12,6 +12,14 @@
 //! counters — except the host-only `exec.block.*` / `exec.pac.*`
 //! accelerator counters and the profiler's `profile.*` counters.
 //!
+//! `Machine::run` retires register-only runs back to back and charges
+//! their fetches in bulk, so the generated programs are also driven
+//! through `run(k)` in seeded chunks of 1 to the whole budget: at every
+//! chunk boundary the outcome, cycles and registers must match the
+//! interpreter stepped as far, at the end every simulated series must,
+//! and the block-cache counters must match a `Cached` machine stepped
+//! one instruction at a time.
+//!
 //! Generated programs run from one EL0 code page, so the oracle campaigns
 //! of §8.1 are compared too: 65 syscall round trips per PAC test, each
 //! crossing the user page, the kernel's vector page and a handler page,
@@ -22,9 +30,11 @@ use pacman::attack::parallel::Channel;
 use pacman::attack::{System, SystemConfig};
 use pacman::reference::diff::quiet_config;
 use pacman::reference::gen::{generate, scenario_seed};
-use pacman::uarch::{ExecEngine, Machine, MachineConfig};
+use pacman::uarch::{ExecEngine, Machine, MachineConfig, Stop};
 use pacman_telemetry::{Registry, Snapshot};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Generous per-run step budget: generated programs are a page of
 /// instructions at most and terminate (or trap) well inside this.
@@ -49,6 +59,17 @@ fn drive(m: &mut Machine, budget: u64) -> (u64, String) {
         }
     }
     (budget, "budget exhausted".to_string())
+}
+
+/// The `exec.block.*` counters of `m`.
+fn block_counters(m: &Machine) -> Vec<(String, u64)> {
+    let mut reg = Registry::new();
+    m.export_telemetry(&mut reg);
+    let snap = reg.snapshot();
+    snap.counters()
+        .filter(|(k, _)| k.starts_with("exec.block."))
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
 }
 
 /// Every exported series except the host-side accelerator and profiler
@@ -105,6 +126,41 @@ proptest! {
             }
         }
         assert_same("after the run", &cached, &interp);
+    }
+
+    #[test]
+    fn run_chunks_match_the_interpreter_stepped_as_far(seed: u64, noisy: bool) {
+        let scenario = generate(scenario_seed(0xC4_0C5, seed));
+        let [mut chunked, mut stepped] =
+            [0, 1].map(|_| Machine::new(machine_config(ExecEngine::Cached, noisy, seed)));
+        let mut interp = Machine::new(machine_config(ExecEngine::Interpreted, noisy, seed));
+        for m in [&mut chunked, &mut stepped, &mut interp] {
+            scenario.install_uarch(m);
+        }
+        let mut chunks = SmallRng::seed_from_u64(seed);
+        let mut done = 0;
+        while done < BUDGET {
+            let k = if chunks.gen_bool(0.5) { chunks.gen_range(1..=8) } else { chunks.gen_range(1..=BUDGET) };
+            let k = k.min(BUDGET - done);
+            let a = match chunked.run(k) {
+                Ok(Stop::InstLimit) => None,
+                Ok(stop) => Some(format!("stop: {stop:?}")),
+                Err(trap) => Some(format!("trap: {trap:?}")),
+            };
+            let b = (0..k).find_map(|_| step(&mut interp));
+            done += k;
+            let label = format!("chunk of {k} ending at {done}");
+            assert_eq!(a, b, "{label}: ended differently");
+            assert_eq!(chunked.cycles, interp.cycles, "{label}: cycles diverged");
+            assert_eq!(chunked.cpu.regs, interp.cpu.regs, "{label}: registers diverged");
+            assert_eq!(chunked.cpu.pc, interp.cpu.pc, "{label}: PC diverged");
+            if a.is_some() {
+                break;
+            }
+        }
+        assert_same("after the run", &chunked, &interp);
+        drive(&mut stepped, done);
+        assert_eq!(block_counters(&chunked), block_counters(&stepped));
     }
 }
 
