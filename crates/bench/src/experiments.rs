@@ -525,7 +525,7 @@ fn sec82_bruteforce_accuracy(ctx: &Ctx) -> DriverResult {
 /// per-guess behaviour as the full 2^16 sweep, at bounded runtime).
 fn sec83_jump2win(ctx: &Ctx) -> DriverResult {
     let cfg = quiet_config();
-    let windows = centred_windows(&cfg, 512);
+    let windows = centred_windows(&cfg, 512)?;
     let (report, telemetry) = parallel_jump2win(&cfg, windows, ctx.jobs, true, &ctx.tol)?;
     ctx.absorb(&telemetry);
 

@@ -9,8 +9,8 @@ use pacman_core::conformance::{run_conformance, ConformConfig};
 use pacman_core::fault::{FaultPlan, Tolerance};
 use pacman_core::jump2win::centred_windows;
 use pacman_core::parallel::{
-    oracle_distribution, oracle_distribution_observed, parallel_brute, parallel_jump2win, Channel,
-    ExperimentError,
+    oracle_distribution, oracle_distribution_observed, parallel_brute, parallel_jump2win, probe,
+    Channel, ExperimentError,
 };
 use pacman_core::report::Table;
 use pacman_core::{System, SystemConfig};
@@ -503,13 +503,16 @@ fn cmd_oracle(args: &Args) -> CliResult {
 }
 
 /// `window` brute candidates centred on the true PAC of the data
-/// channel's target, placed by one probe boot (the kernel seed pins the
-/// layout, so every shard sees the same target). Returns the target and
-/// the candidates.
-fn centred_brute_window(cfg: &SystemConfig, window: u32) -> (u64, Vec<u16>) {
-    let (target, true_pac) = Channel::Data.target(&mut System::boot(cfg.clone()));
+/// channel's target, placed by one [`probe`] on a pooled worker system
+/// (the kernel seed pins the layout, so every shard sees the same
+/// target). Returns the target and the candidates.
+fn centred_brute_window(
+    cfg: &SystemConfig,
+    window: u32,
+) -> Result<(u64, Vec<u16>), ExperimentError> {
+    let (target, true_pac) = probe(cfg, |sys| Channel::Data.target(sys))?;
     let start = true_pac.wrapping_sub((window / 2) as u16);
-    (target, (0..window).map(|i| start.wrapping_add(i as u16)).collect())
+    Ok((target, (0..window).map(|i| start.wrapping_add(i as u16)).collect()))
 }
 
 fn cmd_brute(args: &Args) -> CliResult {
@@ -519,7 +522,7 @@ fn cmd_brute(args: &Args) -> CliResult {
     let mut emit = Emitter::from_args(args)?;
     let tr = trace_arm(args);
     let cfg = config(args)?;
-    let (target, candidates) = centred_brute_window(&cfg, window);
+    let (target, candidates) = centred_brute_window(&cfg, window)?;
     let clock = cfg.machine.clock_hz;
     if !emit.quiet() {
         println!("sweeping {window} candidates for the PAC of {target:#x} ({jobs} jobs) ...");
@@ -561,7 +564,7 @@ fn cmd_jump2win(args: &Args) -> CliResult {
     let tol = tolerance(args);
     let mut emit = Emitter::from_args(args)?;
     let cfg = config(args)?;
-    let windows = centred_windows(&cfg, window);
+    let windows = centred_windows(&cfg, window)?;
     let (report, telemetry) = match parallel_jump2win(&cfg, windows, jobs, emit.active(), &tol) {
         Ok(out) => out,
         Err(e) => return Err(fail_sharded(emit, e, None)),
@@ -767,11 +770,10 @@ fn cmd_profile(args: &Args) -> CliResult {
             tp ^ (1 + i as u16)
         })
         .map(|out| out.telemetry),
-        _ => {
-            let (_, candidates) = centred_brute_window(&cfg, window);
+        _ => centred_brute_window(&cfg, window).and_then(|(_, candidates)| {
             parallel_brute(&cfg, Channel::Data, 5, &candidates, jobs, true, &tol)
                 .map(|out| out.telemetry)
-        }
+        }),
     };
     let registry = match run {
         Ok(reg) => reg,

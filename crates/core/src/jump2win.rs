@@ -20,6 +20,7 @@ use pacman_kernel::kext::cpp::{OBJ2_OFFSET, WIN_MAGIC};
 use pacman_kernel::KernelError;
 
 use crate::oracle::{dtlb_trial, OracleError, PacOracle, ProbeCache};
+use crate::parallel::{probe, ExperimentError};
 use crate::system::{System, SystemConfig};
 
 /// Samples per PAC guess (median rule) in both phases.
@@ -89,17 +90,22 @@ pub(crate) fn phase(sys: &System, phase: usize) -> (u64, u64) {
 }
 
 /// Per-phase candidate windows `(start, len)` of `len` guesses centred on
-/// the true PACs, read from a probe boot of `cfg`; every shard system
-/// shares its kernel seed, hence its keys and layout. A `len` of 2^16 or
-/// more sweeps the whole space from 0.
-pub fn centred_windows(cfg: &SystemConfig, len: u32) -> [(u16, u32); 2] {
+/// the true PACs, read by a [`probe`] of `cfg` on a pooled worker system;
+/// every shard system shares its kernel seed, hence its keys and layout.
+/// A `len` of 2^16 or more sweeps the whole space from 0.
+///
+/// # Errors
+///
+/// [`ExperimentError::Shards`] if the probe shard fails.
+pub fn centred_windows(cfg: &SystemConfig, len: u32) -> Result<[(u16, u32); 2], ExperimentError> {
     if len >= 1 << 16 {
-        return [(0, 1 << 16); 2];
+        return Ok([(0, 1 << 16); 2]);
     }
-    let probe = System::boot(cfg.clone());
-    [0, 1].map(|i| {
-        let true_pac = probe.true_pac_with_salt(PHASE_KEYS[i], phase(&probe, i).1);
-        (true_pac.wrapping_sub((len / 2) as u16), len)
+    probe(cfg, move |sys| {
+        [0, 1].map(|i| {
+            let true_pac = sys.true_pac_with_salt(PHASE_KEYS[i], phase(sys, i).1);
+            (true_pac.wrapping_sub((len / 2) as u16), len)
+        })
     })
 }
 
@@ -172,7 +178,7 @@ mod tests {
     use super::*;
     use crate::brute::BruteForcer;
     use crate::fault::Tolerance;
-    use crate::parallel::{parallel_jump2win, ExperimentError};
+    use crate::parallel::parallel_jump2win;
 
     fn quiet_config() -> SystemConfig {
         let mut cfg = SystemConfig::default();
@@ -201,17 +207,17 @@ mod tests {
     fn windows_centre_on_the_true_pacs_or_cover_the_whole_space() {
         let cfg = quiet_config();
         let sys = System::boot(cfg.clone());
-        for (i, (start, len)) in centred_windows(&cfg, 8).into_iter().enumerate() {
+        for (i, (start, len)) in centred_windows(&cfg, 8).unwrap().into_iter().enumerate() {
             let true_pac = sys.true_pac_with_salt(PHASE_KEYS[i], phase(&sys, i).1);
             assert_eq!((start.wrapping_add(4), len), (true_pac, 8));
         }
-        assert_eq!(centred_windows(&cfg, 1 << 16), [(0, 1 << 16); 2]);
+        assert_eq!(centred_windows(&cfg, 1 << 16).unwrap(), [(0, 1 << 16); 2]);
     }
 
     #[test]
     fn wrong_window_reports_a_retryable_false_negative() {
         let cfg = quiet_config();
-        let [(ia, _), (da, _)] = centred_windows(&cfg, 8);
+        let [(ia, _), (da, _)] = centred_windows(&cfg, 8).unwrap();
         let windows = [(ia.wrapping_add(100), 8), (da, 8)];
         let err = parallel_jump2win(&cfg, windows, 1, false, &Tolerance::default()).unwrap_err();
         assert!(matches!(

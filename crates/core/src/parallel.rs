@@ -176,8 +176,8 @@ impl Channel {
     /// returns it with its ground-truth PAC. The target page sits in a
     /// dTLB set no per-syscall service page touches; the cache channel
     /// also needs a quiet L1D set inside that page. Both depend only on
-    /// the kernel seed, so every shard of a campaign (and a probe boot
-    /// of the same config) gets the same pair.
+    /// the kernel seed, so every shard of a campaign (and a [`probe`] of
+    /// the same config) gets the same pair.
     pub fn target(self, sys: &mut System) -> (u64, u16) {
         let set = sys.pick_quiet_dtlb_set();
         let offset = if self == Channel::Cache { quiet_target_offset() } else { 0 };
@@ -377,6 +377,30 @@ where
     }
     tol.record_runner_counters(acc.telemetry(), retries);
     Ok(acc)
+}
+
+/// Reads something about `base`'s platform off a system leased on an
+/// executor worker: a one-shard campaign on the harness (no injected
+/// faults, nothing recorded) runs `read` on its shard system, so the
+/// calling thread boots nothing. That system's kernel seed is `base`'s,
+/// so keys, layout and ground truth match every shard of a campaign on
+/// `base` (the window-centring drivers read their true PACs here).
+///
+/// # Errors
+///
+/// [`ExperimentError::Shards`] if the probe shard fails every attempt.
+pub fn probe<T, F>(base: &SystemConfig, read: F) -> Result<T, ExperimentError>
+where
+    T: Send + 'static,
+    F: Fn(&mut System) -> T + Send + Sync + 'static,
+{
+    let plan = shard_plan(1, 1, base.machine.seed);
+    let base = base.clone();
+    let work =
+        move |at: &Attempt<'_>| at.lease(&base, false, |sys| Ok((read(sys), Registry::disabled())));
+    let init = (Vec::with_capacity(1), Registry::disabled());
+    let (mut out, _) = fold_campaign(plan, 1, &Tolerance::default(), work, init, &mut |_| {})?;
+    Ok(out.pop().expect("a completed one-shard campaign holds one result"))
 }
 
 /// Number of miss-count buckets in the Figure 8 distributions (0..=12,

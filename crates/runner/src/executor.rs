@@ -10,6 +10,7 @@
 //!   worker first drains its own deque, then refills a chunk from the
 //!   shared campaign injector, then steals half of a sibling's deque.
 //!   A running shard also calls [`yield_now`] once per trial, where the
+//!   worker first hands its CPU to any thread waiting for one, then the
 //!   same fair-share pick may run one smaller shard of a starved
 //!   campaign to completion on this worker before the trial goes on
 //!   (one level deep). Scheduling only decides *where* and *when* a shard runs —
@@ -40,7 +41,9 @@
 //!   failure the campaign's cancel flag is raised *before* the failure
 //!   event is sent, so once a consumer observes the failure no
 //!   later-starting task of that campaign runs workload code — it
-//!   reports itself cancelled.
+//!   reports itself cancelled. A panic in a worker's own scheduling
+//!   code aborts the process with a message naming the worker, rather
+//!   than leave the campaigns waiting on that worker hanging.
 //!
 //! Wakeup correctness: every event that makes work runnable (a
 //! submission, tasks pushed into a deque, a completed task freeing
@@ -102,6 +105,9 @@ struct Shared {
     /// back half.
     deques: Vec<Mutex<VecDeque<Task>>>,
     shutdown: AtomicBool,
+    /// Test-only fault hook: [`take`] panics while it is raised.
+    #[cfg(test)]
+    panic_in_take: AtomicBool,
 }
 
 /// Per-campaign coordination shared by all its tasks.
@@ -246,6 +252,8 @@ impl Executor {
             work_ready: Condvar::new(),
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             shutdown: AtomicBool::new(false),
+            #[cfg(test)]
+            panic_in_take: AtomicBool::new(false),
         });
         let workers = (0..workers)
             .map(|me| {
@@ -254,6 +262,7 @@ impl Executor {
                     .name(format!("pacman-exec-{me}"))
                     .spawn(move || {
                         WORKER.with(|w| w.borrow_mut().worker = Some((Arc::clone(&shared), me)));
+                        let _abort = AbortOnPanic(me);
                         worker_loop(&shared, me);
                     })
                     .expect("spawn executor worker")
@@ -453,6 +462,26 @@ fn run_task(shared: &Shared, task: Task, me: usize) {
     shared.work_ready.notify_all();
 }
 
+/// Aborts the process when dropped by a panic in a worker's own
+/// scheduling code (`refill`, `steal`, `take`, the pick and hand-off in
+/// [`yield_now`]), which no shard's `catch_unwind` may absorb. A worker
+/// that unwound there would die with tasks counted in flight or lost,
+/// and every campaign waiting on them would hang instead of failing.
+struct AbortOnPanic(usize);
+
+impl Drop for AbortOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "executor worker pacman-exec-{} panicked outside a shard; aborting, since the \
+                 campaigns waiting on its tasks could never finish",
+                self.0
+            );
+            std::process::abort();
+        }
+    }
+}
+
 /// What [`yield_now`] knows about the calling thread. Only executor
 /// workers ever set it.
 #[derive(Default)]
@@ -506,12 +535,20 @@ fn enter(edit: impl FnOnce(&mut WorkerCtx)) -> Restore {
     })
 }
 
-/// A scheduling point inside a running shard: the fair-share pick
-/// also runs here, not only when a whole shard ends. If a campaign
-/// other than the running shard's has strictly fewer shards in flight,
-/// headroom under its `jobs` cap and smaller shards (fewer work items)
-/// than the running one, this worker takes one of its shards, runs it
-/// to completion on this thread, and returns.
+/// A scheduling point inside a running shard. On an executor worker it
+/// first hands the CPU to the OS ([`std::thread::yield_now`]), so a
+/// thread waiting for a CPU, such as a daemon thread about to submit a
+/// job's campaign, runs now instead of after a scheduler time slice; it
+/// goes before the pick, so a campaign submitted meanwhile can be picked
+/// by this very call. It costs one `sched_yield` per trial and touches
+/// no simulated state.
+///
+/// Then the fair-share pick runs here, not only when a whole shard
+/// ends. If a campaign other than the running shard's has strictly
+/// fewer shards in flight, headroom under its `jobs` cap and smaller
+/// shards (fewer work items) than the running one, this worker takes
+/// one of its shards, runs it to completion on this thread, and
+/// returns.
 ///
 /// Campaign drivers call it once per trial, so a small campaign that
 /// arrives behind long bulk shards starts within a trial instead of
@@ -521,13 +558,14 @@ fn enter(edit: impl FnOnce(&mut WorkerCtx)) -> Restore {
 /// worker instead of stalling the job for a whole bulk shard. Results
 /// cannot change: a shard's output depends only on its plan, never on
 /// where or when it runs. Nesting is one level deep (a nested shard's
-/// call does nothing), and the call does nothing off an executor
-/// worker or outside a shard.
+/// call only hands off), and the call does nothing off an executor
+/// worker.
 pub fn yield_now() {
     let Some((shared, me, running)) = WORKER.with(|w| {
         let w = w.borrow();
-        let (shared, me) = w.worker.as_ref().filter(|_| !w.nested)?;
-        let running = w.running.as_ref()?;
+        let (shared, me) = w.worker.as_ref()?;
+        hand_off();
+        let running = w.running.as_ref().filter(|_| !w.nested)?;
         // No queued shard is smaller than this one, so `pick` would take
         // none: an empty injector, or only this shard's own campaign (the
         // usual case on a lone campaign), answered without the lock. A
@@ -539,6 +577,7 @@ pub fn yield_now() {
     }) else {
         return;
     };
+    let _abort = AbortOnPanic(me);
     let task = {
         let mut g = lock(&shared.sched);
         debug_assert_eq!(shared.smallest_queued.load(Ordering::Relaxed), smallest_shard(&g));
@@ -547,6 +586,13 @@ pub fn yield_now() {
     };
     let _nested = enter(|w| w.nested = true);
     run_task(&shared, task, me);
+}
+
+/// Offers the calling worker's CPU to the OS scheduler.
+fn hand_off() {
+    std::thread::yield_now();
+    #[cfg(test)]
+    tests::HANDOFFS.with(|n| n.set(n.get() + 1));
 }
 
 /// The fair-share pick: of the queued campaigns with headroom under
@@ -575,6 +621,8 @@ fn pick(sched: &Sched, running: Option<&Running>) -> Option<(usize, usize)> {
 /// round-robin order (a fully dispatched campaign retires from the
 /// injector).
 fn take(shared: &Shared, sched: &mut Sched, i: usize, chunk: usize) -> VecDeque<Task> {
+    #[cfg(test)]
+    assert!(!shared.panic_in_take.load(Ordering::Relaxed), "injected scheduler panic");
     let mut c = sched.queue.remove(i).expect("index from the pick");
     c.in_flight.fetch_add(chunk, Ordering::AcqRel);
     let taken = c.tasks.drain(..chunk).collect();
@@ -677,6 +725,7 @@ fn worker_loop(shared: &Shared, me: usize) {
 mod tests {
     use super::*;
     use crate::{shard_plan, DEFAULT_SHARDS};
+    use std::cell::Cell;
     use std::sync::atomic::AtomicU32;
 
     #[test]
@@ -1163,6 +1212,145 @@ mod tests {
         cv.notify_all();
         a.wait().expect("campaign A");
         b.wait().expect("campaign B");
+    }
+
+    thread_local! {
+        /// Hand-offs [`hand_off`] made on this thread.
+        pub(super) static HANDOFFS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn handoffs() -> u64 {
+        HANDOFFS.with(Cell::get)
+    }
+
+    #[test]
+    fn every_yield_on_a_worker_hands_off_exactly_once() {
+        // The only worker runs A's ten-item shard. With nothing queued,
+        // each of A's yields returns before the pick, yet hands off. Then
+        // B (a one-item shard) is queued: A's next yield hands off and
+        // nests B, whose two yields hand off once each although a nested
+        // shard picks nothing. The test thread, off a worker, never does.
+        let exec = Executor::new(1);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let a = {
+            let events = Arc::clone(&events);
+            exec.submit::<(u64, u64), std::convert::Infallible, _>(
+                shard_plan(10, 1, 0),
+                1,
+                RetryPolicy::no_retries(),
+                move |_, _| {
+                    let start = handoffs();
+                    for _ in 0..3 {
+                        yield_now();
+                    }
+                    let idle = handoffs() - start;
+                    log(&events, "a.idle");
+                    await_event(&events, "b.submitted");
+                    let start = handoffs();
+                    yield_now();
+                    Ok((idle, handoffs() - start))
+                },
+            )
+        };
+        await_event(&events, "a.idle");
+        let b = exec.submit::<u64, std::convert::Infallible, _>(
+            shard_plan(1, 1, 1),
+            1,
+            RetryPolicy::no_retries(),
+            |_, _| {
+                let start = handoffs();
+                yield_now();
+                yield_now();
+                Ok(handoffs() - start)
+            },
+        );
+        log(&events, "b.submitted");
+        let off = handoffs();
+        yield_now();
+        assert_eq!(handoffs(), off, "an off-worker yield handed off");
+        let b = b.wait().expect("campaign B").results.remove(0).expect("B ran");
+        let a = a.wait().expect("campaign A").results.remove(0).expect("A ran");
+        assert_eq!(b, 2, "each nested yield hands off once");
+        assert_eq!(a, (3, 3), "each top-level yield hands off once, plus B's two nested ones");
+    }
+
+    /// Runs the ignored test `name` of this binary alone in a child
+    /// process and returns its exit status and stderr; fails if the child
+    /// is still running after a minute.
+    fn run_child(name: &str) -> (std::process::ExitStatus, String) {
+        use std::io::Read;
+        use std::process::{Command, Stdio};
+        use std::time::{Duration, Instant};
+        let mut child = Command::new(std::env::current_exe().expect("the test binary"))
+            .args(["--exact", name, "--ignored", "--nocapture", "--test-threads", "1"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn the child test");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            if let Some(status) = child.try_wait().expect("child status") {
+                let mut stderr = String::new();
+                child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("stderr");
+                return (status, stderr);
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{name} still runs after a minute: its campaigns hang");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_outside_a_shard_aborts_instead_of_hanging() {
+        for name in [
+            "executor::tests::a_panic_in_refill_child",
+            "executor::tests::a_panic_in_the_nested_pick_child",
+        ] {
+            let (status, stderr) = run_child(name);
+            assert!(!status.success(), "{name} exited cleanly: {stderr}");
+            // Once: the first scheduler panic aborts, and no shard's
+            // `catch_unwind` gets to absorb it.
+            assert_eq!(stderr.matches("injected scheduler panic").count(), 1, "{name}: {stderr}");
+            assert!(
+                stderr.contains("executor worker pacman-exec-0 panicked outside a shard"),
+                "{name}: {stderr}"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "aborts its process; a_worker_panic_outside_a_shard_aborts_instead_of_hanging runs it"]
+    fn a_panic_in_refill_child() {
+        // The idle worker's refill panics before it takes the task.
+        let exec = Executor::new(1);
+        exec.shared.panic_in_take.store(true, Ordering::Relaxed);
+        let plan = shard_plan(1, 1, 0);
+        let handle = exec.submit::<u64, std::convert::Infallible, _>(
+            plan,
+            1,
+            RetryPolicy::no_retries(),
+            |s, _| Ok(s.seed),
+        );
+        let _ = handle.wait();
+    }
+
+    #[test]
+    #[ignore = "aborts its process; a_worker_panic_outside_a_shard_aborts_instead_of_hanging runs it"]
+    fn a_panic_in_the_nested_pick_child() {
+        // The only worker is inside a long shard: the panic strikes in
+        // its yield, under the shard's own `catch_unwind`.
+        let exec = Executor::new(1);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let long = long_campaign(&exec, 50, "armed", &events);
+        await_event(&events, "long.0");
+        exec.shared.panic_in_take.store(true, Ordering::Relaxed);
+        let short = logging_campaign(&exec, "short", &events);
+        log(&events, "armed");
+        let _ = short.wait();
+        let _ = long.wait();
     }
 
     #[test]
