@@ -4,7 +4,7 @@
 //! The `perf_campaign` artefact records and gates the executor:
 //!
 //! - **throughput** — campaigns/s and submit-to-drain latency of a
-//!   stream of small campaigns pipelined through a work-stealing
+//!   stream of small campaigns pipelined through the persistent
 //!   [`Executor`] (recorded, not gated against a baseline);
 //! - **zero drift** — bit-identical verdicts, histograms, trial records
 //!   and telemetry at `jobs = 1` and `jobs = N` (the fixed shard-plan +

@@ -733,11 +733,9 @@ mod tests {
             };
             let (serial, _) = run(1, Tolerance::default());
             let (wide, _) = run(4, Tolerance::default());
-            // Rate 0.25, not the default 0.2: the default seed's lowest
-            // census shard-panic draw is 0.212, so at 0.2 sec43 never
-            // faults.
+            // The CI fault drill's plan: its seed at the default rate.
             let faults =
-                Tolerance { faults: FaultPlan::disabled().with_rate(0.25), ..Tolerance::default() };
+                Tolerance { faults: FaultPlan::new(4_195_909_357, 0.2), ..Tolerance::default() };
             let (faulted, retries) = run(4, faults);
             assert!(retries > 0, "{id}: the fault plan never fired");
             assert_eq!(serial, wide, "{id}: jobs=1 and jobs=4 differ");

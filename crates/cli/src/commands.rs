@@ -209,7 +209,7 @@ is sized once per process from the same, or by daemon --workers.
 set, else off. --window 65536 sweeps the whole 16-bit PAC space.
 
 Trial-driving commands cut their work into fixed shards and run up to
---jobs of them at once on the process-wide work-stealing pool; for a
+--jobs of them at once on the process-wide worker pool; for a
 fixed --seed the merged result is identical at every job count. A
 panicking or faulted shard is retried within a bounded budget; one that
 exhausts it ends the run with 'shard_failure' and 'partial_failure'

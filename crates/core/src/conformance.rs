@@ -99,7 +99,8 @@ pub fn run_conformance(
     jobs: usize,
     tol: &Tolerance,
 ) -> Result<ConformReport, ExperimentError> {
-    let plan = shard_plan(cfg.programs, DEFAULT_SHARDS, cfg.seed);
+    let seed = cfg.seed;
+    let plan = shard_plan(cfg.programs, DEFAULT_SHARDS, seed);
     let init = ConformReport {
         programs: cfg.programs as u64,
         divergences: Vec::new(),
@@ -126,7 +127,7 @@ pub fn run_conformance(
         }
         Ok(divergences)
     };
-    let mut report = fold_campaign(plan, jobs, tol, work, init, &mut |_| {})?;
+    let mut report = fold_campaign(plan, seed, jobs, tol, work, init, &mut |_| {})?;
     report.retries = report.telemetry.counter_value("runner.retries");
     report.telemetry.incr_by("conform.programs", report.programs);
     report.telemetry.incr_by("conform.divergences", report.divergences.len() as u64);

@@ -7,7 +7,9 @@
 //! pure function of `(seed, site, index, attempt)` — where to inject a
 //! shard panic, a timing-noise spike or an artifact-write IO error, so
 //! CI can run the whole retry/partial-failure machinery on every push
-//! with bit-reproducible fault patterns.
+//! with bit-reproducible fault patterns. Each campaign decides on its
+//! own stream (`FaultPlan::for_campaign`, keyed by its plan seed), so
+//! two campaigns over the same shard count draw different faults.
 //!
 //! Faults are **off by default** ([`FaultPlan::disabled`], the zero
 //! rate). They activate via the `PACMAN_FAULT_SEED` / `PACMAN_FAULT_RATE`
@@ -181,6 +183,14 @@ impl FaultPlan {
             self.injected.fetch_add(1, Ordering::Relaxed);
         }
         fire
+    }
+
+    /// This plan's decisions for one campaign: the same rate, the seed
+    /// mixed with the campaign's `key` (its plan seed), and an injected
+    /// count of its own from 0.
+    #[must_use]
+    pub(crate) fn for_campaign(&self, key: u64) -> Self {
+        Self::new(mix64(self.seed, key), self.rate)
     }
 
     /// Panics iff the shard-panic fault fires for `(shard, attempt)` —

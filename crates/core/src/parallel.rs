@@ -35,7 +35,7 @@
 use std::sync::Arc;
 
 use pacman_gadget::{scan_image, synthesize, ImageSpec, ScanConfig, ScanReport};
-use pacman_runner::{shard_plan, Executor, RunnerError, Shard, DEFAULT_SHARDS};
+use pacman_runner::{mix64, shard_plan, Executor, RunnerError, Shard, DEFAULT_SHARDS};
 use pacman_telemetry::Registry;
 use pacman_uarch::Trap;
 
@@ -324,8 +324,13 @@ impl<T: Send + 'static> Absorb for (Vec<T>, Registry) {
 /// recorded into the aggregate's telemetry; a permanent shard failure
 /// surfaces as [`ExperimentError::Shards`] with the full partial-result
 /// report.
+///
+/// `key` names the campaign in the fault-decision stream
+/// ([`FaultPlan::for_campaign`]): its plan seed, so campaigns with
+/// different plan seeds draw different faults.
 pub(crate) fn fold_campaign<A, F>(
     plan: Vec<Shard>,
+    key: u64,
     jobs: usize,
     tol: &Tolerance,
     work: F,
@@ -336,7 +341,7 @@ where
     A: Absorb,
     F: Fn(&Attempt<'_>) -> Result<A::Shard, ExperimentError> + Send + Sync + 'static,
 {
-    let tol = Arc::new(tol.clone());
+    let tol = Arc::new(Tolerance { retry: tol.retry, faults: tol.faults.for_campaign(key) });
     let attempt = {
         let tol = Arc::clone(&tol);
         move |shard: &Shard, attempt: u32| {
@@ -394,12 +399,14 @@ where
     T: Send + 'static,
     F: Fn(&mut System) -> T + Send + Sync + 'static,
 {
-    let plan = shard_plan(1, 1, base.machine.seed);
+    let seed = base.machine.seed;
+    let plan = shard_plan(1, 1, seed);
     let base = base.clone();
     let work =
         move |at: &Attempt<'_>| at.lease(&base, false, |sys| Ok((read(sys), Registry::disabled())));
     let init = (Vec::with_capacity(1), Registry::disabled());
-    let (mut out, _) = fold_campaign(plan, 1, &Tolerance::default(), work, init, &mut |_| {})?;
+    let (mut out, _) =
+        fold_campaign(plan, seed, 1, &Tolerance::default(), work, init, &mut |_| {})?;
     Ok(out.pop().expect("a completed one-shard campaign holds one result"))
 }
 
@@ -545,7 +552,8 @@ where
     F: Fn(usize, u16) -> u16 + Send + Sync + 'static,
     O: FnMut(ShardProgress),
 {
-    let plan = shard_plan(trials, DEFAULT_SHARDS, base.machine.seed);
+    let seed = base.machine.seed;
+    let plan = shard_plan(trials, DEFAULT_SHARDS, seed);
     let base = base.clone();
     let work = move |at: &Attempt<'_>| {
         at.lease(&base, record, |sys| {
@@ -589,7 +597,7 @@ where
             Ok(out)
         })
     };
-    fold_campaign(plan, jobs, tol, work, OracleDistribution::empty(record), &mut observe)
+    fold_campaign(plan, seed, jobs, tol, work, OracleDistribution::empty(record), &mut observe)
 }
 
 /// Merged result of a parallel brute-force sweep.
@@ -649,7 +657,8 @@ pub fn parallel_brute(
     record: bool,
     tol: &Tolerance,
 ) -> Result<ParallelBrute, ExperimentError> {
-    let plan = shard_plan(candidates.len(), DEFAULT_SHARDS, base.machine.seed);
+    let seed = base.machine.seed;
+    let plan = shard_plan(candidates.len(), DEFAULT_SHARDS, seed);
     let (base, candidates) = (base.clone(), candidates.to_vec());
     let work = move |at: &Attempt<'_>| {
         at.lease(&base, record, |sys| {
@@ -664,7 +673,7 @@ pub fn parallel_brute(
         telemetry: if record { Registry::new() } else { Registry::disabled() },
         ..ParallelBrute::default()
     };
-    fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
+    fold_campaign(plan, seed, jobs, tol, work, init, &mut |_| {})
 }
 
 /// Merged result of a parallel accuracy evaluation (§8.2).
@@ -723,7 +732,8 @@ pub fn parallel_accuracy<F>(
 where
     F: Fn(usize, u16) -> Vec<u16> + Send + Sync + 'static,
 {
-    let plan = shard_plan(runs, DEFAULT_SHARDS, base.machine.seed);
+    let seed = base.machine.seed;
+    let plan = shard_plan(runs, DEFAULT_SHARDS, seed);
     let base = base.clone();
     let work = move |at: &Attempt<'_>| {
         at.lease(&base, true, |sys| {
@@ -745,7 +755,7 @@ where
         })
     };
     let init = AccuracyOutcome { telemetry: Registry::new(), ..AccuracyOutcome::default() };
-    fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
+    fold_campaign(plan, seed, jobs, tol, work, init, &mut |_| {})
 }
 
 /// Which §7 sweep to run in parallel.
@@ -797,7 +807,7 @@ pub fn parallel_sweep(
         m.export_telemetry(&mut reg);
         Ok((series, reg))
     };
-    fold_campaign(plan, jobs, tol, work, init, &mut |_| {})
+    fold_campaign(plan, 0, jobs, tol, work, init, &mut |_| {})
 }
 
 /// Per-shard gadget reports folded in shard order beside the census
@@ -841,7 +851,17 @@ pub fn parallel_census(
         let sub = ImageSpec { functions: at.shard.len, seed: at.shard.seed, ..spec };
         Ok(scan_image(&synthesize(&sub).bytes, &config))
     };
-    fold_campaign(plan, jobs, tol, work, (ScanReport::default(), Registry::new()), &mut |_| {})
+    let init = (ScanReport::default(), Registry::new());
+    fold_campaign(plan, census_key(&spec), jobs, tol, work, init, &mut |_| {})
+}
+
+/// A census campaign's fault key: its plan seed mixed with the rest of
+/// its image spec, since the two §4.3 campaigns scan one seed's image
+/// with and without PA.
+fn census_key(spec: &ImageSpec) -> u64 {
+    [spec.pa_percent, spec.vdispatch_percent, spec.data_walk_percent, spec.spill_percent]
+        .into_iter()
+        .fold(spec.seed, |key, percent| mix64(key, u64::from(percent)))
 }
 
 /// Runs the §8.3 Jump2Win attack: its two independent brute-force
@@ -864,7 +884,8 @@ pub fn parallel_jump2win(
     tol: &Tolerance,
 ) -> Result<(Jump2WinReport, Registry), ExperimentError> {
     // Two work units: the two brute-force phases.
-    let plan = shard_plan(2, 2, base.machine.seed);
+    let seed = base.machine.seed;
+    let plan = shard_plan(2, 2, seed);
     let shard_base = base.clone();
     let work = move |at: &Attempt<'_>| {
         at.lease(&shard_base, record, |sys| {
@@ -877,7 +898,7 @@ pub fn parallel_jump2win(
         })
     };
     let init = (Vec::with_capacity(2), if record { Registry::new() } else { Registry::disabled() });
-    let (phases, mut telemetry) = fold_campaign(plan, jobs, tol, work, init, &mut |_| {})?;
+    let (phases, mut telemetry) = fold_campaign(plan, seed, jobs, tol, work, init, &mut |_| {})?;
 
     let found = |i: usize| phases[i].found.ok_or(Jump2WinError::PacNotFound { key: PHASE_KEYS[i] });
     let (pac_win, pac_vtable) = (found(0)?, found(1)?);
@@ -1082,16 +1103,52 @@ mod tests {
     }
 
     #[test]
+    fn the_two_census_campaigns_draw_their_own_faults() {
+        // The §4.3 row's campaigns, one image seed with and without PA,
+        // under the fault drill's plan.
+        let spec = ImageSpec { functions: 4000, seed: 0xC0DE, ..ImageSpec::default() };
+        let clean = ImageSpec { pa_percent: 0, ..spec };
+        let tol =
+            Tolerance { retry: RetryPolicy::default(), faults: FaultPlan::new(4_195_909_357, 0.2) };
+        let budget = RetryPolicy::default().max_attempts;
+        let retried = |spec: &ImageSpec| {
+            let probe = tol.faults.for_campaign(census_key(spec));
+            let attempts: Vec<u32> = (0..DEFAULT_SHARDS as u64)
+                .map(|sh| {
+                    (0..budget)
+                        .find(|&a| !probe.fires(FaultSite::ShardPanic, sh, a))
+                        .expect("survives")
+                })
+                .collect();
+            let (_, reg) = parallel_census(spec, &ScanConfig::default(), 2, &tol).expect("census");
+            let retries = attempts.iter().map(|&a| u64::from(a)).sum::<u64>();
+            assert_eq!(reg.counter_value("runner.retries"), retries, "{spec:?}");
+            attempts.iter().map(|&a| a > 0).collect::<Vec<_>>()
+        };
+        let (pa, no_pa) = (retried(&spec), retried(&clean));
+        assert!(
+            pa.contains(&true) && no_pa.contains(&true),
+            "the drill retries both: {pa:?} {no_pa:?}"
+        );
+        assert_ne!(pa, no_pa, "both campaigns retried the same shards");
+    }
+
+    #[test]
     fn clean_images_stay_clean_under_parallel_scan() {
         let clean = ImageSpec { pa_percent: 0, ..census_spec(300) };
         assert_eq!(census(&clean, 4).total(), 0, "no PA, no gadgets — in any shard");
     }
 
-    /// Replays the driver's per-shard fault decisions: the attempts a
+    /// The fault decisions of a campaign on `cfg` under `seed` and
+    /// `rate`: its plan seed is the machine seed.
+    fn campaign_plan(seed: u64, rate: f64, cfg: &SystemConfig) -> FaultPlan {
+        FaultPlan::new(seed, rate).for_campaign(cfg.machine.seed)
+    }
+
+    /// Replays a campaign's per-shard fault decisions: the attempts a
     /// shard needs before one is clean, or `None` if the budget (with
     /// reseeding) would be exhausted.
-    fn attempts_to_survive(seed: u64, rate: f64, shard: u64, budget: u32) -> Option<u32> {
-        let probe = FaultPlan::new(seed, rate);
+    fn attempts_to_survive(probe: &FaultPlan, shard: u64, budget: u32) -> Option<u32> {
         (0..budget).find(|&a| {
             !probe.fires(FaultSite::ShardPanic, shard, a)
                 && !probe.fires(FaultSite::TimingSpike, shard, a)
@@ -1111,8 +1168,9 @@ mod tests {
         let budget = RetryPolicy::default().max_attempts;
         let seed = (0..500u64)
             .find(|&s| {
+                let probe = campaign_plan(s, 0.3, &cfg);
                 let survived: Vec<_> =
-                    (0..8u64).map(|sh| attempts_to_survive(s, 0.3, sh, budget)).collect();
+                    (0..8u64).map(|sh| attempts_to_survive(&probe, sh, budget)).collect();
                 survived.iter().all(Option::is_some)
                     && survived.iter().map(|a| u64::from(a.unwrap())).sum::<u64>() > 0
             })
@@ -1170,15 +1228,15 @@ mod tests {
         // both of the plan's shards then survive within the budget, so
         // the run recovers with clean aggregates.
         let budget = RetryPolicy::default().max_attempts;
+        let cfg = quiet_config();
         let seed = (0..500u64)
             .find(|&s| {
-                let probe = FaultPlan::new(s, 0.5);
+                let probe = campaign_plan(s, 0.5, &cfg);
                 !probe.fires(FaultSite::ShardPanic, 0, 0)
                     && probe.fires(FaultSite::TimingSpike, 0, 0)
-                    && (0..2u64).all(|sh| attempts_to_survive(s, 0.5, sh, budget).is_some())
+                    && (0..2u64).all(|sh| attempts_to_survive(&probe, sh, budget).is_some())
             })
             .expect("a qualifying seed exists in 0..500");
-        let cfg = quiet_config();
         let wrong = |i: usize, tp: u16| tp ^ (1 + i as u16);
         let baseline = oracle_distribution(&cfg, Channel::Data, 1, 2, 1, true, &no_faults(), wrong)
             .expect("fault-free");

@@ -337,7 +337,7 @@ impl System {
 
 /// Format version of the [`System::snapshot`] blob. Bump on any layout
 /// change; [`System::restore`] rejects mismatches with a typed error.
-pub const SYSTEM_SNAPSHOT_VERSION: u16 = 2;
+pub const SYSTEM_SNAPSHOT_VERSION: u16 = 3;
 
 fn save_config(config: &SystemConfig, w: &mut Writer) {
     let m = &config.machine;

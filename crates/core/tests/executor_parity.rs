@@ -1,10 +1,10 @@
 //! Isolation contract of the shared executor: many campaigns submitted
-//! concurrently to the process-lifetime work-stealing
+//! concurrently to the process-lifetime
 //! [`Executor`](pacman_runner::Executor) interleave their shards on the
 //! same workers, yet each must reproduce exactly what it computes when
 //! it runs alone. The shard plan and every per-shard seed are pure
-//! functions of the workload and base seed, so cross-campaign stealing
-//! must not be observable in any aggregate.
+//! functions of the workload and base seed, so which worker takes which
+//! campaign's shard, and when, must not be observable in any aggregate.
 //!
 //! Every oracle trial is also a scheduling point, where a busy worker
 //! may run another campaign's shard to completion before the trial goes

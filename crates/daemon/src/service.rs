@@ -1094,7 +1094,7 @@ mod tests {
         // another queued behind it; the light session's campaign,
         // submitted once the flood is running, must finish while most
         // of the flood's shards are still to run: only the executor's
-        // least-in-flight refill hands it a worker that early.
+        // least-in-flight pick hands it a worker that early.
         const FLOOD_SHARDS: usize = 100;
         let exec = Arc::new(pacman_runner::Executor::new(2));
         let flood_done = Arc::new(AtomicUsize::new(0));

@@ -1,30 +1,30 @@
-//! Persistent work-stealing executor for sharded campaigns.
+//! Persistent executor for sharded campaigns.
 //!
 //! Every sharded campaign in the workspace runs on one process-lifetime
 //! pool of workers ([`Executor::global`]), so the thousands of small
 //! campaigns a `pacmand` daemon serves pay no per-campaign thread
 //! spawns:
 //!
-//! - **Whole shards are the steal units; trials are scheduling
-//!   points.** Each worker owns a deque of pending shard tasks; an idle
-//!   worker first drains its own deque, then refills a chunk from the
-//!   shared campaign injector, then steals half of a sibling's deque.
-//!   A running shard also calls [`yield_now`] once per trial, where the
-//!   worker first hands its CPU to any thread waiting for one, then the
-//!   same fair-share pick may run one smaller shard of a starved
+//! - **One dispatch queue; whole shards are the units, trials are
+//!   scheduling points.** Submitted campaigns wait in one injector
+//!   queue. A free worker takes one shard at a time from it through the
+//!   fair-share pick. A running shard also calls [`yield_now`] once per
+//!   trial, where the worker first hands its CPU to any thread waiting
+//!   for one, then the same pick may run one smaller shard of a starved
 //!   campaign to completion on this worker before the trial goes on
-//!   (one level deep). Scheduling only decides *where* and *when* a shard runs —
-//!   the shard plan and its [`mix64`](crate::mix64) seeds are fixed at
-//!   submission, so jobs=1 and jobs=N stay bit-identical by
-//!   construction.
+//!   (one level deep). Scheduling only decides *where* and *when* a
+//!   shard runs — the shard plan and its [`mix64`](crate::mix64) seeds
+//!   are fixed at submission, so jobs=1 and jobs=N stay bit-identical
+//!   by construction.
 //! - **Batched submission.** [`Executor::submit`] enqueues a campaign
 //!   and returns a [`CampaignHandle`] immediately; many campaigns can
-//!   be in flight at once. The injector hands each free worker a chunk
-//!   of the campaign with the fewest shards in flight, round-robin among
-//!   ties (fair share: a small campaign that arrives behind a long one
-//!   gets the next free worker, or the next trial boundary of a busy
-//!   one, rather than waiting out the long one's shards), and each
-//!   campaign's in-flight shard count is capped by its `jobs` argument.
+//!   be in flight at once. The pick hands a free worker (or a trial
+//!   boundary) a shard of the campaign with the fewest shards in
+//!   flight, round-robin among ties (fair share: a small campaign that
+//!   arrives behind a long one gets the next free worker, or the next
+//!   trial boundary of a busy one, rather than waiting out the long
+//!   one's shards), and each campaign's in-flight count — exactly its
+//!   running shards — is capped by its `jobs` argument.
 //!   Submission never blocks: each driver waits out its campaign
 //!   before submitting the next, so the injector holds at most one
 //!   campaign per submitting thread — for `pacmand`, one per running
@@ -45,12 +45,12 @@
 //!   code aborts the process with a message naming the worker, rather
 //!   than leave the campaigns waiting on that worker hanging.
 //!
-//! Wakeup correctness: every event that makes work runnable (a
-//! submission, tasks pushed into a deque, a completed task freeing
-//! campaign capacity) bumps the scheduler epoch *after* the work is
-//! visible and then notifies. Workers sample the epoch before scanning
-//! and only sleep if it is unchanged, so a wakeup between scan and
-//! sleep is never lost.
+//! Wakeup correctness: a free worker checks for work and goes to sleep
+//! under the one scheduler lock, and every event that makes work
+//! runnable (a submission, a finished shard freeing campaign capacity,
+//! shutdown) takes that lock after making the work visible and before
+//! it notifies. So an event either lands before the worker's check,
+//! which then sees it, or finds the worker asleep and wakes it.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -85,13 +85,9 @@ struct CampaignQueue {
     shard_len: usize,
 }
 
-/// Injector state: campaigns with undispatched shards, round-robin
-/// order, plus the wakeup epoch.
-struct Sched {
-    queue: VecDeque<CampaignQueue>,
-    /// Bumped (after the work is visible) by every runnable-work event.
-    epoch: u64,
-}
+/// Injector state: campaigns with undispatched shards, in round-robin
+/// order.
+type Sched = VecDeque<CampaignQueue>;
 
 struct Shared {
     sched: Mutex<Sched>,
@@ -101,9 +97,6 @@ struct Shared {
     /// [`pick`] would find no shard smaller than the running one.
     smallest_queued: AtomicUsize,
     work_ready: Condvar,
-    /// Per-worker task deques: owners pop the front, thieves take the
-    /// back half.
-    deques: Vec<Mutex<VecDeque<Task>>>,
     shutdown: AtomicBool,
     /// Test-only fault hook: [`take`] panics while it is raised.
     #[cfg(test)]
@@ -234,8 +227,8 @@ impl<T> Iterator for OrderedEvents<T> {
     }
 }
 
-/// A process-lifetime pool of work-stealing workers executing sharded
-/// campaigns (see the module docs for the scheduling model).
+/// A process-lifetime pool of workers executing sharded campaigns (see
+/// the module docs for the scheduling model).
 pub struct Executor {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -247,10 +240,9 @@ impl Executor {
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            sched: Mutex::new(Sched { queue: VecDeque::new(), epoch: 0 }),
+            sched: Mutex::new(VecDeque::new()),
             smallest_queued: AtomicUsize::new(usize::MAX),
             work_ready: Condvar::new(),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             shutdown: AtomicBool::new(false),
             #[cfg(test)]
             panic_in_take: AtomicBool::new(false),
@@ -303,7 +295,7 @@ impl Executor {
     /// Worker-thread count.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.shared.deques.len()
+        self.workers.len()
     }
 
     /// Enqueues a campaign and returns its streaming handle
@@ -370,9 +362,8 @@ impl Executor {
         drop(tx);
         {
             let mut g = lock(&self.shared.sched);
-            g.queue.push_back(CampaignQueue { tasks, limit, in_flight, shard_len });
+            g.push_back(CampaignQueue { tasks, limit, in_flight, shard_len });
             self.shared.smallest_queued.store(smallest_shard(&g), Ordering::Relaxed);
-            g.epoch += 1;
         }
         self.shared.work_ready.notify_all();
         CampaignHandle { rx, retries, total }
@@ -382,15 +373,14 @@ impl Executor {
     /// shards (the daemon reports it in status records).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.sched).queue.len()
+        lock(&self.shared.sched).len()
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        lock(&self.shared.sched).epoch += 1;
-        self.shared.work_ready.notify_all();
+        notify(&self.shared);
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -458,12 +448,19 @@ fn run_campaign_task<T, E, F>(
 /// freed by its completion.
 fn run_task(shared: &Shared, task: Task, me: usize) {
     let _ = catch_unwind(AssertUnwindSafe(|| task(me as u64)));
-    lock(&shared.sched).epoch += 1;
+    notify(shared);
+}
+
+/// Wakes the sleeping workers after an event made work runnable. Taking
+/// the scheduler lock first orders the event before any worker's next
+/// check, or after its sleep began: the wakeup cannot fall in between.
+fn notify(shared: &Shared) {
+    drop(lock(&shared.sched));
     shared.work_ready.notify_all();
 }
 
 /// Aborts the process when dropped by a panic in a worker's own
-/// scheduling code (`refill`, `steal`, `take`, the pick and hand-off in
+/// scheduling code (the pick and `take`, in the worker loop or in
 /// [`yield_now`]), which no shard's `catch_unwind` may absorb. A worker
 /// that unwound there would die with tasks counted in flight or lost,
 /// and every campaign waiting on them would hang instead of failing.
@@ -581,8 +578,8 @@ pub fn yield_now() {
     let task = {
         let mut g = lock(&shared.sched);
         debug_assert_eq!(shared.smallest_queued.load(Ordering::Relaxed), smallest_shard(&g));
-        let Some((i, _)) = pick(&g, Some(&running)) else { return };
-        take(&shared, &mut g, i, 1).pop_front().expect("a queued campaign holds a task")
+        let Some(i) = pick(&g, Some(&running)) else { return };
+        take(&shared, &mut g, i)
     };
     let _nested = enter(|w| w.nested = true);
     run_task(&shared, task, me);
@@ -601,122 +598,58 @@ fn hand_off() {
 /// picks only a campaign with strictly fewer in flight and shards
 /// smaller than it. No shard is smaller than its campaign's largest,
 /// so that also rules out the running shard's own campaign. Returns
-/// its queue index and in-flight count.
-fn pick(sched: &Sched, running: Option<&Running>) -> Option<(usize, usize)> {
+/// its queue index.
+fn pick(sched: &Sched, running: Option<&Running>) -> Option<usize> {
     let (below, len) =
         running.map_or((usize::MAX, usize::MAX), |r| (r.in_flight.load(Ordering::Acquire), r.len));
     sched
-        .queue
         .iter()
         .enumerate()
         .filter(|(_, c)| c.shard_len < len)
         .map(|(i, c)| (i, c.in_flight.load(Ordering::Acquire), c.limit))
         .filter(|&(_, n, limit)| n < limit && n < below)
         .min_by_key(|&(_, n, _)| n)
-        .map(|(i, n, _)| (i, n))
+        .map(|(i, _, _)| i)
 }
 
-/// Dispatches the first `chunk` tasks of queued campaign `i`, counting
-/// them in flight, and moves the campaign to the back of the
-/// round-robin order (a fully dispatched campaign retires from the
-/// injector).
-fn take(shared: &Shared, sched: &mut Sched, i: usize, chunk: usize) -> VecDeque<Task> {
+/// Dispatches the next task of queued campaign `i`, counting it in
+/// flight, and moves the campaign to the back of the round-robin order
+/// (a fully dispatched campaign retires from the injector).
+fn take(shared: &Shared, sched: &mut Sched, i: usize) -> Task {
     #[cfg(test)]
     assert!(!shared.panic_in_take.load(Ordering::Relaxed), "injected scheduler panic");
-    let mut c = sched.queue.remove(i).expect("index from the pick");
-    c.in_flight.fetch_add(chunk, Ordering::AcqRel);
-    let taken = c.tasks.drain(..chunk).collect();
+    let mut c = sched.remove(i).expect("index from the pick");
+    c.in_flight.fetch_add(1, Ordering::AcqRel);
+    let task = c.tasks.pop_front().expect("a queued campaign holds a task");
     if c.tasks.is_empty() {
         shared.smallest_queued.store(smallest_shard(sched), Ordering::Relaxed);
     } else {
-        sched.queue.push_back(c);
+        sched.push_back(c);
     }
-    taken
+    task
 }
 
 /// The smallest `shard_len` of the queued campaigns, `usize::MAX` if
 /// none is queued: the value [`Shared::smallest_queued`] publishes.
 fn smallest_shard(sched: &Sched) -> usize {
-    sched.queue.iter().map(|c| c.shard_len).min().unwrap_or(usize::MAX)
+    sched.iter().map(|c| c.shard_len).min().unwrap_or(usize::MAX)
 }
 
-/// Pulls a chunk from the injector: the [`pick`]ed campaign donates
-/// `min(ceil(remaining / workers), headroom)` tasks. The first runs
-/// immediately, the rest land in our deque for siblings to steal.
-fn refill(shared: &Shared, me: usize) -> bool {
-    let mut taken = {
-        let mut g = lock(&shared.sched);
-        debug_assert_eq!(shared.smallest_queued.load(Ordering::Relaxed), smallest_shard(&g));
-        let Some((i, running)) = pick(&g, None) else { return false };
-        let c = &g.queue[i];
-        let remaining = c.tasks.len();
-        let chunk =
-            remaining.div_ceil(shared.deques.len()).clamp(1, (c.limit - running).min(remaining));
-        take(shared, &mut g, i, chunk)
-    };
-    let Some(first) = taken.pop_front() else { return false };
-    if !taken.is_empty() {
-        lock(&shared.deques[me]).append(&mut taken);
-        // Stealable work became visible: bump-then-notify.
-        lock(&shared.sched).epoch += 1;
-        shared.work_ready.notify_all();
-    }
-    run_task(shared, first, me);
-    true
-}
-
-/// Steals the back half of the first non-empty sibling deque,
-/// preserving the stolen segment's relative order.
-fn steal(shared: &Shared, me: usize) -> bool {
-    let n = shared.deques.len();
-    for offset in 1..n {
-        let victim = (me + offset) % n;
-        let mut stolen: VecDeque<Task> = VecDeque::new();
-        {
-            let mut dq = lock(&shared.deques[victim]);
-            for _ in 0..dq.len().div_ceil(2) {
-                if let Some(task) = dq.pop_back() {
-                    stolen.push_front(task);
-                }
-            }
-        }
-        let Some(first) = stolen.pop_front() else { continue };
-        if !stolen.is_empty() {
-            lock(&shared.deques[me]).append(&mut stolen);
-            lock(&shared.sched).epoch += 1;
-            shared.work_ready.notify_all();
-        }
-        run_task(shared, first, me);
-        return true;
-    }
-    false
-}
-
-/// Worker main loop: local deque, then injector refill, then stealing,
-/// then an epoch-guarded sleep.
+/// Worker main loop: under the scheduler lock, take the [`pick`]ed
+/// campaign's next shard and run it unlocked, or sleep until an event
+/// makes work runnable (see the module docs on wakeup correctness).
 fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        let epoch = lock(&shared.sched).epoch;
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let local = lock(&shared.deques[me]).pop_front();
-        if let Some(task) = local {
-            run_task(shared, task, me);
-            continue;
-        }
-        if refill(shared, me) || steal(shared, me) {
-            continue;
-        }
-        let g = lock(&shared.sched);
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if g.epoch == epoch {
-            // No runnable-work event since the scan started; any such
-            // event bumps the epoch after making work visible and then
-            // notifies, so this wait cannot miss one.
-            drop(shared.work_ready.wait(g).unwrap_or_else(PoisonError::into_inner));
+    let mut g = lock(&shared.sched);
+    while !shared.shutdown.load(Ordering::Acquire) {
+        debug_assert_eq!(shared.smallest_queued.load(Ordering::Relaxed), smallest_shard(&g));
+        match pick(&g, None) {
+            Some(i) => {
+                let task = take(shared, &mut g, i);
+                drop(g);
+                run_task(shared, task, me);
+                g = lock(&shared.sched);
+            }
+            None => g = shared.work_ready.wait(g).unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
@@ -958,6 +891,60 @@ mod tests {
         let order = lock(&started).clone();
         assert_eq!(order.len(), 5);
         assert_eq!(order[2], "short", "start order {order:?}");
+    }
+
+    #[test]
+    fn a_free_worker_takes_one_shard_and_a_trial_boundary_starts_the_next() {
+        // X's two long shards hold two of three workers. Y (jobs 2, four
+        // one-item shards) arrives: the free worker takes Y's shard 0
+        // alone, which blocks until Y's shard 1 has started. Y then has
+        // one shard in flight and X two, so one of X's next trials must
+        // start Y's shard 1, long before X's shards end. A free worker
+        // that took a chunk of Y would count shard 1 in flight while it
+        // sat parked, and it would start only once an X shard ended.
+        let exec = Executor::new(3);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let x = {
+            let events = Arc::clone(&events);
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(100, 2, 0),
+                2,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, format!("x{}.start", s.index));
+                    await_event(&events, "y.0");
+                    for _ in 0..50 {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                        yield_now();
+                    }
+                    log(&events, format!("x{}.done", s.index));
+                    Ok(s.seed)
+                },
+            )
+        };
+        await_event(&events, "x0.start");
+        await_event(&events, "x1.start");
+        let y = {
+            let events = Arc::clone(&events);
+            exec.submit::<u64, std::convert::Infallible, _>(
+                shard_plan(4, 4, 1),
+                2,
+                RetryPolicy::no_retries(),
+                move |s, _| {
+                    log(&events, format!("y.{}", s.index));
+                    if s.index == 0 {
+                        await_event(&events, "y.1");
+                    }
+                    Ok(s.seed)
+                },
+            )
+        };
+        y.wait().expect("campaign Y");
+        x.wait().expect("campaign X");
+        let order = lock(&events).clone();
+        let pos = |e: &str| order.iter().position(|x| x == e).expect("logged");
+        let x_end = pos("x0.done").min(pos("x1.done"));
+        assert!(pos("y.1") < x_end, "Y's shard 1 waited out X's shards: {order:?}");
     }
 
     /// Appends `event` to a shared start/finish log.
@@ -1306,7 +1293,7 @@ mod tests {
     #[test]
     fn a_worker_panic_outside_a_shard_aborts_instead_of_hanging() {
         for name in [
-            "executor::tests::a_panic_in_refill_child",
+            "executor::tests::a_panic_in_the_idle_pick_child",
             "executor::tests::a_panic_in_the_nested_pick_child",
         ] {
             let (status, stderr) = run_child(name);
@@ -1323,8 +1310,8 @@ mod tests {
 
     #[test]
     #[ignore = "aborts its process; a_worker_panic_outside_a_shard_aborts_instead_of_hanging runs it"]
-    fn a_panic_in_refill_child() {
-        // The idle worker's refill panics before it takes the task.
+    fn a_panic_in_the_idle_pick_child() {
+        // The idle worker's `take` panics before it hands out the task.
         let exec = Executor::new(1);
         exec.shared.panic_in_take.store(true, Ordering::Relaxed);
         let plan = shard_plan(1, 1, 0);

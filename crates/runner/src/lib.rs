@@ -11,8 +11,9 @@
 //!   its own derived RNG seed ([`mix64`]`(base_seed, shard_index)`). The
 //!   plan depends only on the work size and base seed — never on the
 //!   worker count — so jobs=1 and jobs=N execute the exact same shards.
-//! - [`Executor`] is the process-lifetime work-stealing pool every
-//!   sharded campaign runs on (no external dependencies; the crates
+//! - [`Executor`] is the process-lifetime worker pool every sharded
+//!   campaign runs on, taking shards one at a time from one dispatch
+//!   queue (no external dependencies; the crates
 //!   registry is unreachable, see ROADMAP). [`Executor::submit`] maps a
 //!   fallible closure over the shards, isolating panics with
 //!   `catch_unwind`, retrying each shard under a bounded

@@ -849,28 +849,12 @@ impl Machine {
         if !reg.is_enabled() {
             return;
         }
-        let t = &self.mem.tlbs.stats;
+        let t = &self.mem.tlbs;
         let p = &self.predict_stats;
         let s = &self.stats;
         let counters = [
-            ("tlb.itlb.user.hits", t.itlb_user_hits),
-            ("tlb.itlb.user.misses", t.itlb_user_misses),
-            ("tlb.itlb.user.fills", t.itlb_user_fills),
-            ("tlb.itlb.user.evictions", t.itlb_user_evictions),
-            ("tlb.itlb.kernel.hits", t.itlb_kernel_hits),
-            ("tlb.itlb.kernel.misses", t.itlb_kernel_misses),
-            ("tlb.itlb.kernel.fills", t.itlb_kernel_fills),
-            ("tlb.itlb.kernel.evictions", t.itlb_kernel_evictions),
-            ("tlb.dtlb.hits", t.dtlb_hits),
-            ("tlb.dtlb.misses", t.dtlb_misses),
-            ("tlb.dtlb.fills", t.dtlb_fills),
-            ("tlb.dtlb.evictions", t.dtlb_evictions),
-            ("tlb.l2.hits", t.l2_hits),
-            ("tlb.l2.misses", t.l2_misses),
-            ("tlb.l2.fills", t.l2_fills),
-            ("tlb.l2.evictions", t.l2_evictions),
-            ("tlb.walks", t.walks),
-            ("tlb.itlb_to_dtlb_migrations", t.itlb_to_dtlb_migrations),
+            ("tlb.walks", t.stats.walks),
+            ("tlb.itlb_to_dtlb_migrations", t.stats.itlb_to_dtlb_migrations),
             ("predict.bimodal.correct", p.bimodal_correct),
             ("predict.bimodal.mispredicts", p.bimodal_mispredicts),
             ("predict.btb.hits", p.btb_hits),
@@ -900,12 +884,15 @@ impl Machine {
         for (name, value) in counters {
             reg.incr_by(name, value);
         }
-        for (name, cache) in [
-            ("cache.l1i", &self.mem.l1i),
-            ("cache.l1d", &self.mem.l1d),
-            ("cache.l2", &self.mem.l2c),
+        for (name, c) in [
+            ("tlb.itlb.user", t.itlb(FetchWorld::User).stats()),
+            ("tlb.itlb.kernel", t.itlb(FetchWorld::Kernel).stats()),
+            ("tlb.dtlb", t.dtlb().stats()),
+            ("tlb.l2", t.l2().stats()),
+            ("cache.l1i", self.mem.l1i.stats()),
+            ("cache.l1d", self.mem.l1d.stats()),
+            ("cache.l2", self.mem.l2c.stats()),
         ] {
-            let c = cache.stats;
             reg.incr_by(&format!("{name}.hits"), c.hits);
             reg.incr_by(&format!("{name}.misses"), c.misses);
             reg.incr_by(&format!("{name}.fills"), c.fills);
@@ -1510,7 +1497,7 @@ impl Machine {
             }
             pa = (pa | (line - 1)) + 1;
         }
-        self.mem.l1i.stats.hits += hits;
+        self.mem.l1i.sets.stats.hits += hits;
         self.cycles += cycles;
     }
 
@@ -1522,7 +1509,7 @@ impl Machine {
         self.mem.tlbs.count_itlb_hits(MemorySystem::world(c.el), 1);
         let pa = c.frame + (pc - c.page);
         let fetch_cycles = if self.mem.l1i.in_last_line(pa) {
-            self.mem.l1i.stats.hits += 1;
+            self.mem.l1i.sets.stats.hits += 1;
             self.mem.latency.l1_hit
         } else {
             self.mem.cache_access(AccessKind::Fetch, pa).1
@@ -3088,7 +3075,10 @@ mod tests {
         }
         assert_eq!(cached.cpu.get(Reg::X2), 1);
         assert!(cached.stats.spec_insts > 0, "the wrong path must run on page B");
-        assert!(cached.mem.tlbs.stats.itlb_user_evictions > 0, "the set must overflow");
+        assert!(
+            cached.mem.tlbs.itlb(FetchWorld::User).stats().evictions > 0,
+            "the set must overflow"
+        );
         assert_engines_agree(&cached, &interp);
     }
 
@@ -3196,7 +3186,7 @@ mod tests {
             assert_eq!(m.run(100), Ok(Stop::Hlt));
         }
         assert_eq!(cached.cpu.get(Reg::X0), (1..=60).sum::<u64>());
-        assert!(cached.mem.l1i.stats.misses >= 4, "every line is cold");
+        assert!(cached.mem.l1i.stats().misses >= 4, "every line is cold");
         assert!(cached.block_cache_stats().hits >= 58, "both pages run from the arena");
         assert_engines_agree(&cached, &interp);
     }

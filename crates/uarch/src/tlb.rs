@@ -14,6 +14,9 @@
 //! an iTLB is inserted into the dTLB (becoming visible to loads), while an
 //! entry resident only in an iTLB is invisible to the load/store port.
 
+use pacman_telemetry::bin::{BinError, Reader, Writer};
+
+use crate::cache::{CacheStats, SetAssoc, Way};
 use crate::paging::Perms;
 
 /// Geometry of one TLB structure.
@@ -36,67 +39,77 @@ pub struct TlbEntry {
     pub perms: Perms,
 }
 
-/// A single set-associative, true-LRU TLB.
-///
-/// Entries live in one flat allocation indexed `set * ways + way`, with
-/// way 0 the MRU; only the first `occ[set]` ways of a set are live. LRU
-/// maintenance is slice rotation within the set's window, so lookups,
-/// fills and invalidates never allocate — this structure sits on every
-/// simulated memory access.
+impl Way for TlbEntry {
+    const EMPTY: Self = TlbEntry {
+        vpn: 0,
+        pfn: 0,
+        perms: Perms { read: false, write: false, execute: false, user: false },
+    };
+
+    #[inline(always)]
+    fn key(&self) -> u64 {
+        self.vpn
+    }
+
+    fn save(&self, w: &mut Writer) {
+        let p = &self.perms;
+        w.u64(self.vpn);
+        w.u64(self.pfn);
+        w.u8(u8::from(p.read)
+            | u8::from(p.write) << 1
+            | u8::from(p.execute) << 2
+            | u8::from(p.user) << 3);
+    }
+
+    fn restore(r: &mut Reader<'_>) -> Result<Self, BinError> {
+        let vpn = r.u64()?;
+        let pfn = r.u64()?;
+        let bits = r.u8()?;
+        if bits > 0xF {
+            return Err(BinError::Corrupt(format!("perm bits {bits:#x}")));
+        }
+        let perms = Perms {
+            read: bits & 1 != 0,
+            write: bits & 2 != 0,
+            execute: bits & 4 != 0,
+            user: bits & 8 != 0,
+        };
+        Ok(TlbEntry { vpn, pfn, perms })
+    }
+}
+
+/// A single set-associative, true-LRU TLB: a `SetAssoc` of entries
+/// keyed by vpn, stored inline (this structure sits on every simulated
+/// memory access), plus a version for the machine's fetch cursors.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    params: TlbParams,
-    /// Cached `sets - 1` (sets are a power of two).
-    set_mask: usize,
-    /// Flat MRU-first entry storage; slots beyond a set's occupancy are
-    /// dead and never read.
-    entries: Vec<TlbEntry>,
-    /// Live-way count per set.
-    occ: Vec<u16>,
+    /// Entries, LRU state and hit/miss/fill/eviction counters.
+    pub(crate) sets: SetAssoc<TlbEntry>,
     /// Bumped by everything that can change a set's contents or LRU
     /// order (see [`Tlb::version`]).
     version: u64,
 }
 
-/// Placeholder filling dead slots (never observable through the API).
-const DEAD: TlbEntry = TlbEntry {
-    vpn: 0,
-    pfn: 0,
-    perms: Perms { read: false, write: false, execute: false, user: false },
-};
-
 impl Tlb {
     /// Creates an empty TLB.
     pub fn new(params: TlbParams) -> Self {
-        assert!(params.ways > 0 && params.sets.is_power_of_two());
-        Self {
-            params,
-            set_mask: params.sets - 1,
-            entries: vec![DEAD; params.ways * params.sets],
-            occ: vec![0; params.sets],
-            version: 0,
-        }
+        Self { sets: SetAssoc::new(params.ways, params.sets), version: 0 }
     }
 
     /// Returns this TLB to the state of `Tlb::new(params)`, flushing in
     /// place when the geometry is unchanged. The version moves on either
     /// way, so it never repeats over the TLB's lifetime.
     fn reset(&mut self, params: TlbParams) {
-        if self.params == params {
-            self.flush();
-        } else {
-            let version = self.version + 1;
-            *self = Self::new(params);
-            self.version = version;
-        }
+        self.sets.reset(params.ways, params.sets);
+        self.version += 1;
     }
 
     /// Changes whenever any set's contents or LRU order may have: on a
-    /// promoting [`Tlb::lookup`], an insert, an invalidate, a flush, a
-    /// restore or a reset. A lookup that re-touches its set's MRU way
-    /// leaves it alone, so while the version holds, every entry that was
-    /// its set's MRU way still is — the machine's fetch cursors rely on
-    /// exactly this.
+    /// promoting [`Tlb::lookup`], an insert, a flush, a restore or a
+    /// reset. A lookup that re-touches its set's MRU way leaves it
+    /// alone, so while the version holds, every entry that was its set's
+    /// MRU way still is — the machine's fetch cursors rely on exactly
+    /// this.
     #[inline]
     pub(crate) fn version(&self) -> u64 {
         self.version
@@ -104,113 +117,54 @@ impl Tlb {
 
     /// This TLB's geometry.
     pub fn params(&self) -> TlbParams {
-        self.params
+        TlbParams { ways: self.sets.ways(), sets: self.sets.sets() }
+    }
+
+    /// Hit/miss/fill/eviction counters.
+    pub fn stats(&self) -> CacheStats {
+        self.sets.stats
     }
 
     /// The set index a virtual page number maps to.
     pub fn set_of(&self, vpn: u64) -> usize {
-        (vpn as usize) & self.set_mask
+        self.sets.set_index(vpn)
     }
 
     /// Looks up a translation, promoting it to MRU on hit.
     #[inline]
     pub fn lookup(&mut self, vpn: u64) -> Option<TlbEntry> {
-        let set = self.set_of(vpn);
-        let base = set * self.params.ways;
-        let n = self.occ[set] as usize;
-        let live = &mut self.entries[base..base + n];
-        // Re-touching the MRU way (consecutive accesses to one page) needs
-        // no promotion.
-        match live.first() {
-            Some(e) if e.vpn == vpn => Some(*e),
-            _ => {
-                let pos = live.iter().position(|e| e.vpn == vpn)?;
-                let hit = live[pos];
-                live.copy_within(..pos, 1);
-                live[0] = hit;
-                self.version += 1;
-                Some(hit)
-            }
-        }
+        let (hit, promoted) = self.sets.lookup(vpn)?;
+        self.version += u64::from(promoted);
+        Some(hit)
     }
 
     /// Presence check without LRU side effects.
     pub fn contains(&self, vpn: u64) -> bool {
-        let set = self.set_of(vpn);
-        let base = set * self.params.ways;
-        self.entries[base..base + self.occ[set] as usize].iter().any(|e| e.vpn == vpn)
+        self.sets.contains(vpn)
     }
 
     /// Inserts an entry as MRU, returning the evicted LRU victim if the
     /// set overflowed. Re-inserting an existing vpn replaces it.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         self.version += 1;
-        let set = self.set_of(entry.vpn);
-        let base = set * self.params.ways;
-        let mut n = self.occ[set] as usize;
-        let ways = &mut self.entries[base..base + self.params.ways];
-        if let Some(pos) = ways[..n].iter().position(|e| e.vpn == entry.vpn) {
-            // Remove in place (the replacement may carry a new pfn/perms).
-            ways[pos..n].rotate_left(1);
-            n -= 1;
-            self.occ[set] -= 1;
-        }
-        if n == ways.len() {
-            let victim = ways[n - 1];
-            ways.rotate_right(1);
-            ways[0] = entry;
-            Some(victim)
-        } else {
-            ways[..=n].rotate_right(1);
-            ways[0] = entry;
-            self.occ[set] += 1;
-            None
-        }
-    }
-
-    /// Drops the entry for `vpn` if present.
-    pub fn invalidate(&mut self, vpn: u64) -> bool {
-        let set = self.set_of(vpn);
-        let base = set * self.params.ways;
-        let n = self.occ[set] as usize;
-        let live = &mut self.entries[base..base + n];
-        if let Some(pos) = live.iter().position(|e| e.vpn == vpn) {
-            live[pos..].rotate_left(1);
-            self.occ[set] -= 1;
-            self.version += 1;
-            true
-        } else {
-            false
-        }
+        self.sets.insert(entry)
     }
 
     /// Drops everything (a `tlbi`-style full invalidate).
     pub fn flush(&mut self) {
-        self.occ.fill(0);
+        self.sets.flush();
         self.version += 1;
     }
 
     /// Number of valid entries currently in `set`.
     pub fn occupancy(&self, set: usize) -> usize {
-        self.occ[set] as usize
+        self.sets.occupancy(set)
     }
 
-    /// Serialises the live prefix of every set, MRU order included.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
-        w.usize(self.occ.len());
-        for (set, &n) in self.occ.iter().enumerate() {
-            let base = set * self.params.ways;
-            w.u16(n);
-            for e in &self.entries[base..base + n as usize] {
-                w.u64(e.vpn);
-                w.u64(e.pfn);
-                let p = &e.perms;
-                w.u8(u8::from(p.read)
-                    | u8::from(p.write) << 1
-                    | u8::from(p.execute) << 2
-                    | u8::from(p.user) << 3);
-            }
-        }
+    /// Serialises the live prefix of every set, MRU order included, and
+    /// the counters.
+    pub fn save_state(&self, w: &mut Writer) {
+        self.sets.save_state(w);
     }
 
     /// Restores state written by [`Tlb::save_state`] into a TLB of
@@ -218,48 +172,10 @@ impl Tlb {
     ///
     /// # Errors
     ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation, corruption,
-    /// or a geometry mismatch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
-        use pacman_telemetry::bin::BinError;
+    /// [`BinError`] on truncation, corruption, or a geometry mismatch.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), BinError> {
         self.version += 1;
-        let sets = r.usize()?;
-        if sets != self.occ.len() {
-            return Err(BinError::Corrupt(format!("set count {sets} != {}", self.occ.len())));
-        }
-        for set in 0..sets {
-            let n = r.u16()?;
-            if n as usize > self.params.ways {
-                return Err(BinError::Corrupt(format!(
-                    "occupancy {n} > {} ways",
-                    self.params.ways
-                )));
-            }
-            let base = set * self.params.ways;
-            for way in 0..n as usize {
-                let vpn = r.u64()?;
-                let pfn = r.u64()?;
-                let bits = r.u8()?;
-                if bits > 0xF {
-                    return Err(BinError::Corrupt(format!("perm bits {bits:#x}")));
-                }
-                self.entries[base + way] = TlbEntry {
-                    vpn,
-                    pfn,
-                    perms: Perms {
-                        read: bits & 1 != 0,
-                        write: bits & 2 != 0,
-                        execute: bits & 4 != 0,
-                        user: bits & 8 != 0,
-                    },
-                };
-            }
-            self.occ[set] = n;
-        }
-        Ok(())
+        self.sets.restore_state(r)
     }
 }
 
@@ -297,54 +213,19 @@ pub enum FetchLookup {
     Miss,
 }
 
-/// Per-structure hit/miss/fill/eviction counters, always on (plain `u64`
-/// adds on paths that already do set scans; exported into a telemetry
-/// registry only at snapshot boundaries).
+/// Hierarchy-level counters. Each structure counts its own hits,
+/// misses, fills and evictions ([`Tlb::stats`]); these count what spans
+/// structures.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
 pub struct TlbStats {
-    /// dTLB hits.
-    pub dtlb_hits: u64,
-    /// dTLB misses.
-    pub dtlb_misses: u64,
-    /// dTLB entry installs (refills, walks, and §7.3 migrations).
-    pub dtlb_fills: u64,
-    /// dTLB capacity evictions.
-    pub dtlb_evictions: u64,
-    /// iTLB hits (both worlds).
-    pub itlb_hits: u64,
-    /// iTLB misses (both worlds).
-    pub itlb_misses: u64,
-    /// User-world iTLB hits.
-    pub itlb_user_hits: u64,
-    /// User-world iTLB misses.
-    pub itlb_user_misses: u64,
-    /// User-world iTLB entry installs.
-    pub itlb_user_fills: u64,
-    /// User-world iTLB capacity evictions.
-    pub itlb_user_evictions: u64,
-    /// Kernel-world iTLB hits.
-    pub itlb_kernel_hits: u64,
-    /// Kernel-world iTLB misses.
-    pub itlb_kernel_misses: u64,
-    /// Kernel-world iTLB entry installs.
-    pub itlb_kernel_fills: u64,
-    /// Kernel-world iTLB capacity evictions.
-    pub itlb_kernel_evictions: u64,
-    /// L2 TLB hits.
-    pub l2_hits: u64,
-    /// L2 TLB misses (a full walk is required).
-    pub l2_misses: u64,
-    /// L2 TLB entry installs.
-    pub l2_fills: u64,
-    /// L2 TLB capacity evictions.
-    pub l2_evictions: u64,
     /// Full page-table walks.
     pub walks: u64,
     /// iTLB victims migrated into the dTLB (the §7.3 backing-store path).
     pub itlb_to_dtlb_migrations: u64,
 }
 
-/// The full Figure 6 hierarchy.
+/// The full Figure 6 hierarchy: four [`Tlb`]s, so four instances of the
+/// one set-associative LRU structure the caches use too.
 #[derive(Clone, Debug)]
 pub struct TlbHierarchy {
     itlb_user: Tlb,
@@ -407,43 +288,31 @@ impl TlbHierarchy {
     /// Data-side lookup for a load/store.
     pub fn lookup_data(&mut self, vpn: u64) -> DataLookup {
         if let Some(e) = self.dtlb.lookup(vpn) {
-            self.stats.dtlb_hits += 1;
             return DataLookup::DtlbHit(e);
         }
-        self.stats.dtlb_misses += 1;
         if let Some(e) = self.l2.lookup(vpn) {
-            self.stats.l2_hits += 1;
-            self.dtlb_insert_counted(e);
+            self.dtlb.insert(e);
             return DataLookup::L2Hit(e);
         }
-        self.stats.l2_misses += 1;
         DataLookup::Miss
     }
 
     /// Installs a walked translation on the data side (L2 + dTLB).
     pub fn fill_data(&mut self, entry: TlbEntry) {
         self.stats.walks += 1;
-        self.l2_insert_counted(entry);
-        self.dtlb_insert_counted(entry);
+        self.l2.insert(entry);
+        self.dtlb.insert(entry);
     }
 
     /// Instruction-side lookup for a fetch at the given privilege.
     pub fn lookup_fetch(&mut self, world: FetchWorld, vpn: u64) -> FetchLookup {
         if let Some(e) = self.itlb_mut(world).lookup(vpn) {
-            self.count_itlb_hits(world, 1);
             return FetchLookup::ItlbHit(e);
         }
-        self.stats.itlb_misses += 1;
-        match world {
-            FetchWorld::User => self.stats.itlb_user_misses += 1,
-            FetchWorld::Kernel => self.stats.itlb_kernel_misses += 1,
-        }
         if let Some(e) = self.l2.lookup(vpn) {
-            self.stats.l2_hits += 1;
             self.fill_itlb_with_migration(world, e);
             return FetchLookup::L2Hit(e);
         }
-        self.stats.l2_misses += 1;
         FetchLookup::Miss
     }
 
@@ -451,52 +320,23 @@ impl TlbHierarchy {
     /// victim migration into the dTLB).
     pub fn fill_fetch(&mut self, world: FetchWorld, entry: TlbEntry) {
         self.stats.walks += 1;
-        self.l2_insert_counted(entry);
+        self.l2.insert(entry);
         self.fill_itlb_with_migration(world, entry);
     }
 
-    /// The counter updates of `n` iTLB hits (also those of the fetches
-    /// the machine serves from a fetch cursor).
+    /// Counts `n` iTLB hits on the MRU way, the fetches the machine
+    /// serves from a fetch cursor without a lookup.
     #[inline]
     pub(crate) fn count_itlb_hits(&mut self, world: FetchWorld, n: u64) {
-        self.stats.itlb_hits += n;
-        match world {
-            FetchWorld::User => self.stats.itlb_user_hits += n,
-            FetchWorld::Kernel => self.stats.itlb_kernel_hits += n,
-        }
+        self.itlb_mut(world).sets.stats.hits += n;
     }
 
     /// The §7.3 behaviour: an iTLB fill whose victim is re-homed into the
     /// shared dTLB, where userspace Prime+Probe can see it.
     fn fill_itlb_with_migration(&mut self, world: FetchWorld, entry: TlbEntry) {
-        let victim = self.itlb_mut(world).insert(entry);
-        match world {
-            FetchWorld::User => {
-                self.stats.itlb_user_fills += 1;
-                self.stats.itlb_user_evictions += u64::from(victim.is_some());
-            }
-            FetchWorld::Kernel => {
-                self.stats.itlb_kernel_fills += 1;
-                self.stats.itlb_kernel_evictions += u64::from(victim.is_some());
-            }
-        }
-        if let Some(victim) = victim {
+        if let Some(victim) = self.itlb_mut(world).insert(entry) {
             self.stats.itlb_to_dtlb_migrations += 1;
-            self.dtlb_insert_counted(victim);
-        }
-    }
-
-    fn dtlb_insert_counted(&mut self, entry: TlbEntry) {
-        self.stats.dtlb_fills += 1;
-        if self.dtlb.insert(entry).is_some() {
-            self.stats.dtlb_evictions += 1;
-        }
-    }
-
-    fn l2_insert_counted(&mut self, entry: TlbEntry) {
-        self.stats.l2_fills += 1;
-        if self.l2.insert(entry).is_some() {
-            self.stats.l2_evictions += 1;
+            self.dtlb.insert(victim);
         }
     }
 
@@ -509,36 +349,13 @@ impl TlbHierarchy {
     }
 
     /// Serialises all four structures plus the counters.
-    pub fn save_state(&self, w: &mut pacman_telemetry::bin::Writer) {
+    pub fn save_state(&self, w: &mut Writer) {
         self.itlb_user.save_state(w);
         self.itlb_kernel.save_state(w);
         self.dtlb.save_state(w);
         self.l2.save_state(w);
-        let s = &self.stats;
-        for v in [
-            s.dtlb_hits,
-            s.dtlb_misses,
-            s.dtlb_fills,
-            s.dtlb_evictions,
-            s.itlb_hits,
-            s.itlb_misses,
-            s.itlb_user_hits,
-            s.itlb_user_misses,
-            s.itlb_user_fills,
-            s.itlb_user_evictions,
-            s.itlb_kernel_hits,
-            s.itlb_kernel_misses,
-            s.itlb_kernel_fills,
-            s.itlb_kernel_evictions,
-            s.l2_hits,
-            s.l2_misses,
-            s.l2_fills,
-            s.l2_evictions,
-            s.walks,
-            s.itlb_to_dtlb_migrations,
-        ] {
-            w.u64(v);
-        }
+        w.u64(self.stats.walks);
+        w.u64(self.stats.itlb_to_dtlb_migrations);
     }
 
     /// Restores state written by [`TlbHierarchy::save_state`] into a
@@ -546,41 +363,14 @@ impl TlbHierarchy {
     ///
     /// # Errors
     ///
-    /// [`pacman_telemetry::bin::BinError`] on truncation, corruption,
-    /// or a geometry mismatch.
-    pub fn restore_state(
-        &mut self,
-        r: &mut pacman_telemetry::bin::Reader<'_>,
-    ) -> Result<(), pacman_telemetry::bin::BinError> {
+    /// [`BinError`] on truncation, corruption, or a geometry mismatch.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), BinError> {
         self.itlb_user.restore_state(r)?;
         self.itlb_kernel.restore_state(r)?;
         self.dtlb.restore_state(r)?;
         self.l2.restore_state(r)?;
-        let s = &mut self.stats;
-        for v in [
-            &mut s.dtlb_hits,
-            &mut s.dtlb_misses,
-            &mut s.dtlb_fills,
-            &mut s.dtlb_evictions,
-            &mut s.itlb_hits,
-            &mut s.itlb_misses,
-            &mut s.itlb_user_hits,
-            &mut s.itlb_user_misses,
-            &mut s.itlb_user_fills,
-            &mut s.itlb_user_evictions,
-            &mut s.itlb_kernel_hits,
-            &mut s.itlb_kernel_misses,
-            &mut s.itlb_kernel_fills,
-            &mut s.itlb_kernel_evictions,
-            &mut s.l2_hits,
-            &mut s.l2_misses,
-            &mut s.l2_fills,
-            &mut s.l2_evictions,
-            &mut s.walks,
-            &mut s.itlb_to_dtlb_migrations,
-        ] {
-            *v = r.u64()?;
-        }
+        self.stats.walks = r.u64()?;
+        self.stats.itlb_to_dtlb_migrations = r.u64()?;
         Ok(())
     }
 }
@@ -641,15 +431,13 @@ mod tests {
         moved(&t, false, "miss");
         assert!(t.lookup(0).is_some());
         moved(&t, true, "promotion");
-        assert!(!t.invalidate(9));
-        moved(&t, false, "invalidate of an absent vpn");
-        assert!(t.invalidate(4));
-        moved(&t, true, "invalidate");
+        assert!(t.contains(4));
+        moved(&t, false, "presence check");
         t.flush();
         moved(&t, true, "flush");
-        let mut w = pacman_telemetry::bin::Writer::new();
+        let mut w = Writer::new();
         t.save_state(&mut w);
-        t.restore_state(&mut pacman_telemetry::bin::Reader::new(&w.into_bytes())).unwrap();
+        t.restore_state(&mut Reader::new(&w.into_bytes())).unwrap();
         moved(&t, true, "restore");
         t.reset(TlbParams { ways: 2, sets: 4 });
         moved(&t, true, "reset");
@@ -672,9 +460,13 @@ mod tests {
     fn data_lookup_fills_from_l2() {
         let mut h = small_hierarchy();
         h.fill_data(entry(5));
-        // Knock it out of the dTLB only.
         assert!(h.dtlb.contains(5));
-        h.dtlb.invalidate(5);
+        // Knock it out of the dTLB only: vpns 5, 13, 21 and 29 share dTLB
+        // set 5 (3 ways), but 13 and 29 go to another L2 set.
+        for vpn in [13, 21, 29] {
+            h.fill_data(entry(vpn));
+        }
+        assert!(!h.dtlb.contains(5) && h.l2.contains(5));
         assert_eq!(h.lookup_data(5), DataLookup::L2Hit(entry(5)));
         // Now it is back in the dTLB.
         assert_eq!(h.lookup_data(5), DataLookup::DtlbHit(entry(5)));
@@ -743,12 +535,13 @@ mod tests {
         h.fill_data(entry(1));
         let _ = h.lookup_data(1); // hit
         let _ = h.lookup_data(2); // miss (walk not performed)
-        assert_eq!(h.stats.dtlb_hits, 1);
-        assert_eq!(h.stats.dtlb_misses, 1);
+        let (dtlb, l2) = (h.dtlb().stats(), h.l2().stats());
+        assert_eq!(dtlb.hits, 1);
+        assert_eq!(dtlb.misses, 1);
         assert_eq!(h.stats.walks, 1);
-        assert_eq!(h.stats.l2_misses, 1, "the full miss also missed L2");
-        assert_eq!(h.stats.dtlb_fills, 1);
-        assert_eq!(h.stats.l2_fills, 1);
+        assert_eq!(l2.misses, 1, "the full miss also missed L2");
+        assert_eq!(dtlb.fills, 1);
+        assert_eq!(l2.fills, 1);
     }
 
     #[test]
@@ -759,14 +552,16 @@ mod tests {
         h.fill_fetch(FetchWorld::Kernel, entry(8)); // migrates vpn 0 into dTLB
         h.fill_data(entry(9));
         let _ = h.lookup_data(9);
-        let mut w = pacman_telemetry::bin::Writer::new();
+        let mut w = Writer::new();
         h.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = small_hierarchy();
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         fresh.restore_state(&mut r).unwrap();
         assert!(r.is_done());
         assert_eq!(fresh.stats, h.stats);
+        assert_eq!(fresh.dtlb().stats(), h.dtlb().stats());
+        assert_eq!(fresh.itlb(FetchWorld::Kernel).stats(), h.itlb(FetchWorld::Kernel).stats());
         assert!(fresh.dtlb().contains(0), "migrated victim survives the round trip");
         assert!(fresh.itlb(FetchWorld::Kernel).contains(8));
         assert_eq!(fresh.lookup_data(9), DataLookup::DtlbHit(entry(9)));
@@ -776,7 +571,7 @@ mod tests {
             TlbParams { ways: 3, sets: 8 },
             TlbParams { ways: 4, sets: 16 },
         );
-        let mut r = pacman_telemetry::bin::Reader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         assert!(wrong.restore_state(&mut r).is_err());
     }
 
@@ -787,19 +582,21 @@ mod tests {
         h.fill_fetch(FetchWorld::User, entry(0));
         let _ = h.lookup_fetch(FetchWorld::Kernel, 0); // kernel hit
         let _ = h.lookup_fetch(FetchWorld::User, 1); // user miss (L2 miss too)
-        assert_eq!(h.stats.itlb_kernel_hits, 1);
-        assert_eq!(h.stats.itlb_user_hits, 0);
-        assert_eq!(h.stats.itlb_user_misses, 1);
-        assert_eq!(h.stats.itlb_kernel_misses, 0);
-        assert_eq!(h.stats.itlb_kernel_fills, 1);
-        assert_eq!(h.stats.itlb_user_fills, 1);
+        let user = |h: &TlbHierarchy| h.itlb(FetchWorld::User).stats();
+        let kernel = |h: &TlbHierarchy| h.itlb(FetchWorld::Kernel).stats();
+        assert_eq!(kernel(&h).hits, 1);
+        assert_eq!(user(&h).hits, 0);
+        assert_eq!(user(&h).misses, 1);
+        assert_eq!(kernel(&h).misses, 0);
+        assert_eq!(kernel(&h).fills, 1);
+        assert_eq!(user(&h).fills, 1);
         // Overflow kernel iTLB set 0 (2 ways; vpns 0,4,8 share it).
         h.fill_fetch(FetchWorld::Kernel, entry(4));
         h.fill_fetch(FetchWorld::Kernel, entry(8));
-        assert_eq!(h.stats.itlb_kernel_evictions, 1);
-        assert_eq!(h.stats.itlb_user_evictions, 0);
+        assert_eq!(kernel(&h).evictions, 1);
+        assert_eq!(user(&h).evictions, 0);
         // The migrated victim counts as a dTLB fill.
         assert_eq!(h.stats.itlb_to_dtlb_migrations, 1);
-        assert!(h.stats.dtlb_fills >= 1);
+        assert_eq!(h.dtlb().stats().fills, 1);
     }
 }
