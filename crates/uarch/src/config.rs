@@ -240,9 +240,9 @@ pub struct MachineConfig {
     /// self-test (all off by default — see [`InjectedBugs`]).
     pub bugs: InjectedBugs,
     /// Enables the retire-loop self-profiler (per-opcode and hot-block
-    /// attribution — see `profiler`). Off by default: the profiler adds
-    /// two `Instant` reads per retired instruction when on, and a
-    /// single predicted branch when off.
+    /// attribution — see `profiler`). Off by default: on, it reads the
+    /// clock once per retired run, full fetch and `exec`; off, it costs
+    /// a predicted branch at each of the retire loop's record points.
     pub profile: bool,
     /// Which execution engine drives the retire loop (architecturally
     /// identical either way — see [`ExecEngine`]).

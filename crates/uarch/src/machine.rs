@@ -24,10 +24,9 @@
 //! those instructions touch no simulated memory, TLB, predictor or RNG,
 //! so their fetches make the same counter updates and cycles in one
 //! update as one by one — block-cache hits, MRU iTLB hits and the L1i
-//! accessed line by line in program order. The profiler times each
-//! instruction, so under it the loop forms no runs: each cursor-served
-//! fetch is charged alone and each instruction goes through `exec`.
-//! Every other fetch, and every fetch under
+//! accessed line by line in program order. The profiler, when on,
+//! records each run, full fetch and `exec` of the same loop as one
+//! interval. Every other fetch, and every fetch under
 //! [`ExecEngine::Interpreted`], goes through the full per-instruction
 //! path in the same loop.
 //!
@@ -56,7 +55,7 @@ use crate::fasthash::FxBuild;
 use crate::mem::PhysMemory;
 use crate::paging::{PageTables, Perms};
 use crate::predict::{Bimodal, Btb, PredictStats, Rsb};
-use crate::profiler::{ProfTimer, Profiler};
+use crate::profiler::{Phase, Profiler};
 use crate::timer::{Timers, TimingSource};
 use crate::tlb::{DataLookup, FetchLookup, FetchWorld, TlbHierarchy};
 use crate::trace::{SpecEvent, SpecTrace};
@@ -652,7 +651,7 @@ pub struct Machine {
     pub trace: SpecTrace,
     /// Retire-loop self-profiler (per-opcode / hot-block / phase
     /// attribution). Enabled via `MachineConfig::profile`; off, it
-    /// costs one predicted branch per retired instruction.
+    /// costs a predicted branch per record point and reads no clock.
     pub profiler: Profiler,
     /// Global cycle count.
     pub cycles: u64,
@@ -1294,33 +1293,24 @@ impl Machine {
     ///
     /// While a fetch cursor covers the PC, each run of consecutive
     /// decoded register-only slots executes back to back (`retire_run`),
-    /// and the slot that ends it goes through `exec`; while the profiler
-    /// runs, every instruction goes through `exec` on its own. Any
-    /// instruction no cursor serves — all of them under
-    /// [`ExecEngine::Interpreted`] — takes a full fetch first.
+    /// and the slot that ends it goes through `exec`. Any instruction no
+    /// cursor serves — all of them under [`ExecEngine::Interpreted`] —
+    /// takes a full fetch first. While the profiler runs, each run, full
+    /// fetch and `exec` is one record (see [`crate::profiler`]).
     ///
     /// # Errors
     ///
     /// Returns the first architectural [`Trap`]. A trap while at EL1 is a
     /// kernel panic; the kernel crate turns it into a reboot.
     pub fn run(&mut self, max_insts: u64) -> Result<Stop, Trap> {
-        if self.profiler.is_enabled() {
-            self.retire_loop::<true>(max_insts)
-        } else {
-            self.retire_loop::<false>(max_insts)
-        }
-    }
-
-    /// The body of [`Machine::run`], compiled once with the profiler's
-    /// per-instruction timing (`PROFILED`) and once without, so the
-    /// unprofiled loop carries none of it.
-    #[inline(always)]
-    fn retire_loop<const PROFILED: bool>(&mut self, max_insts: u64) -> Result<Stop, Trap> {
         let mut left = max_insts;
         // The table slot of the cursor covering the PC. It is looked up
         // after a page change and kept while only what cannot invalidate
         // the cursor happened (only a full fetch re-aims a slot).
         let mut cursor = None;
+        if self.profiler.is_enabled() {
+            self.profiler.start(self.cycles);
+        }
         while left > 0 {
             if let Some(trap) = self.pending_spec_fault {
                 // Only reachable under the `commit_suppressed_faults`
@@ -1333,10 +1323,8 @@ impl Machine {
             if cursor.is_none() {
                 cursor = self.covering_cursor(self.cpu.pc, el);
             }
-            let step_start = self.cycles;
-            let decode_timer = ProfTimer::start(PROFILED);
             let served = match cursor {
-                Some(slot) => self.retire_run::<PROFILED>(slot, &mut left),
+                Some(slot) => self.retire_run(slot, &mut left),
                 None => None,
             };
             let pc = self.cpu.pc;
@@ -1356,27 +1344,20 @@ impl Machine {
                     self.cycles += self.config.latency.alu;
                     self.stats.retired += 1;
                     left -= 1;
+                    if self.profiler.is_enabled() {
+                        self.profiler.record_fetch(pc, self.cycles, [], Some(inst), Phase::Decode);
+                    }
                     inst
                 }
             };
-            if PROFILED {
-                self.profiler.record_decode(self.cycles - step_start, decode_timer.elapsed_ns());
+            // The profiler records `exec` only after its outcome is tested:
+            // a record in between kept the outcome in memory and cost ~1 %
+            // of the unprofiled loop's host instructions (DESIGN.md §10).
+            if let Some(out) = self.exec(pc, el, inst).transpose() {
+                self.profile_exec();
+                return out;
             }
-            let exec_start = self.cycles;
-            let exec_timer = ProfTimer::start(PROFILED);
-            let out = self.exec(pc, el, inst);
-            if PROFILED {
-                self.profiler.record_retire(
-                    &inst,
-                    pc,
-                    self.cycles - step_start,
-                    self.cycles - exec_start,
-                    exec_timer.elapsed_ns(),
-                );
-            }
-            if let Some(stop) = out? {
-                return Ok(stop);
-            }
+            self.profile_exec();
             // What `exec` can change of a cursor's validity: the EL, the
             // iTLB version (a translation or a wrong-path fetch), the
             // code-write generation (a store) and the page of the PC. A
@@ -1390,6 +1371,14 @@ impl Machine {
             });
         }
         Ok(Stop::InstLimit)
+    }
+
+    /// Records the `exec` that just ran, while the profiler runs.
+    #[inline(always)]
+    fn profile_exec(&mut self) {
+        if self.profiler.is_enabled() {
+            self.profiler.record_exec(self.cycles);
+        }
     }
 
     /// Fetches, decodes and retires exactly one instruction — `run(1)`,
@@ -1413,27 +1402,17 @@ impl Machine {
     /// fetches and that of the decoded slot that ended it, which it
     /// returns for [`Machine::exec`]. Charging in bulk is exact: the run's
     /// instructions touch no simulated memory, TLB, predictor or RNG, so
-    /// nothing can observe the order. The PC is left after the run.
+    /// nothing can observe the order. The profiler records the charge as
+    /// one run ([`Machine::profile_run`]). The PC is left after the run.
     /// `None` if the run reached the page end or the budget, if the slot
     /// after it is not decoded, or if the block cache was flushed since
     /// the cursor was aimed.
-    ///
-    /// While the profiler runs (`PROFILED`), there are no runs: the
-    /// slot at the PC is charged alone ([`Machine::charge_fetch`]) and
-    /// returned, so `exec` can be timed for every instruction.
     #[inline(always)]
-    fn retire_run<const PROFILED: bool>(&mut self, slot: usize, left: &mut u64) -> Option<Inst> {
+    fn retire_run(&mut self, slot: usize, left: &mut u64) -> Option<Inst> {
         let c = self.fetch_cursors[slot];
         let slots = self.block_cache.page(c.epoch, c.slots)?;
         let pc = self.cpu.pc;
         let first = ((pc - c.page) / 4) as usize;
-        if PROFILED {
-            let inst = slots[first]?;
-            self.charge_fetch(c, pc);
-            self.stats.retired += 1;
-            *left -= 1;
-            return Some(inst);
-        }
         let budget = usize::try_from(*left).unwrap_or(usize::MAX);
         let end = first + (slots.len() - first).min(budget);
         let mut i = first;
@@ -1452,9 +1431,23 @@ impl Machine {
             self.charge_fetches(c, pc, charged);
             self.stats.retired += charged;
             *left -= charged;
+            if self.profiler.is_enabled() {
+                self.profile_run(c, pc, ran as usize, ender);
+            }
         }
         self.cpu.pc = pc + 4 * ran;
         ender
+    }
+
+    /// Records in the profiler the run [`Machine::retire_run`] just
+    /// charged through cursor `c`: the `ran` register-only instructions
+    /// from `pc` and the slot that ended it, `ender`, if any.
+    #[cold]
+    fn profile_run(&mut self, c: FetchCursor, pc: u64, ran: usize, ender: Option<Inst>) {
+        let first = ((pc - c.page) / 4) as usize;
+        let slots = self.block_cache.page(c.epoch, c.slots).expect("the run's page is live");
+        let ran = slots[first..first + ran].iter().flatten();
+        self.profiler.record_fetch(pc, self.cycles, ran, ender, Phase::Dispatch);
     }
 
     /// `pc`'s table slot, if its cursor covers a fetch of `pc` at `el`:
@@ -1499,22 +1492,6 @@ impl Machine {
         }
         self.mem.l1i.sets.stats.hits += hits;
         self.cycles += cycles;
-    }
-
-    /// [`Machine::charge_fetches`] for the one word at `pc`, without the
-    /// line walk.
-    #[inline(always)]
-    fn charge_fetch(&mut self, c: FetchCursor, pc: u64) {
-        self.block_cache.stats.hits += 1;
-        self.mem.tlbs.count_itlb_hits(MemorySystem::world(c.el), 1);
-        let pa = c.frame + (pc - c.page);
-        let fetch_cycles = if self.mem.l1i.in_last_line(pa) {
-            self.mem.l1i.sets.stats.hits += 1;
-            self.mem.latency.l1_hit
-        } else {
-            self.mem.cache_access(AccessKind::Fetch, pa).1
-        };
-        self.cycles += fetch_cycles + self.config.latency.alu;
     }
 
     /// The full fetch + decode of `pc` at `el`: translation, permissions
@@ -3251,9 +3228,9 @@ mod tests {
 
     #[test]
     fn a_profiled_run_counts_exactly_what_the_unprofiled_run_counts() {
-        // The profiler charges every instruction's fetch on its own; the
-        // unprofiled run charges register-only runs in bulk. Every
-        // exported counter but the profiler's own must agree, the
+        // The profiler records each register-only run as a whole, so
+        // the profiled run retires the same runs as the unprofiled one.
+        // Every exported counter but the profiler's own must agree, the
         // engine's `exec.*` counters included.
         let program = self_modifying_pac_program();
         let [mut plain, mut profiled] = [false, true].map(|profile| {
@@ -3276,6 +3253,74 @@ mod tests {
         assert_eq!(format!("{:?}", plain.cpu), format!("{:?}", profiled.cpu));
         assert_eq!(plain.cycles, profiled.cycles);
         assert_eq!(export(&plain), export(&profiled));
+    }
+
+    #[test]
+    fn profiled_runs_attribute_exactly_what_single_steps_attribute() {
+        // A register-only run that spans several L1i lines and a page
+        // end, a taken branch back into its middle, a syscall round
+        // trip and a trapping load: `run(n)` records whole runs, `step`
+        // one instruction at a time, and every counter but host time
+        // must agree.
+        let start = USER_CODE + PAGE_SIZE - 4 * 24;
+        let vector = 0xFFFF_FFF0_0000_0000;
+        let mut a = Asm::new();
+        a.mov_imm64(Reg::X0, 3);
+        a.mov_imm64(Reg::X5, USER_DATA);
+        let mid = a.new_label();
+        for imm in 1..=48 {
+            if imm == 12 {
+                a.bind(mid);
+            }
+            a.push(Inst::AddImm { rd: Reg::X1, rn: Reg::X1, imm });
+        }
+        a.push(Inst::SubImm { rd: Reg::X0, rn: Reg::X0, imm: 1 });
+        a.cbnz(Reg::X0, mid);
+        a.push(Inst::Svc { imm: 0 });
+        a.push(Inst::AddImm { rd: Reg::X6, rn: Reg::X6, imm: 1 });
+        a.push(Inst::Ldr { rt: Reg::X4, rn: Reg::X5, offset: 0 });
+        let program = a.assemble().unwrap();
+        // x0 survives `eret`; the loop leaves it 0.
+        let kernel = [Inst::AddImm { rd: Reg::X0, rn: Reg::X0, imm: 1 }, Inst::Eret];
+        let [mut batched, mut stepped] = [(); 2].map(|()| {
+            let mut m = Machine::new(MachineConfig {
+                os_noise: 0.0,
+                profile: true,
+                ..MachineConfig::default()
+            });
+            m.map_region(start, 4 * program.len() as u64, Perms::user_rx());
+            m.load_program(start, &program);
+            m.map_page(vector, Perms::kernel_rx());
+            m.load_program(vector, &kernel);
+            m.set_vbar(vector);
+            m.cpu.pc = start;
+            m.cpu.el = El::El0;
+            m
+        });
+        let trap = batched.run(10_000).expect_err("the load must trap");
+        let stepped_trap = loop {
+            match stepped.step() {
+                Ok(None) => {}
+                Ok(Some(stop)) => panic!("stopped at {stop:?} before the trap"),
+                Err(trap) => break trap,
+            }
+        };
+        assert_eq!(trap, stepped_trap);
+        assert!(matches!(trap, Trap::TranslationFault { va: USER_DATA, .. }), "{trap:?}");
+        assert_eq!((batched.cpu.get(Reg::X0), batched.cpu.get(Reg::X6)), (1, 1));
+        let mid_pc = start + 4 * (program.len() as u64 - 3 - 2 - 48 + 11);
+        assert_eq!(batched.profiler.blocks()[&mid_pc].entries, 2, "two taken branches to mid");
+        assert!(batched.block_cache_stats().hits > 100, "the runs must be cursor-served");
+        let export = |m: &Machine| {
+            let mut reg = Registry::new();
+            m.export_telemetry(&mut reg);
+            let mut snap = reg.snapshot();
+            snap.retain_counters(|name| !name.ends_with(".wall_ns"));
+            snap
+        };
+        let counters = export(&batched);
+        assert!(counters.counters().any(|(name, _)| name.starts_with("profile.block.")));
+        assert_eq!(counters, export(&stepped));
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! - [`Phase::Qarma`] — execution of the PA instructions, whose cost is
 //!   the QARMA-64 datapath.
 //!
-//! Cost discipline: the profiler is owned by the [`Machine`] and every
-//! hot-path hook branches on [`Profiler::is_enabled`] first, so a
-//! disabled profiler costs one predicted branch per retired instruction
-//! and takes no timestamps. When enabled, it reads `Instant::now()`
-//! twice per instruction (fetch/decode boundary and retire) — the
-//! `perf_trace` bench artifact bounds the disabled overhead.
+//! The profiler times the one retire loop an iteration at a time: a
+//! cursor-served run of register-only instructions, with the fetch of
+//! the one ending it, is one host-time interval of [`Phase::Dispatch`];
+//! a full fetch is one of [`Phase::Decode`]; each `exec` is one of its
+//! instruction's phase. Counts and simulated cycles equal per-instruction
+//! attribution: a run's fetches, cycles and block membership are sums,
+//! and a register-only `exec` adds no cycles. The loop branches on
+//! [`Profiler::is_enabled`] at its record points only, so a disabled
+//! profiler reads no clock; an enabled one reads it once per interval
+//! boundary and holds the open interval's start itself.
 //!
 //! Basic blocks are keyed by their entry PC: a new block begins
 //! whenever the previous instruction's architectural successor differs
@@ -174,6 +178,11 @@ pub struct Profiler {
     expected_pc: Option<u64>,
     /// Entry PC of the block currently executing.
     current_block: u64,
+    /// Where the open interval began: the host clock's reading and the
+    /// machine's cycle count.
+    mark: Option<(Instant, u64)>,
+    /// The instruction fetched last, whose `exec` is not recorded yet.
+    fetched: Option<Inst>,
 }
 
 impl Profiler {
@@ -182,60 +191,87 @@ impl Profiler {
         Self { enabled, ..Self::default() }
     }
 
-    /// Whether the hot-path hooks record (the branch the retire loop
-    /// takes once per instruction).
+    /// Whether the retire loop records into this profiler.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Turns recording on or off; accumulated data is kept.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
+    /// Starts timing at an entry to the retire loop, the machine's cycle
+    /// count being `cycles`.
+    pub(crate) fn start(&mut self, cycles: u64) {
+        self.mark = Some((Instant::now(), cycles));
     }
 
-    /// Records the fetch+decode cost of one instruction.
-    pub fn record_decode(&mut self, cycles: u64, wall_ns: u64) {
-        let p = &mut self.phases[0];
-        p.events += 1;
-        p.cycles += cycles;
-        p.wall_ns = p.wall_ns.saturating_add(wall_ns);
-    }
-
-    /// Records one retired instruction: its mnemonic, execution phase,
-    /// the PC it retired at, the cycles the whole step consumed
-    /// (`step_cycles`, for block attribution) and the cycles/wall-time
-    /// of execution alone.
-    pub fn record_retire(
+    /// Records one fetch of the retire loop, the machine's cycle count
+    /// now being `cycles`: the instructions fetched in program order from
+    /// `pc`, that is `ran`, the register-only instructions a cursor-served
+    /// run retired without `exec`, then `ender`, if any, whose `exec` the
+    /// next [`record_exec`](Self::record_exec) records. The host time
+    /// since the last record goes to `phase`: [`Phase::Dispatch`] for a
+    /// cursor-served run, [`Phase::Decode`] for a full fetch.
+    #[cold]
+    pub(crate) fn record_fetch<'a>(
         &mut self,
-        inst: &Inst,
         pc: u64,
-        step_cycles: u64,
-        exec_cycles: u64,
-        exec_wall_ns: u64,
+        cycles: u64,
+        ran: impl IntoIterator<Item = &'a Inst>,
+        ender: Option<Inst>,
+        phase: Phase,
     ) {
-        let op = self.opcodes.entry(mnemonic(inst)).or_default();
-        op.retired += 1;
-        op.cycles += exec_cycles;
-
-        let phase = &mut self.phases[match phase_of(inst) {
-            Phase::Decode => 0,
-            Phase::Dispatch => 1,
-            Phase::Memory => 2,
-            Phase::Qarma => 3,
-        }];
-        phase.events += 1;
-        phase.cycles += exec_cycles;
-        phase.wall_ns = phase.wall_ns.saturating_add(exec_wall_ns);
+        let (cycles, wall_ns) = self.lap(cycles);
+        let mut retired = 0;
+        for inst in ran {
+            self.opcodes.entry(mnemonic(inst)).or_default().retired += 1;
+            retired += 1;
+        }
+        self.phases[Phase::Dispatch as usize].events += retired;
+        let fetched = retired + u64::from(ender.is_some());
+        self.fetched = ender;
+        let decode = &mut self.phases[Phase::Decode as usize];
+        decode.events += fetched;
+        decode.cycles += cycles;
+        let wall = &mut self.phases[phase as usize].wall_ns;
+        *wall = wall.saturating_add(wall_ns);
 
         if self.expected_pc != Some(pc) {
             self.current_block = pc;
             self.blocks.entry(pc).or_default().entries += 1;
         }
         let block = self.blocks.entry(self.current_block).or_default();
-        block.insts += 1;
-        block.cycles += step_cycles;
-        self.expected_pc = Some(pc + 4);
+        block.insts += fetched;
+        block.cycles += cycles;
+        self.expected_pc = Some(pc + 4 * fetched);
+    }
+
+    /// Records the `exec` of the instruction fetched last, which left the
+    /// machine's cycle count at `cycles`: the cycles and host time since
+    /// the last record, attributed to its mnemonic, its phase and its
+    /// block.
+    #[cold]
+    pub(crate) fn record_exec(&mut self, cycles: u64) {
+        let inst = self.fetched.take().expect("an instruction is fetched before it executes");
+        let (cycles, wall_ns) = self.lap(cycles);
+        let op = self.opcodes.entry(mnemonic(&inst)).or_default();
+        op.retired += 1;
+        op.cycles += cycles;
+
+        let phase = &mut self.phases[phase_of(&inst) as usize];
+        phase.events += 1;
+        phase.cycles += cycles;
+        phase.wall_ns = phase.wall_ns.saturating_add(wall_ns);
+
+        self.blocks.entry(self.current_block).or_default().cycles += cycles;
+    }
+
+    /// Ends the open interval at the cycle count `cycles` and starts the
+    /// next with the same clock reading: the ended interval's simulated
+    /// cycles and host nanoseconds.
+    fn lap(&mut self, cycles: u64) -> (u64, u64) {
+        let (at, start) = self.mark.expect("the retire loop starts the profiler before recording");
+        let now = Instant::now();
+        self.mark = Some((now, cycles));
+        (cycles - start, u64::try_from(now.duration_since(at).as_nanos()).unwrap_or(u64::MAX))
     }
 
     /// Per-opcode costs, keyed by mnemonic.
@@ -250,7 +286,7 @@ impl Profiler {
 
     /// Accumulated cost of `phase`.
     pub fn phase(&self, phase: Phase) -> PhaseCost {
-        self.phases[PHASES.iter().position(|&p| p == phase).expect("phase in table")]
+        self.phases[phase as usize]
     }
 
     /// True when nothing has been recorded.
@@ -284,23 +320,6 @@ impl Profiler {
     }
 }
 
-/// A wall-clock sample for the retire-loop hooks: zero-cost when the
-/// profiler is off (no `Instant` read happens).
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct ProfTimer(Option<Instant>);
-
-impl ProfTimer {
-    /// Samples the clock only when `enabled`.
-    pub(crate) fn start(enabled: bool) -> Self {
-        Self(if enabled { Some(Instant::now()) } else { None })
-    }
-
-    /// Nanoseconds since [`start`](Self::start), 0 when disabled.
-    pub(crate) fn elapsed_ns(self) -> u64 {
-        self.0.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,58 +338,56 @@ mod tests {
     }
 
     #[test]
-    fn disabled_profiler_records_through_explicit_calls_only() {
-        // The enabled flag gates the *machine's* hooks, not the struct:
-        // the struct itself always records, so scoped enable/disable at
-        // the machine level composes.
-        let mut p = Profiler::new(false);
-        assert!(!p.is_enabled());
-        assert!(p.is_empty());
-        p.set_enabled(true);
-        assert!(p.is_enabled());
-    }
-
-    #[test]
     fn straight_line_code_is_one_block() {
         let mut p = Profiler::new(true);
-        p.record_decode(3, 10);
-        for i in 0..4u64 {
-            let pc = 0x1000 + 4 * i;
-            p.record_retire(&add(), pc, 2, 1, 5);
-        }
+        p.start(100);
+        // A run of three register-only instructions whose fetches, and
+        // that of the branch ending it, cost 8 cycles; then the branch.
+        let branch = Inst::B { offset: 0 };
+        p.record_fetch(0x1000, 108, &[add(), add(), add()], Some(branch), Phase::Dispatch);
+        p.record_exec(109);
         assert_eq!(p.blocks().len(), 1);
         let b = p.blocks()[&0x1000];
-        assert_eq!((b.entries, b.insts, b.cycles), (1, 4, 8));
-        assert_eq!(p.opcodes()["add_imm"].retired, 4);
-        assert_eq!(p.phase(Phase::Dispatch).events, 4);
-        assert_eq!(p.phase(Phase::Decode).cycles, 3);
+        assert_eq!((b.entries, b.insts, b.cycles), (1, 4, 9));
+        assert_eq!(p.opcodes()["add_imm"], OpcodeCost { retired: 3, cycles: 0 });
+        assert_eq!(p.opcodes()["b"], OpcodeCost { retired: 1, cycles: 1 });
+        let dispatch = p.phase(Phase::Dispatch);
+        assert_eq!((dispatch.events, dispatch.cycles), (4, 1));
+        let decode = p.phase(Phase::Decode);
+        assert_eq!((decode.events, decode.cycles, decode.wall_ns), (4, 8, 0));
     }
 
     #[test]
     fn control_transfers_open_new_blocks() {
         let mut p = Profiler::new(true);
+        p.start(0);
         // 0x1000 falls through to 0x1004; 0x1004 branches to 0x2000;
         // 0x2000 branches back to 0x1000 (loop entry counted again).
-        p.record_retire(&add(), 0x1000, 1, 1, 0);
-        p.record_retire(&Inst::B { offset: 0 }, 0x1004, 1, 1, 0);
-        p.record_retire(&Inst::B { offset: 0 }, 0x2000, 1, 1, 0);
-        p.record_retire(&add(), 0x1000, 1, 1, 0);
+        let b = Inst::B { offset: 0 };
+        p.record_fetch(0x1000, 2, [&add()], Some(b), Phase::Dispatch);
+        p.record_exec(3);
+        p.record_fetch(0x2000, 4, [], Some(b), Phase::Decode);
+        p.record_exec(5);
+        p.record_fetch(0x1000, 6, [], Some(add()), Phase::Decode);
+        p.record_exec(6);
         assert_eq!(p.blocks().len(), 2);
         assert_eq!(p.blocks()[&0x1000].entries, 2);
         assert_eq!(p.blocks()[&0x2000].entries, 1);
         assert_eq!(p.blocks()[&0x1000].insts, 3);
+        assert_eq!(p.blocks()[&0x1000].cycles, 4);
     }
 
     #[test]
     fn export_writes_profile_counters() {
         let mut p = Profiler::new(true);
-        p.record_decode(2, 7);
-        p.record_retire(&add(), 0x4000, 3, 1, 9);
+        p.start(0);
+        p.record_fetch(0x4000, 2, [], Some(add()), Phase::Decode);
+        p.record_exec(3);
         let mut reg = Registry::new();
         p.export_into(&mut reg);
         assert_eq!(reg.counter_value("profile.opcode.add_imm.retired"), 1);
         assert_eq!(reg.counter_value("profile.phase.decode.cycles"), 2);
-        assert_eq!(reg.counter_value("profile.phase.dispatch.wall_ns"), 9);
+        assert_eq!(reg.counter_value("profile.phase.dispatch.cycles"), 1);
         assert_eq!(reg.counter_value("profile.block.0x4000.cycles"), 3);
 
         // An empty profiler exports nothing at all.
@@ -380,7 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn timer_is_inert_when_disabled() {
-        assert_eq!(ProfTimer::start(false).elapsed_ns(), 0);
+    fn host_time_is_split_at_the_records_without_a_gap() {
+        let mut p = Profiler::new(true);
+        p.start(0);
+        let (started, _) = p.mark.unwrap();
+        let ldr = Inst::Ldr { rt: Reg::X0, rn: Reg::X1, offset: 0 };
+        p.record_fetch(0x1000, 2, [&add()], Some(ldr), Phase::Dispatch);
+        p.record_exec(6);
+        // A run the page end cuts, with no instruction to execute.
+        p.record_fetch(0x1008, 7, [&add()], None, Phase::Dispatch);
+        p.record_fetch(0x100c, 8, [], Some(add()), Phase::Decode);
+        p.record_exec(8);
+        let wall: u64 = PHASES.iter().map(|&phase| p.phase(phase).wall_ns).sum();
+        let (ended, cycles) = p.mark.unwrap();
+        assert_eq!(u128::from(wall), ended.duration_since(started).as_nanos());
+        assert_eq!((cycles, p.blocks()[&0x1000].insts), (8, 4));
     }
 }

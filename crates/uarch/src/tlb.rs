@@ -85,8 +85,8 @@ impl Way for TlbEntry {
 pub struct Tlb {
     /// Entries, LRU state and hit/miss/fill/eviction counters.
     pub(crate) sets: SetAssoc<TlbEntry>,
-    /// Bumped by everything that can change a set's contents or LRU
-    /// order (see [`Tlb::version`]).
+    /// Bumped by everything that changes a set's contents or LRU order
+    /// (see [`Tlb::version`]).
     version: u64,
 }
 
@@ -105,11 +105,12 @@ impl Tlb {
     }
 
     /// Changes whenever any set's contents or LRU order may have: on a
-    /// promoting [`Tlb::lookup`], an insert, a flush, a restore or a
-    /// reset. A lookup that re-touches its set's MRU way leaves it
-    /// alone, so while the version holds, every entry that was its set's
-    /// MRU way still is — the machine's fetch cursors rely on exactly
-    /// this.
+    /// promoting [`Tlb::lookup`], an insert that changes its set, a flush
+    /// of a non-empty TLB, a restore or a reset. A lookup that re-touches
+    /// its set's MRU way, an insert of that way unchanged and a flush of
+    /// an empty TLB leave it alone, so while the version holds, every
+    /// entry that was its set's MRU way still is — the machine's fetch
+    /// cursors rely on exactly this.
     #[inline]
     pub(crate) fn version(&self) -> u64 {
         self.version
@@ -146,14 +147,15 @@ impl Tlb {
     /// Inserts an entry as MRU, returning the evicted LRU victim if the
     /// set overflowed. Re-inserting an existing vpn replaces it.
     pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
-        self.version += 1;
+        let set = self.sets.set_index(entry.vpn);
+        self.version += u64::from(self.sets.live(set).first() != Some(&entry));
         self.sets.insert(entry)
     }
 
     /// Drops everything (a `tlbi`-style full invalidate).
     pub fn flush(&mut self) {
+        self.version += u64::from((0..self.sets.sets()).any(|set| self.sets.occupancy(set) > 0));
         self.sets.flush();
-        self.version += 1;
     }
 
     /// Number of valid entries currently in `set`.
@@ -286,6 +288,7 @@ impl TlbHierarchy {
     }
 
     /// Data-side lookup for a load/store.
+    #[inline]
     pub fn lookup_data(&mut self, vpn: u64) -> DataLookup {
         if let Some(e) = self.dtlb.lookup(vpn) {
             return DataLookup::DtlbHit(e);
@@ -425,6 +428,14 @@ mod tests {
         moved(&t, true, "insert");
         t.insert(entry(4)); // set 0 is now [4, 0]
         moved(&t, true, "second insert");
+        t.insert(entry(4));
+        moved(&t, false, "MRU re-insert unchanged");
+        let mut remapped = entry(4);
+        remapped.pfn += 1;
+        t.insert(remapped);
+        moved(&t, true, "MRU re-insert with a new pfn");
+        t.insert(entry(4));
+        moved(&t, true, "MRU re-insert back to the old pfn");
         assert!(t.lookup(4).is_some());
         moved(&t, false, "MRU re-touch");
         assert!(t.lookup(1).is_none());
@@ -435,6 +446,8 @@ mod tests {
         moved(&t, false, "presence check");
         t.flush();
         moved(&t, true, "flush");
+        t.flush();
+        moved(&t, false, "flush of an empty TLB");
         let mut w = Writer::new();
         t.save_state(&mut w);
         t.restore_state(&mut Reader::new(&w.into_bytes())).unwrap();

@@ -197,8 +197,8 @@ fn snapshot_taken_mid_page_continues_like_the_interpreter() {
 fn oracle_trials_across_syscalls_match_the_interpreter() {
     // The fetch cursors must survive (or correctly die across) every EL
     // switch, kernel page change and iTLB eviction of a real campaign:
-    // `Cached` — also with the profiler's out-of-line retire path — must
-    // stay on `Interpreted`'s timeline trial by trial.
+    // `Cached` — also with the profiler recording each run — must stay
+    // on `Interpreted`'s timeline trial by trial.
     let engines =
         [(ExecEngine::Interpreted, false), (ExecEngine::Cached, false), (ExecEngine::Cached, true)];
     for channel in [Channel::Data, Channel::Instr, Channel::Cache] {
